@@ -24,7 +24,7 @@ use spinfer_bench::{KernelKind, HERO_K, HERO_M};
 /// test run.
 const GOLDEN: (usize, usize, usize, f64, u64) = (900, 720, 20, 0.65, 1234);
 
-fn roster() -> [KernelKind; 7] {
+fn roster() -> [KernelKind; 8] {
     [
         KernelKind::CublasTc,
         KernelKind::SpInfer,
@@ -33,6 +33,7 @@ fn roster() -> [KernelKind; 7] {
         KernelKind::Sputnik,
         KernelKind::CuSparse,
         KernelKind::Smat,
+        KernelKind::SpInferInt8,
     ]
 }
 
@@ -46,7 +47,7 @@ fn main() {
         "// Functional golden shape: {m}x{k}x{n} s={sparsity} seed={seed} on {}.",
         spec.name
     );
-    println!("const GOLDEN_FUNCTIONAL: [(&str, u64, u64, u64); 7] = [");
+    println!("const GOLDEN_FUNCTIONAL: [(&str, u64, u64, u64); 8] = [");
     let cache = EncodeCache::new();
     for kernel in roster() {
         let p = SweepPoint {
@@ -73,7 +74,7 @@ fn main() {
     println!(
         "// Analytic simulated time (µs, f64 bits) at the hero shape {HERO_M}x{HERO_K}x16 s=0.6."
     );
-    println!("const GOLDEN_HERO_ANALYTIC: [(&str, u64); 7] = [");
+    println!("const GOLDEN_HERO_ANALYTIC: [(&str, u64); 8] = [");
     for kernel in roster() {
         let us = kernel.time_us(&spec, HERO_M, HERO_K, 16, 0.6);
         println!("    (\"{}\", {:#018x}),", kernel.label(), us.to_bits());

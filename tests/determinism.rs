@@ -18,7 +18,7 @@ use spinfer_core::{SpinferSpmm, TcaBme};
 
 // Captured by `cargo run --release --bin golden`.
 // Functional golden shape: 900x720x20 s=0.65 seed=1234 on RTX4090.
-const GOLDEN_FUNCTIONAL: [(&str, u64, u64, u64); 7] = [
+const GOLDEN_FUNCTIONAL: [(&str, u64, u64, u64); 8] = [
     (
         "cuBLAS_TC",
         0x6c43e71288bfb56c,
@@ -61,9 +61,15 @@ const GOLDEN_FUNCTIONAL: [(&str, u64, u64, u64); 7] = [
         0x4013c687b0524209,
         0x8115af377686b55e,
     ),
+    (
+        "SpInfer-INT8",
+        0x63448242ba911a93,
+        0x400fe6f4020d1f2c,
+        0x648f84f8c8de71ed,
+    ),
 ];
 // Analytic simulated time (µs, f64 bits) at the hero shape 28672x8192x16 s=0.6.
-const GOLDEN_HERO_ANALYTIC: [(&str, u64); 7] = [
+const GOLDEN_HERO_ANALYTIC: [(&str, u64); 8] = [
     ("cuBLAS_TC", 0x408060673be0d215),
     ("SpInfer", 0x406f949d0661a6aa),
     ("Flash-LLM", 0x407a17e77fed010b),
@@ -71,9 +77,10 @@ const GOLDEN_HERO_ANALYTIC: [(&str, u64); 7] = [
     ("Sputnik", 0x4089b73e495a85c2),
     ("cuSPARSE", 0x40b5fcc3a7ee98ff),
     ("SMaT", 0x4080675514e03113),
+    ("SpInfer-INT8", 0x4062c3107c11370f),
 ];
 
-const ROSTER: [KernelKind; 7] = [
+const ROSTER: [KernelKind; 8] = [
     KernelKind::CublasTc,
     KernelKind::SpInfer,
     KernelKind::FlashLlm,
@@ -81,6 +88,7 @@ const ROSTER: [KernelKind; 7] = [
     KernelKind::Sputnik,
     KernelKind::CuSparse,
     KernelKind::Smat,
+    KernelKind::SpInferInt8,
 ];
 
 /// Golden-counter regression gate: a fixed-seed run of every kernel must

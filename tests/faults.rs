@@ -9,43 +9,91 @@
 
 use gpu_sim::exec;
 use gpu_sim::fault::{FaultInjector, FaultPlan};
-use gpu_sim::matrix::{max_abs_diff, random_dense, random_sparse, ValueDist};
+use gpu_sim::matrix::{checksum_f32, max_abs_diff, random_dense, random_sparse, ValueDist};
 use gpu_sim::GpuSpec;
-use spinfer_core::{serialize, SpinferSpmm, TcaBme};
+use spinfer_core::spmm::{LaunchCtx, SpmmKernel};
+use spinfer_core::{serialize, SpinferSpmm, SpinferSpmmInt8, TcaBme};
+
+/// Pinned outcome of the seeded INT8 run below at 2% injection: FP32
+/// output checksum, merged-counter digest, and the four fault tallies
+/// (`faults_injected`, `faults_detected`, `faults_recovered`,
+/// `fault_fallbacks`), which `Counters::digest` excludes.
+const INT8_FAULT_CHECKSUM: u64 = 0x68221a9d3fc8b330;
+const INT8_FAULT_DIGEST: u64 = 0xcd1fdaf977cd10b8;
+const INT8_FAULT_TALLIES: [u64; 4] = [26, 3, 3, 0];
 
 /// One test owns the process-global job count (same pattern as
 /// `determinism.rs`): serial and parallel checked runs under the same
-/// seeded plan must agree bit-for-bit, faults included.
+/// seeded plan must agree bit-for-bit, faults included — for the FP16
+/// kernel and for SpInfer-INT8, whose seeded run is also pinned.
 #[test]
 fn seeded_fault_run_is_bit_identical_at_any_job_count() {
     let spec = GpuSpec::rtx4090();
     let w = random_sparse(256, 192, 0.55, ValueDist::Uniform, 42);
     let x = random_dense(192, 16, ValueDist::Uniform, 43);
     let enc = TcaBme::encode(&w);
-    let kernel = SpinferSpmm::new();
+    let enc8 = enc.quantize_int8();
     let inj = FaultInjector::new(FaultPlan::uniform(2024, 0.02));
+    let ctx = LaunchCtx::new(&spec).with_fault(&inj);
+    let run_both = || {
+        [
+            (
+                "SpInfer",
+                SpinferSpmm::new()
+                    .run_checked(&spec, &enc, &x, Some(&inj))
+                    .expect("recovers under 2% injection"),
+            ),
+            (
+                "SpInfer-INT8",
+                SpinferSpmmInt8::new()
+                    .launch(&ctx, &enc8, &x)
+                    .expect("recovers under 2% injection"),
+            ),
+        ]
+    };
 
     exec::set_jobs(1);
-    let serial = kernel
-        .run_checked(&spec, &enc, &x, Some(&inj))
-        .expect("recovers under 2% injection");
+    let serial = run_both();
     exec::set_jobs(8);
-    let parallel = kernel
-        .run_checked(&spec, &enc, &x, Some(&inj))
-        .expect("recovers under 2% injection");
+    let parallel = run_both();
     exec::set_jobs(0);
 
+    for ((name, s), (_, p)) in serial.iter().zip(&parallel) {
+        assert_eq!(
+            s.output, p.output,
+            "{name}: fault sites must not depend on host schedule"
+        );
+        assert_eq!(
+            s.chain.launches[0].counters, p.chain.launches[0].counters,
+            "{name}: injection/detection/recovery tallies must match bit-for-bit"
+        );
+        assert!(
+            s.chain.launches[0].counters.faults_injected > 0,
+            "{name}: the plan must actually strike for this gate to mean anything"
+        );
+    }
+
+    let int8 = &serial[1].1;
+    let c = &int8.chain.launches[0].counters;
     assert_eq!(
-        serial.output, parallel.output,
-        "fault sites must not depend on host schedule"
+        checksum_f32(int8.output.as_ref().expect("functional output")),
+        INT8_FAULT_CHECKSUM,
+        "SpInfer-INT8: seeded fault-run output drifted"
     );
     assert_eq!(
-        serial.chain.launches[0].counters, parallel.chain.launches[0].counters,
-        "injection/detection/recovery tallies must match bit-for-bit"
+        int8.chain.merged_counters().digest(),
+        INT8_FAULT_DIGEST,
+        "SpInfer-INT8: seeded fault-run counter digest drifted"
     );
-    assert!(
-        serial.chain.launches[0].counters.faults_injected > 0,
-        "the plan must actually strike for this gate to mean anything"
+    assert_eq!(
+        [
+            c.faults_injected,
+            c.faults_detected,
+            c.faults_recovered,
+            c.fault_fallbacks
+        ],
+        INT8_FAULT_TALLIES,
+        "SpInfer-INT8: seeded fault tallies drifted"
     );
 }
 
