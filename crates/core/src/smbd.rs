@@ -19,10 +19,11 @@
 //! path share one source of truth: the constants below.
 
 use crate::payload::Payload;
+use crate::spmm::{Datapath, TcRows};
 use gpu_sim::bitops::{masked_popc64, popc64, test_bit};
 use gpu_sim::counters::Counters;
 use gpu_sim::fault::FaultInjector;
-use gpu_sim::fp16::{f16_to_f32_slice, pack_f16x2, Half};
+use gpu_sim::fp16::{pack_f16x2, Half};
 use gpu_sim::shared_memory::{
     warp_smem_broadcast_load, warp_smem_gather_load_f, warp_smem_load, warp_smem_load_f, BANK_WORD,
 };
@@ -393,31 +394,51 @@ pub fn decode_tctile_f32(
     base: usize,
     values_smem_base: u64,
 ) -> ([[f32; 16]; 16], usize) {
+    decode_tctile_rows::<Half>(counters, bitmaps, values, base, values_smem_base)
+}
+
+/// Golden (fault-free, panicking) [`decode_tctile_rows_f`].
+pub(crate) fn decode_tctile_rows<P: Datapath>(
+    counters: &mut Counters,
+    bitmaps: &[u64; 4],
+    values: &[P],
+    base: usize,
+    values_smem_base: u64,
+) -> (TcRows<P>, usize) {
     decode_tctile_rows_f(counters, bitmaps, values, base, values_smem_base, None, 0).expect(
         "SMBD TCTile decode overran the GroupTile value buffer — bitmap \
          population exceeds the encoded value span (corrupted bitmap?)",
     )
 }
 
-/// Decodes a TCTile's four quadrants straight into `f32` rows, skipping
-/// the `.f16x2` pack/unpack round-trip of the fragment path: each
-/// quadrant's `(a0, a1)` halves are batch-converted through the FP16
-/// LUT ([`gpu_sim::fp16::f16_to_f32_slice`]) and scattered to their row
-/// coordinates. Packing to a register and unpacking via the same LUT is
-/// lossless, and absent lanes hold `Half::ZERO` (→ `+0.0`), so the rows
-/// are bit-identical to `decode_tctile_f(..).to_f32_rows()` — with the
-/// exact same counter and fault-site stream.
+/// Decodes a TCTile's four quadrants straight into `mma` operand rows of
+/// any payload precision, skipping the register pack/unpack round-trip
+/// of the fragment path: each quadrant's `(a0, a1)` halves are widened
+/// in one batch ([`Datapath::widen_lanes`] — the FP16 LUT sweep
+/// [`gpu_sim::fp16::f16_to_f32_slice`], or `i8 → i32`) and scattered to
+/// their row coordinates. For FP16, packing to a register and unpacking
+/// via the same LUT is lossless and absent lanes hold `Half::ZERO`
+/// (→ `+0.0`), so the rows are bit-identical to
+/// `decode_tctile_f(..).to_f32_rows()` — with the exact same counter
+/// and fault-site stream; the INT8 instantiation shares the bitmap
+/// walk and counter writes, with gather spans at the 1-byte width.
+///
+/// Non-panicking: an overrun surfaces as [`DecodeFault::Overrun`]; see
+/// [`decode_bitmap_tile_f`] for the `fault`/`site_key` contract. An
+/// injected poison lands as the payload's projection of the FP16
+/// pattern — a NaN for FP16, a plausible nonzero code for INT8 (which
+/// no per-value scan can catch; the D3 gap in DESIGN.md §14).
 #[allow(clippy::too_many_arguments)]
-fn decode_tctile_rows_f(
+pub(crate) fn decode_tctile_rows_f<P: Datapath>(
     counters: &mut Counters,
     bitmaps: &[u64; 4],
-    values: &[Half],
+    values: &[P],
     base: usize,
     values_smem_base: u64,
     fault: Option<&FaultInjector>,
     site_key: u64,
-) -> Result<([[f32; 16]; 16], usize), DecodeFault> {
-    let mut rows = [[0.0f32; 16]; 16];
+) -> Result<(TcRows<P>, usize), DecodeFault> {
+    let mut rows = [[P::Operand::default(); 16]; 16];
     let mut offset = base;
     for (reg, &bm) in bitmaps.iter().enumerate() {
         let (a0, a1) = decode_bitmap_tile_halves_f(
@@ -429,102 +450,15 @@ fn decode_tctile_rows_f(
             fault,
             site_key.wrapping_add((reg as u64 + 1) << 48),
         )?;
-        let mut f0 = [0.0f32; 32];
-        let mut f1 = [0.0f32; 32];
-        f16_to_f32_slice(&a0, &mut f0);
-        f16_to_f32_slice(&a1, &mut f1);
+        let mut f0 = [P::Operand::default(); 32];
+        let mut f1 = [P::Operand::default(); 32];
+        P::widen_lanes(&a0, &mut f0);
+        P::widen_lanes(&a1, &mut f1);
         let (dr, dc) = QUAD_ORIGINS[reg];
         for lane in 0..32 {
             let (qr, qc) = lane_quadrant_coords(lane);
             rows[qr + dr][qc + dc] = f0[lane];
             rows[qr + dr][qc + dc + 1] = f1[lane];
-        }
-        offset += popc64(bm) as usize;
-    }
-    Ok((rows, offset - base))
-}
-
-/// Checked [`decode_tctile_f32`]: non-panicking on overruns, optional
-/// fault injection on the value gathers, and a finiteness scan over the
-/// decoded rows — a poisoned FP16 surfaces as [`DecodeFault::NonFinite`]
-/// here instead of escaping into the accumulators.
-pub fn decode_tctile_f32_checked(
-    counters: &mut Counters,
-    bitmaps: &[u64; 4],
-    values: &[Half],
-    base: usize,
-    values_smem_base: u64,
-    fault: Option<&FaultInjector>,
-    site_key: u64,
-) -> Result<([[f32; 16]; 16], usize), DecodeFault> {
-    let (rows, consumed) = decode_tctile_rows_f(
-        counters,
-        bitmaps,
-        values,
-        base,
-        values_smem_base,
-        fault,
-        site_key,
-    )?;
-    if rows.iter().flatten().any(|v| !v.is_finite()) {
-        return Err(DecodeFault::NonFinite);
-    }
-    Ok((rows, consumed))
-}
-
-/// Decodes a full 16×16 TCTile of INT8 codes straight to the `i32` row
-/// view the integer mma entry point
-/// ([`gpu_sim::tensor_core::mma_m16n8k16_s8_ntiles`]) consumes — the
-/// INT8 datapath's analogue of [`decode_tctile_f32`]. Same bitmap walk,
-/// rank arithmetic, and quadrant scatter through the one shared
-/// `decode_bitmap_tile_halves_f` implementation; only the gather word
-/// spans shrink to the 1-byte element width. Returns the rows and the
-/// non-zeros consumed.
-pub fn decode_tctile_codes_i8(
-    counters: &mut Counters,
-    bitmaps: &[u64; 4],
-    codes: &[i8],
-    base: usize,
-    values_smem_base: u64,
-) -> ([[i32; 16]; 16], usize) {
-    decode_tctile_codes_i8_f(counters, bitmaps, codes, base, values_smem_base, None, 0).expect(
-        "SMBD TCTile decode overran the GroupTile code buffer — bitmap \
-         population exceeds the encoded value span (corrupted bitmap?)",
-    )
-}
-
-/// Fault-aware, non-panicking [`decode_tctile_codes_i8`]; see
-/// [`decode_bitmap_tile_f`] for the `fault`/`site_key` contract. Note
-/// that an injected poison projects to a (nonzero) `i8` code rather
-/// than a NaN — integer lanes have no non-finite encoding, so poison
-/// here is detectable by the D1 checksum but not by a finiteness scan
-/// (the detector-coverage gap documented in DESIGN.md §14).
-pub fn decode_tctile_codes_i8_f(
-    counters: &mut Counters,
-    bitmaps: &[u64; 4],
-    codes: &[i8],
-    base: usize,
-    values_smem_base: u64,
-    fault: Option<&FaultInjector>,
-    site_key: u64,
-) -> Result<([[i32; 16]; 16], usize), DecodeFault> {
-    let mut rows = [[0i32; 16]; 16];
-    let mut offset = base;
-    for (reg, &bm) in bitmaps.iter().enumerate() {
-        let (a0, a1) = decode_bitmap_tile_halves_f::<i8>(
-            counters,
-            bm,
-            codes,
-            offset,
-            values_smem_base,
-            fault,
-            site_key.wrapping_add((reg as u64 + 1) << 48),
-        )?;
-        let (dr, dc) = QUAD_ORIGINS[reg];
-        for lane in 0..32 {
-            let (qr, qc) = lane_quadrant_coords(lane);
-            rows[qr + dr][qc + dc] = i32::from(a0[lane]);
-            rows[qr + dr][qc + dc + 1] = i32::from(a1[lane]);
         }
         offset += popc64(bm) as usize;
     }
@@ -704,7 +638,7 @@ mod tests {
         // Same corruption through the TCTile wrapper.
         let bitmaps = [corrupt, 0, 0, 0];
         assert!(matches!(
-            decode_tctile_f32_checked(&mut Counters::new(), &bitmaps, &vals, 0, 0, None, 0),
+            decode_tctile_rows_f(&mut Counters::new(), &bitmaps, &vals, 0, 0, None, 0),
             Err(DecodeFault::Overrun { .. })
         ));
     }
@@ -737,12 +671,13 @@ mod tests {
             ..FaultPlan::default()
         };
         let inj = FaultInjector::new(plan);
-        let res =
-            decode_tctile_f32_checked(&mut Counters::new(), &bitmaps, &values, 0, 0, Some(&inj), 7);
-        assert_eq!(res.unwrap_err(), DecodeFault::NonFinite);
+        let (poisoned, _) =
+            decode_tctile_rows_f(&mut Counters::new(), &bitmaps, &values, 0, 0, Some(&inj), 7)
+                .expect("poison is not an overrun");
+        assert_eq!(Half::scan(&poisoned), Err(DecodeFault::NonFinite));
         // And with rates at zero the same call returns the golden rows.
         let clean = FaultInjector::new(FaultPlan::default());
-        let (rows, consumed) = decode_tctile_f32_checked(
+        let (rows, consumed) = decode_tctile_rows_f(
             &mut Counters::new(),
             &bitmaps,
             &values,
@@ -751,7 +686,8 @@ mod tests {
             Some(&clean),
             7,
         )
-        .expect("zero rates never poison");
+        .expect("in bounds");
+        assert_eq!(Half::scan(&rows), Ok(()), "zero rates never poison");
         let (golden_rows, golden_consumed) =
             decode_tctile_f32(&mut Counters::new(), &bitmaps, &values, 0, 0);
         assert_eq!(rows, golden_rows);
@@ -819,7 +755,7 @@ mod tests {
         let tile = random_sparse(16, 16, 0.5, ValueDist::Uniform, 90);
         let (bitmaps, codes) = encode_tctile_with(&tile, |v| (v.to_f32() * 100.0).round() as i8);
         let mut c = Counters::new();
-        let (rows, consumed) = decode_tctile_codes_i8(&mut c, &bitmaps, &codes, 0, 0);
+        let (rows, consumed) = decode_tctile_rows::<i8>(&mut c, &bitmaps, &codes, 0, 0);
         assert_eq!(consumed, codes.len());
         for r in 0..16 {
             for col in 0..16 {
@@ -846,7 +782,7 @@ mod tests {
         let mut cf = Counters::new();
         decode_tctile_f32(&mut cf, &bitmaps, &vals, 0, 0);
         let mut ci = Counters::new();
-        decode_tctile_codes_i8(&mut ci, &bitmaps, &codes, 0, 0);
+        decode_tctile_rows::<i8>(&mut ci, &bitmaps, &codes, 0, 0);
         assert_eq!(cf.cuda_int_insts, ci.cuda_int_insts);
         assert_eq!(cf.insts_issued, ci.insts_issued);
         assert_eq!(cf.smem_load_transactions, ci.smem_load_transactions);
@@ -858,7 +794,7 @@ mod tests {
         let bitmaps = [u64::MAX, 0, 0, 0];
         let codes = vec![1i8; 3];
         assert!(matches!(
-            decode_tctile_codes_i8_f(&mut Counters::new(), &bitmaps, &codes, 0, 0, None, 0),
+            decode_tctile_rows_f::<i8>(&mut Counters::new(), &bitmaps, &codes, 0, 0, None, 0),
             Err(DecodeFault::Overrun { .. })
         ));
     }
@@ -874,9 +810,9 @@ mod tests {
         };
         let inj = FaultInjector::new(plan);
         let (rows, _) =
-            decode_tctile_codes_i8_f(&mut Counters::new(), &bitmaps, &codes, 0, 0, Some(&inj), 3)
+            decode_tctile_rows_f::<i8>(&mut Counters::new(), &bitmaps, &codes, 0, 0, Some(&inj), 3)
                 .expect("poison is not an overrun");
-        let (clean, _) = decode_tctile_codes_i8(&mut Counters::new(), &bitmaps, &codes, 0, 0);
+        let (clean, _) = decode_tctile_rows::<i8>(&mut Counters::new(), &bitmaps, &codes, 0, 0);
         assert_ne!(rows, clean, "an always-on injector must perturb codes");
     }
 }

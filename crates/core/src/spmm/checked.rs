@@ -14,7 +14,7 @@ use gpu_sim::fault::FaultInjector;
 use gpu_sim::matrix::DenseMatrix;
 use gpu_sim::spec::GpuSpec;
 
-use super::launch::LaunchCtx;
+use super::launch::{LaunchCtx, SpmmKernel};
 use super::{SpinferSpmm, SpmmRun};
 
 /// Recovery policy for checked runs: how hard to try before giving up
@@ -82,6 +82,6 @@ impl SpinferSpmm {
         if let Some(f) = fault {
             ctx = ctx.with_fault(f);
         }
-        self.launch_with(&ctx, w, x)
+        self.launch(&ctx, w, x)
     }
 }

@@ -1,65 +1,53 @@
 //! The INT8 SpInfer-SpMM kernel: the quantized-precision sibling of the
 //! FP16 kernel, running on the same TCA-BME structure.
 //!
-//! The datapath mirrors the FP16 kernel stage for stage — GTile
-//! streaming, SMBD decode, `ldmatrix` X fragments, Tensor Core mma,
-//! split-K reduction — with three precision-specific differences:
+//! There is no separate INT8 datapath: `SpinferSpmmInt8` runs the one
+//! SpInfer launch body and block routine (GTile streaming, SMBD decode,
+//! `ldmatrix` X fragments, Tensor Core mma, split-K reduction) at
+//! payload `i8`. This module holds the INT8 [`Datapath`] hooks — the
+//! only places the precisions differ:
 //!
 //! 1. **Stored values are `i8` codes** (half the value traffic), decoded
-//!    by the *same* SMBD implementation instantiated at the 1-byte
-//!    element width ([`decode_tctile_codes_i8`]).
-//! 2. **The mma work runs on the integer pipe**
+//!    by the *same* SMBD implementation at the 1-byte element width and
+//!    widened to `i32` operand rows; fault images flip a single byte.
+//! 2. **Activations are quantized** to codes once per X tile against one
+//!    global scale per launch (`max|x| / 127`, order-independent and
+//!    therefore job-count invariant).
+//! 3. **The mma work runs on the integer pipe**
 //!    ([`mma_m16n8k16_s8_ntiles`], `mma.m16n8k16.s8.s8.s32`): exact
 //!    `i32` accumulation, priced at twice the FP16 Tensor Core
 //!    throughput by the timing model.
-//! 3. **A scale epilogue** folds each GroupTile column's `i32`
-//!    accumulators into the `f32` output with `scale_w[gt] × scale_x`
-//!    — per-GroupTile symmetric weight scales from the container, one
-//!    global activation scale per launch (`max|x| / 127`,
-//!    order-independent and therefore job-count invariant).
+//! 4. **A scale fold** at each GroupTile-column boundary moves the `i32`
+//!    accumulators into the `f32` output bank with
+//!    `scale_w[gt] × scale_x` (per-GroupTile symmetric weight scales from
+//!    the container).
 //!
-//! Capabilities come from the shared [`LaunchCtx`] seams: checked
-//! launches validate the container (including scales) and run the D1
-//! checksum retry loop over the landed `i8` image; decode overruns
-//! (D2) retry and fall back exactly like FP16. The D3 finiteness scan
-//! has no integer analogue — injected poison lands as a plausible code,
-//! detectable by D1 but not by any per-value scan (the detector-
-//! coverage gap documented in DESIGN.md §14).
+//! Everything else is shared with FP16: checked launches validate the
+//! container (including scales) and run the D1 checksum retry loop over
+//! the landed `i8` image; decode overruns (D2) retry and fall back; the
+//! ablation switches, trace spans and split-K behave identically. The
+//! D3 scan has no integer analogue — injected poison lands as a
+//! plausible code, detectable by D1 but not by any per-value scan (the
+//! detector-coverage gap documented in DESIGN.md §14).
 
-use crate::error::{KernelError, SpinferError};
-use crate::smbd::{decode_tctile_codes_i8, decode_tctile_codes_i8_f, DecodeFault};
-use crate::tca_bme::{checksum_gtile, TcaBme, TcaBmeConfig, TcaBmeInt8, TT_DIM};
-use gpu_sim::bitops::popc64;
+use crate::error::{IntegrityError, SpinferError};
+use crate::smbd::DecodeFault;
+use crate::tca_bme::{TcaBme, TcaBmeInt8, TcaBmeOf};
 use gpu_sim::counters::Counters;
-use gpu_sim::exec::CounterShard;
-use gpu_sim::fault::{flip_bit_u64, CommitFault, FaultInjector};
-use gpu_sim::global::{warp_global_store, GlobalMemory, VAddr};
-use gpu_sim::kernel::{LaunchChain, LaunchResult};
+use gpu_sim::fp16::Half;
 use gpu_sim::matrix::DenseMatrix;
-use gpu_sim::shared_memory::warp_ldsm_x4;
 use gpu_sim::spec::GpuSpec;
-use gpu_sim::tensor_core::{mma_m16n8k16_s8_ntiles, AccS8, MAX_NTILES, MMA_K, MMA_M, MMA_N};
-use gpu_sim::timing::L2Reuse;
+use gpu_sim::tensor_core::{mma_m16n8k16_s8_ntiles, AccS8, MMA_K, MMA_M, MMA_N};
 
-use super::block::{
-    record_ldgsts_stream, record_ldgsts_stream_f, stream_x_tile, BlockBases, BlockGrid,
-    CheckedState,
-};
-use super::launch::fan_out_block_rows;
-use super::traced::emit_chain_trace;
-use super::{
-    FormatStats, Geometry, LaunchCtx, Precision, SpinferSpmm, SpmmConfig, SpmmKernel, SpmmRun,
-};
-
-/// Launch-chain display name of the INT8 kernel.
-const KERNEL_NAME_INT8: &str = "spinfer_spmm_int8";
+use super::block::OutTile;
+use super::{Ablation, Datapath, FormatStats, LaunchCtx, SpmmConfig, SpmmKernel, SpmmRun};
 
 /// The INT8 SpInfer-SpMM kernel (registry name `"SpInfer-INT8"`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SpinferSpmmInt8 {
-    /// Kernel configuration (shared shape with the FP16 kernel; the
-    /// ablation switches only affect the FP16 datapath and are ignored
-    /// here — the INT8 kernel always runs SMBD + async pipe).
+    /// Kernel configuration, shared in shape and meaning with the FP16
+    /// kernel: split-K, tile width, and the ablation switches all apply
+    /// (both precisions run the same launch body).
     pub config: SpmmConfig,
 }
 
@@ -69,20 +57,11 @@ impl SpinferSpmmInt8 {
         SpinferSpmmInt8::default()
     }
 
-    /// The FP16 kernel carrying the same configuration — the owner of
-    /// the shared geometry, launch-shape, and estimator bodies.
-    fn fp16(&self) -> SpinferSpmm {
-        SpinferSpmm {
-            config: self.config,
-        }
-    }
-
     /// Analytic timing estimate from format statistics — the shared
     /// estimator body at the INT8 precision: half the stored value
     /// traffic, `mma.s8` work, plus the scale-fold FP instructions.
     pub fn estimate(&self, spec: &GpuSpec, stats: &FormatStats, n: usize) -> SpmmRun {
-        self.fp16()
-            .estimate_impl(spec, stats, n, Precision::Int8, KERNEL_NAME_INT8)
+        self.config.estimate::<i8>(spec, stats, n)
     }
 
     /// Functional execution against a pre-quantized container.
@@ -92,492 +71,8 @@ impl SpinferSpmmInt8 {
     /// Panics if `x.rows() != w.tiles.k`.
     pub fn run(&self, spec: &GpuSpec, w: &TcaBmeInt8, x: &DenseMatrix) -> SpmmRun {
         assert_eq!(x.rows(), w.tiles.k, "X must be K×N");
-        self.launch_with(&LaunchCtx::new(spec), w, x)
+        self.launch(&LaunchCtx::new(spec), w, x)
             .expect("golden-path launch is infallible once dimensions are checked")
-    }
-
-    /// The one launch body behind every `SpinferSpmmInt8` entry point —
-    /// the INT8 instantiation of the FP16 kernel's launch structure,
-    /// running on the shared block-row fan-out.
-    pub(crate) fn launch_with(
-        &self,
-        ctx: &LaunchCtx<'_>,
-        w: &TcaBmeInt8,
-        x: &DenseMatrix,
-    ) -> Result<SpmmRun, SpinferError> {
-        let spec = ctx.spec;
-        let t = &w.tiles;
-        if x.rows() != t.k {
-            return Err(SpinferError::DimensionMismatch {
-                expected_k: t.k,
-                got: x.rows(),
-            });
-        }
-        // Integrity preflight (checked launches only): structural +
-        // scale validation, plus pristine per-GroupTile checksums for D1
-        // — the generic checksum over the `i8` code bytes.
-        let checksums = if ctx.checked() {
-            w.validate()?;
-            t.gtile_checksums()
-        } else {
-            Vec::new()
-        };
-        let checked = ctx.checked().then(|| CheckedState {
-            checksums: &checksums,
-            policy: ctx.effective_policy(),
-        });
-        let fault = ctx.fault;
-
-        let n = x.cols();
-        let stats = FormatStats::from_encoded(t);
-        let geo = self.fp16().geometry_impl(spec, &stats, n, Precision::Int8);
-
-        // Global activation scale: a commutative max reduction, so the
-        // same at any job count or visit order.
-        let xh = x.as_slice();
-        let x_max = xh.iter().map(|h| h.to_f32().abs()).fold(0.0f32, f32::max);
-        let scale_x = if x_max > 0.0 { x_max / 127.0 } else { 1.0 };
-
-        // Virtual address space for coalescing analysis (1 B per code).
-        let mut gm = GlobalMemory::new();
-        let _offsets_base = gm.alloc(4 * t.gtile_offsets.len());
-        let values_base = gm.alloc(t.values.len());
-        let bitmaps_base = gm.alloc(8 * t.bitmaps.len());
-        let x_base = gm.alloc(2 * t.k * geo.n_pad);
-        let ws_base = gm.alloc(4 * t.m_pad * geo.n_pad * geo.split_k);
-        let bases = BlockBases {
-            values: values_base,
-            bitmaps: bitmaps_base,
-            x: x_base,
-            ws: ws_base,
-            smem_values: (t.config.bts_per_gt() * 8) as u64,
-        };
-
-        let gtiles_y = t.gtiles_y();
-        let gtiles_x = t.gtiles_x();
-        let slice_len = t.m_pad * geo.n_pad;
-        let band_len = t.config.gt_rows * geo.n_pad;
-
-        let (workspace, mut counters, x_counters, _spans) = fan_out_block_rows(
-            gtiles_y,
-            geo.split_k,
-            slice_len,
-            band_len,
-            Int8Scratch::default,
-            |scratch, ws_img, gty| {
-                let mut shard = CounterShard::new();
-                let mut x_shard = CounterShard::new();
-                for nt in 0..geo.grid_x {
-                    let n0 = nt * geo.tile_n;
-                    for split in 0..geo.split_k {
-                        let gx0 = split * geo.gtx_per_split;
-                        let gx1 = (gx0 + geo.gtx_per_split).min(gtiles_x);
-                        self.run_block_int8(
-                            w,
-                            x,
-                            scale_x,
-                            shard.counters(),
-                            x_shard.counters(),
-                            &mut ws_img[split * slice_len..][..slice_len],
-                            scratch,
-                            &geo,
-                            &BlockGrid { gty, n0, gx0, gx1 },
-                            &bases,
-                            checked.as_ref(),
-                            fault,
-                        )?;
-                    }
-                }
-                Ok((shard, x_shard, None))
-            },
-        )?;
-
-        let x_requested = x_counters.dram_read_bytes;
-        counters.merge(&x_counters);
-        let l2 = [L2Reuse {
-            buffer_bytes: (2 * t.k * geo.n_pad) as u64,
-            requested_bytes: x_requested,
-        }];
-
-        let mut chain = LaunchChain::new();
-        chain.push(LaunchResult::from_execution(
-            KERNEL_NAME_INT8,
-            spec,
-            self.fp16().launch_shape(&geo),
-            counters,
-            &l2,
-        ));
-
-        let mut out_pad = vec![0.0f32; t.m_pad * geo.n_pad];
-        if geo.split_k > 1 {
-            let out_base = gm.alloc(4 * t.m_pad * geo.n_pad);
-            chain.push(crate::reduction::run_reduction(
-                spec,
-                &workspace,
-                &mut out_pad,
-                t.m_pad * geo.n_pad,
-                geo.split_k,
-                ws_base,
-                out_base,
-            ));
-        } else {
-            out_pad.copy_from_slice(&workspace);
-        }
-
-        let mut output = vec![0.0f32; t.m * n];
-        for r in 0..t.m {
-            output[r * n..(r + 1) * n].copy_from_slice(&out_pad[r * geo.n_pad..r * geo.n_pad + n]);
-        }
-        if let Some(sink) = ctx.sink {
-            emit_chain_trace(sink, KERNEL_NAME_INT8, &chain);
-        }
-        Ok(SpmmRun {
-            output: Some(output),
-            chain,
-        })
-    }
-
-    /// One thread block's work at INT8 precision — the integer analogue
-    /// of the FP16 `run_block`: same GTile/XTile streaming and cp.async
-    /// discipline (via the shared helpers), SMBD decode to `i32` code
-    /// rows, integer mma into per-warp `i32` accumulators, and the
-    /// per-GroupTile scale fold into the `f32` accumulators at each
-    /// GroupTile-column boundary.
-    #[allow(clippy::too_many_arguments)]
-    fn run_block_int8(
-        &self,
-        w: &TcaBmeInt8,
-        x: &DenseMatrix,
-        scale_x: f32,
-        counters: &mut Counters,
-        x_counters: &mut Counters,
-        workspace: &mut [f32],
-        scratch: &mut Int8Scratch,
-        geo: &Geometry,
-        at: &BlockGrid,
-        bases: &BlockBases,
-        checked: Option<&CheckedState<'_>>,
-        fault: Option<&FaultInjector>,
-    ) -> Result<(), KernelError> {
-        let BlockGrid { gty, n0, gx0, gx1 } = *at;
-        let t = &w.tiles;
-        let cfg = t.config;
-        let tt_rows = cfg.tt_rows();
-        let tt_cols = cfg.tt_cols();
-        let n8 = geo.tile_n / 8;
-        let n = x.cols();
-        debug_assert!(
-            fault.is_none() || checked.is_some(),
-            "an injector is only ever threaded through a checked launch"
-        );
-
-        let Int8Scratch {
-            acc_i,
-            acc_f,
-            xq,
-            bms_img,
-            codes_img,
-            tc_base,
-        } = scratch;
-        acc_i.clear();
-        acc_i.resize(geo.warps * n8, [[0i32; MMA_N]; MMA_M]);
-        acc_f.clear();
-        acc_f.resize(geo.warps * n8, [[0.0f32; MMA_N]; MMA_M]);
-        xq.clear();
-        xq.resize(cfg.gt_cols * geo.tile_n, 0);
-
-        let mut cp_async = gpu_sim::async_copy::AsyncCopyState::new();
-        let xh = x.as_slice();
-        for gtx in gx0..gx1 {
-            let gt = t.gt_index(gty, gtx);
-            let pristine_codes = t.gtile_values(gt);
-            let pristine_bms = t.gtile_bitmaps(gt);
-            let bm_addr = bases.bitmaps + (gt * cfg.bts_per_gt() * 8) as u64;
-            let val_addr = bases.values + u64::from(t.gtile_offsets[gt]);
-            let inject = fault.filter(|i| i.plan().armed() && i.gtile_enabled(gt));
-            let fold_factor = w.scales[gt] * scale_x;
-
-            // --- 1. GTile loading (bitmaps + codes), fault-aware ---
-            load_gtile_codes_image(
-                counters,
-                inject,
-                pristine_bms,
-                pristine_codes,
-                bm_addr,
-                val_addr,
-                bms_img,
-                codes_img,
-            );
-            cp_async.issue();
-            apply_commit_fault_i8(
-                cp_async.commit_group_f(counters, inject, bm_addr),
-                bms_img,
-                codes_img,
-                inject.is_some(),
-            );
-
-            // --- 3. XTile loading (FP16 rows; shared with FP16 path) ---
-            stream_x_tile(counters, x_counters, bases.x, gtx, cfg.gt_cols, geo, n0);
-            cp_async.issue();
-            cp_async.commit_group();
-            let retired = cp_async.wait_group(1);
-            debug_assert_eq!(retired, 1, "sparse group retires first");
-
-            // Quantize-once X tile for this GroupTile column: each code
-            // depends only on its own element and the global scale.
-            for kk in 0..cfg.gt_cols {
-                let kr = gtx * cfg.gt_cols + kk;
-                let row = &mut xq[kk * geo.tile_n..(kk + 1) * geo.tile_n];
-                let take = geo.tile_n.min(n.saturating_sub(n0));
-                if kr < x.rows() && take > 0 {
-                    for (dst, h) in row[..take].iter_mut().zip(&xh[kr * n + n0..]) {
-                        *dst = quantize_code(h.to_f32(), scale_x);
-                    }
-                    row[take..].fill(0);
-                } else {
-                    row.fill(0);
-                }
-            }
-
-            // --- D1: checksum the landed image; retry from DRAM ---
-            let mut verified = true;
-            if let (Some(chk), Some(inj0)) = (checked, inject) {
-                let expected = chk.checksums[gt];
-                let mut attempt: u32 = 0;
-                verified = loop {
-                    attempt += 1;
-                    if checksum_gtile(bms_img, codes_img) == expected {
-                        if attempt > 1 {
-                            counters.faults_recovered += 1;
-                        }
-                        break true;
-                    }
-                    counters.faults_detected += 1;
-                    if attempt >= chk.policy.max_attempts {
-                        break false;
-                    }
-                    let inj_r = inj0.reseeded(u64::from(attempt));
-                    load_gtile_codes_image(
-                        counters,
-                        Some(&inj_r),
-                        pristine_bms,
-                        pristine_codes,
-                        bm_addr,
-                        val_addr,
-                        bms_img,
-                        codes_img,
-                    );
-                    cp_async.issue();
-                    apply_commit_fault_i8(
-                        cp_async.commit_group_f(counters, Some(&inj_r), bm_addr),
-                        bms_img,
-                        codes_img,
-                        true,
-                    );
-                    cp_async.wait_group(0);
-                };
-            }
-            if !verified {
-                let chk = checked.expect("D1 only fails inside a checked launch");
-                if !chk.policy.fallback {
-                    return Err(KernelError::RetryBudgetExhausted {
-                        gt,
-                        attempts: chk.policy.max_attempts,
-                    });
-                }
-                // Reference integer product from the pristine encoding —
-                // exact, and folded with the same scales below.
-                counters.fault_fallbacks += 1;
-                fallback_gtile_codes(cfg, pristine_bms, pristine_codes, xq, geo, acc_i, n8);
-                cp_async.wait_group(0);
-                counters.barriers += 1;
-                fold_scales(counters, fold_factor, acc_i, acc_f);
-                continue;
-            }
-            let (bms, codes): (&[u64], &[i8]) = if inject.is_some() {
-                (bms_img, codes_img)
-            } else {
-                (pristine_bms, pristine_codes)
-            };
-
-            // Per-TCTile base offsets: one prefix scan per GroupTile.
-            tc_base.clear();
-            let mut running = 0usize;
-            for tc_bms in bms.chunks_exact(4) {
-                tc_base.push(running);
-                running += tc_bms.iter().map(|&b| popc64(b) as usize).sum::<usize>();
-            }
-
-            // --- 2. SMBD decode + 4./5. fragment loads + integer mma ---
-            for warp in 0..geo.warps {
-                let tty = warp % tt_rows;
-                for ttx in 0..tt_cols {
-                    let tc_idx = ttx * tt_rows + tty;
-                    let base = tc_base[tc_idx];
-                    let tc_bms: [u64; 4] = bms[tc_idx * 4..tc_idx * 4 + 4].try_into().expect(
-                        "TCTile bitmap slice must hold exactly 4 BitmapTiles: gtile_bitmaps \
-                         returns bts_per_gt() words, a multiple of BTS_PER_TT = 4",
-                    );
-                    let a_rows = match checked {
-                        None => {
-                            decode_tctile_codes_i8(
-                                counters,
-                                &tc_bms,
-                                codes,
-                                base,
-                                bases.smem_values,
-                            )
-                            .0
-                        }
-                        Some(chk) => self.decode_codes_checked(
-                            counters,
-                            gt,
-                            tc_idx,
-                            bm_addr,
-                            &tc_bms,
-                            codes,
-                            base,
-                            pristine_bms,
-                            pristine_codes,
-                            bases.smem_values,
-                            inject,
-                            chk,
-                        )?,
-                    };
-                    mma_row_int8(
-                        counters,
-                        xq,
-                        geo,
-                        ttx,
-                        &a_rows,
-                        &mut acc_i[warp * n8..(warp + 1) * n8],
-                    );
-                }
-            }
-            cp_async.wait_group(0);
-            counters.barriers += 1;
-            // --- Scale epilogue: fold this GroupTile's exact i32 sums
-            //     into the f32 accumulators and reset the integer bank.
-            fold_scales(counters, fold_factor, acc_i, acc_f);
-        }
-        cp_async.assert_drained();
-
-        // --- Epilogue: store f32 accumulators to the workspace, same
-        //     store pattern (two 8 B warp stores per fragment) as FP16.
-        for (warp, acc_row) in acc_f.chunks(n8).enumerate() {
-            let tty = warp % tt_rows;
-            for (j, tile) in acc_row.iter().enumerate() {
-                for (r, row) in tile.iter().enumerate() {
-                    let gr = gty * cfg.gt_rows + tty * TT_DIM + r;
-                    for (c, &v) in row.iter().enumerate() {
-                        let gc = n0 + j * 8 + c;
-                        if gc < geo.n_pad {
-                            workspace[gr * geo.n_pad + gc] += v;
-                        }
-                    }
-                }
-                for half in 0..2 {
-                    let mut addrs = [None; 32];
-                    for (lane, slot) in addrs.iter_mut().enumerate() {
-                        let group = lane / 4;
-                        let tid = lane % 4;
-                        let gr = gty * cfg.gt_rows + tty * TT_DIM + group + 8 * half;
-                        let gc = n0 + j * 8 + 2 * tid;
-                        *slot = Some(bases.ws + (gr * geo.n_pad + gc) as u64 * 4);
-                    }
-                    warp_global_store(counters, &addrs, 8);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Checked SMBD code decode with bounded re-decodes (D2) and the
-    /// pristine re-decode fallback — the integer twin of the FP16
-    /// `decode_tctile_checked`. There is no D3 arm: integer lanes have
-    /// no non-finite encoding (see the module docs).
-    #[allow(clippy::too_many_arguments)]
-    fn decode_codes_checked(
-        &self,
-        counters: &mut Counters,
-        gt: usize,
-        tc_idx: usize,
-        bm_addr: VAddr,
-        tc_bms: &[u64; 4],
-        codes: &[i8],
-        base: usize,
-        pristine_bms: &[u64],
-        pristine_codes: &[i8],
-        smem_values: u64,
-        inject: Option<&FaultInjector>,
-        chk: &CheckedState<'_>,
-    ) -> Result<[[i32; MMA_K]; MMA_K], KernelError> {
-        let site_key = bm_addr + (tc_idx * 32) as u64;
-        let mut decoded = None;
-        let mut last_fault: Option<DecodeFault> = None;
-        let mut att: u32 = 0;
-        while decoded.is_none() && att < chk.policy.max_attempts {
-            let inj_a = inject.map(|i| {
-                if att == 0 {
-                    *i
-                } else {
-                    i.reseeded(0x0de0_0000 | u64::from(att))
-                }
-            });
-            match decode_tctile_codes_i8_f(
-                counters,
-                tc_bms,
-                codes,
-                base,
-                smem_values,
-                inj_a.as_ref(),
-                site_key,
-            ) {
-                Ok((rows, _)) => {
-                    if att > 0 {
-                        counters.faults_recovered += 1;
-                    }
-                    decoded = Some(rows);
-                }
-                Err(f) => {
-                    counters.faults_detected += 1;
-                    last_fault = Some(f);
-                }
-            }
-            att += 1;
-        }
-        match decoded {
-            Some(rows) => Ok(rows),
-            None => {
-                if !chk.policy.fallback {
-                    return Err(match last_fault {
-                        Some(DecodeFault::Overrun { needed, available }) => {
-                            KernelError::DecodeOverrun {
-                                gt,
-                                needed,
-                                available,
-                            }
-                        }
-                        Some(DecodeFault::NonFinite) => KernelError::NonFiniteDecode { gt },
-                        None => KernelError::RetryBudgetExhausted {
-                            gt,
-                            attempts: chk.policy.max_attempts,
-                        },
-                    });
-                }
-                counters.fault_fallbacks += 1;
-                let pbase: usize = pristine_bms[..tc_idx * 4]
-                    .iter()
-                    .map(|&b| popc64(b) as usize)
-                    .sum();
-                let pbms: [u64; 4] = pristine_bms[tc_idx * 4..tc_idx * 4 + 4]
-                    .try_into()
-                    .expect("pristine bitmaps carry 4 BitmapTiles per TCTile");
-                let (rows, _) =
-                    decode_tctile_codes_i8(counters, &pbms, pristine_codes, pbase, smem_values);
-                Ok(rows)
-            }
-        }
     }
 }
 
@@ -606,208 +101,125 @@ impl SpmmKernel for SpinferSpmmInt8 {
         enc: &TcaBmeInt8,
         x: &DenseMatrix,
     ) -> Result<SpmmRun, SpinferError> {
-        self.launch_with(ctx, enc, x)
+        self.config.launch::<i8>(ctx, enc, x)
     }
 }
 
-/// Reusable per-worker buffers for the INT8 block routine: the integer
-/// and float accumulator banks, the quantize-once X code tile, the
-/// GroupTile shared-memory image under injection, and the per-TCTile
-/// value-offset prefix.
-#[derive(Default)]
-struct Int8Scratch {
-    acc_i: Vec<AccS8>,
-    acc_f: Vec<[[f32; MMA_N]; MMA_M]>,
-    xq: Vec<i32>,
-    bms_img: Vec<u64>,
-    codes_img: Vec<i8>,
-    tc_base: Vec<usize>,
-}
+/// INT8: `i8` codes widened to `i32`, activations quantized against the
+/// launch-global scale, exact `mma.s8`, no D3 scan, and a per-GroupTile
+/// scale fold into the `f32` bank.
+impl Datapath for i8 {
+    type Container = TcaBmeInt8;
+    type Operand = i32;
+    type Acc = AccS8;
+    const ACC_ZERO: AccS8 = [[0; MMA_N]; MMA_M];
+    /// Convert + FMA of a 16×8 tile: 128 lanes / 32 = 4 warp-wide FP
+    /// instructions.
+    const FOLD_INSTS_PER_TILE: u64 = 4;
 
-/// Quantizes one activation value against the launch's global scale
-/// (symmetric, clamped to ±127). Pure per-element, so visit order and
-/// job count cannot change the result.
-fn quantize_code(v: f32, scale: f32) -> i32 {
-    (v / scale).round().clamp(-127.0, 127.0) as i32
-}
-
-/// Integer-pipe fragment loads + batched `mma.s8` for one decoded
-/// TCTile against every n8 column of the X code tile — the integer twin
-/// of the FP16 `mma_row` (same `ldmatrix` accounting; the B operand is
-/// the block's quantize-once code tile with leading dimension `tile_n`).
-fn mma_row_int8(
-    counters: &mut Counters,
-    xq: &[i32],
-    geo: &Geometry,
-    ttx: usize,
-    a_rows: &[[i32; MMA_K]; MMA_M],
-    accs: &mut [AccS8],
-) {
-    let n8 = geo.tile_n / 8;
-    let ldsm_count = n8.div_ceil(2);
-    for _ in 0..ldsm_count {
-        let rows = gpu_sim::shared_memory::strided_addrs(0, 16);
-        warp_ldsm_x4(counters, &rows);
+    fn kernel_name(_ablation: Ablation) -> &'static str {
+        "spinfer_spmm_int8"
     }
-    let k_off = ttx * TT_DIM * geo.tile_n;
-    for (jc, chunk) in accs.chunks_mut(MAX_NTILES).enumerate() {
-        let b = &xq[k_off + jc * MAX_NTILES * 8..];
-        mma_m16n8k16_s8_ntiles(counters, a_rows, b, geo.tile_n, chunk);
-    }
-}
 
-/// Folds one GroupTile column's exact `i32` accumulators into the `f32`
-/// accumulators with the combined `scale_w × scale_x` factor, resetting
-/// the integer bank for the next GroupTile. Four warp-wide FP
-/// instructions per 16×8 tile (128 lanes / 32).
-fn fold_scales(
-    counters: &mut Counters,
-    factor: f32,
-    acc_i: &mut [AccS8],
-    acc_f: &mut [[[f32; MMA_N]; MMA_M]],
-) {
-    for (ai, af) in acc_i.iter_mut().zip(acc_f.iter_mut()) {
-        for (ri, rf) in ai.iter_mut().zip(af.iter_mut()) {
-            for (vi, vf) in ri.iter_mut().zip(rf.iter_mut()) {
-                *vf += *vi as f32 * factor;
-                *vi = 0;
+    fn tiles(w: &TcaBmeInt8) -> &TcaBmeOf<i8> {
+        &w.tiles
+    }
+
+    fn validate(w: &TcaBmeInt8) -> Result<(), IntegrityError> {
+        w.validate()
+    }
+
+    fn mma_pipe(c: &mut Counters) -> &mut u64 {
+        &mut c.mma_s8_insts
+    }
+
+    fn flip_bit(&mut self, _byte: usize, bit: u32) {
+        *self = (*self as u8 ^ (1u8 << (bit % 8))) as i8;
+    }
+
+    /// A commutative max reduction, so the same at any job count or
+    /// visit order; all-zero activations fall back to 1.0.
+    fn x_scale(x: &DenseMatrix) -> f32 {
+        let x_max = x
+            .as_slice()
+            .iter()
+            .map(|h| h.to_f32().abs())
+            .fold(0.0f32, f32::max);
+        if x_max > 0.0 {
+            x_max / 127.0
+        } else {
+            1.0
+        }
+    }
+
+    /// Symmetric quantization, clamped to ±127. Pure per element, so
+    /// visit order and job count cannot change the result.
+    fn fill_x_row(src: &[Half], dst: &mut [i32], x_scale: f32) {
+        for (d, h) in dst.iter_mut().zip(src) {
+            *d = (h.to_f32() / x_scale).round().clamp(-127.0, 127.0) as i32;
+        }
+    }
+
+    fn widen(self) -> i32 {
+        i32::from(self)
+    }
+
+    /// Every `i8` bit pattern is a plausible code: nothing to scan (the
+    /// documented D3 gap).
+    fn scan(_rows: &[[i32; MMA_K]; MMA_M]) -> Result<(), DecodeFault> {
+        Ok(())
+    }
+
+    fn mma(
+        counters: &mut Counters,
+        a: &[[i32; MMA_K]; MMA_M],
+        b: &[i32],
+        ld: usize,
+        accs: &mut [AccS8],
+    ) {
+        mma_m16n8k16_s8_ntiles(counters, a, b, ld, accs);
+    }
+
+    fn accumulate(acc: &mut AccS8, tile: impl Fn(usize, usize) -> i32) {
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (c, slot) in row.iter_mut().enumerate() {
+                *slot += tile(r, c);
             }
         }
     }
-    let insts = (acc_i.len() * 4) as u64;
-    counters.cuda_fp_insts += insts;
-    counters.insts_issued += insts;
-}
 
-/// Loads one GroupTile's bitmaps and `i8` codes as LDGSTS streams into
-/// the caller's shared-memory image, applying injected load bit flips —
-/// the 1-byte-element twin of the FP16 `load_gtile_image`. With
-/// `inject` absent no image is materialised and only the golden counter
-/// stream is recorded.
-#[allow(clippy::too_many_arguments)]
-fn load_gtile_codes_image(
-    counters: &mut Counters,
-    inject: Option<&FaultInjector>,
-    pristine_bms: &[u64],
-    pristine_codes: &[i8],
-    bm_addr: VAddr,
-    val_addr: VAddr,
-    bms_img: &mut Vec<u64>,
-    codes_img: &mut Vec<i8>,
-) {
-    let bm_bytes = (pristine_bms.len() * 8) as u64;
-    let val_bytes = pristine_codes.len() as u64;
-    bms_img.clear();
-    codes_img.clear();
-    if inject.is_none() {
-        record_ldgsts_stream(counters, bm_addr, bm_bytes);
-        record_ldgsts_stream(counters, val_addr, val_bytes);
-        return;
-    }
-    bms_img.extend_from_slice(pristine_bms);
-    codes_img.extend_from_slice(pristine_codes);
-    record_ldgsts_stream_f(counters, bm_addr, bm_bytes, inject, &mut |byte, bit| {
-        let b = byte as usize;
-        if b < bms_img.len() * 8 {
-            let word = b / 8;
-            bms_img[word] = flip_bit_u64(bms_img[word], ((b % 8) as u32) * 8 + bit);
-        }
-    });
-    record_ldgsts_stream_f(counters, val_addr, val_bytes, inject, &mut |byte, bit| {
-        let b = byte as usize;
-        if b < codes_img.len() {
-            codes_img[b] = (codes_img[b] as u8 ^ (1u8 << (bit % 8))) as i8;
-        }
-    });
-}
-
-/// Applies a `cp.async` commit outcome to the INT8 GroupTile image —
-/// byte flips land in a single code, a dropped commit leaves zeros.
-fn apply_commit_fault_i8(
-    outcome: CommitFault,
-    bms_img: &mut [u64],
-    codes_img: &mut [i8],
-    armed: bool,
-) {
-    if !armed {
-        return;
-    }
-    let bm_bytes = bms_img.len() * 8;
-    let total = bm_bytes + codes_img.len();
-    match outcome {
-        CommitFault::None => {}
-        CommitFault::Corrupt { byte_sel, bit } => {
-            if total > 0 {
-                let b = (byte_sel % total as u64) as usize;
-                if b < bm_bytes {
-                    let word = b / 8;
-                    bms_img[word] = flip_bit_u64(bms_img[word], ((b % 8) as u32) * 8 + bit);
-                } else {
-                    let i = b - bm_bytes;
-                    codes_img[i] = (codes_img[i] as u8 ^ (1u8 << (bit % 8))) as i8;
+    /// Folds one GroupTile column's exact `i32` sums into the `f32` bank
+    /// with `scale_w[gt] × scale_x`, resetting the integer bank.
+    fn fold(
+        counters: &mut Counters,
+        w: &TcaBmeInt8,
+        gt: usize,
+        x_scale: f32,
+        accs: &mut [AccS8],
+        out: &mut [OutTile],
+    ) {
+        let factor = w.scales[gt] * x_scale;
+        for (ai, af) in accs.iter_mut().zip(out.iter_mut()) {
+            for (ri, rf) in ai.iter_mut().zip(af.iter_mut()) {
+                for (vi, vf) in ri.iter_mut().zip(rf.iter_mut()) {
+                    *vf += *vi as f32 * factor;
+                    *vi = 0;
                 }
             }
         }
-        CommitFault::Dropped => {
-            bms_img.iter_mut().for_each(|w| *w = 0);
-            codes_img.iter_mut().for_each(|v| *v = 0);
-        }
+        let insts = accs.len() as u64 * Self::FOLD_INSTS_PER_TILE;
+        counters.cuda_fp_insts += insts;
+        counters.insts_issued += insts;
     }
-}
 
-/// Reference integer product of one GroupTile from its pristine codes,
-/// accumulated into the block's `i32` accumulators — the
-/// guaranteed-correct slow path when the D1 retry budget is exhausted.
-/// The caller folds the result with the same scales as the fast path,
-/// so the fallback is exact.
-fn fallback_gtile_codes(
-    cfg: TcaBmeConfig,
-    bms: &[u64],
-    codes: &[i8],
-    xq: &[i32],
-    geo: &Geometry,
-    accs: &mut [AccS8],
-    n8: usize,
-) {
-    let tile_n = geo.tile_n;
-    let mut contrib = vec![0i32; cfg.gt_rows * tile_n];
-    let mut vi = 0usize;
-    for (bi, &bm) in bms.iter().enumerate() {
-        let tc_idx = bi / 4;
-        // Quadrant order within a TCTile: TL, BL, TR, BR.
-        let (qr, qc) = [(0, 0), (8, 0), (0, 8), (8, 8)][bi % 4];
-        let ttx = tc_idx / cfg.tt_rows();
-        let tty = tc_idx % cfg.tt_rows();
-        for bit in 0..64 {
-            if (bm >> bit) & 1 == 1 {
-                let v = i32::from(codes[vi]);
-                vi += 1;
-                let lr = tty * TT_DIM + qr + bit / 8;
-                let lc = ttx * TT_DIM + qc + bit % 8;
-                let xrow = &xq[lc * tile_n..(lc + 1) * tile_n];
-                let dst = &mut contrib[lr * tile_n..(lr + 1) * tile_n];
-                for (d, xv) in dst.iter_mut().zip(xrow) {
-                    *d += v * xv;
-                }
-            }
-        }
-    }
-    for (warp, acc_row) in accs.chunks_mut(n8).enumerate() {
-        let tty = warp % cfg.tt_rows();
-        for (j, tile) in acc_row.iter_mut().enumerate() {
-            for (r, row) in tile.iter_mut().enumerate() {
-                for (c, slot) in row.iter_mut().enumerate() {
-                    *slot += contrib[(tty * TT_DIM + r) * tile_n + j * 8 + c];
-                }
-            }
-        }
-    }
+    /// Every GroupTile already folded: the bank is complete.
+    fn finish(_accs: &[AccS8], _out: &mut [OutTile]) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spmm::FaultPolicy;
+    use crate::spmm::{FaultPolicy, SpinferSpmm};
     use gpu_sim::fault::{FaultInjector, FaultPlan};
     use gpu_sim::matrix::{max_abs_diff, random_dense, random_sparse, ValueDist};
     use gpu_sim::trace::TraceSink;
@@ -864,30 +276,53 @@ mod tests {
 
     #[test]
     fn estimate_matches_functional_counters() {
+        // Both halves of the shared body must agree at every ablation
+        // setting — including the -SMBD register-decode charge, which
+        // the functional path applies per BitmapTile.
         let spec = GpuSpec::rtx4090();
         let (_, enc) = quantized(512, 512, 0.5, 205);
         let x = random_dense(512, 16, ValueDist::Uniform, 206);
-        let kernel = SpinferSpmmInt8::new();
-        let run = kernel.run(&spec, &enc, &x);
-        let est = kernel.estimate(&spec, &FormatStats::from_encoded(&enc.tiles), 16);
-        let cf = run.chain.launches[0].counters.clone();
-        let ce = est.chain.launches[0].counters.clone();
-        let close = |a: u64, b: u64, tol: f64, what: &str| {
-            let rel = (a as f64 - b as f64).abs() / (b as f64).max(1.0);
-            assert!(rel < tol, "{what}: functional {a} vs estimate {b}");
-        };
-        close(
-            run.chain.launches[0].timing.dram_bytes,
-            est.chain.launches[0].timing.dram_bytes,
-            0.05,
-            "dram_bytes",
-        );
-        close(cf.mma_s8_insts, ce.mma_s8_insts, 0.01, "mma_s8");
-        close(cf.cuda_fp_insts, ce.cuda_fp_insts, 0.01, "scale folds");
-        close(cf.cuda_int_insts, ce.cuda_int_insts, 0.05, "int");
-        let tf = run.time_us();
-        let te = est.time_us();
-        assert!((tf - te).abs() / tf < 0.10, "time {tf} vs {te}");
+        for ablation in [
+            Ablation::default(),
+            Ablation {
+                smbd: false,
+                ..Default::default()
+            },
+        ] {
+            let kernel = SpinferSpmmInt8 {
+                config: SpmmConfig {
+                    ablation,
+                    ..SpmmConfig::default()
+                },
+            };
+            let run = kernel.run(&spec, &enc, &x);
+            let est = kernel.estimate(&spec, &FormatStats::from_encoded(&enc.tiles), 16);
+            let cf = run.chain.launches[0].counters.clone();
+            let ce = est.chain.launches[0].counters.clone();
+            let close = |a: u64, b: u64, tol: f64, what: &str| {
+                let rel = (a as f64 - b as f64).abs() / (b as f64).max(1.0);
+                assert!(
+                    rel < tol,
+                    "{ablation:?} {what}: functional {a} vs estimate {b}"
+                );
+            };
+            close(
+                run.chain.launches[0].timing.dram_bytes,
+                est.chain.launches[0].timing.dram_bytes,
+                0.05,
+                "dram_bytes",
+            );
+            close(cf.mma_s8_insts, ce.mma_s8_insts, 0.01, "mma_s8");
+            close(cf.cuda_fp_insts, ce.cuda_fp_insts, 0.01, "scale folds");
+            close(cf.cuda_int_insts, ce.cuda_int_insts, 0.05, "int");
+            close(cf.shfl_insts, ce.shfl_insts, 0.01, "shfl");
+            let tf = run.time_us();
+            let te = est.time_us();
+            assert!(
+                (tf - te).abs() / tf < 0.10,
+                "{ablation:?} time {tf} vs {te}"
+            );
+        }
     }
 
     #[test]
@@ -914,7 +349,7 @@ mod tests {
         let golden = kernel.run(&spec, &enc, &x);
         let policy = FaultPolicy::default();
         let checked = kernel
-            .launch_with(&LaunchCtx::new(&spec).with_policy(&policy), &enc, &x)
+            .launch(&LaunchCtx::new(&spec).with_policy(&policy), &enc, &x)
             .expect("clean container, clean run");
         assert_eq!(checked.output, golden.output, "bit-identical output");
         assert_eq!(
@@ -931,7 +366,7 @@ mod tests {
         let kernel = SpinferSpmmInt8::new();
         let inj = FaultInjector::new(FaultPlan::uniform(77, 0.02));
         let run = kernel
-            .launch_with(&LaunchCtx::new(&spec).with_fault(&inj), &enc, &x)
+            .launch(&LaunchCtx::new(&spec).with_fault(&inj), &enc, &x)
             .expect("default policy always recovers or falls back");
         let c = &run.chain.launches[0].counters;
         assert!(c.faults_injected > 0, "2% over many sites must fire");
@@ -951,8 +386,8 @@ mod tests {
         let kernel = SpinferSpmmInt8::new();
         let inj = FaultInjector::new(FaultPlan::uniform(31, 0.03));
         let ctx = LaunchCtx::new(&spec).with_fault(&inj);
-        let a = kernel.launch_with(&ctx, &enc, &x).unwrap();
-        let b = kernel.launch_with(&ctx, &enc, &x).unwrap();
+        let a = kernel.launch(&ctx, &enc, &x).unwrap();
+        let b = kernel.launch(&ctx, &enc, &x).unwrap();
         assert_eq!(a.output, b.output, "same seed, same output");
         assert_eq!(
             a.chain.launches[0].counters, b.chain.launches[0].counters,
@@ -977,7 +412,7 @@ mod tests {
             fallback: false,
         };
         let err = kernel
-            .launch_with(
+            .launch(
                 &LaunchCtx::new(&spec).with_fault(&inj).with_policy(&policy),
                 &enc,
                 &x,
@@ -1002,7 +437,7 @@ mod tests {
             fallback: true,
         };
         let run = kernel
-            .launch_with(
+            .launch(
                 &LaunchCtx::new(&spec).with_fault(&inj).with_policy(&policy),
                 &enc,
                 &x,
@@ -1030,29 +465,54 @@ mod tests {
         };
         let inj = FaultInjector::new(plan);
         let run = kernel
-            .launch_with(&LaunchCtx::new(&spec).with_fault(&inj), &enc, &x)
+            .launch(&LaunchCtx::new(&spec).with_fault(&inj), &enc, &x)
             .unwrap();
         let out = run.output.as_ref().unwrap();
         assert!(out.iter().all(|v| v.is_finite()), "no NaN can exist in i8");
     }
 
     #[test]
-    fn trace_sink_is_output_neutral_and_records_events() {
+    fn trace_sink_is_output_neutral_and_records_phase_spans() {
+        // One launch body means one trace shape: INT8 emits the same
+        // per-phase spans as FP16, summing to the simulated time.
         let spec = GpuSpec::rtx4090();
-        let (_, enc) = quantized(64, 64, 0.5, 222);
-        let x = random_dense(64, 8, ValueDist::Uniform, 223);
-        let kernel = SpinferSpmmInt8::new();
+        let (_, enc) = quantized(64, 128, 0.5, 222);
+        let x = random_dense(128, 8, ValueDist::Uniform, 223);
+        let kernel = SpinferSpmmInt8 {
+            config: SpmmConfig {
+                split_k: 2,
+                ..SpmmConfig::default()
+            },
+        };
         let plain = kernel.run(&spec, &enc, &x);
         let sink = TraceSink::new();
         let traced = kernel
-            .launch_with(&LaunchCtx::new(&spec).with_sink(&sink), &enc, &x)
+            .launch(&LaunchCtx::new(&spec).with_sink(&sink), &enc, &x)
             .unwrap();
         assert_eq!(plain.output, traced.output);
         assert_eq!(
             plain.chain.merged_counters(),
             traced.chain.merged_counters()
         );
-        assert!(!sink.finish().events.is_empty());
+        assert_eq!(plain.time_us().to_bits(), traced.time_us().to_bits());
+        let t = sink.finish();
+        let phases = [
+            "stream_w",
+            "stream_x",
+            "smbd_decode",
+            "mma",
+            "epilogue",
+            "reduction",
+        ];
+        for name in phases {
+            assert!(t.phase_total_us(name) > 0.0, "missing phase {name}");
+        }
+        let phase_sum: f64 = phases.iter().map(|name| t.phase_total_us(name)).sum();
+        let total = traced.time_us();
+        assert!(
+            (phase_sum - total).abs() <= 0.01 * total,
+            "phase sum {phase_sum} vs simulated {total}"
+        );
     }
 
     #[test]
@@ -1062,7 +522,7 @@ mod tests {
         let kernel = SpinferSpmmInt8::new();
         let bad_x = random_dense(32, 8, ValueDist::Uniform, 225);
         assert!(matches!(
-            kernel.launch_with(&LaunchCtx::new(&spec), &enc, &bad_x),
+            kernel.launch(&LaunchCtx::new(&spec), &enc, &bad_x),
             Err(SpinferError::DimensionMismatch { .. })
         ));
         let policy = FaultPolicy::default();
@@ -1070,7 +530,7 @@ mod tests {
         corrupt.scales[0] = f32::NAN;
         let x = random_dense(64, 8, ValueDist::Uniform, 226);
         assert!(matches!(
-            kernel.launch_with(&LaunchCtx::new(&spec).with_policy(&policy), &corrupt, &x),
+            kernel.launch(&LaunchCtx::new(&spec).with_policy(&policy), &corrupt, &x),
             Err(SpinferError::Integrity(_))
         ));
     }

@@ -1,13 +1,15 @@
 //! The kernel launch abstraction: [`LaunchCtx`], the [`SpmmKernel`]
 //! trait every SpMM backend implements, the object-safe
-//! [`DynSpmmKernel`] wrapper, and `SpinferSpmm`'s unified launch body.
+//! [`DynSpmmKernel`] wrapper, and the unified SpInfer-SpMM launch body
+//! shared by the FP16 and INT8 kernels.
 //!
 //! Historically each capability grew its own method variant (`run`,
 //! `run_traced`, `run_checked`, `run_checked_with`, …) and only the
 //! SpInfer kernel got the fault/trace seams. All entry points now funnel
 //! into one body parameterised by a [`LaunchCtx`], so capabilities
 //! compose (traced **and** checked in one launch) and apply uniformly to
-//! every registered kernel.
+//! every registered kernel — and, through the `Datapath` type parameter,
+//! to both SpInfer payload precisions.
 
 use std::any::Any;
 use std::fmt;
@@ -18,6 +20,7 @@ use crate::tca_bme::TcaBme;
 use gpu_sim::counters::Counters;
 use gpu_sim::exec::{self, CounterShard};
 use gpu_sim::fault::FaultInjector;
+use gpu_sim::fp16::Half;
 use gpu_sim::global::GlobalMemory;
 use gpu_sim::kernel::{LaunchChain, LaunchResult};
 use gpu_sim::matrix::DenseMatrix;
@@ -25,9 +28,9 @@ use gpu_sim::spec::GpuSpec;
 use gpu_sim::timing::L2Reuse;
 use gpu_sim::trace::TraceSink;
 
-use super::block::{BlockBases, BlockGrid, BlockScratch, CheckedState};
+use super::block::{BlockBases, BlockGrid, BlockScratch, CheckedState, Datapath};
 use super::traced::{emit_kernel_trace, BlockTracer, TracePhase};
-use super::{kernel_name, FaultPolicy, FormatStats, SpinferSpmm, SpmmRun};
+use super::{FaultPolicy, FormatStats, SpinferSpmm, SpmmConfig, SpmmRun};
 
 /// Capability bundle for one kernel launch: the device plus every
 /// optional seam.
@@ -392,7 +395,7 @@ impl SpmmKernel for SpinferSpmm {
         enc: &TcaBme,
         x: &DenseMatrix,
     ) -> Result<SpmmRun, SpinferError> {
-        self.launch_with(ctx, enc, x)
+        self.config.launch::<Half>(ctx, enc, x)
     }
 }
 
@@ -405,7 +408,7 @@ impl SpinferSpmm {
     /// Panics if `x.rows() != w.k`.
     pub fn run(&self, spec: &GpuSpec, w: &TcaBme, x: &DenseMatrix) -> SpmmRun {
         assert_eq!(x.rows(), w.k, "X must be K×N");
-        self.launch_with(&LaunchCtx::new(spec), w, x)
+        self.launch(&LaunchCtx::new(spec), w, x)
             .expect("golden-path launch is infallible once dimensions are checked")
     }
 
@@ -433,35 +436,39 @@ impl SpinferSpmm {
         sink: &TraceSink,
     ) -> SpmmRun {
         assert_eq!(x.rows(), w.k, "X must be K×N");
-        self.launch_with(&LaunchCtx::new(spec).with_sink(sink), w, x)
+        self.launch(&LaunchCtx::new(spec).with_sink(sink), w, x)
             .expect("golden-path launch is infallible once dimensions are checked")
     }
+}
 
-    /// The one launch body behind every `SpinferSpmm` entry point.
+impl SpmmConfig {
+    /// The one launch body behind every `SpinferSpmm` and
+    /// `SpinferSpmmInt8` entry point, at payload precision `P`.
     ///
     /// The context decides which arms are live: a checked launch
     /// ([`LaunchCtx::checked`]) validates the container and threads
     /// per-GroupTile checksums into the block routine; a sink threads a
     /// phase tracer. Neither arm costs anything when absent, so the
     /// golden path is bit-identical to the historical `run`.
-    pub(crate) fn launch_with(
+    pub(crate) fn launch<P: Datapath>(
         &self,
         ctx: &LaunchCtx<'_>,
-        w: &TcaBme,
+        w: &P::Container,
         x: &DenseMatrix,
     ) -> Result<SpmmRun, SpinferError> {
         let spec = ctx.spec;
-        if x.rows() != w.k {
+        let t = P::tiles(w);
+        if x.rows() != t.k {
             return Err(SpinferError::DimensionMismatch {
-                expected_k: w.k,
+                expected_k: t.k,
                 got: x.rows(),
             });
         }
         // Integrity preflight (checked launches only): structural
         // validation plus pristine per-GroupTile checksums for D1.
         let checksums = if ctx.checked() {
-            w.validate()?;
-            w.gtile_checksums()
+            P::validate(w)?;
+            t.gtile_checksums()
         } else {
             Vec::new()
         };
@@ -473,16 +480,17 @@ impl SpinferSpmm {
         let sink = ctx.sink;
 
         let n = x.cols();
-        let stats = FormatStats::from_encoded(w);
-        let geo = self.geometry(spec, &stats, n);
+        let stats = FormatStats::from_encoded(t);
+        let geo = self.geometry::<P>(spec, &stats, n);
+        let x_scale = P::x_scale(x);
 
         // Virtual address space for coalescing analysis.
         let mut gm = GlobalMemory::new();
-        let _offsets_base = gm.alloc(4 * w.gtile_offsets.len());
-        let values_base = gm.alloc(2 * w.values.len());
-        let bitmaps_base = gm.alloc(8 * w.bitmaps.len());
-        let x_base = gm.alloc(2 * w.k * geo.n_pad);
-        let ws_base = gm.alloc(4 * w.m_pad * geo.n_pad * geo.split_k);
+        let _offsets_base = gm.alloc(4 * t.gtile_offsets.len());
+        let values_base = gm.alloc(P::BYTES * t.values.len());
+        let bitmaps_base = gm.alloc(8 * t.bitmaps.len());
+        let x_base = gm.alloc(2 * t.k * geo.n_pad);
+        let ws_base = gm.alloc(4 * t.m_pad * geo.n_pad * geo.split_k);
 
         // Shared-memory virtual layout within a block (one buffer; the
         // second buffer has identical bank behaviour).
@@ -491,20 +499,20 @@ impl SpinferSpmm {
             bitmaps: bitmaps_base,
             x: x_base,
             ws: ws_base,
-            smem_values: (w.config.bts_per_gt() * 8) as u64,
+            smem_values: (t.config.bts_per_gt() * 8) as u64,
         };
 
-        let gtiles_y = w.gtiles_y();
-        let gtiles_x = w.gtiles_x();
-        let slice_len = w.m_pad * geo.n_pad;
-        let band_len = w.config.gt_rows * geo.n_pad;
+        let gtiles_y = t.gtiles_y();
+        let gtiles_x = t.gtiles_x();
+        let slice_len = t.m_pad * geo.n_pad;
+        let band_len = t.config.gt_rows * geo.n_pad;
 
         let (workspace, mut counters, x_counters, task_spans) = fan_out_block_rows(
             gtiles_y,
             geo.split_k,
             slice_len,
             band_len,
-            BlockScratch::new,
+            BlockScratch::<P>::new,
             |block_scratch, scratch, gty| {
                 let mut shard = CounterShard::new();
                 let mut x_shard = CounterShard::new();
@@ -517,6 +525,7 @@ impl SpinferSpmm {
                         self.run_block(
                             w,
                             x,
+                            x_scale,
                             shard.counters(),
                             x_shard.counters(),
                             &mut scratch[split * slice_len..][..slice_len],
@@ -537,13 +546,14 @@ impl SpinferSpmm {
         let x_requested = x_counters.dram_read_bytes;
         counters.merge(&x_counters);
         let l2 = [L2Reuse {
-            buffer_bytes: (2 * w.k * geo.n_pad) as u64,
+            buffer_bytes: (2 * t.k * geo.n_pad) as u64,
             requested_bytes: x_requested,
         }];
 
+        let name = P::kernel_name(self.ablation);
         let mut chain = LaunchChain::new();
         chain.push(LaunchResult::from_execution(
-            kernel_name(self.config.ablation),
+            name,
             spec,
             self.launch_shape(&geo),
             counters,
@@ -552,14 +562,14 @@ impl SpinferSpmm {
 
         // Reduce the split-K workspace through the functional reduction
         // kernel (its counters come from real addresses too).
-        let mut out_pad = vec![0.0f32; w.m_pad * geo.n_pad];
+        let mut out_pad = vec![0.0f32; t.m_pad * geo.n_pad];
         if geo.split_k > 1 {
-            let out_base = gm.alloc(4 * w.m_pad * geo.n_pad);
+            let out_base = gm.alloc(4 * t.m_pad * geo.n_pad);
             chain.push(crate::reduction::run_reduction(
                 spec,
                 &workspace,
                 &mut out_pad,
-                w.m_pad * geo.n_pad,
+                t.m_pad * geo.n_pad,
                 geo.split_k,
                 ws_base,
                 out_base,
@@ -569,12 +579,12 @@ impl SpinferSpmm {
         }
 
         // Slice to logical M×N.
-        let mut output = vec![0.0f32; w.m * n];
-        for r in 0..w.m {
+        let mut output = vec![0.0f32; t.m * n];
+        for r in 0..t.m {
             output[r * n..(r + 1) * n].copy_from_slice(&out_pad[r * geo.n_pad..r * geo.n_pad + n]);
         }
         if let Some(sink) = sink {
-            emit_kernel_trace(sink, self.config.ablation, &chain, &task_spans);
+            emit_kernel_trace(sink, name, &chain, &task_spans);
         }
         Ok(SpmmRun {
             output: Some(output),
@@ -585,16 +595,16 @@ impl SpinferSpmm {
 
 /// Per-block-row outcome from a [`fan_out_block_rows`] body: the W-side
 /// and X-side counter shards plus optional per-phase trace spans.
-pub(crate) type RowOutcome = (CounterShard, CounterShard, Option<Vec<(TracePhase, u64)>>);
+type RowOutcome = (CounterShard, CounterShard, Option<Vec<(TracePhase, u64)>>);
 
 /// Aggregated [`fan_out_block_rows`] result: the filled split-K
 /// workspace, merged W-side and X-side counters, and per-block-row
 /// trace spans in block-row order.
-pub(crate) type FanOutResult = (Vec<f32>, Counters, Counters, Vec<Vec<(TracePhase, u64)>>);
+type FanOutResult = (Vec<f32>, Counters, Counters, Vec<Vec<(TracePhase, u64)>>);
 
-/// Block-level fan-out shared by the FP16 and INT8 launch bodies (see
-/// `gpu_sim::exec`): block rows `gty` write disjoint workspace row
-/// bands, so they distribute across host cores. The split-K workspace
+/// Block-level fan-out of the launch body (see `gpu_sim::exec`): block
+/// rows `gty` write disjoint workspace row bands, so they distribute
+/// across host cores. The split-K workspace
 /// (`split_k × slice_len` FP32) is pre-cut into per-(split, gty) bands
 /// and each task gets the bands it owns — safe disjoint `&mut` access
 /// with no runtime aliasing checks.
@@ -610,7 +620,7 @@ pub(crate) type FanOutResult = (Vec<f32>, Counters, Counters, Vec<Vec<(TracePhas
 /// clean) and carries the typed error out through the shard results.
 /// Per-task span records come back in task (block-row) order, so traces
 /// built from them are independent of scheduling.
-pub(crate) fn fan_out_block_rows<S: Send>(
+fn fan_out_block_rows<S: Send>(
     gtiles_y: usize,
     split_k: usize,
     slice_len: usize,

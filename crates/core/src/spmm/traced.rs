@@ -1,12 +1,10 @@
 //! Trace emission for kernel launches: per-phase attribution for the
-//! SpInfer kernel and a generic per-launch chain exporter any
-//! [`SpmmKernel`](super::SpmmKernel) can use.
+//! SpInfer kernels (FP16 and INT8) and a generic per-launch chain
+//! exporter any [`SpmmKernel`](super::SpmmKernel) can use.
 
 use gpu_sim::counters::Counters;
 use gpu_sim::kernel::LaunchChain;
 use gpu_sim::trace::{attribution_weight, pids, TraceEvent, TraceSink};
-
-use super::{kernel_name, Ablation};
 
 /// Kernel phase labels for the trace seam (see [`gpu_sim::trace`]). One
 /// record per GroupTile iteration and phase, in execution order.
@@ -36,7 +34,7 @@ impl TracePhase {
     }
 }
 
-/// Per-task phase recorder for the traced kernel run. `run_block` pushes
+/// Per-task phase recorder for a traced SpInfer launch. `run_block` pushes
 /// `(phase, attribution weight)` pairs in execution order; weights are
 /// counter deltas through [`attribution_weight`], so they are pure
 /// functions of simulated events — deterministic at any host job count.
@@ -75,11 +73,10 @@ impl BlockTracer {
 /// byte-identical at any host job count.
 pub(crate) fn emit_kernel_trace(
     sink: &TraceSink,
-    ablation: Ablation,
+    kname: &str,
     chain: &LaunchChain,
     task_spans: &[Vec<(TracePhase, u64)>],
 ) {
-    let kname = kernel_name(ablation);
     let t_main_us = chain.launches[0].time_us();
     let total_w: u64 = task_spans
         .iter()
