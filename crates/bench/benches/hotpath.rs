@@ -1,7 +1,7 @@
 //! Microbenchmarks for the SpMM wall-clock hot path: the vectorized
 //! `mma` MAC panels, the set-bit-sweep SMBD decode, the batched
 //! FP16 → f32 LUT conversion, and the setup pipeline (weight
-//! generation + encode) — each next to its retained scalar/serial
+//! generation + pruning + encode) — each next to its retained scalar/serial
 //! oracle, so a regression in either the fast path or the price of
 //! keeping the oracle shows up here before it shows up in
 //! `spinfer snapshot`.
@@ -19,7 +19,7 @@
 
 use criterion::{criterion_main, Criterion};
 use gpu_sim::fp16::{f16_to_f32_slice, Half};
-use gpu_sim::matrix::{random_sparse, random_sparse_oracle, ValueDist};
+use gpu_sim::matrix::{random_dense, random_sparse, random_sparse_oracle, ValueDist};
 use gpu_sim::tensor_core::{
     mma_m16n8k16_bslice, mma_m16n8k16_bslice_ntiles, mma_m16n8k16_bslice_scalar, mma_m16n8k16_f32,
     mma_m16n8k16_f32_scalar, simd_active, FragC, MAX_NTILES, MMA_K, MMA_M, MMA_N,
@@ -27,6 +27,7 @@ use gpu_sim::tensor_core::{
 use gpu_sim::Counters;
 use spinfer_core::smbd::{decode_bitmap_tile_scalar, decode_tctile_f32};
 use spinfer_core::TcaBme;
+use spinfer_pruning::{magnitude_prune, wanda_prune, Calibration};
 use std::hint::black_box;
 
 /// Deterministic pseudo-random f32 in [-1, 1) from SplitMix64.
@@ -176,8 +177,9 @@ fn bench_fp16(c: &mut Criterion) {
     g.finish();
 }
 
-/// Setup-pipeline benchmarks: weight generation and the TCA-BME /
-/// CSR encoders, each fast path next to its retained serial oracle —
+/// Setup-pipeline benchmarks: weight generation, the TCA-BME / CSR
+/// encoders (each fast path next to its retained serial oracle) and
+/// the Wanda / magnitude pruners' selection kernel —
 /// the host wall-clock the hero `generate+encode` budget gates at
 /// full scale (`spinfer snapshot --budget`), measured here at a shape
 /// small enough for per-PR iteration.
@@ -210,6 +212,14 @@ fn bench_setup(c: &mut Criterion) {
     g.bench_function("gtile_checksums_1kx1k", |bench| {
         let enc = TcaBme::encode(&w);
         bench.iter(|| black_box(enc.gtile_checksums()));
+    });
+    let dense = random_dense(M, K, ValueDist::Normal { std: 0.03 }, 43);
+    let calib = Calibration::synthetic(K, 32, 44);
+    g.bench_function("wanda_1kx1k", |bench| {
+        bench.iter(|| black_box(wanda_prune(black_box(&dense), &calib, S)));
+    });
+    g.bench_function("magnitude_1kx1k", |bench| {
+        bench.iter(|| black_box(magnitude_prune(black_box(&dense), S)));
     });
     g.finish();
 }
