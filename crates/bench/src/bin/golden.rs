@@ -3,7 +3,8 @@
 //! Prints, as ready-to-paste Rust array literals, the pinned values the
 //! golden-counter test in `tests/determinism.rs` asserts: per-kernel
 //! merged-counter digest, simulated-time bit pattern, and FP32 output
-//! checksum for the fixed-seed functional shape, plus the analytic
+//! checksum for the fixed-seed functional shape (plus the two SpInfer
+//! kernels at further batch widths), and the analytic
 //! simulated times for the fig01 hero shape. Run it after any hot-path
 //! change: the output must be byte-identical to the constants already in
 //! the test, or the change altered simulated results.
@@ -23,6 +24,12 @@ use spinfer_bench::{KernelKind, HERO_K, HERO_M};
 /// of 64; 20 is not a multiple of 8), small enough for a debug-mode
 /// test run.
 const GOLDEN: (usize, usize, usize, f64, u64) = (900, 720, 20, 0.65, 1234);
+
+/// Batch widths re-pinned for the two SpInfer kernels on the golden
+/// shape: 1, 2 and 5 N-tiles of 8 columns (N = 20 above is 3), so the
+/// batched `mma` sees an odd single tile, the decode-step pair, and a
+/// wide odd batch.
+const GOLDEN_N: [usize; 3] = [1, 16, 40];
 
 fn roster() -> [KernelKind; 8] {
     [
@@ -68,6 +75,29 @@ fn main() {
             time_bits,
             checksum
         );
+    }
+    println!("];");
+
+    println!("// SpInfer kernels at N = {GOLDEN_N:?} on the functional golden shape.");
+    println!("const GOLDEN_FUNCTIONAL_N: [(&str, usize, u64, u64, u64); 6] = [");
+    for kernel in [KernelKind::SpInfer, KernelKind::SpInferInt8] {
+        for n in GOLDEN_N {
+            let p = SweepPoint {
+                m,
+                k,
+                n,
+                sparsity,
+                kernel,
+            };
+            let run = run_functional(&cache, &spec, &p, seed);
+            println!(
+                "    (\"{}\", {n}, {:#018x}, {:#018x}, {:#018x}),",
+                kernel.label(),
+                run.chain.merged_counters().digest(),
+                run.time_us().to_bits(),
+                checksum_f32(run.output.as_ref().expect("functional output"))
+            );
+        }
     }
     println!("];");
 

@@ -68,6 +68,53 @@ const GOLDEN_FUNCTIONAL: [(&str, u64, u64, u64); 8] = [
         0x648f84f8c8de71ed,
     ),
 ];
+// The two SpInfer kernels at N = 1, 16 and 40 on the same shape: 1, 2
+// and 5 N-tiles of 8 columns (N = 20 above is 3). N = 16 is the batch
+// width of a decode step.
+const GOLDEN_FUNCTIONAL_N: [(&str, usize, u64, u64, u64); 6] = [
+    (
+        "SpInfer",
+        1,
+        0xefa2f2431f0aa2ba,
+        0x400ad233623cd16f,
+        0x89978bf30c286fa4,
+    ),
+    (
+        "SpInfer",
+        16,
+        0xe46e31e239ce9191,
+        0x400eeaed8e26cc29,
+        0x3ae4336a2cecd72b,
+    ),
+    (
+        "SpInfer",
+        40,
+        0xc2ff1d27012dc302,
+        0x4016c9f852a86e99,
+        0x46f75521491a53de,
+    ),
+    (
+        "SpInfer-INT8",
+        1,
+        0x771c3750722c3a6a,
+        0x4008c3be145def0e,
+        0xe5fe8da4ecfecd42,
+    ),
+    (
+        "SpInfer-INT8",
+        16,
+        0xd9340a7304a74e6e,
+        0x400cd8d005c4418d,
+        0xdbbb6fc4be1bb4df,
+    ),
+    (
+        "SpInfer-INT8",
+        40,
+        0x9b463fe61ef043be,
+        0x4015bb6d36b1acf3,
+        0x43237c2c047322ef,
+    ),
+];
 // Analytic simulated time (µs, f64 bits) at the hero shape 28672x8192x16 s=0.6.
 const GOLDEN_HERO_ANALYTIC: [(&str, u64); 8] = [
     ("cuBLAS_TC", 0x408060673be0d215),
@@ -101,31 +148,42 @@ const ROSTER: [KernelKind; 8] = [
 fn assert_golden_constants(spec: &GpuSpec) {
     let (m, k, n, sparsity, seed) = (900, 720, 20, 0.65, 1234);
     let cache = EncodeCache::new();
-    for (kernel, &(label, digest, time_bits, checksum)) in ROSTER.iter().zip(&GOLDEN_FUNCTIONAL) {
-        assert_eq!(kernel.label(), label, "roster order");
+    let check = |kernel: KernelKind, n: usize, digest: u64, time_bits: u64, checksum: u64| {
+        let label = kernel.label();
         let p = SweepPoint {
             m,
             k,
             n,
             sparsity,
-            kernel: *kernel,
+            kernel,
         };
         let run = run_functional(&cache, spec, &p, seed);
         assert_eq!(
             run.chain.merged_counters().digest(),
             digest,
-            "{label}: counter digest drifted"
+            "{label} N={n}: counter digest drifted"
         );
         assert_eq!(
             run.time_us().to_bits(),
             time_bits,
-            "{label}: simulated time drifted"
+            "{label} N={n}: simulated time drifted"
         );
         assert_eq!(
             checksum_f32(run.output.as_ref().expect("functional output")),
             checksum,
-            "{label}: output checksum drifted"
+            "{label} N={n}: output checksum drifted"
         );
+    };
+    for (kernel, &(label, digest, time_bits, checksum)) in ROSTER.iter().zip(&GOLDEN_FUNCTIONAL) {
+        assert_eq!(kernel.label(), label, "roster order");
+        check(*kernel, n, digest, time_bits, checksum);
+    }
+    for &(label, n, digest, time_bits, checksum) in &GOLDEN_FUNCTIONAL_N {
+        let kernel = *ROSTER
+            .iter()
+            .find(|k| k.label() == label)
+            .expect("pinned kernel is on the roster");
+        check(kernel, n, digest, time_bits, checksum);
     }
     for (kernel, &(label, time_bits)) in ROSTER.iter().zip(&GOLDEN_HERO_ANALYTIC) {
         let us = kernel.time_us(spec, HERO_M, HERO_K, 16, 0.6);
