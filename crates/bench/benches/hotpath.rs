@@ -1,12 +1,12 @@
-//! Microbenchmarks for the SpMM wall-clock hot path: the vectorized
-//! `mma` MAC panels, the set-bit-sweep SMBD decode, the batched
+//! Microbenchmarks for the SpMM wall-clock hot path: the register-blocked
+//! `mma` kernel, the set-bit SMBD expand, the batched
 //! FP16 → f32 LUT conversion, and the setup pipeline (weight
 //! generation + pruning + encode) — each next to its retained scalar/serial
 //! oracle, so a regression in either the fast path or the price of
 //! keeping the oracle shows up here before it shows up in
 //! `spinfer snapshot`.
 //!
-//! The `simd` feature selects the explicit-SIMD MAC panel; run both
+//! The `simd` feature selects the explicit-SIMD MAC kernel; run both
 //! ways to compare:
 //!
 //! ```text
@@ -101,9 +101,26 @@ fn bench_mma(c: &mut Criterion) {
     });
     g.bench_function("bslice_ntiles16_batched", |bench| {
         let mut counters = Counters::new();
-        let mut accs = vec![FragC::zero(); MAX_NTILES];
+        let mut accs = vec![[[0.0f32; MMA_N]; MMA_M]; MAX_NTILES];
         bench.iter(|| {
             mma_m16n8k16_bslice_ntiles(&mut counters, black_box(&a), black_box(&bw), ld, &mut accs)
+        });
+    });
+    // The decode-step shape: N = 16 is two accumulator tiles, one
+    // register block of the batched kernel per four A rows.
+    g.bench_function("bslice_ntiles2_batched", |bench| {
+        let ld2 = 2 * MMA_N;
+        let b2w = b_buf(5, MMA_K * ld2);
+        let mut counters = Counters::new();
+        let mut accs = [[[0.0f32; MMA_N]; MMA_M]; 2];
+        bench.iter(|| {
+            mma_m16n8k16_bslice_ntiles(
+                &mut counters,
+                black_box(&a),
+                black_box(&b2w),
+                ld2,
+                &mut accs,
+            )
         });
     });
     g.bench_function("bslice_ntiles16_per_tile", |bench| {
