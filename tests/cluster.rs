@@ -22,6 +22,8 @@ use spinfer_llm::{
 };
 use spinfer_obs::Registry;
 
+mod common;
+
 fn chaos_cfg() -> ClusterConfig {
     ClusterConfig {
         replicas: 3,
@@ -146,6 +148,31 @@ fn faultless_report_is_identical_with_and_without_instrumentation() {
     )
     .unwrap();
     assert_eq!(format!("{bare:?}"), format!("{instrumented:?}"));
+}
+
+/// Absolute pin of the chaos fleet: its report text and exported trace
+/// bytes. The gates above are relative (jobs 1 vs 8, bare vs
+/// instrumented), so a change that moves every run alike passes them;
+/// this one does not.
+#[test]
+fn chaos_fleet_report_and_trace_match_pinned_digests() {
+    let spec = GpuSpec::rtx4090();
+    let sink = TraceSink::new();
+    let report =
+        simulate_cluster_instrumented(&spec, &chaos_cfg(), Some(&chaos_plan()), None, Some(&sink))
+            .unwrap();
+    common::assert_pinned(&[
+        (
+            "chaos fleet report",
+            &format!("{report:?}"),
+            0x9636_fb44_5d47_f5f6,
+        ),
+        (
+            "chaos fleet trace",
+            &spinfer_obs::export(&sink.finish()),
+            0x54a9_4e12_4657_7c69,
+        ),
+    ]);
 }
 
 proptest! {

@@ -5,8 +5,9 @@
 use gpu_sim::matrix::{random_dense, random_sparse, ValueDist};
 use gpu_sim::GpuSpec;
 use spinfer_suite::baselines::{select, Route, TiledCsl};
+use spinfer_suite::core::spmm::LaunchCtx;
 use spinfer_suite::core::{tune, FormatStats, SpMMHandle, TcaBme};
-use spinfer_suite::llm::serving::{serve, LengthMix, ServingConfig};
+use spinfer_suite::llm::serving::{serve_ctx, LengthMix, ServingConfig};
 use spinfer_suite::llm::{Framework, ModelConfig};
 use spinfer_suite::pruning::QuantizedTcaBme;
 
@@ -108,7 +109,7 @@ fn serving_saturation_matches_static_engine() {
         duration_sec: 60.0,
         mix: LengthMix::Uniform,
     };
-    let served = serve(&spec, &cfg);
+    let served = serve_ctx(&LaunchCtx::new(&spec), &cfg);
     let static_run = spinfer_suite::llm::simulate(
         &spec,
         &spinfer_suite::llm::InferenceConfig {

@@ -22,12 +22,15 @@ use gpu_sim::trace::TraceSink;
 use gpu_sim::GpuSpec;
 use proptest::prelude::*;
 use spinfer_core::spmm::LaunchCtx;
+use spinfer_llm::serving::serve_ctx;
 use spinfer_llm::spec::AcceptanceModel;
 use spinfer_llm::{
-    serve_spec_ctx, serve_with, simulate_cluster, ClusterConfig, LengthMix, ModelConfig,
-    ServingConfig, SpecConfig, TreeShape,
+    serve_spec_ctx, simulate_cluster, simulate_cluster_instrumented, ClusterConfig, LengthMix,
+    ModelConfig, ServingConfig, SpecConfig, TreeShape,
 };
 use spinfer_obs::Registry;
+
+mod common;
 
 fn serving_cfg(arrival_rps: f64) -> ServingConfig {
     ServingConfig {
@@ -41,6 +44,19 @@ fn serving_cfg(arrival_rps: f64) -> ServingConfig {
         output_len: 64,
         duration_sec: 20.0,
         mix: LengthMix::Uniform,
+    }
+}
+
+fn fleet_cfg() -> ClusterConfig {
+    ClusterConfig {
+        replicas: 2,
+        arrival_rps: 4.0,
+        duration_sec: 10.0,
+        max_batch: 8,
+        input_len: 64,
+        output_len: 16,
+        seed: 9,
+        ..ClusterConfig::default()
     }
 }
 
@@ -65,7 +81,7 @@ fn degenerate_spec_reproduces_incremental_report_and_trace_bytes() {
     let cfg = serving_cfg(4.0);
 
     let sink = TraceSink::new();
-    let incremental = serve_with(&spec, &cfg, Some(&sink));
+    let incremental = serve_ctx(&LaunchCtx::new(&spec).with_sink(&sink), &cfg);
     let incremental_trace = spinfer_obs::export(&sink.finish());
 
     let sink = TraceSink::new();
@@ -100,10 +116,11 @@ fn high_acceptance_beats_incremental_and_zero_acceptance_loses() {
     // Saturated arrivals: the decode loop is launch-bound, which is the
     // regime where folding candidates into one wide-N pass pays.
     let cfg = serving_cfg(50.0);
-    let baseline = spinfer_llm::serve(&spec, &cfg);
+    let ctx = LaunchCtx::new(&spec);
+    let baseline = serve_ctx(&ctx, &cfg);
 
-    let fast = spinfer_llm::serve_spec(
-        &spec,
+    let fast = serve_spec_ctx(
+        &ctx,
         &cfg,
         &SpecConfig {
             acceptance_rate: 0.8,
@@ -118,8 +135,8 @@ fn high_acceptance_beats_incremental_and_zero_acceptance_loses() {
     );
     assert!(fast.stats.accepted > 0 && fast.stats.bonus > 0);
 
-    let slow = spinfer_llm::serve_spec(
-        &spec,
+    let slow = serve_spec_ctx(
+        &ctx,
         &cfg,
         &SpecConfig {
             acceptance_rate: 0.0,
@@ -169,16 +186,7 @@ fn spec_metrics_and_trace_are_byte_identical_across_job_counts() {
 #[test]
 fn speculative_fleet_serves_and_degenerate_fleet_is_invisible() {
     let spec = GpuSpec::rtx4090();
-    let cfg = ClusterConfig {
-        replicas: 2,
-        arrival_rps: 4.0,
-        duration_sec: 10.0,
-        max_batch: 8,
-        input_len: 64,
-        output_len: 16,
-        seed: 9,
-        ..ClusterConfig::default()
-    };
+    let cfg = fleet_cfg();
 
     let speculative = simulate_cluster(
         &spec,
@@ -209,6 +217,87 @@ fn speculative_fleet_serves_and_degenerate_fleet_is_invisible() {
     )
     .unwrap();
     assert_eq!(format!("{without:?}"), format!("{degenerate:?}"));
+}
+
+/// Absolute pins of the single-GPU loops: report text and exported trace
+/// bytes for incremental serving (light load, and overload with a mixed
+/// length workload) and for w2d3b8 speculation at acceptance 0.8 over a
+/// full and a half speculative share. The collapse test above is
+/// relative, so it cannot see a change that moves both loops alike.
+#[test]
+fn serving_reports_and_traces_match_pinned_digests() {
+    let spec = GpuSpec::rtx4090();
+    let incremental = |cfg: &ServingConfig| {
+        let sink = TraceSink::new();
+        let report = serve_ctx(&LaunchCtx::new(&spec).with_sink(&sink), cfg);
+        (format!("{report:?}"), spinfer_obs::export(&sink.finish()))
+    };
+    let light = incremental(&serving_cfg(4.0));
+    let overload = incremental(&ServingConfig {
+        mix: LengthMix::RoundRobin(vec![(32, 32), (256, 128)]),
+        ..serving_cfg(50.0)
+    });
+    let speculative = |spec_share: f64| {
+        let (report, _, trace) = spec_artifacts(
+            &serving_cfg(8.0),
+            &SpecConfig {
+                shape: TreeShape::new(2, 3, 8),
+                acceptance_rate: 0.8,
+                spec_share,
+                ..SpecConfig::default()
+            },
+        );
+        (report, trace)
+    };
+    let full = speculative(1.0);
+    let half = speculative(0.5);
+    common::assert_pinned(&[
+        ("serve 4 rps report", &light.0, 0x67cb_10e4_bd98_85cb),
+        ("serve 4 rps trace", &light.1, 0xae16_faa1_c77f_76e8),
+        (
+            "serve 50 rps mix report",
+            &overload.0,
+            0xd706_c656_dfaa_9e7d,
+        ),
+        ("serve 50 rps mix trace", &overload.1, 0x470f_92b4_c812_d9f4),
+        ("spec share 1.0 report", &full.0, 0x7fb1_d8c8_0f02_2f50),
+        ("spec share 1.0 trace", &full.1, 0x1031_9cb8_8de3_4e05),
+        ("spec share 0.5 report", &half.0, 0x5222_766c_3410_fda4),
+        ("spec share 0.5 trace", &half.1, 0x0a4e_24eb_7410_c1f2),
+    ]);
+}
+
+/// Absolute pin of the speculative fleet: report text and trace bytes.
+#[test]
+fn speculative_fleet_report_and_trace_match_pinned_digests() {
+    let spec = GpuSpec::rtx4090();
+    let sink = TraceSink::new();
+    let report = simulate_cluster_instrumented(
+        &spec,
+        &ClusterConfig {
+            spec: Some(SpecConfig {
+                acceptance_rate: 0.8,
+                ..SpecConfig::default()
+            }),
+            ..fleet_cfg()
+        },
+        None,
+        None,
+        Some(&sink),
+    )
+    .unwrap();
+    common::assert_pinned(&[
+        (
+            "speculative fleet report",
+            &format!("{report:?}"),
+            0x9570_fac2_6663_6017,
+        ),
+        (
+            "speculative fleet trace",
+            &spinfer_obs::export(&sink.finish()),
+            0xd60c_4afe_c5e3_d6c4,
+        ),
+    ]);
 }
 
 proptest! {
