@@ -4,11 +4,13 @@
 
 use gpu_sim::GpuSpec;
 use spinfer_bench::{render_table, save_csv};
-use spinfer_llm::serving::{serve, LengthMix, ServingConfig};
+use spinfer_core::spmm::LaunchCtx;
+use spinfer_llm::serving::{serve_ctx, LengthMix, ServingConfig};
 use spinfer_llm::{Framework, ModelConfig};
 
 fn main() {
     let spec = GpuSpec::rtx4090();
+    let ctx = LaunchCtx::new(&spec);
     let headers = [
         "framework",
         "arrival rps",
@@ -32,7 +34,7 @@ fn main() {
                 duration_sec: 120.0,
                 mix: LengthMix::Uniform,
             };
-            let r = serve(&spec, &cfg);
+            let r = serve_ctx(&ctx, &cfg);
             rows.push(vec![
                 fw.label().to_string(),
                 format!("{rate:.1}"),

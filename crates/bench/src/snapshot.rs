@@ -25,6 +25,7 @@ use crate::{KernelKind, HERO_K, HERO_M};
 use gpu_sim::exec;
 use gpu_sim::matrix::checksum_f32;
 use gpu_sim::spec::GpuSpec;
+use spinfer_core::spmm::LaunchCtx;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -216,7 +217,7 @@ pub fn measure(spec: &GpuSpec, cfg: &SnapshotConfig) -> Snapshot {
         ..spinfer_llm::SpecConfig::default()
     };
     let t0 = Instant::now();
-    spinfer_llm::serve_spec(spec, &serving_cfg, &spec_cfg);
+    spinfer_llm::serve_spec_ctx(&LaunchCtx::new(spec), &serving_cfg, &spec_cfg);
     let spec_smoke_s = t0.elapsed().as_secs_f64();
 
     // Quantization smoke: the toy precision×format ablation grid. Both

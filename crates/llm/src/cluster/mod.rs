@@ -1,9 +1,9 @@
 //! Fleet-scale serving simulation with resilience as the headline.
 //!
 //! Composes the single-replica serving pieces — the iteration-level
-//! batching loop of [`crate::serving`], the tensor-parallel cost model
-//! of [`crate::parallel`], and the per-step costs of [`crate::engine`]
-//! — into N replicas behind a router, on one discrete-event simulated
+//! batching of [`crate::serving`], whose step model prices and commits
+//! every replica step, and the KV admission cap of its memory model —
+//! into N replicas behind a router, on one discrete-event simulated
 //! clock. The interesting part is what goes wrong:
 //!
 //! * a [`ClusterFaultPlan`] injects replica crashes, slow-node
@@ -42,10 +42,9 @@ use spinfer_core::SpinferError;
 use spinfer_obs::metrics::{percentile_sorted, Registry};
 
 use crate::config::ModelConfig;
-use crate::engine::{decode_overhead_sec, linear_pass_sec};
 use crate::frameworks::{framework_for_kernel, Framework};
-use crate::serving::{concurrency_cap, LengthMix};
-use crate::spec::{SpecConfig, TreeVerifier};
+use crate::serving::{concurrency_cap, LengthMix, StepModel};
+use crate::spec::{SpecConfig, SpecStats};
 
 /// Arrival-process salt, disjoint from the fault-site salts.
 const SALT_ARRIVAL: u64 = 0x1bbc_d8c2_f5e5_4a91;
@@ -460,27 +459,19 @@ struct Counts {
     degrade_deescalations: u64,
     degraded_rejects: u64,
     routed_to_down: u64,
-    spec_requests: u64,
-    spec_steps: u64,
-    spec_proposed: u64,
-    spec_accepted: u64,
-    spec_bonus: u64,
-    spec_rolled_back: u64,
+    /// The speculation ledger; `spec_iterations` counts the fleet's
+    /// speculative steps.
+    spec: SpecStats,
 }
 
 struct Sim<'a> {
-    spec: &'a GpuSpec,
     cfg: &'a ClusterConfig,
     plan: ClusterFaultPlan,
     fallback_fw: Option<Framework>,
-    // Present only when the config's speculation is armed (non-empty
-    // tree, positive share), so `spec: None` and the degenerate config
-    // run the identical code path.
-    verifier: Option<TreeVerifier>,
+    // The serving loop's step model. `spec: None` runs it under the
+    // degenerate config, which the loop cannot tell from an unarmed one.
+    step: StepModel<'a>,
     caps: HashMap<Framework, usize>,
-    linear_cache: HashMap<(Framework, usize), f64>,
-    prefill_cache: HashMap<(Framework, usize), f64>,
-    draft_cache: HashMap<(Framework, usize), f64>,
     replicas: Vec<Replica>,
     reqs: Vec<Req>,
     heap: BinaryHeap<Scheduled>,
@@ -499,14 +490,13 @@ impl<'a> Sim<'a> {
         fallback_fw: Option<Framework>,
         sink: Option<&'a TraceSink>,
     ) -> Self {
-        let verifier = cfg
-            .spec
-            .as_ref()
-            .map(TreeVerifier::new)
-            .filter(TreeVerifier::armed);
+        let spec_cfg = cfg.spec.unwrap_or_else(SpecConfig::degenerate);
+        let step = StepModel::new(spec, &cfg.model, cfg.sparsity, cfg.tp, &spec_cfg);
         // Speculative replicas hold each candidate tree's KV entries
-        // between draft and rollback; the cap sizes for them.
-        let tree_nodes = verifier.as_ref().map_or(0, |v| v.tree().nodes());
+        // between draft and rollback; the cap sizes for them. Unlike the
+        // single-GPU loop, an unarmed tree reserves nothing (DESIGN.md §12).
+        let v = step.verifier();
+        let tree_nodes = if v.armed() { v.tree().nodes() } else { 0 };
         let (max_in, max_out) = cfg.mix.max_lengths((cfg.input_len, cfg.output_len));
         let mut caps = HashMap::new();
         let mut fws = vec![cfg.framework];
@@ -543,15 +533,11 @@ impl<'a> Sim<'a> {
             sink.name_track(Self::router_track(cfg.replicas), "cluster", "router");
         }
         Sim {
-            spec,
             cfg,
             plan,
             fallback_fw,
-            verifier,
+            step,
             caps,
-            linear_cache: HashMap::new(),
-            prefill_cache: HashMap::new(),
-            draft_cache: HashMap::new(),
             replicas,
             reqs: Vec::new(),
             heap: BinaryHeap::new(),
@@ -593,68 +579,6 @@ impl<'a> Sim<'a> {
                 dur * 1e6,
             ));
         }
-    }
-
-    // -- cost model -----------------------------------------------------
-
-    fn linear_sec(&mut self, fw: Framework, n: usize) -> f64 {
-        let cfg = self.cfg;
-        *self
-            .linear_cache
-            .entry((fw, n))
-            .or_insert_with(|| linear_pass_sec(self.spec, &cfg.model, fw, cfg.sparsity, cfg.tp, n))
-    }
-
-    fn prefill_sec(&mut self, fw: Framework, input_len: usize) -> f64 {
-        if let Some(&t) = self.prefill_cache.get(&(fw, input_len)) {
-            return t;
-        }
-        let cfg = self.cfg;
-        let t = self.linear_sec(fw, input_len)
-            + decode_overhead_sec(self.spec, &cfg.model, fw, cfg.tp, 1, input_len);
-        self.prefill_cache.insert((fw, input_len), t);
-        t
-    }
-
-    /// One decode iteration: the linear passes run at `verify_n` wide
-    /// (the batch plus any folded candidate tokens), attention/overhead
-    /// at the batch's attributed context. Incremental decode is the
-    /// `verify_n == batch` case.
-    fn decode_iter_sec(
-        &mut self,
-        fw: Framework,
-        batch: usize,
-        verify_n: usize,
-        sum_ctx: usize,
-    ) -> f64 {
-        let cfg = self.cfg;
-        self.linear_sec(fw, verify_n)
-            + decode_overhead_sec(self.spec, &cfg.model, fw, cfg.tp, batch, sum_ctx)
-    }
-
-    /// Draft-model seconds for `spec_batch` speculative requests at this
-    /// replica's effective framework; exactly `0.0` when nothing drafts.
-    fn draft_sec(&mut self, fw: Framework, spec_batch: usize) -> f64 {
-        let Some(v) = &self.verifier else {
-            return 0.0;
-        };
-        if spec_batch == 0 {
-            return 0.0;
-        }
-        let cfg = self.cfg;
-        let gpu = self.spec;
-        let draft = cfg.spec.as_ref().expect("verifier implies spec").draft;
-        *self.draft_cache.entry((fw, spec_batch)).or_insert_with(|| {
-            draft.propose_sec(
-                gpu,
-                &cfg.model,
-                fw,
-                cfg.sparsity,
-                cfg.tp,
-                spec_batch,
-                v.tree(),
-            )
-        })
     }
 
     /// Effective (framework, batch) at a replica's current ladder rung,
@@ -845,32 +769,23 @@ impl<'a> Sim<'a> {
             return;
         }
 
-        let batch = self.replicas[r].running.len();
-        // Fold each request's verify width and attributed KV context:
-        // speculative requests contribute their whole candidate tree,
-        // plain requests one token and their base context. Without an
-        // armed verifier this is exactly the incremental plan.
-        let mut verify_n = 0usize;
-        let mut sum_ctx = 0usize;
-        let mut spec_batch = 0usize;
-        for &id in &self.replicas[r].running {
-            let q = &self.reqs[id as usize];
-            let base = q.input_len + q.generated;
-            match &self.verifier {
-                Some(v) if q.speculative => {
-                    spec_batch += 1;
-                    verify_n += v.tree().verify_tokens_per_request();
-                    sum_ctx += v.tree().attributed_ctx(base);
-                }
-                _ => {
-                    verify_n += 1;
-                    sum_ctx += base;
-                }
-            }
-        }
-        let mut prefill: f64 = admitted_lens.iter().map(|&n| self.prefill_sec(fw, n)).sum();
-        let mut decode =
-            self.decode_iter_sec(fw, batch, verify_n, sum_ctx) + self.draft_sec(fw, spec_batch);
+        // The fleet prices a request's base context as `input_len +
+        // generated` and its prefill at the raw prompt length, where the
+        // single-GPU loop adds the current token and clamps the prompt to
+        // one token. Aligning them would move every fleet metric, so it
+        // waits for a deliberate behaviour change (DESIGN.md §12).
+        let mut prefill: f64 = admitted_lens
+            .iter()
+            .map(|&n| self.step.prefill_sec(fw, n))
+            .sum();
+        let cost = self.step.price(
+            fw,
+            self.replicas[r].running.iter().map(|&id| {
+                let q = &self.reqs[id as usize];
+                (q.speculative, q.input_len + q.generated)
+            }),
+        );
+        let mut decode = cost.verify_sec + cost.draft_sec;
         if self.plan.slow(r, tick) {
             let f = self.plan.slow_factor.max(1.0);
             prefill *= f;
@@ -913,25 +828,19 @@ impl<'a> Sim<'a> {
                 start + prefill,
                 decode,
             );
-            // Commit tokens; completions leave. Speculative requests
-            // commit their accepted prefix plus the bonus token and
-            // roll rejected candidates back; plain requests commit one.
+            // Commit tokens; completions leave.
             let running = std::mem::take(&mut self.replicas[r].running);
-            let mut spec_in_step = 0u64;
+            let mut speculated = false;
             for id in running {
-                let commit = match &self.verifier {
-                    Some(v) if self.reqs[id as usize].speculative => {
-                        let q = &self.reqs[id as usize];
-                        let o = v.outcome(id, q.generated as u64, q.output_len - q.generated);
-                        spec_in_step += 1;
-                        self.c.spec_proposed += v.tree().nodes() as u64;
-                        self.c.spec_accepted += o.accepted as u64;
-                        self.c.spec_bonus += 1;
-                        self.c.spec_rolled_back += o.rolled_back as u64;
-                        o.committed
-                    }
-                    _ => 1,
-                };
+                let q = &self.reqs[id as usize];
+                speculated |= q.speculative;
+                let commit = self.step.commit(
+                    &mut self.c.spec,
+                    id,
+                    q.speculative,
+                    q.generated,
+                    q.output_len,
+                );
                 let req = &mut self.reqs[id as usize];
                 req.generated += commit;
                 if req.generated >= req.output_len {
@@ -949,8 +858,8 @@ impl<'a> Sim<'a> {
                     self.replicas[r].running.push(id);
                 }
             }
-            if spec_in_step > 0 {
-                self.c.spec_steps += 1;
+            if speculated {
+                self.c.spec.spec_iterations += 1;
             }
         }
 
@@ -1025,9 +934,9 @@ impl<'a> Sim<'a> {
             .cfg
             .mix
             .lengths(i as usize, (self.cfg.input_len, self.cfg.output_len));
-        let speculative = self.verifier.as_ref().is_some_and(|v| v.speculates(i));
+        let speculative = self.step.verifier().speculates(i);
         if speculative {
-            self.c.spec_requests += 1;
+            self.c.spec.spec_requests += 1;
         }
         self.reqs.push(Req {
             arrival: t,
@@ -1119,12 +1028,12 @@ impl<'a> Sim<'a> {
             degrade_deescalations: c.degrade_deescalations,
             degraded_rejects: c.degraded_rejects,
             routed_to_down: c.routed_to_down,
-            spec_requests: c.spec_requests,
-            spec_steps: c.spec_steps,
-            spec_proposed: c.spec_proposed,
-            spec_accepted: c.spec_accepted,
-            spec_bonus: c.spec_bonus,
-            spec_rolled_back: c.spec_rolled_back,
+            spec_requests: c.spec.spec_requests,
+            spec_steps: c.spec.spec_iterations,
+            spec_proposed: c.spec.proposed,
+            spec_accepted: c.spec.accepted,
+            spec_bonus: c.spec.bonus,
+            spec_rolled_back: c.spec.rolled_back,
             goodput_rps: c.completed_in_slo as f64 / self.cfg.duration_sec,
             throughput_rps: c.completed as f64 / self.cfg.duration_sec,
             p50_latency_s: percentile_sorted(&sorted, 0.50),
@@ -1156,7 +1065,7 @@ impl<'a> Sim<'a> {
         reg.counter_add("cluster.routed_to_down", report.routed_to_down);
         // Speculation metrics only exist on speculating fleets — an
         // unarmed run's registry stays byte-identical to pre-spec runs.
-        if self.verifier.is_some() {
+        if self.step.verifier().armed() {
             reg.counter_add("cluster.spec.requests", report.spec_requests);
             reg.counter_add("cluster.spec.steps", report.spec_steps);
             reg.counter_add("cluster.spec.proposed", report.spec_proposed);

@@ -14,13 +14,15 @@ use crate::config::ModelConfig;
 use crate::engine::{decode_overhead_sec, linear_pass_sec};
 use crate::frameworks::Framework;
 use crate::memory::footprint;
-use crate::spec::{plan_step, SpecConfig, SpecServingReport, SpecStats, TreeVerifier};
+use crate::spec::{
+    plan_step, DraftModel, SpecConfig, SpecServingReport, SpecStats, StepPlan, TreeVerifier,
+};
 use gpu_sim::spec::GpuSpec;
-use gpu_sim::trace::{pids, TraceEvent, TraceSink};
+use gpu_sim::trace::{pids, TraceEvent};
 use spinfer_core::spmm::LaunchCtx;
 use spinfer_core::SpinferError;
 use spinfer_obs::metrics::percentile_sorted;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Request length workload: uniform, or a deterministic round-robin mix
 /// of (input, output) profiles — short chat turns interleaved with long
@@ -144,14 +146,15 @@ struct Request {
 pub(crate) const CAP_CEILING: usize = 4096;
 
 /// Maximum concurrent sequences the per-GPU memory supports at full
-/// context (weights + KV for `n` sequences must fit).
+/// context plus `extra` KV entries per sequence (weights + KV for `n`
+/// sequences must fit).
 ///
 /// The KV footprint is monotone in the sequence count, so instead of
 /// probing every `n` up to [`CAP_CEILING`] (thousands of `footprint`
 /// evaluations for roomy deployments) we double until the first OOM
 /// bracket and binary-search inside it: `O(log cap)` probes, same
 /// answer as the linear scan (pinned by a test below).
-fn memory_concurrency_cap(spec: &GpuSpec, cfg: &ServingConfig) -> usize {
+fn memory_concurrency_cap(spec: &GpuSpec, cfg: &ServingConfig, extra: usize) -> usize {
     let (max_in, max_out) = cfg.mix.max_lengths((cfg.input_len, cfg.output_len));
     concurrency_cap(
         spec,
@@ -159,7 +162,7 @@ fn memory_concurrency_cap(spec: &GpuSpec, cfg: &ServingConfig) -> usize {
         cfg.framework,
         cfg.sparsity,
         cfg.tp,
-        max_in + max_out,
+        max_in + max_out + extra,
     )
 }
 
@@ -210,246 +213,162 @@ impl ServingReport {
     }
 }
 
-/// Runs the continuous-batching loop.
-///
-/// # Panics
-///
-/// Panics if the model cannot serve even one request on this deployment.
-pub fn serve(spec: &GpuSpec, cfg: &ServingConfig) -> ServingReport {
-    serve_ctx(&LaunchCtx::new(spec), cfg)
+/// One decode iteration, priced: its launch plan and its two phases.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct StepCost {
+    /// Width and KV context of the iteration's verify launch.
+    pub(crate) plan: StepPlan,
+    /// Draft-model seconds; exactly `0.0` when nothing speculates.
+    pub(crate) draft_sec: f64,
+    /// The wide-N verify launch plus attention, comm and per-layer
+    /// overhead.
+    pub(crate) verify_sec: f64,
 }
 
-/// [`serve`] behind config-time validation: an invalid workload (e.g. a
-/// `RoundRobin` mix with no profiles) comes back as a typed
-/// [`SpinferError`] instead of a panic deep inside the serving loop.
+/// The cost and commit model of one serving step, shared by the
+/// single-GPU loop and every fleet replica.
 ///
-/// # Panics
-///
-/// Still panics if the (valid) model cannot serve even one request on
-/// this deployment, matching [`serve`].
-pub fn serve_checked(spec: &GpuSpec, cfg: &ServingConfig) -> Result<ServingReport, SpinferError> {
-    cfg.validate()?;
-    Ok(serve_ctx(&LaunchCtx::new(spec), cfg))
+/// Incremental decode is the width-1 tree: under a degenerate (or
+/// unarmed) verifier every request folds one token at its base context,
+/// the draft costs exactly `0.0`, and each commit is one token. Costs
+/// are memoised per `(Framework, n)`, since a fleet replica changes
+/// framework as it walks the degradation ladder. The model makes no
+/// pricing choice of its own: callers pass the context and prompt
+/// lengths they price (DESIGN.md §12 lists where the two callers
+/// differ).
+pub(crate) struct StepModel<'a> {
+    spec: &'a GpuSpec,
+    model: &'a ModelConfig,
+    sparsity: f64,
+    tp: usize,
+    draft: DraftModel,
+    verifier: TreeVerifier,
+    linear: HashMap<(Framework, usize), f64>,
+    prefill: HashMap<(Framework, usize), f64>,
+    drafts: HashMap<(Framework, usize), f64>,
 }
 
-/// [`serve`] with optional span recording: each prefill admission and
-/// each decode iteration becomes a span on the serving track,
-/// timestamped on the *serving simulation clock* (seconds → trace µs).
-/// With `sink` absent this is exactly `serve`.
-///
-/// # Panics
-///
-/// Panics if the model cannot serve even one request on this deployment.
-pub fn serve_with(spec: &GpuSpec, cfg: &ServingConfig, sink: Option<&TraceSink>) -> ServingReport {
-    let mut ctx = LaunchCtx::new(spec);
-    if let Some(sink) = sink {
-        ctx = ctx.with_sink(sink);
+impl<'a> StepModel<'a> {
+    /// A step model for one deployment, speculating per `spec_cfg`
+    /// ([`SpecConfig::degenerate`] for incremental decode).
+    pub(crate) fn new(
+        spec: &'a GpuSpec,
+        model: &'a ModelConfig,
+        sparsity: f64,
+        tp: usize,
+        spec_cfg: &SpecConfig,
+    ) -> Self {
+        StepModel {
+            spec,
+            model,
+            sparsity,
+            tp,
+            draft: spec_cfg.draft,
+            verifier: TreeVerifier::new(spec_cfg),
+            linear: HashMap::new(),
+            prefill: HashMap::new(),
+            drafts: HashMap::new(),
+        }
     }
-    serve_ctx(&ctx, cfg)
+
+    /// The run's speculation oracle; degenerate for incremental decode.
+    pub(crate) fn verifier(&self) -> &TreeVerifier {
+        &self.verifier
+    }
+
+    fn linear_sec(&mut self, fw: Framework, n: usize) -> f64 {
+        *self.linear.entry((fw, n)).or_insert_with(|| {
+            linear_pass_sec(self.spec, self.model, fw, self.sparsity, self.tp, n)
+        })
+    }
+
+    /// One admitted request's prefill: a linear pass over its `tokens`
+    /// prompt tokens plus that pass's attention and overhead.
+    pub(crate) fn prefill_sec(&mut self, fw: Framework, tokens: usize) -> f64 {
+        if let Some(&t) = self.prefill.get(&(fw, tokens)) {
+            return t;
+        }
+        let t = self.linear_sec(fw, tokens)
+            + decode_overhead_sec(self.spec, self.model, fw, self.tp, 1, tokens);
+        self.prefill.insert((fw, tokens), t);
+        t
+    }
+
+    /// Prices one decode iteration through [`plan_step`]: `requests`
+    /// yields, per running request, whether it speculates and the base
+    /// KV context the caller prices it at.
+    pub(crate) fn price<I>(&mut self, fw: Framework, requests: I) -> StepCost
+    where
+        I: IntoIterator<Item = (bool, usize)>,
+    {
+        let plan = plan_step(requests, self.verifier.tree());
+        let draft_sec = *self.drafts.entry((fw, plan.spec_batch)).or_insert_with(|| {
+            self.draft.propose_sec(
+                self.spec,
+                self.model,
+                fw,
+                self.sparsity,
+                self.tp,
+                plan.spec_batch,
+                self.verifier.tree(),
+            )
+        });
+        let verify_sec = self.linear_sec(fw, plan.verify_tokens)
+            + decode_overhead_sec(self.spec, self.model, fw, self.tp, plan.batch, plan.sum_ctx);
+        StepCost {
+            plan,
+            draft_sec,
+            verify_sec,
+        }
+    }
+
+    /// Commits one request's share of a priced iteration and returns the
+    /// tokens it gains. A speculative request takes its accepted prefix
+    /// plus the bonus token through [`TreeVerifier::outcome`], rolls the
+    /// rejected candidates back, and records all three in `ledger`; a
+    /// plain request commits one token.
+    pub(crate) fn commit(
+        &self,
+        ledger: &mut SpecStats,
+        id: u64,
+        speculative: bool,
+        generated: usize,
+        output_len: usize,
+    ) -> usize {
+        if !speculative {
+            return 1;
+        }
+        let o = self
+            .verifier
+            .outcome(id, generated as u64, output_len - generated);
+        ledger.proposed += self.verifier.tree().nodes() as u64;
+        ledger.accepted += o.accepted as u64;
+        ledger.bonus += 1;
+        ledger.rolled_back += o.rolled_back as u64;
+        o.committed
+    }
 }
 
-/// The one serving loop behind [`serve`] and [`serve_with`]: the
-/// capability bundle arrives as a [`LaunchCtx`], so serve-time tracing
-/// (and any future seam the context grows) composes without another
-/// `serve_*` variant. A bare context reproduces `serve` bit-identically.
+/// Runs the continuous-batching loop with incremental decode: the
+/// width-1 case of [`serve_spec_ctx`], run under
+/// [`SpecConfig::degenerate`].
 ///
 /// # Panics
 ///
 /// Panics if the model cannot serve even one request on this deployment.
 pub fn serve_ctx(ctx: &LaunchCtx<'_>, cfg: &ServingConfig) -> ServingReport {
-    const ENGINE: (u32, u32) = (pids::SERVING, 0);
-    let spec = ctx.spec;
-    let sink = ctx.sink;
-    let mut spans: Vec<TraceEvent> = Vec::new();
-    let mem_cap = memory_concurrency_cap(spec, cfg);
-    assert!(
-        mem_cap >= 1,
-        "{} via {:?} on {}x{} cannot fit a single request",
-        cfg.model.name,
-        cfg.framework,
-        cfg.tp,
-        spec.name
-    );
-    let cap = mem_cap.min(cfg.max_batch).max(1);
-
-    // Memoised per-batch linear pass times (the expensive call).
-    let mut lin_cache: HashMap<usize, f64> = HashMap::new();
-    let mut lin = |n: usize| {
-        *lin_cache.entry(n).or_insert_with(|| {
-            linear_pass_sec(spec, &cfg.model, cfg.framework, cfg.sparsity, cfg.tp, n)
-        })
-    };
-    let mut prefill_cache: HashMap<usize, f64> = HashMap::new();
-    let mut prefill_cost = |tokens: usize| {
-        let tokens = tokens.max(1);
-        *prefill_cache.entry(tokens).or_insert_with(|| {
-            // Per admitted request: a prefill pass over its prompt.
-            linear_pass_sec(
-                spec,
-                &cfg.model,
-                cfg.framework,
-                cfg.sparsity,
-                cfg.tp,
-                tokens,
-            ) + decode_overhead_sec(spec, &cfg.model, cfg.framework, cfg.tp, 1, tokens)
-        })
-    };
-
-    let inter_arrival = 1.0 / cfg.arrival_rps.max(1e-9);
-    let mut next_arrival = 0.0f64;
-    let mut arrived = 0usize;
-    let mut queue: Vec<Request> = Vec::new();
-    let mut running: Vec<Request> = Vec::new();
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut tokens_out = 0usize;
-    let mut now = 0.0f64;
-    let mut batch_sum = 0.0f64;
-    let mut iterations = 0usize;
-    let mut max_concurrency = 0usize;
-
-    while now < cfg.duration_sec {
-        // Admit arrivals up to `now`.
-        while next_arrival <= now {
-            let (input_len, output_len) = cfg.mix.lengths(arrived, (cfg.input_len, cfg.output_len));
-            queue.push(Request {
-                id: arrived as u64,
-                arrival: next_arrival,
-                generated: 0,
-                input_len,
-                output_len,
-                speculative: false,
-            });
-            arrived += 1;
-            next_arrival = inter_arrival * arrived as f64;
-        }
-        // Admit queued requests into the running batch (prefill each).
-        while running.len() < cap && !queue.is_empty() {
-            let r = queue.remove(0);
-            let cost = prefill_cost(r.input_len);
-            if sink.is_some() {
-                spans.push(TraceEvent::span(
-                    ENGINE,
-                    "prefill",
-                    "phase",
-                    now * 1e6,
-                    cost * 1e6,
-                ));
-            }
-            now += cost;
-            running.push(r);
-        }
-        max_concurrency = max_concurrency.max(running.len());
-
-        if running.is_empty() {
-            // Idle until the next arrival.
-            if next_arrival >= cfg.duration_sec {
-                break;
-            }
-            now = next_arrival;
-            continue;
-        }
-
-        // One decode iteration for the whole running batch.
-        let b = running.len();
-        let sum_ctx: usize = running.iter().map(|r| r.input_len + r.generated + 1).sum();
-        let step =
-            lin(b) + decode_overhead_sec(spec, &cfg.model, cfg.framework, cfg.tp, b, sum_ctx);
-        if sink.is_some() {
-            spans.push(
-                TraceEvent::span(ENGINE, "decode_iter", "phase", now * 1e6, step * 1e6)
-                    .with_arg("batch", b as f64),
-            );
-        }
-        now += step;
-        iterations += 1;
-        batch_sum += b as f64;
-        tokens_out += b;
-
-        // Retire finished requests.
-        for r in running.iter_mut() {
-            r.generated += 1;
-        }
-        running.retain(|r| {
-            if r.generated >= r.output_len {
-                latencies.push(now - r.arrival);
-                false
-            } else {
-                true
-            }
-        });
-    }
-
-    if let Some(sink) = sink {
-        sink.name_track(ENGINE, "serving sim (sim µs)", "engine");
-        sink.extend(spans);
-    }
-
-    latencies.sort_by(f64::total_cmp);
-    let completed = latencies.len();
-    let mean = if completed == 0 {
-        0.0
-    } else {
-        latencies.iter().sum::<f64>() / completed as f64
-    };
-    let p95 = ServingReport::p95_from_sorted(&latencies);
-    ServingReport {
-        completed,
-        in_flight: queue.len() + running.len(),
-        throughput_rps: completed as f64 / now.max(1e-9),
-        tokens_per_sec: tokens_out as f64 / now.max(1e-9),
-        mean_latency_sec: mean,
-        p95_latency_sec: p95,
-        mean_batch: if iterations == 0 {
-            0.0
-        } else {
-            batch_sum / iterations as f64
-        },
-        max_concurrency,
-        iterations,
-        tokens_per_iteration: if iterations == 0 {
-            0.0
-        } else {
-            tokens_out as f64 / iterations as f64
-        },
-    }
+    serve_spec_ctx(ctx, cfg, &SpecConfig::degenerate()).serving
 }
 
-/// Runs the continuous-batching loop with speculative decoding: requests
-/// selected by `spec_cfg.spec_share` draft a candidate tree each decode
-/// iteration and verify every candidate inside the batch's single wide-N
-/// launch.
-///
-/// # Panics
-///
-/// Panics if the model cannot serve even one request on this deployment
-/// with the candidate tree's extra KV entries.
-pub fn serve_spec(spec: &GpuSpec, cfg: &ServingConfig, spec_cfg: &SpecConfig) -> SpecServingReport {
-    serve_spec_ctx(&LaunchCtx::new(spec), cfg, spec_cfg)
-}
-
-/// [`serve_spec`] behind config-time validation of both the workload and
-/// the speculation config.
-///
-/// # Panics
-///
-/// Still panics if the (valid) deployment cannot fit a single request,
-/// matching [`serve_spec`].
-pub fn serve_spec_checked(
-    spec: &GpuSpec,
-    cfg: &ServingConfig,
-    spec_cfg: &SpecConfig,
-) -> Result<SpecServingReport, SpinferError> {
-    cfg.validate()?;
-    spec_cfg.validate()?;
-    Ok(serve_spec_ctx(&LaunchCtx::new(spec), cfg, spec_cfg))
-}
-
-/// The speculative serving loop. It deliberately mirrors [`serve_ctx`]
-/// operation for operation — same admission order, same caches, same
-/// span layout — so that under [`SpecConfig::degenerate`] the report,
-/// the counters, and the recorded trace are bit-identical to the
-/// incremental path: the degenerate plan prices `lin(b)` over the same
-/// `sum_ctx`, and the free draft adds exactly `0.0` seconds.
+/// The continuous-batching loop. Requests selected by
+/// `spec_cfg.spec_share` draft a candidate tree each decode iteration
+/// and verify every candidate inside the batch's single wide-N launch;
+/// the rest decode one token. The capability bundle arrives as a
+/// [`LaunchCtx`]: with a sink attached, each prefill admission and each
+/// decode iteration becomes a span on the serving track, timestamped on
+/// the *serving simulation clock* (seconds → trace µs). Callers validate
+/// the configs first ([`ServingConfig::validate`],
+/// [`SpecConfig::validate`]).
 ///
 /// # Panics
 ///
@@ -464,22 +383,15 @@ pub fn serve_spec_ctx(
     let spec = ctx.spec;
     let sink = ctx.sink;
     let mut spans: Vec<TraceEvent> = Vec::new();
-    let verifier = TreeVerifier::new(spec_cfg);
-    let tree_nodes = verifier.tree().nodes();
-    let draft_tokens_req = spec_cfg.draft.draft_tokens_per_request(verifier.tree());
+    let mut step = StepModel::new(spec, &cfg.model, cfg.sparsity, cfg.tp, spec_cfg);
+    let tree_nodes = step.verifier().tree().nodes();
+    let draft_tokens_req = spec_cfg
+        .draft
+        .draft_tokens_per_request(step.verifier().tree());
     // Admission must also fit each candidate tree's KV entries: every
     // speculative request holds `nodes` extra cache slots between draft
-    // and rollback. The degenerate tree adds zero, reproducing the
-    // incremental cap exactly.
-    let (max_in, max_out) = cfg.mix.max_lengths((cfg.input_len, cfg.output_len));
-    let mem_cap = concurrency_cap(
-        spec,
-        &cfg.model,
-        cfg.framework,
-        cfg.sparsity,
-        cfg.tp,
-        max_in + max_out + tree_nodes,
-    );
+    // and rollback. The degenerate tree adds zero.
+    let mem_cap = memory_concurrency_cap(spec, cfg, tree_nodes);
     assert!(
         mem_cap >= 1,
         "{} via {:?} on {}x{} cannot fit a single request with a {}-node tree",
@@ -491,46 +403,10 @@ pub fn serve_spec_ctx(
     );
     let cap = mem_cap.min(cfg.max_batch).max(1);
 
-    let mut lin_cache: HashMap<usize, f64> = HashMap::new();
-    let mut lin = |n: usize| {
-        *lin_cache.entry(n).or_insert_with(|| {
-            linear_pass_sec(spec, &cfg.model, cfg.framework, cfg.sparsity, cfg.tp, n)
-        })
-    };
-    let mut prefill_cache: HashMap<usize, f64> = HashMap::new();
-    let mut prefill_cost = |tokens: usize| {
-        let tokens = tokens.max(1);
-        *prefill_cache.entry(tokens).or_insert_with(|| {
-            linear_pass_sec(
-                spec,
-                &cfg.model,
-                cfg.framework,
-                cfg.sparsity,
-                cfg.tp,
-                tokens,
-            ) + decode_overhead_sec(spec, &cfg.model, cfg.framework, cfg.tp, 1, tokens)
-        })
-    };
-    // Per-speculative-batch draft cost, memoised like the target passes.
-    let mut draft_cache: HashMap<usize, f64> = HashMap::new();
-    let mut draft_sec_of = |sb: usize| {
-        *draft_cache.entry(sb).or_insert_with(|| {
-            spec_cfg.draft.propose_sec(
-                spec,
-                &cfg.model,
-                cfg.framework,
-                cfg.sparsity,
-                cfg.tp,
-                sb,
-                verifier.tree(),
-            )
-        })
-    };
-
     let inter_arrival = 1.0 / cfg.arrival_rps.max(1e-9);
     let mut next_arrival = 0.0f64;
     let mut arrived = 0usize;
-    let mut queue: Vec<Request> = Vec::new();
+    let mut queue: VecDeque<Request> = VecDeque::new();
     let mut running: Vec<Request> = Vec::new();
     let mut latencies: Vec<f64> = Vec::new();
     let mut tokens_out = 0usize;
@@ -541,23 +417,27 @@ pub fn serve_spec_ctx(
     let mut stats = SpecStats::default();
 
     while now < cfg.duration_sec {
+        // Admit arrivals up to `now`.
         while next_arrival <= now {
             let (input_len, output_len) = cfg.mix.lengths(arrived, (cfg.input_len, cfg.output_len));
             let id = arrived as u64;
-            queue.push(Request {
+            queue.push_back(Request {
                 id,
                 arrival: next_arrival,
                 generated: 0,
                 input_len,
                 output_len,
-                speculative: verifier.speculates(id),
+                speculative: step.verifier().speculates(id),
             });
             arrived += 1;
             next_arrival = inter_arrival * arrived as f64;
         }
-        while running.len() < cap && !queue.is_empty() {
-            let r = queue.remove(0);
-            let cost = prefill_cost(r.input_len);
+        // Admit queued requests into the running batch (prefill each).
+        while running.len() < cap {
+            let Some(r) = queue.pop_front() else {
+                break;
+            };
+            let cost = step.prefill_sec(cfg.framework, r.input_len.max(1));
             if sink.is_some() {
                 spans.push(TraceEvent::span(
                     ENGINE,
@@ -578,6 +458,7 @@ pub fn serve_spec_ctx(
         max_concurrency = max_concurrency.max(running.len());
 
         if running.is_empty() {
+            // Idle until the next arrival.
             if next_arrival >= cfg.duration_sec {
                 break;
             }
@@ -589,20 +470,21 @@ pub fn serve_spec_ctx(
         // plan folds every request's candidates (or single token) into
         // one wide-N launch over the topology-attributed KV context.
         let b = running.len();
-        let plan = plan_step(
+        let StepCost {
+            plan,
+            draft_sec: draft,
+            verify_sec: verify,
+        } = step.price(
+            cfg.framework,
             running
                 .iter()
                 .map(|r| (r.speculative, r.input_len + r.generated + 1)),
-            verifier.tree(),
         );
-        let draft = draft_sec_of(plan.spec_batch);
-        let verify = lin(plan.verify_tokens)
-            + decode_overhead_sec(spec, &cfg.model, cfg.framework, cfg.tp, b, plan.sum_ctx);
-        let step = draft + verify;
+        let step_sec = draft + verify;
         if sink.is_some() {
             if plan.spec_batch == 0 {
                 spans.push(
-                    TraceEvent::span(ENGINE, "decode_iter", "phase", now * 1e6, step * 1e6)
+                    TraceEvent::span(ENGINE, "decode_iter", "phase", now * 1e6, step_sec * 1e6)
                         .with_arg("batch", b as f64),
                 );
             } else {
@@ -616,7 +498,7 @@ pub fn serve_spec_ctx(
                 );
             }
         }
-        now += step;
+        now += step_sec;
         iterations += 1;
         batch_sum += b as f64;
         stats.verify_tokens += plan.verify_tokens as u64;
@@ -625,24 +507,12 @@ pub fn serve_spec_ctx(
             stats.spec_iterations += 1;
             stats.draft_sec += draft;
             stats.draft_tokens += (plan.spec_batch * draft_tokens_req) as u64;
-            stats.proposed += (plan.spec_batch * tree_nodes) as u64;
         }
 
-        // Commit: speculative requests take their accepted prefix plus
-        // the bonus token and roll the rejected candidates back out of
-        // the KV cache; plain requests commit one token as before.
+        // Commit, then retire finished requests.
         let mut committed_now = 0usize;
         for r in running.iter_mut() {
-            let commit = if r.speculative && tree_nodes > 0 {
-                let remaining = r.output_len - r.generated;
-                let o = verifier.outcome(r.id, r.generated as u64, remaining);
-                stats.accepted += o.accepted as u64;
-                stats.bonus += 1;
-                stats.rolled_back += o.rolled_back as u64;
-                o.committed
-            } else {
-                1
-            };
+            let commit = step.commit(&mut stats, r.id, r.speculative, r.generated, r.output_len);
             r.generated += commit;
             committed_now += commit;
         }
@@ -723,7 +593,8 @@ mod tests {
     #[test]
     fn light_load_is_latency_dominated() {
         let spec = GpuSpec::rtx4090();
-        let r = serve(&spec, &cfg(Framework::SpInfer, 0.2));
+        let ctx = LaunchCtx::new(&spec);
+        let r = serve_ctx(&ctx, &cfg(Framework::SpInfer, 0.2));
         assert!(r.completed >= 8, "completed {}", r.completed);
         // At 0.2 rps the server keeps up: throughput ≈ arrival rate.
         assert!(
@@ -737,8 +608,9 @@ mod tests {
     #[test]
     fn heavy_load_saturates_and_batches() {
         let spec = GpuSpec::rtx4090();
-        let light = serve(&spec, &cfg(Framework::SpInfer, 0.2));
-        let heavy = serve(&spec, &cfg(Framework::SpInfer, 50.0));
+        let ctx = LaunchCtx::new(&spec);
+        let light = serve_ctx(&ctx, &cfg(Framework::SpInfer, 0.2));
+        let heavy = serve_ctx(&ctx, &cfg(Framework::SpInfer, 50.0));
         assert!(heavy.mean_batch > 8.0, "mean batch {}", heavy.mean_batch);
         assert!(heavy.tokens_per_sec > 3.0 * light.tokens_per_sec);
         // Overload: queueing delay pushes latency far past service time.
@@ -749,9 +621,10 @@ mod tests {
     #[test]
     fn spinfer_sustains_more_load_than_dense() {
         let spec = GpuSpec::rtx4090();
+        let ctx = LaunchCtx::new(&spec);
         let rate = 50.0; // Overload both; compare saturated throughput.
-        let sp = serve(&spec, &cfg(Framework::SpInfer, rate));
-        let ft = serve(&spec, &cfg(Framework::FasterTransformer, rate));
+        let sp = serve_ctx(&ctx, &cfg(Framework::SpInfer, rate));
+        let ft = serve_ctx(&ctx, &cfg(Framework::FasterTransformer, rate));
         assert!(
             sp.tokens_per_sec > 1.15 * ft.tokens_per_sec,
             "SpInfer {} vs FT {}",
@@ -763,22 +636,24 @@ mod tests {
     #[test]
     fn memory_cap_bounds_concurrency() {
         let spec = GpuSpec::rtx4090();
+        let ctx = LaunchCtx::new(&spec);
         // Single GPU: dense 13B cannot serve at all; SpInfer can.
         let mut c = cfg(Framework::SpInfer, 50.0);
         c.tp = 1;
-        let r = serve(&spec, &c);
+        let r = serve_ctx(&ctx, &c);
         assert!(r.max_concurrency >= 1);
         assert!(r.max_concurrency <= 32);
-        let cap = memory_concurrency_cap(&spec, &c);
+        let cap = memory_concurrency_cap(&spec, &c, 0);
         assert!(r.max_concurrency <= cap.min(32));
     }
 
     #[test]
     fn mixed_lengths_complete_and_differ_in_latency() {
         let spec = GpuSpec::rtx4090();
+        let ctx = LaunchCtx::new(&spec);
         let mut c = cfg(Framework::SpInfer, 2.0);
         c.mix = LengthMix::RoundRobin(vec![(32, 32), (256, 512)]);
-        let r = serve(&spec, &c);
+        let r = serve_ctx(&ctx, &c);
         assert!(r.completed > 10, "completed {}", r.completed);
         // Long requests stretch the tail: p95 well above the mean.
         assert!(
@@ -792,33 +667,31 @@ mod tests {
     #[test]
     fn empty_round_robin_mix_is_a_typed_error_not_a_panic() {
         let spec = GpuSpec::rtx4090();
+        let ctx = LaunchCtx::new(&spec);
         let mut c = cfg(Framework::SpInfer, 2.0);
         c.mix = LengthMix::RoundRobin(vec![]);
         // Config-time validation rejects it...
         assert_eq!(c.validate(), Err(SpinferError::EmptyLengthMix));
-        assert_eq!(
-            serve_checked(&spec, &c).unwrap_err(),
-            SpinferError::EmptyLengthMix
-        );
         // ...and even the unchecked loop no longer divides by zero: the
         // defensive fallback serves the config's uniform lengths.
-        let degenerate = serve(&spec, &c);
+        let degenerate = serve_ctx(&ctx, &c);
         c.mix = LengthMix::Uniform;
-        let uniform = serve(&spec, &c);
+        let uniform = serve_ctx(&ctx, &c);
         assert_eq!(degenerate.completed, uniform.completed);
         // A populated mix and a Uniform mix both validate.
         assert!(LengthMix::Uniform.validate().is_ok());
         assert!(LengthMix::RoundRobin(vec![(8, 8)]).validate().is_ok());
-        assert!(serve_checked(&spec, &c).is_ok());
+        assert!(c.validate().is_ok());
     }
 
     #[test]
     #[should_panic(expected = "cannot fit")]
     fn infeasible_deployment_panics() {
         let spec = GpuSpec::rtx4090();
+        let ctx = LaunchCtx::new(&spec);
         let mut c = cfg(Framework::FasterTransformer, 1.0);
         c.tp = 1; // Dense OPT-13B does not fit one 24 GB GPU.
-        serve(&spec, &c);
+        serve_ctx(&ctx, &c);
     }
 
     /// The linear probe the binary search replaced, kept as the oracle.
@@ -855,7 +728,7 @@ mod tests {
                 let mut c = cfg(fw, 1.0);
                 c.tp = tp;
                 assert_eq!(
-                    memory_concurrency_cap(&spec, &c),
+                    memory_concurrency_cap(&spec, &c, 0),
                     linear_cap_oracle(&spec, &c),
                     "{fw:?} tp={tp}"
                 );
@@ -865,37 +738,18 @@ mod tests {
         let mut c = cfg(Framework::SpInfer, 1.0);
         c.mix = LengthMix::RoundRobin(vec![(32, 32), (256, 512)]);
         assert_eq!(
-            memory_concurrency_cap(&spec, &c),
+            memory_concurrency_cap(&spec, &c, 0),
             linear_cap_oracle(&spec, &c)
         );
     }
 
     #[test]
-    fn serve_ctx_is_the_one_body_behind_both_wrappers() {
-        let spec = GpuSpec::rtx4090();
-        let c = cfg(Framework::SpInfer, 2.0);
-        let plain = serve(&spec, &c);
-        let via_ctx = serve_ctx(&LaunchCtx::new(&spec), &c);
-        assert_eq!(plain.completed, via_ctx.completed);
-        assert_eq!(
-            plain.tokens_per_sec.to_bits(),
-            via_ctx.tokens_per_sec.to_bits()
-        );
-        // A sink attached through the context records the same spans as
-        // the `serve_with` wrapper.
-        let s1 = gpu_sim::trace::TraceSink::new();
-        let s2 = gpu_sim::trace::TraceSink::new();
-        serve_with(&spec, &c, Some(&s1));
-        serve_ctx(&LaunchCtx::new(&spec).with_sink(&s2), &c);
-        assert_eq!(s1.finish().events.len(), s2.finish().events.len());
-    }
-
-    #[test]
     fn degenerate_spec_collapses_onto_incremental_bitwise() {
         let spec = GpuSpec::rtx4090();
+        let ctx = LaunchCtx::new(&spec);
         let c = cfg(Framework::SpInfer, 2.0);
-        let plain = serve(&spec, &c);
-        let r = serve_spec(&spec, &c, &SpecConfig::degenerate());
+        let plain = serve_ctx(&ctx, &c);
+        let r = serve_spec_ctx(&ctx, &c, &SpecConfig::degenerate());
         assert_eq!(plain.completed, r.serving.completed);
         assert_eq!(plain.in_flight, r.serving.in_flight);
         assert_eq!(plain.iterations, r.serving.iterations);
@@ -930,7 +784,7 @@ mod tests {
         let spec = GpuSpec::rtx4090();
         let c = cfg(Framework::SpInfer, 2.0);
         let s_plain = TraceSink::new();
-        serve_with(&spec, &c, Some(&s_plain));
+        serve_ctx(&LaunchCtx::new(&spec).with_sink(&s_plain), &c);
         let s_spec = TraceSink::new();
         serve_spec_ctx(
             &LaunchCtx::new(&spec).with_sink(&s_spec),
@@ -950,10 +804,11 @@ mod tests {
     #[test]
     fn high_acceptance_beats_incremental_and_zero_acceptance_loses() {
         let spec = GpuSpec::rtx4090();
+        let ctx = LaunchCtx::new(&spec);
         let c = cfg(Framework::SpInfer, 50.0); // saturated: batching regime
-        let plain = serve(&spec, &c);
-        let fast = serve_spec(
-            &spec,
+        let plain = serve_ctx(&ctx, &c);
+        let fast = serve_spec_ctx(
+            &ctx,
             &c,
             &SpecConfig {
                 acceptance_rate: 0.8,
@@ -974,8 +829,8 @@ mod tests {
         assert!(fast.stats.observed_acceptance() <= 0.375);
         // Rejecting every candidate still pays for drafting and the
         // 9×-wide verify launches: strictly worse than incremental.
-        let slow = serve_spec(
-            &spec,
+        let slow = serve_spec_ctx(
+            &ctx,
             &c,
             &SpecConfig {
                 acceptance_rate: 0.0,
@@ -995,9 +850,10 @@ mod tests {
     #[test]
     fn mixed_share_splits_the_batch_and_commits_within_bounds() {
         let spec = GpuSpec::rtx4090();
+        let ctx = LaunchCtx::new(&spec);
         let c = cfg(Framework::SpInfer, 10.0);
-        let r = serve_spec(
-            &spec,
+        let r = serve_spec_ctx(
+            &ctx,
             &c,
             &SpecConfig {
                 spec_share: 0.5,
@@ -1010,6 +866,48 @@ mod tests {
         // tokens are bounded by completed-and-running demand.
         let max_tokens = (r.serving.completed + r.serving.in_flight) * c.output_len;
         assert!(r.stats.accepted + r.stats.bonus <= max_tokens as u64);
+    }
+
+    #[test]
+    fn step_model_memoises_per_framework_and_width() {
+        // A memo keyed by `n` alone would hand the second framework the
+        // first one's costs — the fleet's fallback rung priced at the
+        // primary rung's speed. Revisiting the first framework checks
+        // the memo hit as well as the miss.
+        let spec = GpuSpec::rtx4090();
+        let model = ModelConfig::opt_13b();
+        let spec_cfg = SpecConfig::default();
+        let tree = spec_cfg.shape.build();
+        let (sparsity, tp, n, ctx_len) = (0.6, 2, 16, 100);
+        let mut step = StepModel::new(&spec, &model, sparsity, tp, &spec_cfg);
+        let mut costs = Vec::new();
+        for fw in [
+            Framework::SpInfer,
+            Framework::FasterTransformer,
+            Framework::SpInfer,
+        ] {
+            let prefill = step.prefill_sec(fw, n);
+            let direct = linear_pass_sec(&spec, &model, fw, sparsity, tp, n)
+                + decode_overhead_sec(&spec, &model, fw, tp, 1, n);
+            assert_eq!(prefill.to_bits(), direct.to_bits(), "{fw:?} prefill");
+
+            let cost = step.price(fw, vec![(true, ctx_len); n]);
+            let plan = plan_step(vec![(true, ctx_len); n], &tree);
+            assert_eq!(cost.plan, plan);
+            let verify = linear_pass_sec(&spec, &model, fw, sparsity, tp, plan.verify_tokens)
+                + decode_overhead_sec(&spec, &model, fw, tp, n, plan.sum_ctx);
+            assert_eq!(cost.verify_sec.to_bits(), verify.to_bits(), "{fw:?} verify");
+            let draft = spec_cfg
+                .draft
+                .propose_sec(&spec, &model, fw, sparsity, tp, n, &tree);
+            assert_eq!(cost.draft_sec.to_bits(), draft.to_bits(), "{fw:?} draft");
+            costs.push((prefill, cost.verify_sec, cost.draft_sec));
+        }
+        let (sp, ft) = (costs[0], costs[1]);
+        assert_ne!(sp.0, ft.0, "prefill must differ by framework");
+        assert_ne!(sp.1, ft.1, "verify must differ by framework");
+        assert_ne!(sp.2, ft.2, "draft must differ by framework");
+        assert_eq!(costs[0], costs[2]);
     }
 
     #[test]
@@ -1029,10 +927,11 @@ mod tests {
     fn traced_serve_matches_untraced_and_covers_the_horizon() {
         use gpu_sim::trace::{EventKind, TraceSink};
         let spec = GpuSpec::rtx4090();
+        let ctx = LaunchCtx::new(&spec);
         let c = cfg(Framework::SpInfer, 2.0);
-        let plain = serve(&spec, &c);
+        let plain = serve_ctx(&ctx, &c);
         let sink = TraceSink::new();
-        let traced = serve_with(&spec, &c, Some(&sink));
+        let traced = serve_ctx(&LaunchCtx::new(&spec).with_sink(&sink), &c);
         // Tracing only records — the report is bit-identical.
         assert_eq!(plain.completed, traced.completed);
         assert_eq!(

@@ -9,10 +9,12 @@
 //! kernel wide-N efficiency into end-to-end tokens/s.
 //!
 //! The subsystem is deterministic end to end: the tree topology is a
-//! pure function of its [`TreeShape`], acceptance decisions are pure
-//! seed hashes ([`AcceptanceModel`]), and the serving integration in
-//! [`crate::serving::serve_spec_ctx`] mirrors the incremental loop's
-//! arithmetic so the degenerate config collapses onto it bit-for-bit.
+//! pure function of its [`TreeShape`], and acceptance decisions are pure
+//! seed hashes ([`AcceptanceModel`]). [`crate::serving::serve_spec_ctx`]
+//! is the one serving loop: incremental decode
+//! ([`crate::serving::serve_ctx`]) is that loop under
+//! [`SpecConfig::degenerate`], and the fleet prices its replica steps
+//! through the same step model.
 //!
 //! Module layout: [`tree`] (topology + KV attribution), [`draft`]
 //! (draft-model cost), [`policy`] (acceptance sampler), [`verify`]

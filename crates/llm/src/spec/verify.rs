@@ -8,11 +8,10 @@
 //! site-hashed acceptance draws into per-request commit/rollback
 //! outcomes.
 //!
-//! The planner's arithmetic deliberately mirrors the incremental decode
-//! iteration in [`crate::serving`]: with the degenerate tree every
-//! request contributes 1 verify token and `base` context, so the plan
-//! — and therefore the priced step time — is bit-identical to the
-//! non-speculative path.
+//! Incremental decode is the degenerate case of this plan: with an empty
+//! tree (or a plain request) every request contributes 1 verify token
+//! and its `base` context, so the serving loop and the fleet price both
+//! kinds of step through it.
 
 use super::policy::AcceptanceModel;
 use super::tree::TokenTree;
@@ -33,7 +32,9 @@ pub struct StepPlan {
 
 /// Plans one decode iteration: `requests` yields, per running request,
 /// whether it speculates this step and the `base` context an
-/// incremental step would read for it (`input_len + generated + 1`).
+/// incremental step would read for it (the caller's choice: the serving
+/// loop passes `input_len + generated + 1`, the fleet
+/// `input_len + generated`).
 pub fn plan_step<I>(requests: I, tree: &TokenTree) -> StepPlan
 where
     I: IntoIterator<Item = (bool, usize)>,
