@@ -1,19 +1,22 @@
 #!/usr/bin/env bash
-# Perf snapshot: build the release CLI and record host wall-clock +
-# simulated kernel times for the fig01 hero shape into BENCH_kernels.json.
+# Simulated-clock snapshot: build the release CLI and write the hero
+# shape's output checksum and simulated kernel times (µs) as JSON.
 #
 #   scripts/bench_snapshot.sh [--out FILE] [extra `spinfer snapshot` args]
 #
-# The JSON is the perf trajectory artifact committed at the repo root; CI
-# runs this script and prints the result so every PR's wall-clock numbers
-# are recorded. Rewriting an existing file appends its previous
-# measurement (git rev + wall-clock map) to the `history` array, so the
-# whole `wall_clock_s.spinfer_functional_jobs1` trajectory reads straight
-# out of BENCH_kernels.json.
+# Every value is printed in round-trip form, so equal text means equal
+# f64 bits. CI regenerates the snapshot and compares it with the
+# committed BENCH_kernels.json:
 #
-# The CLI is built with the explicit-SIMD MAC panels (`gpu-sim/simd`) —
-# the configuration whose wall-clock the trajectory records; results are
-# bit-identical to the scalar build (pinned in tests/simd_equiv.rs).
+#   ./scripts/bench_snapshot.sh --out /tmp/snap.json && diff -u BENCH_kernels.json /tmp/snap.json
+#
+# Any difference means a simulated result moved: fix the change, or
+# regenerate BENCH_kernels.json on purpose and say why. Host wall-clock
+# is not recorded here; perfbench/ measures it with paired runs.
+#
+# The CLI is built with the explicit-SIMD MAC panels (`gpu-sim/simd`);
+# results are bit-identical to the scalar build (pinned in
+# tests/simd_equiv.rs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
