@@ -207,6 +207,12 @@ pub fn reduction_launch(spec: &GpuSpec, elems: usize, split_k: usize) -> LaunchR
     LaunchResult::from_execution("splitk_reduce", spec, shape, c, &[])
 }
 
+/// Non-zeros of an `m×k` matrix at `sparsity`, rounded to nearest —
+/// the count every synthetic estimate prices.
+pub fn synthetic_nnz(m: usize, k: usize, sparsity: f64) -> usize {
+    ((m * k) as f64 * (1.0 - sparsity)).round() as usize
+}
+
 /// Pads `n` up to a multiple of 8 (the `mma` N granularity).
 pub fn pad8(n: usize) -> usize {
     n.max(8).div_ceil(8) * 8

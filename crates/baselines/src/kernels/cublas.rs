@@ -114,6 +114,18 @@ impl SpmmKernel for CublasGemm {
         w.clone()
     }
 
+    /// Dense: the weight sparsity does not change the work.
+    fn estimate_synthetic(
+        &self,
+        spec: &GpuSpec,
+        m: usize,
+        k: usize,
+        n: usize,
+        _sparsity: f64,
+    ) -> SpmmRun {
+        self.estimate(spec, m, k, n)
+    }
+
     fn launch(
         &self,
         ctx: &LaunchCtx<'_>,

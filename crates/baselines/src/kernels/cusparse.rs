@@ -15,7 +15,7 @@
 use crate::formats::csr::Csr;
 use crate::kernels::common::{
     check_k, cuda_fma_work, finish_launch, gather, pad8, single_launch, store_output,
-    stream_ldg_via_rf, validate_offsets,
+    stream_ldg_via_rf, synthetic_nnz, validate_offsets,
 };
 use gpu_sim::counters::Counters;
 use gpu_sim::matrix::DenseMatrix;
@@ -113,6 +113,17 @@ impl SpmmKernel for CusparseSpmm {
             .into());
         }
         Ok(())
+    }
+
+    fn estimate_synthetic(
+        &self,
+        spec: &GpuSpec,
+        m: usize,
+        k: usize,
+        n: usize,
+        sparsity: f64,
+    ) -> SpmmRun {
+        self.estimate(spec, m, k, n, synthetic_nnz(m, k, sparsity))
     }
 
     fn launch(

@@ -16,7 +16,8 @@
 use crate::formats::tiled_csl::{TiledCsl, TILE_COLS, TILE_ROWS};
 use crate::kernels::common::{
     auto_split_k, check_k, finish_launch, pad8, reduction_launch, sector_span, single_launch,
-    store_output, stream_ldg_via_rf, stream_ldgsts, tensor_core_work, validate_offsets,
+    store_output, stream_ldg_via_rf, stream_ldgsts, synthetic_nnz, tensor_core_work,
+    validate_offsets,
 };
 use gpu_sim::counters::Counters;
 use gpu_sim::exec::CounterShard;
@@ -99,7 +100,7 @@ impl FlashLlmStats {
         FlashLlmStats {
             m,
             k,
-            nnz: ((m * k) as f64 * (1.0 - sparsity)).round() as usize,
+            nnz: synthetic_nnz(m, k, sparsity),
             scatter_degree: EXPECTED_SCATTER_DEGREE,
         }
     }
@@ -212,6 +213,17 @@ impl SpmmKernel for FlashLlmSpmm {
             .into());
         }
         Ok(())
+    }
+
+    fn estimate_synthetic(
+        &self,
+        spec: &GpuSpec,
+        m: usize,
+        k: usize,
+        n: usize,
+        sparsity: f64,
+    ) -> SpmmRun {
+        self.estimate(spec, &FlashLlmStats::synthetic(m, k, sparsity), n)
     }
 
     fn launch(

@@ -151,6 +151,17 @@ impl SpmmKernel for SmatSpmm {
         )
     }
 
+    fn estimate_synthetic(
+        &self,
+        spec: &GpuSpec,
+        m: usize,
+        k: usize,
+        n: usize,
+        sparsity: f64,
+    ) -> SpmmRun {
+        self.estimate(spec, &SmatStats::synthetic_uniform(m, k, sparsity), n)
+    }
+
     fn launch(
         &self,
         ctx: &LaunchCtx<'_>,

@@ -182,6 +182,17 @@ impl SpmmKernel for SpartaSpmm {
         )
     }
 
+    fn estimate_synthetic(
+        &self,
+        spec: &GpuSpec,
+        m: usize,
+        k: usize,
+        n: usize,
+        sparsity: f64,
+    ) -> SpmmRun {
+        self.estimate(spec, &SpartaStats::synthetic(m, k, sparsity), n)
+    }
+
     fn launch(
         &self,
         ctx: &LaunchCtx<'_>,

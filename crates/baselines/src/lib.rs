@@ -15,8 +15,8 @@
 //! Every kernel implements the [`spinfer_core::spmm::SpmmKernel`]
 //! contract — `encode` into its format, `launch` against a
 //! [`spinfer_core::spmm::LaunchCtx`] (tracing and validation compose
-//! through the context) — plus a kernel-specific analytic `estimate`
-//! (same counters from format statistics) for paper-scale sweeps. The
+//! through the context), and `estimate_synthetic` (the same counters
+//! from synthetic format statistics) for paper-scale sweeps. The
 //! [`registry()`] lists them all as type-erased handles; resolve one with
 //! [`kernel_by_name`].
 
@@ -31,4 +31,4 @@ pub use kernels::{
     SpartaStats, SputnikSpmm,
 };
 pub use registry::{kernel_by_name, registry};
-pub use selector::{select, Route, Selection};
+pub use selector::{select, Selection};

@@ -1,11 +1,12 @@
-//! The kernel registry: every SpMM kernel in the repo — SpInfer and the
-//! six baselines — as a type-erased [`DynSpmmKernel`], addressable by
-//! its paper-figure label.
+//! The kernel registry: every SpMM kernel in the repo — SpInfer at both
+//! payload precisions and the six baselines — as a type-erased
+//! [`DynSpmmKernel`], addressable by its paper-figure label.
 //!
 //! This is the one place that knows the full kernel roster. Sweeps, the
-//! CLI, and the selector resolve kernels by name through
-//! [`kernel_by_name`] instead of matching on concrete types, so adding
-//! a kernel means adding one registry line.
+//! CLI, the snapshot and the serving profiles resolve kernels by name
+//! through [`kernel_by_name`] and price them through
+//! `estimate_synthetic` instead of matching on concrete types, so adding
+//! a kernel means its `SpmmKernel` impl plus one registry line.
 
 use spinfer_core::spmm::DynSpmmKernel;
 use spinfer_core::{SpinferError, SpinferSpmm, SpinferSpmmInt8};

@@ -11,73 +11,23 @@ use crate::formats::bcsr::Bcsr;
 use crate::formats::csr::Csr;
 use crate::kernels::smat::{SmatSpmm, SmatStats};
 use crate::kernels::sputnik::SputnikSpmm;
-use crate::registry::kernel_by_name;
 use gpu_sim::matrix::DenseMatrix;
 use gpu_sim::spec::GpuSpec;
-use spinfer_core::spmm::DynSpmmKernel;
-use spinfer_core::{FormatStats, SpinferError, SpinferSpmm, TcaBme};
-
-/// The routing decision for one weight matrix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Route {
-    /// TCA-BME + SpInfer-SpMM (the LLM-sparsity regime).
-    TcaBmeSpInfer,
-    /// CSR + Sputnik-style CUDA-core SpMM (extreme unstructured sparsity).
-    CsrSputnik,
-    /// BCSR + SMaT-style block-skipping Tensor-Core SpMM (clustered).
-    BcsrSmat,
-}
-
-impl Route {
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Route::TcaBmeSpInfer => "TCA-BME/SpInfer",
-            Route::CsrSputnik => "CSR/Sputnik",
-            Route::BcsrSmat => "BCSR/SMaT",
-        }
-    }
-
-    /// The registered name of the kernel this route executes with
-    /// (resolvable through [`crate::kernel_by_name`]).
-    pub fn kernel_name(self) -> &'static str {
-        match self {
-            Route::TcaBmeSpInfer => "SpInfer",
-            Route::CsrSputnik => "Sputnik",
-            Route::BcsrSmat => "SMaT",
-        }
-    }
-}
+use spinfer_core::{FormatStats, SpinferSpmm, TcaBme};
 
 /// A routing decision with its predictions.
 #[derive(Clone, Debug)]
 pub struct Selection {
-    /// Chosen route.
-    pub route: Route,
+    /// Registered name of the chosen kernel (resolvable through
+    /// [`crate::kernel_by_name`]): `"SpInfer"` on TCA-BME, `"Sputnik"`
+    /// on CSR, or `"SMaT"` on BCSR.
+    pub kernel: &'static str,
     /// Predicted kernel time for batch `n`, microseconds.
     pub predicted_us: f64,
     /// Stored bytes under the chosen format.
     pub storage_bytes: usize,
-    /// Every candidate `(route, predicted_us, storage_bytes)`.
-    pub candidates: Vec<(Route, f64, usize)>,
-}
-
-impl Selection {
-    /// Resolves the chosen route to its registered kernel, ready to
-    /// encode and launch through the [`SpmmKernel`] contract.
-    ///
-    /// [`SpmmKernel`]: spinfer_core::spmm::SpmmKernel
-    pub fn kernel(&self) -> DynSpmmKernel {
-        resolve(self.route.kernel_name()).expect("every route names a registered kernel")
-    }
-}
-
-/// Resolves a kernel by registered name through the registry, returning
-/// a typed [`SpinferError::UnknownKernel`] for unrecognized names
-/// instead of panicking — CLI and sweep string plumbing funnels through
-/// here.
-pub fn resolve(name: &str) -> Result<DynSpmmKernel, SpinferError> {
-    kernel_by_name(name)
+    /// Every candidate `(kernel name, predicted_us, storage_bytes)`.
+    pub candidates: Vec<(&'static str, f64, usize)>,
 }
 
 /// Routes a matrix by *measured* pattern statistics: encodes candidates,
@@ -88,11 +38,11 @@ pub fn resolve(name: &str) -> Result<DynSpmmKernel, SpinferError> {
 /// ```
 /// use gpu_sim::matrix::{random_sparse, ValueDist};
 /// use gpu_sim::GpuSpec;
-/// use spinfer_baselines::{select, Route};
+/// use spinfer_baselines::select;
 ///
 /// let w = random_sparse(256, 256, 0.55, ValueDist::Uniform, 0);
 /// let sel = select(&GpuSpec::rtx4090(), &w, 16);
-/// assert_eq!(sel.route, Route::TcaBmeSpInfer); // LLM-band sparsity.
+/// assert_eq!(sel.kernel, "SpInfer"); // LLM-band sparsity.
 /// ```
 pub fn select(spec: &GpuSpec, matrix: &DenseMatrix, n: usize) -> Selection {
     let m = matrix.rows();
@@ -118,9 +68,9 @@ pub fn select(spec: &GpuSpec, matrix: &DenseMatrix, n: usize) -> Selection {
     let bcsr_bytes = bcsr.storage_bytes();
 
     let candidates = vec![
-        (Route::TcaBmeSpInfer, bme_time, bme_bytes),
-        (Route::CsrSputnik, csr_time, csr_bytes),
-        (Route::BcsrSmat, smat_time, bcsr_bytes),
+        ("SpInfer", bme_time, bme_bytes),
+        ("Sputnik", csr_time, csr_bytes),
+        ("SMaT", smat_time, bcsr_bytes),
     ];
     let mut best = candidates[0];
     for c in &candidates[1..] {
@@ -131,7 +81,7 @@ pub fn select(spec: &GpuSpec, matrix: &DenseMatrix, n: usize) -> Selection {
         }
     }
     Selection {
-        route: best.0,
+        kernel: best.0,
         predicted_us: best.1,
         storage_bytes: best.2,
         candidates,
@@ -149,7 +99,7 @@ mod tests {
         for &s in &[0.4, 0.5, 0.6, 0.7] {
             let m = random_sparse(1024, 1024, s, ValueDist::Uniform, 71);
             let sel = select(&spec, &m, 16);
-            assert_eq!(sel.route, Route::TcaBmeSpInfer, "sparsity {s}");
+            assert_eq!(sel.kernel, "SpInfer", "sparsity {s}");
         }
     }
 
@@ -160,7 +110,7 @@ mod tests {
         let spec = GpuSpec::rtx4090();
         let m = random_sparse(2048, 2048, 0.998, ValueDist::Uniform, 72);
         let sel = select(&spec, &m, 16);
-        assert_ne!(sel.route, Route::TcaBmeSpInfer, "chose {:?}", sel.route);
+        assert_ne!(sel.kernel, "SpInfer", "chose {}", sel.kernel);
     }
 
     #[test]
@@ -168,16 +118,16 @@ mod tests {
         let spec = GpuSpec::rtx4090();
         let m = random_sparse_clustered(2048, 2048, 16, 0.01, 0.7, ValueDist::Uniform, 73);
         let sel = select(&spec, &m, 16);
-        assert_eq!(sel.route, Route::BcsrSmat, "chose {:?}", sel.route);
+        assert_eq!(sel.kernel, "SMaT", "chose {}", sel.kernel);
     }
 
     #[test]
-    fn routes_resolve_through_the_registry() {
+    fn selections_resolve_through_the_registry() {
         let spec = GpuSpec::rtx4090();
         let m = random_sparse(512, 512, 0.5, ValueDist::Uniform, 75);
         let sel = select(&spec, &m, 16);
-        let kernel = sel.kernel();
-        assert_eq!(kernel.name(), sel.route.kernel_name());
+        let kernel = crate::kernel_by_name(sel.kernel).expect("selected kernel is registered");
+        assert_eq!(kernel.name(), sel.kernel);
         // The resolved kernel actually launches on the routed matrix.
         // SpInfer accumulates in tile order, so compare with tolerance.
         let x = gpu_sim::matrix::random_dense(512, 8, ValueDist::Uniform, 76);
@@ -187,10 +137,12 @@ mod tests {
     }
 
     #[test]
-    fn unrecognized_kernel_name_is_a_typed_error_not_a_panic() {
-        match resolve("TurboSpmm") {
-            Err(SpinferError::UnknownKernel { name }) => assert_eq!(name, "TurboSpmm"),
-            other => panic!("expected UnknownKernel, got {other:?}"),
+    fn every_candidate_names_a_registered_kernel() {
+        let spec = GpuSpec::rtx4090();
+        let m = random_sparse(256, 256, 0.5, ValueDist::Uniform, 77);
+        for (name, _, _) in select(&spec, &m, 16).candidates {
+            let kernel = crate::kernel_by_name(name).expect("candidate is registered");
+            assert_eq!(kernel.name(), name);
         }
     }
 

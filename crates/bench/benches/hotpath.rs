@@ -196,10 +196,9 @@ fn bench_fp16(c: &mut Criterion) {
 
 /// Setup-pipeline benchmarks: weight generation, the TCA-BME / CSR
 /// encoders (each fast path next to its retained serial oracle) and
-/// the Wanda / magnitude pruners' selection kernel —
-/// the host wall-clock the hero `generate+encode` budget gates at
-/// full scale (`spinfer snapshot --budget`), measured here at a shape
-/// small enough for per-PR iteration.
+/// the Wanda / magnitude pruners' selection kernel — the host
+/// wall-clock that `perfbench/` measures at full scale in its setup
+/// phase, measured here at a shape small enough for quick iteration.
 fn bench_setup(c: &mut Criterion) {
     const M: usize = 1024;
     const K: usize = 1024;

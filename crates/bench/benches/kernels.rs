@@ -11,24 +11,30 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gpu_sim::matrix::{random_dense, random_sparse, ValueDist};
 use gpu_sim::GpuSpec;
-use spinfer_bench::{KernelKind, HERO_K, HERO_M};
+use spinfer_bench::{kernels, HERO_K, HERO_M};
 use spinfer_core::{SpMMHandle, TcaBme};
 use std::hint::black_box;
 
 fn bench_estimates(c: &mut Criterion) {
     let spec = GpuSpec::rtx4090();
     let mut g = c.benchmark_group("estimate");
-    for kind in [
-        KernelKind::CublasTc,
-        KernelKind::SpInfer,
-        KernelKind::FlashLlm,
-        KernelKind::SparTa,
-        KernelKind::Sputnik,
-        KernelKind::CuSparse,
-        KernelKind::Smat,
-    ] {
-        g.bench_function(kind.label(), |b| {
-            b.iter(|| black_box(kind.time_us(&spec, HERO_M, HERO_K, 16, 0.6)))
+    for kernel in kernels([
+        "cuBLAS_TC",
+        "SpInfer",
+        "Flash-LLM",
+        "SparTA",
+        "Sputnik",
+        "cuSPARSE",
+        "SMaT",
+    ]) {
+        g.bench_function(kernel.name(), |b| {
+            b.iter(|| {
+                black_box(
+                    kernel
+                        .estimate_synthetic(&spec, HERO_M, HERO_K, 16, 0.6)
+                        .time_us(),
+                )
+            })
         });
     }
     g.finish();

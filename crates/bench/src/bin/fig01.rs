@@ -3,23 +3,23 @@
 
 use gpu_sim::GpuSpec;
 use spinfer_bench::sweep::{self, SweepPoint};
-use spinfer_bench::{render_table, save_csv, KernelKind, HERO_K, HERO_M};
+use spinfer_bench::{kernels, render_table, save_csv, HERO_K, HERO_M};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     sweep::configure_jobs(&args);
     let spec = GpuSpec::rtx4090();
     let n = 16;
-    let kernels = [
-        KernelKind::CublasTc,
-        KernelKind::CuSparse,
-        KernelKind::Sputnik,
-        KernelKind::SparTa,
-        KernelKind::FlashLlm,
-        KernelKind::SpInfer,
-    ];
+    let kernels = kernels([
+        "cuBLAS_TC",
+        "cuSPARSE",
+        "Sputnik",
+        "SparTA",
+        "Flash-LLM",
+        "SpInfer",
+    ]);
     let headers: Vec<&str> = std::iter::once("sparsity")
-        .chain(kernels.iter().map(|k| k.label()))
+        .chain(kernels.iter().map(|k| k.name()))
         .collect();
     let sparsities = [0.4, 0.5, 0.6, 0.7, 0.8];
 
@@ -29,12 +29,12 @@ fn main() {
     let points: Vec<SweepPoint> = sparsities
         .iter()
         .flat_map(|&s| {
-            kernels.iter().map(move |&kernel| SweepPoint {
+            kernels.iter().map(move |kernel| SweepPoint {
                 m: HERO_M,
                 k: HERO_K,
                 n,
                 sparsity: s,
-                kernel,
+                kernel: kernel.clone(),
             })
         })
         .collect();

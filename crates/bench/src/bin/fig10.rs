@@ -3,7 +3,9 @@
 //! RTX4090 and A6000.
 
 use gpu_sim::GpuSpec;
-use spinfer_bench::{figure10_shapes, geomean, render_table, save_csv, sweep, KernelKind};
+use spinfer_bench::{
+    figure10_shapes, geomean, kernels, render_table, save_csv, sweep, FIGURE10_KERNELS,
+};
 use std::collections::HashMap;
 
 fn main() {
@@ -23,11 +25,11 @@ struct Cell {
 }
 
 fn run_platform(spec: &GpuSpec) {
-    let kernels = KernelKind::figure10_roster();
-    let sparse_kernels: Vec<KernelKind> = kernels[1..].to_vec();
+    let roster = kernels(FIGURE10_KERNELS);
+    let (dense, sparse_kernels) = roster.split_first().expect("non-empty roster");
     let headers: Vec<&str> = ["model", "M", "K", "N", "sparsity"]
         .into_iter()
-        .chain(sparse_kernels.iter().map(|k| k.label()))
+        .chain(sparse_kernels.iter().map(|k| k.name()))
         .collect();
 
     // Fan (shape × N × sparsity) cells across host cores. Each cell is
@@ -43,7 +45,9 @@ fn run_platform(spec: &GpuSpec) {
         }
     }
     let cells = sweep::par_points(grid, |(shape, n, sp)| {
-        let base = KernelKind::CublasTc.time_us(spec, shape.m, shape.k, n, 0.5);
+        let base = dense
+            .estimate_synthetic(spec, shape.m, shape.k, n, 0.5)
+            .time_us();
         let s = f64::from(sp) / 100.0;
         let mut row = vec![
             shape.model.to_string(),
@@ -53,8 +57,10 @@ fn run_platform(spec: &GpuSpec) {
             format!("{sp}%"),
         ];
         let mut speedups = Vec::with_capacity(sparse_kernels.len());
-        for kind in &sparse_kernels {
-            let t = kind.time_us(spec, shape.m, shape.k, n, s);
+        for kernel in sparse_kernels {
+            let t = kernel
+                .estimate_synthetic(spec, shape.m, shape.k, n, s)
+                .time_us();
             let speedup = base / t;
             row.push(format!("{speedup:.2}"));
             speedups.push(speedup);
@@ -72,9 +78,9 @@ fn run_platform(spec: &GpuSpec) {
     let mut spinfer_wins = 0usize;
     let mut cases = 0usize;
     for cell in cells {
-        for (kind, &speedup) in sparse_kernels.iter().zip(&cell.speedups) {
-            per_kernel.entry(kind.label()).or_default().push(speedup);
-            if *kind == KernelKind::SpInfer {
+        for (kernel, &speedup) in sparse_kernels.iter().zip(&cell.speedups) {
+            per_kernel.entry(kernel.name()).or_default().push(speedup);
+            if kernel.name() == "SpInfer" {
                 per_sparsity
                     .entry(cell.sparsity_pct)
                     .or_default()
@@ -95,9 +101,9 @@ fn run_platform(spec: &GpuSpec) {
     );
     println!("{}", render_table(&headers, &rows));
     println!("Geomean speedup vs cuBLAS_TC on {}:", spec.name);
-    for kind in &sparse_kernels {
-        let g = geomean(&per_kernel[kind.label()]);
-        println!("  {:>10}: {:.2}x", kind.label(), g);
+    for kernel in sparse_kernels {
+        let g = geomean(&per_kernel[kernel.name()]);
+        println!("  {:>10}: {:.2}x", kernel.name(), g);
     }
     println!("SpInfer geomean by sparsity:");
     for sp in [40u32, 50, 60, 70] {

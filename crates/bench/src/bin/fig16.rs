@@ -3,7 +3,7 @@
 //! up to ~12% slower once the operation turns compute-bound.
 
 use gpu_sim::GpuSpec;
-use spinfer_bench::{render_table, save_csv, KernelKind, HERO_K, HERO_M};
+use spinfer_bench::{kernels, render_table, save_csv, HERO_K, HERO_M};
 
 fn main() {
     let spec = GpuSpec::rtx4090();
@@ -15,10 +15,15 @@ fn main() {
         "SpInfer (us)",
         "SpInfer speedup",
     ];
+    let [cublas, spinfer] = kernels(["cuBLAS_TC", "SpInfer"]);
     let mut rows = Vec::new();
     for &n in &[8usize, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192] {
-        let cb = KernelKind::CublasTc.time_us(&spec, HERO_M, HERO_K, n, s);
-        let sp = KernelKind::SpInfer.time_us(&spec, HERO_M, HERO_K, n, s);
+        let cb = cublas
+            .estimate_synthetic(&spec, HERO_M, HERO_K, n, s)
+            .time_us();
+        let sp = spinfer
+            .estimate_synthetic(&spec, HERO_M, HERO_K, n, s)
+            .time_us();
         let regime = if n <= 128 { "decode-ish" } else { "prefill" };
         rows.push(vec![
             n.to_string(),

@@ -17,7 +17,7 @@ use gpu_sim::exec;
 use gpu_sim::matrix::checksum_f32;
 use gpu_sim::GpuSpec;
 use spinfer_bench::sweep::{run_functional, EncodeCache, SweepPoint};
-use spinfer_bench::{KernelKind, HERO_K, HERO_M};
+use spinfer_bench::{kernels, HERO_K, HERO_M};
 
 /// The functional golden shape: large enough to cross GroupTile and
 /// split-K boundaries with ragged edges (900 and 720 are not multiples
@@ -31,18 +31,17 @@ const GOLDEN: (usize, usize, usize, f64, u64) = (900, 720, 20, 0.65, 1234);
 /// wide odd batch.
 const GOLDEN_N: [usize; 3] = [1, 16, 40];
 
-fn roster() -> [KernelKind; 8] {
-    [
-        KernelKind::CublasTc,
-        KernelKind::SpInfer,
-        KernelKind::FlashLlm,
-        KernelKind::SparTa,
-        KernelKind::Sputnik,
-        KernelKind::CuSparse,
-        KernelKind::Smat,
-        KernelKind::SpInferInt8,
-    ]
-}
+/// The registered names, in the order the test's tables list them.
+const PINNED: [&str; 8] = [
+    "cuBLAS_TC",
+    "SpInfer",
+    "Flash-LLM",
+    "SparTA",
+    "Sputnik",
+    "cuSPARSE",
+    "SMaT",
+    "SpInfer-INT8",
+];
 
 fn main() {
     let spec = GpuSpec::rtx4090();
@@ -56,7 +55,7 @@ fn main() {
     );
     println!("const GOLDEN_FUNCTIONAL: [(&str, u64, u64, u64); 8] = [");
     let cache = EncodeCache::new();
-    for kernel in roster() {
+    for kernel in kernels(PINNED) {
         let p = SweepPoint {
             m,
             k,
@@ -70,7 +69,7 @@ fn main() {
         let checksum = checksum_f32(run.output.as_ref().expect("functional output"));
         println!(
             "    (\"{}\", {:#018x}, {:#018x}, {:#018x}),",
-            kernel.label(),
+            p.kernel.name(),
             digest,
             time_bits,
             checksum
@@ -80,19 +79,19 @@ fn main() {
 
     println!("// SpInfer kernels at N = {GOLDEN_N:?} on the functional golden shape.");
     println!("const GOLDEN_FUNCTIONAL_N: [(&str, usize, u64, u64, u64); 6] = [");
-    for kernel in [KernelKind::SpInfer, KernelKind::SpInferInt8] {
+    for kernel in kernels(["SpInfer", "SpInfer-INT8"]) {
         for n in GOLDEN_N {
             let p = SweepPoint {
                 m,
                 k,
                 n,
                 sparsity,
-                kernel,
+                kernel: kernel.clone(),
             };
             let run = run_functional(&cache, &spec, &p, seed);
             println!(
                 "    (\"{}\", {n}, {:#018x}, {:#018x}, {:#018x}),",
-                kernel.label(),
+                kernel.name(),
                 run.chain.merged_counters().digest(),
                 run.time_us().to_bits(),
                 checksum_f32(run.output.as_ref().expect("functional output"))
@@ -105,9 +104,11 @@ fn main() {
         "// Analytic simulated time (µs, f64 bits) at the hero shape {HERO_M}x{HERO_K}x16 s=0.6."
     );
     println!("const GOLDEN_HERO_ANALYTIC: [(&str, u64); 8] = [");
-    for kernel in roster() {
-        let us = kernel.time_us(&spec, HERO_M, HERO_K, 16, 0.6);
-        println!("    (\"{}\", {:#018x}),", kernel.label(), us.to_bits());
+    for kernel in kernels(PINNED) {
+        let us = kernel
+            .estimate_synthetic(&spec, HERO_M, HERO_K, 16, 0.6)
+            .time_us();
+        println!("    (\"{}\", {:#018x}),", kernel.name(), us.to_bits());
     }
     println!("];");
 }

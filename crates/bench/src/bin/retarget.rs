@@ -7,7 +7,7 @@
 //! retargeting (absolute times scale with each part's bandwidth).
 
 use gpu_sim::GpuSpec;
-use spinfer_bench::{render_table, save_csv, KernelKind, HERO_K, HERO_M};
+use spinfer_bench::{kernels, render_table, save_csv, HERO_K, HERO_M};
 
 fn main() {
     let headers = [
@@ -21,11 +21,11 @@ fn main() {
     ];
     let mut rows = Vec::new();
     let (n, s) = (16usize, 0.6f64);
+    let roster = kernels(["cuBLAS_TC", "SpInfer", "Flash-LLM", "SparTA"]);
     for spec in [GpuSpec::rtx4090(), GpuSpec::a6000(), GpuSpec::a100_like()] {
-        let cb = KernelKind::CublasTc.time_us(&spec, HERO_M, HERO_K, n, s);
-        let sp = KernelKind::SpInfer.time_us(&spec, HERO_M, HERO_K, n, s);
-        let fl = KernelKind::FlashLlm.time_us(&spec, HERO_M, HERO_K, n, s);
-        let st = KernelKind::SparTa.time_us(&spec, HERO_M, HERO_K, n, s);
+        let [cb, sp, fl, st] = roster
+            .each_ref()
+            .map(|k| k.estimate_synthetic(&spec, HERO_M, HERO_K, n, s).time_us());
         rows.push(vec![
             spec.name.to_string(),
             format!("{:.0}", spec.dram_bandwidth / 1e9),

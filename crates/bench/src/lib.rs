@@ -2,98 +2,41 @@
 //!
 //! One binary per table/figure of the SpInfer paper (see `DESIGN.md`'s
 //! per-experiment index). This library holds the shared pieces: the
-//! kernel roster, the model-derived benchmark shapes, plain-text /
-//! CSV reporting, and the parallel sweep runner with its encode-once
-//! cache ([`sweep`]).
+//! figure rosters (ordered lists of registered kernel names), the
+//! model-derived benchmark shapes, plain-text / CSV reporting, and the
+//! parallel sweep runner with its encode-once cache ([`sweep`]).
 
 pub mod quant;
 pub mod snapshot;
 pub mod sweep;
 
-use gpu_sim::spec::GpuSpec;
-use spinfer_baselines::kernels::{
-    CublasGemm, CusparseSpmm, FlashLlmSpmm, FlashLlmStats, SmatSpmm, SmatStats, SpartaSpmm,
-    SpartaStats, SputnikSpmm,
-};
-use spinfer_core::{Ablation, FormatStats, SpinferSpmm, SpinferSpmmInt8};
+use spinfer_baselines::kernel_by_name;
+use spinfer_core::spmm::DynSpmmKernel;
+use spinfer_core::{Ablation, SpinferSpmm};
 use spinfer_llm::ModelConfig;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
-/// Kernels compared at the kernel level (paper Figures 1, 10).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum KernelKind {
-    /// Dense Tensor-Core GEMM (the normalisation baseline).
-    CublasTc,
-    /// SpInfer-SpMM.
-    SpInfer,
-    /// SpInfer-SpMM at INT8 payload precision.
-    SpInferInt8,
-    /// Flash-LLM.
-    FlashLlm,
-    /// SparTA.
-    SparTa,
-    /// Sputnik.
-    Sputnik,
-    /// cuSPARSE.
-    CuSparse,
-    /// SMaT.
-    Smat,
-}
+/// The kernels of Figure 10, by registered name, in legend order
+/// (SMaT is compared separately in Fig. 11).
+pub const FIGURE10_KERNELS: [&str; 6] = [
+    "cuBLAS_TC",
+    "SpInfer",
+    "Flash-LLM",
+    "SparTA",
+    "Sputnik",
+    "cuSPARSE",
+];
 
-impl KernelKind {
-    /// Legend label.
-    pub fn label(self) -> &'static str {
-        match self {
-            KernelKind::CublasTc => "cuBLAS_TC",
-            KernelKind::SpInfer => "SpInfer",
-            KernelKind::SpInferInt8 => "SpInfer-INT8",
-            KernelKind::FlashLlm => "Flash-LLM",
-            KernelKind::SparTa => "SparTA",
-            KernelKind::Sputnik => "Sputnik",
-            KernelKind::CuSparse => "cuSPARSE",
-            KernelKind::Smat => "SMaT",
-        }
-    }
-
-    /// The roster of Figure 10 (SMaT is compared separately in Fig. 11).
-    pub fn figure10_roster() -> [KernelKind; 6] {
-        [
-            KernelKind::CublasTc,
-            KernelKind::SpInfer,
-            KernelKind::FlashLlm,
-            KernelKind::SparTa,
-            KernelKind::Sputnik,
-            KernelKind::CuSparse,
-        ]
-    }
-
-    /// Simulated execution time in microseconds for `M×K (sparsity s) ×
-    /// K×N` on `spec`, via the kernel's analytic estimator.
-    pub fn time_us(self, spec: &GpuSpec, m: usize, k: usize, n: usize, s: f64) -> f64 {
-        let nnz = ((m * k) as f64 * (1.0 - s)).round() as usize;
-        match self {
-            KernelKind::CublasTc => CublasGemm::new().estimate(spec, m, k, n).time_us(),
-            KernelKind::SpInfer => SpinferSpmm::new()
-                .estimate(spec, &FormatStats::synthetic(m, k, s), n)
-                .time_us(),
-            KernelKind::SpInferInt8 => SpinferSpmmInt8::new()
-                .estimate(spec, &FormatStats::synthetic(m, k, s), n)
-                .time_us(),
-            KernelKind::FlashLlm => FlashLlmSpmm::new()
-                .estimate(spec, &FlashLlmStats::synthetic(m, k, s), n)
-                .time_us(),
-            KernelKind::SparTa => SpartaSpmm::new()
-                .estimate(spec, &SpartaStats::synthetic(m, k, s), n)
-                .time_us(),
-            KernelKind::Sputnik => SputnikSpmm::new().estimate(spec, m, k, n, nnz).time_us(),
-            KernelKind::CuSparse => CusparseSpmm::new().estimate(spec, m, k, n, nnz).time_us(),
-            KernelKind::Smat => SmatSpmm::new()
-                .estimate(spec, &SmatStats::synthetic_uniform(m, k, s), n)
-                .time_us(),
-        }
-    }
+/// Resolves an ordered list of registered kernel names.
+///
+/// # Panics
+///
+/// Panics if a name is not registered: every caller passes a constant
+/// roster, so a miss is a typo, not an input error.
+pub fn kernels<const N: usize>(names: [&str; N]) -> [DynSpmmKernel; N] {
+    names.map(|name| kernel_by_name(name).expect("roster names are registered"))
 }
 
 /// SpInfer ablation variants for Table 1.
@@ -200,7 +143,9 @@ mod tests {
 
     #[test]
     fn roster_and_shapes() {
-        assert_eq!(KernelKind::figure10_roster().len(), 6);
+        let roster = kernels(FIGURE10_KERNELS);
+        let names: Vec<&str> = roster.iter().map(|k| k.name()).collect();
+        assert_eq!(names, FIGURE10_KERNELS);
         let shapes = figure10_shapes();
         assert_eq!(shapes.len(), 24);
         assert!(shapes.iter().any(|s| s.m == 28672 && s.k == 8192));
@@ -210,19 +155,12 @@ mod tests {
 
     #[test]
     fn all_kernels_produce_times() {
-        let spec = GpuSpec::rtx4090();
-        for kind in [
-            KernelKind::CublasTc,
-            KernelKind::SpInfer,
-            KernelKind::SpInferInt8,
-            KernelKind::FlashLlm,
-            KernelKind::SparTa,
-            KernelKind::Sputnik,
-            KernelKind::CuSparse,
-            KernelKind::Smat,
-        ] {
-            let t = kind.time_us(&spec, 4096, 4096, 16, 0.5);
-            assert!(t > 0.0 && t.is_finite(), "{:?}: {t}", kind);
+        let spec = gpu_sim::spec::GpuSpec::rtx4090();
+        for kernel in spinfer_baselines::registry() {
+            let t = kernel
+                .estimate_synthetic(&spec, 4096, 4096, 16, 0.5)
+                .time_us();
+            assert!(t > 0.0 && t.is_finite(), "{}: {t}", kernel.name());
         }
     }
 

@@ -19,7 +19,6 @@
 //! `quantized-inference` job asserts exactly that).
 
 use crate::sweep::{self, EncodeCache, SweepPoint};
-use crate::KernelKind;
 use gpu_sim::matrix::{random_sparse, ValueDist};
 use gpu_sim::spec::GpuSpec;
 use spinfer_core::{serialize, TcaBme};
@@ -101,16 +100,17 @@ pub struct QuantRow {
 /// The ablation grid as sweep points: for each (shape, sparsity), the
 /// FP16 point immediately followed by its INT8 twin.
 pub fn grid(cfg: &QuantConfig) -> Vec<SweepPoint> {
+    let precisions = crate::kernels(["SpInfer", "SpInfer-INT8"]);
     let mut points = Vec::new();
     for &(m, k) in &cfg.shapes {
         for &sparsity in &cfg.sparsities {
-            for kernel in [KernelKind::SpInfer, KernelKind::SpInferInt8] {
+            for kernel in &precisions {
                 points.push(SweepPoint {
                     m,
                     k,
                     n: cfg.n,
                     sparsity,
-                    kernel,
+                    kernel: kernel.clone(),
                 });
             }
         }
@@ -141,7 +141,7 @@ pub fn run(
     let mut rows = Vec::new();
     for (pair, outs) in points.chunks_exact(2).zip(outcomes.chunks_exact(2)) {
         let p = &pair[0];
-        debug_assert_eq!(pair[1].kernel, KernelKind::SpInferInt8);
+        debug_assert_eq!(pair[1].kernel.name(), "SpInfer-INT8");
         let (Some(fp16_us), Some(int8_us)) = (outs[0].time_us(), outs[1].time_us()) else {
             continue;
         };
@@ -240,8 +240,8 @@ mod tests {
         assert!(cfg.sparsities.len() >= 3, "at least three sparsity levels");
         let g = grid(&cfg);
         assert_eq!(g.len(), cfg.shapes.len() * cfg.sparsities.len() * 2);
-        assert!(g.iter().any(|p| p.kernel == KernelKind::SpInfer));
-        assert!(g.iter().any(|p| p.kernel == KernelKind::SpInferInt8));
+        assert!(g.iter().any(|p| p.kernel.name() == "SpInfer"));
+        assert!(g.iter().any(|p| p.kernel.name() == "SpInfer-INT8"));
     }
 
     #[test]
@@ -305,8 +305,10 @@ mod tests {
         // At memory-bound serving shapes the INT8 estimate must be
         // faster; tiny smoke shapes are allowed to be overhead-bound.
         let spec = GpuSpec::rtx4090();
-        let fp16 = KernelKind::SpInfer.time_us(&spec, crate::HERO_M, crate::HERO_K, 16, 0.6);
-        let int8 = KernelKind::SpInferInt8.time_us(&spec, crate::HERO_M, crate::HERO_K, 16, 0.6);
+        let [fp16, int8] = crate::kernels(["SpInfer", "SpInfer-INT8"]).map(|k| {
+            k.estimate_synthetic(&spec, crate::HERO_M, crate::HERO_K, 16, 0.6)
+                .time_us()
+        });
         assert!(int8 < fp16, "INT8 {int8} us must beat FP16 {fp16} us");
     }
 }

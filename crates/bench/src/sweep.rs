@@ -19,11 +19,10 @@
 //!
 //! [`SpmmKernel::format_key`]: spinfer_core::spmm::SpmmKernel::format_key
 
-use crate::KernelKind;
 use gpu_sim::exec;
 use gpu_sim::matrix::{random_dense, random_sparse, DenseMatrix, ValueDist};
 use gpu_sim::spec::GpuSpec;
-use spinfer_baselines::{kernel_by_name, registry};
+use spinfer_baselines::registry;
 use spinfer_core::spmm::{DynEncoded, DynSpmmKernel, LaunchCtx, SpmmRun};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -51,7 +50,7 @@ pub fn configure_jobs(args: &[String]) {
 }
 
 /// One grid point of a kernel sweep.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct SweepPoint {
     /// Weight rows.
     pub m: usize,
@@ -62,7 +61,17 @@ pub struct SweepPoint {
     /// Weight sparsity in `[0, 1]`.
     pub sparsity: f64,
     /// Kernel under test.
-    pub kernel: KernelKind,
+    pub kernel: DynSpmmKernel,
+}
+
+impl SweepPoint {
+    /// The point's analytic simulated time in microseconds
+    /// ([`DynSpmmKernel::estimate_synthetic`]).
+    pub fn time_us(&self, spec: &GpuSpec) -> f64 {
+        self.kernel
+            .estimate_synthetic(spec, self.m, self.k, self.n, self.sparsity)
+            .time_us()
+    }
 }
 
 /// Fans arbitrary grid points across host cores; results in point
@@ -79,9 +88,7 @@ where
 /// Analytic sweep: simulated time in microseconds per point, in point
 /// order.
 pub fn run_grid(spec: &GpuSpec, points: Vec<SweepPoint>) -> Vec<f64> {
-    par_points(points, |p| {
-        p.kernel.time_us(spec, p.m, p.k, p.n, p.sparsity)
-    })
+    par_points(points, |p| p.time_us(spec))
 }
 
 /// Cache key for a generated matrix: rows, cols, sparsity in basis
@@ -327,9 +334,8 @@ impl EncodeCache {
 }
 
 /// Functional execution of one grid point through the encode cache:
-/// the kernel is resolved from the registry by its figure label and
-/// launched against the point's shared encoding — no per-kernel
-/// dispatch here.
+/// the point's kernel is launched against the point's shared encoding —
+/// no per-kernel dispatch here.
 ///
 /// The weight matrix is seeded by `seed` and X by a value derived from
 /// `seed` and the point's batch size, so a grid point's result is a
@@ -343,8 +349,8 @@ pub fn run_functional(cache: &EncodeCache, spec: &GpuSpec, p: &SweepPoint, seed:
         ValueDist::Uniform,
         seed ^ (p.n as u64).rotate_left(32),
     );
-    let kernel = kernel_by_name(p.kernel.label()).expect("every KernelKind label is registered");
-    let enc = weights.encoded_for(&kernel);
+    let kernel = &p.kernel;
+    let enc = weights.encoded_for(kernel);
     match kernel.launch(&LaunchCtx::new(spec), &enc, &x) {
         Ok(run) => run,
         Err(e) => panic!(
@@ -394,7 +400,7 @@ fn point_key(p: &SweepPoint) -> String {
         p.k,
         p.n,
         p.sparsity,
-        p.kernel.label()
+        p.kernel.name()
     )
 }
 
@@ -474,7 +480,7 @@ fn checkpoint_line(idx: usize, key: &str, outcome: &SweepOutcome) -> String {
 }
 
 /// Hardened analytic sweep: [`run_grid_hardened_with`] with the default
-/// per-point evaluator ([`KernelKind::time_us`]).
+/// per-point evaluator ([`SweepPoint::time_us`]).
 pub fn run_grid_hardened(
     spec: &GpuSpec,
     points: Vec<SweepPoint>,
@@ -482,9 +488,7 @@ pub fn run_grid_hardened(
     resume: bool,
 ) -> io::Result<Vec<SweepOutcome>> {
     let spec = spec.clone();
-    run_grid_hardened_with(points, checkpoint, resume, move |_, p| {
-        p.kernel.time_us(&spec, p.m, p.k, p.n, p.sparsity)
-    })
+    run_grid_hardened_with(points, checkpoint, resume, move |_, p| p.time_us(&spec))
 }
 
 /// Fault-isolated, checkpointed sweep.
@@ -560,6 +564,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spinfer_baselines::kernel_by_name;
 
     #[test]
     fn jobs_flag_parses() {
@@ -628,7 +633,7 @@ mod tests {
         let points: Vec<SweepPoint> = [0.4, 0.6]
             .iter()
             .flat_map(|&s| {
-                [KernelKind::SpInfer, KernelKind::CublasTc]
+                crate::kernels(["SpInfer", "cuBLAS_TC"])
                     .into_iter()
                     .map(move |kernel| SweepPoint {
                         m: 1024,
@@ -639,10 +644,7 @@ mod tests {
                     })
             })
             .collect();
-        let serial: Vec<f64> = points
-            .iter()
-            .map(|p| p.kernel.time_us(&spec, p.m, p.k, p.n, p.sparsity))
-            .collect();
+        let serial: Vec<f64> = points.iter().map(|p| p.time_us(&spec)).collect();
         assert_eq!(run_grid(&spec, points), serial);
     }
 
@@ -650,7 +652,7 @@ mod tests {
         [0.4, 0.6]
             .iter()
             .flat_map(|&s| {
-                [KernelKind::SpInfer, KernelKind::CublasTc]
+                crate::kernels(["SpInfer", "cuBLAS_TC"])
                     .into_iter()
                     .map(move |kernel| SweepPoint {
                         m: 512,
@@ -692,7 +694,7 @@ mod tests {
             if i == 2 {
                 panic!("poisoned grid point");
             }
-            p.kernel.time_us(&spec, p.m, p.k, p.n, p.sparsity)
+            p.time_us(&spec)
         })
         .expect("checkpoint writes");
         assert_eq!(first.len(), 4);
@@ -718,10 +720,9 @@ mod tests {
 
         // Resume: completed points load from the checkpoint, the
         // panicked point re-runs (healthy this time).
-        let second = run_grid_hardened_with(points.clone(), Some(&path), true, |_, p| {
-            p.kernel.time_us(&spec, p.m, p.k, p.n, p.sparsity)
-        })
-        .expect("resume reads");
+        let second =
+            run_grid_hardened_with(points.clone(), Some(&path), true, |_, p| p.time_us(&spec))
+                .expect("resume reads");
         let reference = run_grid(&spec, points);
         for (i, (o, want)) in second.iter().zip(&reference).enumerate() {
             match o {
@@ -769,7 +770,7 @@ mod tests {
     fn functional_grid_matches_direct_runs() {
         let spec = GpuSpec::rtx4090();
         let mk = 64usize;
-        let points: Vec<SweepPoint> = [KernelKind::SpInfer, KernelKind::FlashLlm]
+        let points: Vec<SweepPoint> = crate::kernels(["SpInfer", "Flash-LLM"])
             .into_iter()
             .flat_map(|kernel| {
                 [8usize, 16].into_iter().map(move |n| SweepPoint {
@@ -777,7 +778,7 @@ mod tests {
                     k: mk,
                     n,
                     sparsity: 0.6,
-                    kernel,
+                    kernel: kernel.clone(),
                 })
             })
             .collect();
@@ -785,7 +786,7 @@ mod tests {
         for (p, r) in points.iter().zip(&runs) {
             // Rebuild the point without the cache: identical output.
             let direct = run_functional(&EncodeCache::new(), &spec, p, 9);
-            assert_eq!(r.output, direct.output, "{:?} n={}", p.kernel, p.n);
+            assert_eq!(r.output, direct.output, "{} n={}", p.kernel.name(), p.n);
         }
     }
 }

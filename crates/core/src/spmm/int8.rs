@@ -95,6 +95,17 @@ impl SpmmKernel for SpinferSpmmInt8 {
         enc.validate().map_err(SpinferError::from)
     }
 
+    fn estimate_synthetic(
+        &self,
+        spec: &GpuSpec,
+        m: usize,
+        k: usize,
+        n: usize,
+        sparsity: f64,
+    ) -> SpmmRun {
+        self.estimate(spec, &FormatStats::synthetic(m, k, sparsity), n)
+    }
+
     fn launch(
         &self,
         ctx: &LaunchCtx<'_>,

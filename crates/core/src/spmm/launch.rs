@@ -112,10 +112,12 @@ impl fmt::Debug for LaunchCtx<'_> {
     }
 }
 
-/// One SpMM backend: a weight format plus a launch routine.
+/// One SpMM backend: a weight format, a launch routine and an analytic
+/// estimate.
 ///
-/// Every kernel in the workspace — SpInfer itself and the six baselines
-/// — implements this trait, so sweeps, caches, serving, and the CLI
+/// Every kernel in the workspace — SpInfer at both payload precisions
+/// and the six baselines — implements this trait, so sweeps, caches,
+/// serving, and the CLI
 /// dispatch generically instead of through per-kernel match arms. The
 /// `run`/`run_encoded` provided methods replace the hand-written shims
 /// each baseline used to carry.
@@ -152,6 +154,19 @@ pub trait SpmmKernel {
     fn validate(&self, _enc: &Self::Encoded) -> Result<(), SpinferError> {
         Ok(())
     }
+
+    /// Analytic launch for an `m×k` weight at `sparsity` times a `k×n`
+    /// activation, from synthetic format statistics (no weights are
+    /// generated or encoded). This is the estimate every figure sweep,
+    /// the snapshot and the serving cost model price.
+    fn estimate_synthetic(
+        &self,
+        spec: &GpuSpec,
+        m: usize,
+        k: usize,
+        n: usize,
+        sparsity: f64,
+    ) -> SpmmRun;
 
     /// Executes `W × X` under the capabilities in `ctx`.
     ///
@@ -243,6 +258,14 @@ trait ErasedSpmm: Send + Sync {
     fn format_key(&self) -> &'static str;
     fn encode_dyn(&self, w: &DenseMatrix) -> DynEncoded;
     fn validate_dyn(&self, enc: &DynEncoded) -> Result<(), SpinferError>;
+    fn estimate_synthetic_dyn(
+        &self,
+        spec: &GpuSpec,
+        m: usize,
+        k: usize,
+        n: usize,
+        sparsity: f64,
+    ) -> SpmmRun;
     fn launch_dyn(
         &self,
         ctx: &LaunchCtx<'_>,
@@ -266,6 +289,17 @@ impl<K: SpmmKernel + Send + Sync + 'static> ErasedSpmm for K {
 
     fn validate_dyn(&self, enc: &DynEncoded) -> Result<(), SpinferError> {
         self.validate(self.expect_typed(enc))
+    }
+
+    fn estimate_synthetic_dyn(
+        &self,
+        spec: &GpuSpec,
+        m: usize,
+        k: usize,
+        n: usize,
+        sparsity: f64,
+    ) -> SpmmRun {
+        self.estimate_synthetic(spec, m, k, n, sparsity)
     }
 
     fn launch_dyn(
@@ -333,6 +367,19 @@ impl DynSpmmKernel {
         self.inner.validate_dyn(enc)
     }
 
+    /// Analytic launch from synthetic statistics (see
+    /// [`SpmmKernel::estimate_synthetic`]).
+    pub fn estimate_synthetic(
+        &self,
+        spec: &GpuSpec,
+        m: usize,
+        k: usize,
+        n: usize,
+        sparsity: f64,
+    ) -> SpmmRun {
+        self.inner.estimate_synthetic_dyn(spec, m, k, n, sparsity)
+    }
+
     /// Executes `W × X` under the capabilities in `ctx`.
     ///
     /// # Panics
@@ -387,6 +434,17 @@ impl SpmmKernel for SpinferSpmm {
 
     fn validate(&self, enc: &TcaBme) -> Result<(), SpinferError> {
         enc.validate().map_err(SpinferError::from)
+    }
+
+    fn estimate_synthetic(
+        &self,
+        spec: &GpuSpec,
+        m: usize,
+        k: usize,
+        n: usize,
+        sparsity: f64,
+    ) -> SpmmRun {
+        self.estimate(spec, &FormatStats::synthetic(m, k, sparsity), n)
     }
 
     fn launch(

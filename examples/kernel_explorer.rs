@@ -7,15 +7,19 @@
 //! `cargo run --release --example kernel_explorer -- <M> <K> [gpu]`
 //! e.g. `cargo run --release --example kernel_explorer -- 28672 8192 a6000`
 
+use spinfer_suite::baselines::kernel_by_name;
 use spinfer_suite::gpu_sim::GpuSpec;
 use spinfer_suite::roofline::{attainable_flops, ci_gemm};
 
-// The bench crate is not a dependency of the umbrella crate, so the
-// roster is assembled here from the public kernel APIs.
-use spinfer_suite::baselines::kernels::{
-    CublasGemm, CusparseSpmm, FlashLlmSpmm, FlashLlmStats, SpartaSpmm, SpartaStats, SputnikSpmm,
-};
-use spinfer_suite::core::{FormatStats, SpinferSpmm};
+/// The kernels compared, by registered name, in column order.
+const KERNELS: [&str; 6] = [
+    "cuBLAS_TC",
+    "SpInfer",
+    "Flash-LLM",
+    "SparTA",
+    "Sputnik",
+    "cuSPARSE",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -26,59 +30,23 @@ fn main() {
         Some("a100") => GpuSpec::a100_like(),
         _ => GpuSpec::rtx4090(),
     };
+    let kernels = KERNELS.map(|name| kernel_by_name(name).expect("registered kernel"));
 
     println!("Kernel explorer: W = {m}x{k} on {}", spec.name);
-    println!(
-        "{:>4} {:>9} | {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} | {:>9} {:>8}",
-        "N",
-        "sparsity",
-        "cuBLAS",
-        "SpInfer",
-        "Flash-LLM",
-        "SparTA",
-        "Sputnik",
-        "cuSPARSE",
-        "winner",
-        "regime"
-    );
+    print!("{:>4} {:>9} |", "N", "sparsity");
+    for name in KERNELS {
+        print!(" {name:>10}");
+    }
+    println!(" | {:>9} {:>8}", "winner", "regime");
     for n in [8usize, 16, 32, 256, 2048] {
         for s in [0.4, 0.5, 0.6, 0.7] {
-            let nnz = ((m * k) as f64 * (1.0 - s)) as usize;
-            let times = [
-                (
-                    "cuBLAS",
-                    CublasGemm::new().estimate(&spec, m, k, n).time_us(),
-                ),
-                (
-                    "SpInfer",
-                    SpinferSpmm::new()
-                        .estimate(&spec, &FormatStats::synthetic(m, k, s), n)
-                        .time_us(),
-                ),
-                (
-                    "Flash-LLM",
-                    FlashLlmSpmm::new()
-                        .estimate(&spec, &FlashLlmStats::synthetic(m, k, s), n)
-                        .time_us(),
-                ),
-                (
-                    "SparTA",
-                    SpartaSpmm::new()
-                        .estimate(&spec, &SpartaStats::synthetic(m, k, s), n)
-                        .time_us(),
-                ),
-                (
-                    "Sputnik",
-                    SputnikSpmm::new().estimate(&spec, m, k, n, nnz).time_us(),
-                ),
-                (
-                    "cuSPARSE",
-                    CusparseSpmm::new().estimate(&spec, m, k, n, nnz).time_us(),
-                ),
-            ];
-            let winner = times
+            let times = kernels
+                .each_ref()
+                .map(|kernel| kernel.estimate_synthetic(&spec, m, k, n, s).time_us());
+            let (winner, _) = KERNELS
                 .iter()
-                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .zip(&times)
+                .min_by(|a, b| a.1.total_cmp(b.1))
                 .expect("non-empty roster");
             let regime = if attainable_flops(&spec, ci_gemm(m, n)).memory_bound {
                 "memory"
@@ -86,10 +54,10 @@ fn main() {
                 "compute"
             };
             print!("{:>4} {:>8.0}% |", n, s * 100.0);
-            for (_, t) in &times {
+            for t in &times {
                 print!(" {:>10.1}", t);
             }
-            println!(" | {:>9} {:>8}", winner.0, regime);
+            println!(" | {:>9} {:>8}", winner, regime);
         }
     }
     println!("\nTimes in microseconds (simulated); winner = fastest kernel.");

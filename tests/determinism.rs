@@ -10,9 +10,10 @@ use gpu_sim::exec;
 use gpu_sim::matrix::{checksum_f32, random_dense, random_sparse, ValueDist};
 use gpu_sim::trace::TraceSink;
 use gpu_sim::GpuSpec;
+use spinfer_baselines::kernel_by_name;
 use spinfer_baselines::kernels::{CublasGemm, CusparseSpmm, FlashLlmSpmm, SputnikSpmm};
 use spinfer_bench::sweep::{run_functional, EncodeCache, SweepPoint};
-use spinfer_bench::{KernelKind, HERO_K, HERO_M};
+use spinfer_bench::{HERO_K, HERO_M};
 use spinfer_core::spmm::SpmmKernel;
 use spinfer_core::{SpinferSpmm, TcaBme};
 
@@ -127,17 +128,6 @@ const GOLDEN_HERO_ANALYTIC: [(&str, u64); 8] = [
     ("SpInfer-INT8", 0x4062c3107c11370f),
 ];
 
-const ROSTER: [KernelKind; 8] = [
-    KernelKind::CublasTc,
-    KernelKind::SpInfer,
-    KernelKind::FlashLlm,
-    KernelKind::SparTa,
-    KernelKind::Sputnik,
-    KernelKind::CuSparse,
-    KernelKind::Smat,
-    KernelKind::SpInferInt8,
-];
-
 /// Golden-counter regression gate: a fixed-seed run of every kernel must
 /// reproduce the pinned counter digests, simulated-time bit patterns, and
 /// FP32 output checksums exactly. Host-side optimisations (LUT decode,
@@ -148,14 +138,13 @@ const ROSTER: [KernelKind; 8] = [
 fn assert_golden_constants(spec: &GpuSpec) {
     let (m, k, n, sparsity, seed) = (900, 720, 20, 0.65, 1234);
     let cache = EncodeCache::new();
-    let check = |kernel: KernelKind, n: usize, digest: u64, time_bits: u64, checksum: u64| {
-        let label = kernel.label();
+    let check = |label: &str, n: usize, digest: u64, time_bits: u64, checksum: u64| {
         let p = SweepPoint {
             m,
             k,
             n,
             sparsity,
-            kernel,
+            kernel: kernel_by_name(label).expect("pinned kernel is registered"),
         };
         let run = run_functional(&cache, spec, &p, seed);
         assert_eq!(
@@ -174,19 +163,17 @@ fn assert_golden_constants(spec: &GpuSpec) {
             "{label} N={n}: output checksum drifted"
         );
     };
-    for (kernel, &(label, digest, time_bits, checksum)) in ROSTER.iter().zip(&GOLDEN_FUNCTIONAL) {
-        assert_eq!(kernel.label(), label, "roster order");
-        check(*kernel, n, digest, time_bits, checksum);
+    for &(label, digest, time_bits, checksum) in &GOLDEN_FUNCTIONAL {
+        check(label, n, digest, time_bits, checksum);
     }
     for &(label, n, digest, time_bits, checksum) in &GOLDEN_FUNCTIONAL_N {
-        let kernel = *ROSTER
-            .iter()
-            .find(|k| k.label() == label)
-            .expect("pinned kernel is on the roster");
-        check(kernel, n, digest, time_bits, checksum);
+        check(label, n, digest, time_bits, checksum);
     }
-    for (kernel, &(label, time_bits)) in ROSTER.iter().zip(&GOLDEN_HERO_ANALYTIC) {
-        let us = kernel.time_us(spec, HERO_M, HERO_K, 16, 0.6);
+    for &(label, time_bits) in &GOLDEN_HERO_ANALYTIC {
+        let us = kernel_by_name(label)
+            .expect("pinned kernel is registered")
+            .estimate_synthetic(spec, HERO_M, HERO_K, 16, 0.6)
+            .time_us();
         assert_eq!(
             us.to_bits(),
             time_bits,

@@ -4,7 +4,7 @@
 
 use gpu_sim::matrix::{random_dense, random_sparse, ValueDist};
 use gpu_sim::GpuSpec;
-use spinfer_suite::baselines::{select, Route, TiledCsl};
+use spinfer_suite::baselines::{select, TiledCsl};
 use spinfer_suite::core::spmm::LaunchCtx;
 use spinfer_suite::core::{tune, FormatStats, SpMMHandle, TcaBme};
 use spinfer_suite::llm::serving::{serve_ctx, LengthMix, ServingConfig};
@@ -65,7 +65,7 @@ fn quantised_sparse_weights_through_the_kernel() {
 fn selector_matches_paper_regimes() {
     let spec = GpuSpec::rtx4090();
     let llm = random_sparse(768, 768, 0.55, ValueDist::Uniform, 404);
-    assert_eq!(select(&spec, &llm, 16).route, Route::TcaBmeSpInfer);
+    assert_eq!(select(&spec, &llm, 16).kernel, "SpInfer");
     let sci = gpu_sim::matrix::random_sparse_clustered(
         1024,
         1024,
@@ -75,7 +75,7 @@ fn selector_matches_paper_regimes() {
         ValueDist::Uniform,
         405,
     );
-    assert_eq!(select(&spec, &sci, 16).route, Route::BcsrSmat);
+    assert_eq!(select(&spec, &sci, 16).kernel, "SMaT");
 }
 
 /// Autotuned configurations must never lose to the shipped default, and

@@ -9,17 +9,24 @@
 //! 3. Attaching a trace sink is output-neutral and actually records
 //!    events.
 //! 4. A kernel's own encoding passes its `validate`.
+//! 5. `estimate_synthetic` prices exactly what the per-kernel estimator
+//!    calls it replaced priced (the private oracle below).
 //!
-//! Everything runs inside one `#[test]` body: `exec::set_jobs` is
-//! process-global, so the job sweep must not interleave with another
-//! test thread in this binary.
+//! The run contract (1–4) runs inside one `#[test]` body:
+//! `exec::set_jobs` is process-global, so the job sweep must not
+//! interleave with another test thread in this binary.
 
 use gpu_sim::exec;
 use gpu_sim::matrix::{checksum_f32, random_dense, random_sparse, ValueDist};
 use gpu_sim::trace::TraceSink;
 use gpu_sim::GpuSpec;
+use spinfer_baselines::kernels::{
+    CublasGemm, CusparseSpmm, FlashLlmSpmm, FlashLlmStats, SmatSpmm, SmatStats, SpartaSpmm,
+    SpartaStats, SputnikSpmm,
+};
 use spinfer_baselines::registry;
 use spinfer_core::spmm::{LaunchCtx, SpmmRun};
+use spinfer_core::{FormatStats, SpinferSpmm, SpinferSpmmInt8};
 
 /// The complete observable signature of one run: output checksum plus,
 /// per launch, (kernel name, counter digest, simulated-time bits).
@@ -84,4 +91,66 @@ fn every_registered_kernel_honors_the_contract() {
         }
         exec::set_jobs(0);
     }
+}
+
+/// Per-launch (name, counter digest, simulated-time bits) of an analytic
+/// run, which has no output.
+fn estimate_signature(run: &SpmmRun) -> Vec<(String, u64, u64)> {
+    run.chain
+        .launches
+        .iter()
+        .map(|l| (l.name.clone(), l.counters.digest(), l.time_us().to_bits()))
+        .collect()
+}
+
+/// The synthetic estimate of each of the eight original kernels, called
+/// through its own estimator signature the way the sweeps dispatched it
+/// before `estimate_synthetic` existed. `None` for a kernel added since.
+fn oracle(name: &str, spec: &GpuSpec, m: usize, k: usize, n: usize, s: f64) -> Option<SpmmRun> {
+    let nnz = ((m * k) as f64 * (1.0 - s)).round() as usize;
+    Some(match name {
+        "cuBLAS_TC" => CublasGemm::new().estimate(spec, m, k, n),
+        "SpInfer" => SpinferSpmm::new().estimate(spec, &FormatStats::synthetic(m, k, s), n),
+        "SpInfer-INT8" => {
+            SpinferSpmmInt8::new().estimate(spec, &FormatStats::synthetic(m, k, s), n)
+        }
+        "Flash-LLM" => FlashLlmSpmm::new().estimate(spec, &FlashLlmStats::synthetic(m, k, s), n),
+        "SparTA" => SpartaSpmm::new().estimate(spec, &SpartaStats::synthetic(m, k, s), n),
+        "Sputnik" => SputnikSpmm::new().estimate(spec, m, k, n, nnz),
+        "cuSPARSE" => CusparseSpmm::new().estimate(spec, m, k, n, nnz),
+        "SMaT" => SmatSpmm::new().estimate(spec, &SmatStats::synthetic_uniform(m, k, s), n),
+        _ => return None,
+    })
+}
+
+#[test]
+fn every_synthetic_estimate_matches_its_per_kernel_oracle() {
+    let spec = GpuSpec::rtx4090();
+    let mut covered = 0;
+    for kernel in registry() {
+        let name = kernel.name();
+        for (m, k) in [(900usize, 720usize), (4096, 4096), (28672, 8192)] {
+            for n in [1usize, 16, 40] {
+                for s in [0.0, 0.5, 0.6, 0.95] {
+                    let Some(want) = oracle(name, &spec, m, k, n, s) else {
+                        continue;
+                    };
+                    let got = kernel.estimate_synthetic(&spec, m, k, n, s);
+                    assert_eq!(
+                        got.time_us().to_bits(),
+                        want.time_us().to_bits(),
+                        "{name} {m}x{k} N={n} s={s}: simulated time"
+                    );
+                    assert_eq!(
+                        estimate_signature(&got),
+                        estimate_signature(&want),
+                        "{name} {m}x{k} N={n} s={s}: launch chain"
+                    );
+                    assert!(got.output.is_none(), "{name}: estimates compute nothing");
+                }
+            }
+        }
+        covered += usize::from(oracle(name, &spec, 64, 64, 8, 0.5).is_some());
+    }
+    assert_eq!(covered, 8, "every original kernel is still registered");
 }

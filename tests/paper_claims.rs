@@ -9,7 +9,8 @@ use gpu_sim::GpuSpec;
 use spinfer_baselines::kernels::{
     CublasGemm, FlashLlmSpmm, FlashLlmStats, SpartaSpmm, SpartaStats,
 };
-use spinfer_bench::{figure10_shapes, geomean, KernelKind, HERO_K, HERO_M};
+use spinfer_bench::{figure10_shapes, geomean, kernels, FIGURE10_KERNELS, HERO_K, HERO_M};
+use spinfer_core::spmm::DynSpmmKernel;
 use spinfer_core::{FormatStats, SpinferSpmm};
 use spinfer_llm::{simulate, Framework, InferenceConfig, ModelConfig};
 use spinfer_roofline::{compression_ratio, FormatKind};
@@ -57,13 +58,18 @@ fn claim_beats_flash_llm_and_sparta_everywhere() {
 #[test]
 fn claim_average_speedup_grows_with_sparsity() {
     let spec = GpuSpec::rtx4090();
+    let [cublas, spinfer] = kernels(["cuBLAS_TC", "SpInfer"]);
     let mut avg = Vec::new();
     for &s in &[0.4, 0.5, 0.7] {
         let mut v = Vec::new();
         for shape in figure10_shapes() {
             for &n in &[8usize, 16, 32] {
-                let cb = KernelKind::CublasTc.time_us(&spec, shape.m, shape.k, n, s);
-                let sp = KernelKind::SpInfer.time_us(&spec, shape.m, shape.k, n, s);
+                let cb = cublas
+                    .estimate_synthetic(&spec, shape.m, shape.k, n, s)
+                    .time_us();
+                let sp = spinfer
+                    .estimate_synthetic(&spec, shape.m, shape.k, n, s)
+                    .time_us();
                 v.push(cb / sp);
             }
         }
@@ -80,15 +86,19 @@ fn claim_average_speedup_grows_with_sparsity() {
 #[test]
 fn claim_win_rate_at_50_percent() {
     let spec = GpuSpec::rtx4090();
+    let (spinfer, others): (Vec<_>, Vec<_>) = kernels(FIGURE10_KERNELS)
+        .into_iter()
+        .partition(|k| k.name() == "SpInfer");
     let mut wins = 0;
     let mut total = 0;
     for shape in figure10_shapes() {
         for &n in &[8usize, 16, 32] {
-            let sp = KernelKind::SpInfer.time_us(&spec, shape.m, shape.k, n, 0.5);
-            let all_better = KernelKind::figure10_roster()
-                .iter()
-                .filter(|k| **k != KernelKind::SpInfer)
-                .all(|k| sp < k.time_us(&spec, shape.m, shape.k, n, 0.5));
+            let time = |k: &DynSpmmKernel| {
+                k.estimate_synthetic(&spec, shape.m, shape.k, n, 0.5)
+                    .time_us()
+            };
+            let sp = time(&spinfer[0]);
+            let all_better = others.iter().all(|k| sp < time(k));
             total += 1;
             if all_better {
                 wins += 1;
@@ -115,9 +125,14 @@ fn claim_compression_crossovers() {
 #[test]
 fn claim_prefill_deficit_is_bounded() {
     let spec = GpuSpec::rtx4090();
+    let [cublas, spinfer] = kernels(["cuBLAS_TC", "SpInfer"]);
     for &n in &[2048usize, 4096] {
-        let cb = KernelKind::CublasTc.time_us(&spec, HERO_M, HERO_K, n, 0.6);
-        let sp = KernelKind::SpInfer.time_us(&spec, HERO_M, HERO_K, n, 0.6);
+        let cb = cublas
+            .estimate_synthetic(&spec, HERO_M, HERO_K, n, 0.6)
+            .time_us();
+        let sp = spinfer
+            .estimate_synthetic(&spec, HERO_M, HERO_K, n, 0.6)
+            .time_us();
         let deficit = sp / cb - 1.0;
         assert!(deficit < 0.20, "N={n}: {:.1}% slower", deficit * 100.0);
     }
