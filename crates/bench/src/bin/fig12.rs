@@ -3,18 +3,14 @@
 //! bank conflicts, and Tensor Core pipe utilisation (Nsight-style).
 
 use gpu_sim::GpuSpec;
-use spinfer_baselines::kernels::{CublasGemm, FlashLlmSpmm, FlashLlmStats};
-use spinfer_bench::{render_table, save_csv, HERO_K, HERO_M};
-use spinfer_core::{FormatStats, SpinferSpmm};
+use spinfer_bench::{kernels, render_table, save_csv, HERO_K, HERO_M};
 
 fn main() {
     let spec = GpuSpec::rtx4090();
     let (n, s) = (16usize, 0.6f64);
 
-    let spinfer = SpinferSpmm::new().estimate(&spec, &FormatStats::synthetic(HERO_M, HERO_K, s), n);
-    let flash =
-        FlashLlmSpmm::new().estimate(&spec, &FlashLlmStats::synthetic(HERO_M, HERO_K, s), n);
-    let cublas = CublasGemm::new().estimate(&spec, HERO_M, HERO_K, n);
+    let [cublas, flash, spinfer] = kernels(["cuBLAS_TC", "Flash-LLM", "SpInfer"])
+        .map(|k| k.estimate_synthetic(&spec, HERO_M, HERO_K, n, s));
 
     let headers = ["metric", "cuBLAS_TC", "Flash-LLM", "SpInfer"];
     let metric = |r: &spinfer_core::SpmmRun| {
