@@ -117,8 +117,8 @@ use gpu_sim::GpuSpec;
 use spinfer_bench::sweep::{self, EncodeCache, SweepOutcome, SweepPoint};
 use spinfer_bench::{kernels, render_table, FIGURE10_KERNELS};
 use spinfer_core::spmm::LaunchCtx;
-use spinfer_core::{serialize, tune, SpMMHandle, SpinferSpmm, TcaBme};
-use spinfer_llm::model::{Generator, ModelRef, TransformerWeights};
+use spinfer_core::{serialize, tune, SpinferSpmm, TcaBme};
+use spinfer_llm::model::{BatchGenerator, ModelRef, TransformerWeights};
 use spinfer_llm::{simulate, Framework, InferenceConfig, ModelConfig};
 use spinfer_obs::Registry;
 use std::process::ExitCode;
@@ -428,8 +428,9 @@ fn cmd_generate(args: &[String]) -> CliResult {
         cfg.layers, cfg.hidden
     );
 
-    let mut dense_gen = Generator::new(ModelRef::Dense(&weights), spec.clone(), n + 4);
-    let dense_out = dense_gen.generate(&[1, 2, 3], n);
+    let prompt = [vec![1, 2, 3]];
+    let mut dense_gen = BatchGenerator::new(ModelRef::Dense(&weights), spec.clone(), 1, n + 4);
+    let dense_out = &dense_gen.generate(&prompt, n)[0];
     println!("  dense  tokens : {dense_out:?}");
     println!(
         "  dense  sim    : {:.1} us linear over {} launches",
@@ -437,8 +438,8 @@ fn cmd_generate(args: &[String]) -> CliResult {
         dense_gen.telemetry.launches
     );
 
-    let mut sparse_gen = Generator::new(ModelRef::Sparse(&sparse), spec, n + 4);
-    let sparse_out = sparse_gen.generate(&[1, 2, 3], n);
+    let mut sparse_gen = BatchGenerator::new(ModelRef::Sparse(&sparse), spec, 1, n + 4);
+    let sparse_out = &sparse_gen.generate(&prompt, n)[0];
     println!("  sparse tokens : {sparse_out:?}");
     println!(
         "  sparse sim    : {:.1} us linear over {} launches",
@@ -450,7 +451,6 @@ fn cmd_generate(args: &[String]) -> CliResult {
         weights.linear_bytes(),
         sparse.linear_bytes()
     );
-    let _ = SpMMHandle::encode(&random_sparse(16, 16, 0.5, ValueDist::Uniform, 1));
     Ok(())
 }
 

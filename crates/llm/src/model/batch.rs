@@ -2,19 +2,16 @@
 //!
 //! The paper's decode evaluation runs batch sizes 8–32: every sequence
 //! advances one token per step and the linear layers see an
-//! `h × batch` activation tile. [`BatchGenerator`] reproduces that over
-//! the single-sequence [`Generator`](crate::model::forward::Generator)s' machinery: one simulated kernel
-//! launch per layer per step for the whole batch (amortising weight
-//! reads exactly as the real kernels do), with per-sequence KV caches
-//! and greedy sampling.
+//! `h × batch` activation tile. [`BatchGenerator`] reproduces that: one
+//! simulated kernel launch per layer per step for the whole batch
+//! (amortising weight reads exactly as the real kernels do), with
+//! per-sequence KV caches and greedy sampling. A batch of one is
+//! single-sequence incremental decode.
 
-use crate::model::forward::{ModelRef, SimTelemetry};
+use crate::model::forward::{forward, ModelRef, SimTelemetry};
 use crate::model::kv_cache::KvCache;
-use crate::model::ops::{argmax, gelu, layernorm, silu, softmax_inplace, to_half_matrix};
-use gpu_sim::matrix::DenseMatrix;
+use crate::model::ops::argmax;
 use gpu_sim::spec::GpuSpec;
-use spinfer_baselines::kernels::CublasGemm;
-use spinfer_core::spmm::SpmmKernel;
 
 /// Batched autoregressive generator.
 pub struct BatchGenerator<'a> {
@@ -29,7 +26,7 @@ impl<'a> BatchGenerator<'a> {
     /// Creates a generator for `batch` sequences of up to `max_positions`.
     pub fn new(model: ModelRef<'a>, spec: GpuSpec, batch: usize, max_positions: usize) -> Self {
         assert!(batch >= 1);
-        let cfg = model_config(&model);
+        let cfg = model.config();
         let caches = (0..batch)
             .map(|_| KvCache::new(cfg.layers, cfg.kv_heads, cfg.head_dim(), max_positions))
             .collect();
@@ -53,127 +50,12 @@ impl<'a> BatchGenerator<'a> {
     ///
     /// Panics on out-of-vocabulary tokens or a full cache.
     pub fn step(&mut self, tokens: &[usize]) -> Vec<Vec<f32>> {
-        let b = self.batch();
-        assert_eq!(tokens.len(), b, "one token per sequence");
-        let cfg = model_config(&self.model);
-        let h = cfg.hidden;
-        let hd = cfg.head_dim();
-        let kv_dim = cfg.kv_heads * hd;
-        let group = cfg.heads / cfg.kv_heads;
-        let scale = 1.0 / (hd as f32).sqrt();
-
-        // x: per-sequence hidden state.
-        let mut x: Vec<Vec<f32>> = tokens
-            .iter()
-            .map(|&t| {
-                assert!(t < cfg.vocab, "token {t} out of vocabulary");
-                (0..h)
-                    .map(|c| embedding(&self.model).get(t, c).to_f32())
-                    .collect()
-            })
-            .collect();
-
-        let mut normed = vec![vec![0.0f32; h]; b];
-        for li in 0..cfg.layers {
-            // --- Attention: one batched QKV launch for all sequences ---
-            for (xi, ni) in x.iter().zip(normed.iter_mut()) {
-                let (g, bias) = ln1(&self.model, li);
-                layernorm(xi, g, bias, ni);
-            }
-            let qkv = self.batched_linear(li, Mat::Qkv, &normed);
-            let qkv_rows = h + 2 * kv_dim;
-
-            let mut attn = vec![vec![0.0f32; h]; b];
-            for (s, cache) in self.caches.iter_mut().enumerate() {
-                let col = |r: usize| qkv[r * b + s];
-                let committed = cache.len();
-                for head in 0..cfg.kv_heads {
-                    let k_row: Vec<f32> = (0..hd).map(|i| col(h + head * hd + i)).collect();
-                    let v_row: Vec<f32> =
-                        (0..hd).map(|i| col(h + kv_dim + head * hd + i)).collect();
-                    cache.append(li, head, &k_row, &v_row);
-                }
-                let visible = committed + 1;
-                for qh in 0..cfg.heads {
-                    let kvh = qh / group;
-                    let q: Vec<f32> = (0..hd).map(|i| col(qh * hd + i)).collect();
-                    let mut scores = Vec::with_capacity(visible);
-                    for pos in 0..visible {
-                        let krow: Vec<f32> = if pos < committed {
-                            cache.key(li, kvh, pos)
-                        } else {
-                            (0..hd).map(|i| col(h + kvh * hd + i)).collect()
-                        };
-                        scores.push(q.iter().zip(&krow).map(|(a, c)| a * c).sum::<f32>() * scale);
-                    }
-                    softmax_inplace(&mut scores);
-                    let out = &mut attn[s][qh * hd..(qh + 1) * hd];
-                    for (pos, &w) in scores.iter().enumerate() {
-                        let vrow: Vec<f32> = if pos < committed {
-                            cache.value(li, kvh, pos)
-                        } else {
-                            (0..hd).map(|i| col(h + kv_dim + kvh * hd + i)).collect()
-                        };
-                        for (o, v) in out.iter_mut().zip(&vrow) {
-                            *o += w * v;
-                        }
-                    }
-                }
-            }
-            let _ = qkv_rows;
-
-            let proj = self.batched_linear(li, Mat::AttnOut, &attn);
-            for (s, xi) in x.iter_mut().enumerate() {
-                for (r, v) in xi.iter_mut().enumerate() {
-                    *v += proj[r * b + s];
-                }
-            }
-
-            // --- FFN ---
-            for (xi, ni) in x.iter().zip(normed.iter_mut()) {
-                let (g, bias) = ln2(&self.model, li);
-                layernorm(xi, g, bias, ni);
-            }
-            let up = self.batched_linear(li, Mat::FfnUp, &normed);
-            let ffn = cfg.ffn_hidden;
-            let act: Vec<Vec<f32>> = (0..b)
-                .map(|s| {
-                    if cfg.gated_ffn {
-                        (0..ffn)
-                            .map(|r| silu(up[r * b + s]) * up[(ffn + r) * b + s])
-                            .collect()
-                    } else {
-                        (0..ffn).map(|r| gelu(up[r * b + s])).collect()
-                    }
-                })
-                .collect();
-            let down = self.batched_linear(li, Mat::FfnDown, &act);
-            for (s, xi) in x.iter_mut().enumerate() {
-                for (r, v) in xi.iter_mut().enumerate() {
-                    *v += down[r * b + s];
-                }
-            }
+        assert_eq!(tokens.len(), self.batch(), "one token per sequence");
+        let (spec, caches, telemetry) = (&self.spec, &mut self.caches, &mut self.telemetry);
+        match self.model {
+            ModelRef::Dense(w) => forward(w, spec, caches, telemetry, tokens),
+            ModelRef::Sparse(w) => forward(w, spec, caches, telemetry, tokens),
         }
-        for cache in &mut self.caches {
-            cache.commit();
-        }
-
-        // Final norm + tied LM head, per sequence.
-        let (g, bias) = final_ln(&self.model);
-        let mut out = Vec::with_capacity(b);
-        let mut buf = vec![0.0f32; h];
-        for xi in &x {
-            layernorm(xi, g, bias, &mut buf);
-            let mut logits = vec![0.0f32; cfg.vocab];
-            for (t, logit) in logits.iter_mut().enumerate() {
-                *logit = (0..h)
-                    .map(|c| embedding(&self.model).get(t, c).to_f32() * buf[c])
-                    .sum();
-            }
-            out.push(logits);
-        }
-        self.telemetry.positions += 1;
-        out
     }
 
     /// Greedy batched generation from one prompt per sequence (all the
@@ -201,106 +83,12 @@ impl<'a> BatchGenerator<'a> {
         }
         out
     }
-
-    /// One batched `W × X` through the simulated kernel, `X` assembled
-    /// column-per-sequence; returns row-major `rows(W) × batch` FP32.
-    fn batched_linear(&mut self, layer: usize, which: Mat, cols: &[Vec<f32>]) -> Vec<f32> {
-        let b = cols.len();
-        let k = cols[0].len();
-        let mut data = vec![0.0f32; k * b];
-        for (s, col) in cols.iter().enumerate() {
-            for (r, &v) in col.iter().enumerate() {
-                data[r * b + s] = v;
-            }
-        }
-        let xm = to_half_matrix(k, b, &data);
-        let run = match (&self.model, which) {
-            (ModelRef::Dense(w), _) => {
-                let mat = match which {
-                    Mat::Qkv => &w.layers[layer].qkv,
-                    Mat::AttnOut => &w.layers[layer].attn_out,
-                    Mat::FfnUp => &w.layers[layer].ffn_up,
-                    Mat::FfnDown => &w.layers[layer].ffn_down,
-                };
-                CublasGemm::new().run(&self.spec, mat, &xm)
-            }
-            (ModelRef::Sparse(w), _) => {
-                let handle = match which {
-                    Mat::Qkv => &w.layers[layer].qkv,
-                    Mat::AttnOut => &w.layers[layer].attn_out,
-                    Mat::FfnUp => &w.layers[layer].ffn_up,
-                    Mat::FfnDown => &w.layers[layer].ffn_down,
-                };
-                handle.matmul(&self.spec, &xm)
-            }
-        };
-        self.telemetry.linear_sec += run.chain.time_sec();
-        self.telemetry.launches += run.chain.launches.len();
-        run.output.expect("functional kernels return output")
-    }
-}
-
-#[derive(Clone, Copy)]
-enum Mat {
-    Qkv,
-    AttnOut,
-    FfnUp,
-    FfnDown,
-}
-
-fn model_config(m: &ModelRef<'_>) -> crate::config::ModelConfig {
-    match m {
-        ModelRef::Dense(w) => w.config,
-        ModelRef::Sparse(w) => w.config,
-    }
-}
-
-fn embedding<'a>(m: &'a ModelRef<'_>) -> &'a DenseMatrix {
-    match m {
-        ModelRef::Dense(w) => &w.embedding,
-        ModelRef::Sparse(w) => &w.embedding,
-    }
-}
-
-fn ln1<'a>(m: &'a ModelRef<'_>, layer: usize) -> (&'a [f32], &'a [f32]) {
-    match m {
-        ModelRef::Dense(w) => (&w.layers[layer].ln1_gain, &w.layers[layer].ln1_bias),
-        ModelRef::Sparse(w) => (&w.layers[layer].ln1_gain, &w.layers[layer].ln1_bias),
-    }
-}
-
-fn ln2<'a>(m: &'a ModelRef<'_>, layer: usize) -> (&'a [f32], &'a [f32]) {
-    match m {
-        ModelRef::Dense(w) => (&w.layers[layer].ln2_gain, &w.layers[layer].ln2_bias),
-        ModelRef::Sparse(w) => (&w.layers[layer].ln2_gain, &w.layers[layer].ln2_bias),
-    }
-}
-
-fn final_ln<'a>(m: &'a ModelRef<'_>) -> (&'a [f32], &'a [f32]) {
-    match m {
-        ModelRef::Dense(w) => (&w.ln_f_gain, &w.ln_f_bias),
-        ModelRef::Sparse(w) => (&w.ln_f_gain, &w.ln_f_bias),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::forward::Generator;
     use crate::model::weights::{tiny_config, TransformerWeights};
-
-    #[test]
-    fn batch_of_one_matches_single_sequence_generator() {
-        let w = TransformerWeights::random(tiny_config(), 501);
-        let spec = GpuSpec::rtx4090();
-        let mut single = Generator::new(ModelRef::Dense(&w), spec.clone(), 16);
-        let mut batched = BatchGenerator::new(ModelRef::Dense(&w), spec, 1, 16);
-        let ls = single.step(5);
-        let lb = batched.step(&[5]);
-        for (a, c) in ls.iter().zip(&lb[0]) {
-            assert!((a - c).abs() < 1e-3, "single {a} vs batched {c}");
-        }
-    }
 
     #[test]
     fn sequences_in_a_batch_are_independent() {

@@ -7,7 +7,8 @@
 //! relies on are testable: sparse-at-0% matches dense exactly, and
 //! perplexity degrades monotonically-ish with sparsity.
 
-use crate::model::forward::{Generator, ModelRef};
+use crate::model::batch::BatchGenerator;
+use crate::model::forward::ModelRef;
 use crate::model::ops::softmax_inplace;
 use gpu_sim::spec::GpuSpec;
 
@@ -30,12 +31,12 @@ pub struct EvalResult {
 /// Panics if `stream.len() < 2` or any token is out of vocabulary.
 pub fn evaluate(model: ModelRef<'_>, spec: &GpuSpec, stream: &[usize]) -> EvalResult {
     assert!(stream.len() >= 2, "need at least two tokens to score");
-    let mut generator = Generator::new(model, spec.clone(), stream.len());
+    let mut generator = BatchGenerator::new(model, spec.clone(), 1, stream.len());
     let mut nll = 0.0f64;
     let mut scored = 0usize;
     for w in stream.windows(2) {
         let (cur, next) = (w[0], w[1]);
-        let mut logits = generator.step(cur);
+        let mut logits = generator.step(&[cur]).swap_remove(0);
         softmax_inplace(&mut logits);
         let p = f64::from(logits[next]).max(1e-12);
         nll -= p.ln();

@@ -7,6 +7,10 @@
 //! head, greedy sampling) whose linear layers run through the simulated
 //! SpInfer-SpMM / dense GEMM kernels, producing bit-real logits plus
 //! accumulated simulated device time.
+//!
+//! There is one forward pass ([`forward`]), run by [`BatchGenerator`]
+//! over a batch of sequences; a batch of one is single-sequence
+//! incremental decode, as [`evaluate`] uses it.
 
 pub mod batch;
 pub mod eval;
@@ -17,7 +21,7 @@ pub mod weights;
 
 pub use batch::BatchGenerator;
 pub use eval::{evaluate, synthetic_stream, EvalResult};
-pub use forward::{Generator, ModelRef, SimTelemetry};
+pub use forward::{ModelRef, SimTelemetry};
 pub use kv_cache::KvCache;
 pub use weights::{
     tiny_config, LayerWeights, SparseLayerWeights, SparseTransformerWeights, TransformerWeights,

@@ -4,24 +4,59 @@
 //! Weights are randomly initialised at realistic scales (σ ∝ 1/√h). The
 //! paper's deployment path — prune every linear layer with Wanda, keep
 //! embeddings and the LM head dense — is reproduced by
-//! [`TransformerWeights::pruned`].
+//! [`TransformerWeights::pruned`]. One set of structs serves both forms:
+//! they are generic over how a linear layer is stored ([`Linear`]).
 
 use crate::config::ModelConfig;
 use gpu_sim::matrix::{random_dense, DenseMatrix, ValueDist};
+use gpu_sim::spec::GpuSpec;
+use spinfer_baselines::kernels::CublasGemm;
+use spinfer_core::spmm::{SpmmKernel, SpmmRun};
 use spinfer_core::SpMMHandle;
 use spinfer_pruning::{wanda_prune, Calibration};
 
-/// One decoder layer's parameters (dense form).
+/// Storage of a linear layer's weights: the simulated kernel that runs
+/// it and the bytes it occupies.
+pub trait Linear {
+    /// `W × X` through this storage's simulated kernel.
+    fn run(&self, spec: &GpuSpec, x: &DenseMatrix) -> SpmmRun;
+    /// Stored bytes of `W`.
+    fn stored_bytes(&self) -> usize;
+}
+
+/// Dense weights run on the cuBLAS_TC GEMM baseline.
+impl Linear for DenseMatrix {
+    fn run(&self, spec: &GpuSpec, x: &DenseMatrix) -> SpmmRun {
+        CublasGemm::new().run(spec, self, x)
+    }
+
+    fn stored_bytes(&self) -> usize {
+        self.dense_bytes()
+    }
+}
+
+/// TCA-BME weights run on SpInfer-SpMM.
+impl Linear for SpMMHandle {
+    fn run(&self, spec: &GpuSpec, x: &DenseMatrix) -> SpmmRun {
+        self.matmul(spec, x)
+    }
+
+    fn stored_bytes(&self) -> usize {
+        self.storage_bytes()
+    }
+}
+
+/// One decoder layer's parameters, its linears stored as `W`.
 #[derive(Clone, Debug)]
-pub struct LayerWeights {
+pub struct LayerWeights<W = DenseMatrix> {
     /// Fused QKV projection, `(h + 2·kv) × h`.
-    pub qkv: DenseMatrix,
+    pub qkv: W,
     /// Attention output projection, `h × h`.
-    pub attn_out: DenseMatrix,
+    pub attn_out: W,
     /// FFN up (or fused gate+up for SwiGLU), `ffn' × h`.
-    pub ffn_up: DenseMatrix,
+    pub ffn_up: W,
     /// FFN down, `h × ffn`.
-    pub ffn_down: DenseMatrix,
+    pub ffn_down: W,
     /// Pre-attention LayerNorm gain.
     pub ln1_gain: Vec<f32>,
     /// Pre-attention LayerNorm bias.
@@ -32,20 +67,26 @@ pub struct LayerWeights {
     pub ln2_bias: Vec<f32>,
 }
 
-/// Full model parameters (dense form).
+/// Full model parameters, the decoder linears stored as `W`.
 #[derive(Clone, Debug)]
-pub struct TransformerWeights {
+pub struct TransformerWeights<W = DenseMatrix> {
     /// Architecture.
     pub config: ModelConfig,
-    /// Token embedding, `vocab × h` (also used as the LM head, tied).
+    /// Dense token embedding, `vocab × h` (also used as the LM head, tied).
     pub embedding: DenseMatrix,
     /// Decoder layers.
-    pub layers: Vec<LayerWeights>,
+    pub layers: Vec<LayerWeights<W>>,
     /// Final LayerNorm gain.
     pub ln_f_gain: Vec<f32>,
     /// Final LayerNorm bias.
     pub ln_f_bias: Vec<f32>,
 }
+
+/// One decoder layer with TCA-BME-encoded linears.
+pub type SparseLayerWeights = LayerWeights<SpMMHandle>;
+
+/// A pruned, encoded model ready for SpInfer-style serving.
+pub type SparseTransformerWeights = TransformerWeights<SpMMHandle>;
 
 impl TransformerWeights {
     /// Random initialisation at σ = 1/√h (keeps activations O(1) through
@@ -111,68 +152,19 @@ impl TransformerWeights {
             ln_f_bias: self.ln_f_bias.clone(),
         }
     }
+}
 
-    /// Total stored bytes of the dense linear weights (excluding
-    /// embeddings), for memory comparisons.
+impl<W: Linear> TransformerWeights<W> {
+    /// Total stored bytes of the linear weights (excluding embeddings),
+    /// for memory comparisons.
     pub fn linear_bytes(&self) -> usize {
         self.layers
             .iter()
             .map(|l| {
-                l.qkv.dense_bytes()
-                    + l.attn_out.dense_bytes()
-                    + l.ffn_up.dense_bytes()
-                    + l.ffn_down.dense_bytes()
-            })
-            .sum()
-    }
-}
-
-/// One decoder layer with TCA-BME-encoded linears.
-#[derive(Clone, Debug)]
-pub struct SparseLayerWeights {
-    /// Encoded QKV projection.
-    pub qkv: SpMMHandle,
-    /// Encoded attention output projection.
-    pub attn_out: SpMMHandle,
-    /// Encoded FFN up projection.
-    pub ffn_up: SpMMHandle,
-    /// Encoded FFN down projection.
-    pub ffn_down: SpMMHandle,
-    /// Pre-attention LayerNorm gain.
-    pub ln1_gain: Vec<f32>,
-    /// Pre-attention LayerNorm bias.
-    pub ln1_bias: Vec<f32>,
-    /// Pre-FFN LayerNorm gain.
-    pub ln2_gain: Vec<f32>,
-    /// Pre-FFN LayerNorm bias.
-    pub ln2_bias: Vec<f32>,
-}
-
-/// A pruned, encoded model ready for SpInfer-style serving.
-#[derive(Clone, Debug)]
-pub struct SparseTransformerWeights {
-    /// Architecture.
-    pub config: ModelConfig,
-    /// Dense token embedding / LM head.
-    pub embedding: DenseMatrix,
-    /// Encoded decoder layers.
-    pub layers: Vec<SparseLayerWeights>,
-    /// Final LayerNorm gain.
-    pub ln_f_gain: Vec<f32>,
-    /// Final LayerNorm bias.
-    pub ln_f_bias: Vec<f32>,
-}
-
-impl SparseTransformerWeights {
-    /// Total encoded bytes of the linear weights.
-    pub fn linear_bytes(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| {
-                l.qkv.storage_bytes()
-                    + l.attn_out.storage_bytes()
-                    + l.ffn_up.storage_bytes()
-                    + l.ffn_down.storage_bytes()
+                l.qkv.stored_bytes()
+                    + l.attn_out.stored_bytes()
+                    + l.ffn_up.stored_bytes()
+                    + l.ffn_down.stored_bytes()
             })
             .sum()
     }

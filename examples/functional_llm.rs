@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example functional_llm`
 
 use spinfer_suite::gpu_sim::GpuSpec;
-use spinfer_suite::llm::model::{tiny_config, Generator, ModelRef, TransformerWeights};
+use spinfer_suite::llm::model::{tiny_config, BatchGenerator, ModelRef, TransformerWeights};
 
 fn main() {
     let mut cfg = tiny_config();
@@ -22,12 +22,12 @@ fn main() {
     );
 
     let dense = TransformerWeights::random(cfg, 2025);
-    let prompt = [3usize, 14, 15, 9, 26];
+    let prompt = [vec![3, 14, 15, 9, 26]];
     let new_tokens = 16;
 
     // Dense serving (FasterTransformer-style).
-    let mut gen_d = Generator::new(ModelRef::Dense(&dense), spec.clone(), 64);
-    let out_d = gen_d.generate(&prompt, new_tokens);
+    let mut gen_d = BatchGenerator::new(ModelRef::Dense(&dense), spec.clone(), 1, 64);
+    let out_d = &gen_d.generate(&prompt, new_tokens)[0];
     println!("\ndense (cuBLAS_TC path):");
     println!("  tokens         : {out_d:?}");
     println!(
@@ -39,9 +39,9 @@ fn main() {
     // Pruned + encoded serving (SpInfer path) at three sparsities.
     for sparsity in [0.0, 0.5, 0.7] {
         let sparse = dense.pruned(sparsity, 99);
-        let mut gen_s = Generator::new(ModelRef::Sparse(&sparse), spec.clone(), 64);
-        let out_s = gen_s.generate(&prompt, new_tokens);
-        let agree = out_d.iter().zip(&out_s).take_while(|(a, b)| a == b).count();
+        let mut gen_s = BatchGenerator::new(ModelRef::Sparse(&sparse), spec.clone(), 1, 64);
+        let out_s = &gen_s.generate(&prompt, new_tokens)[0];
+        let agree = out_d.iter().zip(out_s).take_while(|(a, b)| a == b).count();
         println!("\nSpInfer path at {:.0}% sparsity:", sparsity * 100.0);
         println!("  tokens         : {out_s:?}");
         println!("  agrees with dense for the first {agree}/{new_tokens} tokens");
