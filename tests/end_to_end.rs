@@ -8,6 +8,8 @@ use spinfer_suite::gpu_sim::GpuSpec;
 use spinfer_suite::llm::{simulate, Framework, InferenceConfig, ModelConfig};
 use spinfer_suite::pruning::{reconstruction_error, wanda_prune, Calibration};
 
+mod common;
+
 #[test]
 fn pruned_layer_flows_through_the_whole_stack() {
     let spec = GpuSpec::rtx4090();
@@ -84,4 +86,59 @@ fn kernel_timing_consistency_between_both_devices() {
         (t_ratio / bw_ratio - 1.0).abs() < 0.35,
         "ratio {t_ratio} vs bw {bw_ratio}"
     );
+}
+
+/// Absolute pins of `simulate`'s whole report (`{:?}` prints every f64
+/// in round-trip form): every framework on OPT-13B at tp 1 and 2. The
+/// dense frameworks at tp 1 are the out-of-memory cases (`oom: true`
+/// is part of the pinned text).
+#[test]
+fn simulate_reports_match_pinned_digests() {
+    let spec = GpuSpec::rtx4090();
+    let pins: [(Framework, [u64; 2]); 5] = [
+        (
+            Framework::SpInfer,
+            [0xb7bd_c125_99db_a1b6, 0xa0df_9f13_2dba_f0d4],
+        ),
+        (
+            Framework::SpInferInt8,
+            [0xa0c2_057d_3509_15a6, 0x6ef5_cab2_2429_15f2],
+        ),
+        (
+            Framework::FlashLlm,
+            [0x0464_384a_a75e_0a04, 0xdf9d_c108_dfbb_f9b4],
+        ),
+        (
+            Framework::FasterTransformer,
+            [0xbd3f_02b5_8b75_27eb, 0xfd8a_31a7_63e2_5583],
+        ),
+        (
+            Framework::DeepSpeed,
+            [0x968c_b5f1_7991_c941, 0x2e96_0d64_d960_0c25],
+        ),
+    ];
+    let mut texts = Vec::new();
+    for (framework, digests) in pins {
+        for (tp, digest) in [1, 2].into_iter().zip(digests) {
+            let report = simulate(
+                &spec,
+                &InferenceConfig {
+                    model: ModelConfig::opt_13b(),
+                    framework,
+                    sparsity: 0.6,
+                    batch: 16,
+                    input_len: 64,
+                    output_len: 128,
+                    tp,
+                },
+            );
+            let what = format!("{framework:?} tp {tp}");
+            texts.push((what, format!("{report:?}"), digest));
+        }
+    }
+    let pins: Vec<(&str, &str, u64)> = texts
+        .iter()
+        .map(|(what, text, digest)| (what.as_str(), text.as_str(), *digest))
+        .collect();
+    common::assert_pinned(&pins);
 }
