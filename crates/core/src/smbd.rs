@@ -493,9 +493,10 @@ pub fn bt_decode_cost(has_values: bool) -> BtDecodeCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::bitops::test_bit;
     use gpu_sim::fault::FaultPlan;
     use gpu_sim::matrix::{random_sparse, DenseMatrix, ValueDist};
-    use gpu_sim::tensor_core::lane_quadrant_coords;
+    use gpu_sim::shared_memory::{warp_smem_load, warp_smem_load_f};
     use proptest::prelude::*;
 
     /// [`decode_tctile_rows_f`] returning the rows with the count.
@@ -536,175 +537,294 @@ mod tests {
         rows_f(counters, bitmaps, values, base, values_smem_base, None, 0).expect("in bounds")
     }
 
-    /// Encodes an 8×8 tile the way TCA-BME does: bitmap + packed values.
-    fn encode_bt(tile: &DenseMatrix) -> (u64, Vec<Half>) {
-        assert_eq!((tile.rows(), tile.cols()), (8, 8));
-        let mut bm = 0u64;
-        let mut vals = Vec::new();
-        for bit in 0..64 {
-            let v = tile.get(bit / 8, bit % 8);
-            if !v.is_zero() {
-                bm |= 1u64 << bit;
-                vals.push(v);
+    /// Encodes a 16×16 tile's quadrants in TL,BL,TR,BR order with a
+    /// caller-supplied per-element encoder.
+    fn encode_tctile_with<T>(
+        tile: &DenseMatrix,
+        mut enc: impl FnMut(Half) -> T,
+    ) -> ([u64; 4], Vec<T>) {
+        let mut bitmaps = [0u64; 4];
+        let mut values = Vec::new();
+        for (q, (dr, dc)) in [(0, 0), (8, 0), (0, 8), (8, 8)].iter().enumerate() {
+            let mut bm = 0u64;
+            for bit in 0..64 {
+                let v = tile.get(bit / 8 + dr, bit % 8 + dc);
+                if !v.is_zero() {
+                    bm |= 1u64 << bit;
+                    values.push(enc(v));
+                }
+            }
+            bitmaps[q] = bm;
+        }
+        (bitmaps, values)
+    }
+
+    /// Encodes a 16×16 tile the way TCA-BME does: four bitmaps plus the
+    /// packed FP16 values.
+    fn encode_tctile(tile: &DenseMatrix) -> ([u64; 4], Vec<Half>) {
+        encode_tctile_with(tile, |v| v)
+    }
+
+    /// Quadrant-local `(row, col)` of the low half of lane `lane`'s
+    /// register; the high half is at `(row, col + 1)`.
+    fn lane_quadrant_coords(lane: usize) -> (usize, usize) {
+        (lane / 4, (lane % 4) * 2)
+    }
+
+    /// SMBD as Algorithm 2 writes it, for one BitmapTile: per phase,
+    /// every lane runs its own `MaskedPopCount` and bit test and the
+    /// warp gathers through a 32-lane address array; Phase II reuses the
+    /// Phase I count. Returns each lane's `a0` (bit `2l`) and `a1` (bit
+    /// `2l + 1`), the low and high halves of its `Ra` register. The row
+    /// decode is pinned to it: values, counters, overruns and fault
+    /// sites.
+    ///
+    /// `analyze_warp_access` has no 1 B width, so INT8 gathers are
+    /// analysed at 2 B: up to 64 codes sit inside one bank cycle at
+    /// either width.
+    #[allow(clippy::too_many_arguments)]
+    fn decode_bitmap_tile_scalar<P: Payload>(
+        counters: &mut Counters,
+        bitmap: u64,
+        values: &[P],
+        base: usize,
+        values_smem_base: u64,
+        fault: Option<&FaultInjector>,
+        site_key: u64,
+    ) -> Result<([P; 32], [P; 32]), DecodeFault> {
+        let need = base + popc64(bitmap) as usize;
+        if need > values.len() {
+            return Err(DecodeFault::Overrun {
+                needed: need,
+                available: values.len(),
+            });
+        }
+
+        // Bitmap broadcast load: every lane reads the same 8-byte word.
+        warp_smem_load(counters, &[Some(values_smem_base); 32], 8);
+
+        let mut halves = [[P::ZERO; 32]; 2];
+        let mut phase1_count = [0u32; 32];
+        for (phase, insts, salt) in [
+            (0, INT_INSTS_PHASE1 + INT_INSTS_BASE, 0x5048_3141),
+            (1, INT_INSTS_PHASE2, 0x5048_3242),
+        ] {
+            let mut addrs = [None; 32];
+            let mut lanes = Vec::new();
+            for lane in 0..32 {
+                let off = 2 * lane as u32 + phase;
+                if phase == 0 {
+                    phase1_count[lane] = masked_popc64(bitmap, off);
+                }
+                if test_bit(bitmap, off) {
+                    // Phase II advances past `a0` when it was set.
+                    let advance = phase * u32::from(test_bit(bitmap, 2 * lane as u32));
+                    let idx = base + (phase1_count[lane] + advance) as usize;
+                    halves[phase as usize][lane] = values[idx];
+                    addrs[lane] = Some(values_smem_base + (idx * P::BYTES) as u64);
+                    lanes.push(lane);
+                }
+            }
+            counters.cuda_int_insts += insts;
+            counters.insts_issued += insts;
+            if !lanes.is_empty() {
+                if let Some((sel, poison)) =
+                    warp_smem_load_f(counters, &addrs, 2, fault, site_key ^ salt)
+                {
+                    halves[phase as usize][lanes[sel]] = P::from_poison(poison);
+                }
             }
         }
-        (bm, vals)
+        Ok((halves[0], halves[1]))
+    }
+
+    /// [`decode_bitmap_tile_scalar`] over a TCTile, each lane's halves
+    /// widened and scattered to their fragment coordinates.
+    fn per_lane_rows<P: Datapath>(
+        counters: &mut Counters,
+        bitmaps: &[u64; 4],
+        values: &[P],
+        base: usize,
+        values_smem_base: u64,
+        fault: Option<&FaultInjector>,
+        site_key: u64,
+    ) -> Result<(TcRows<P>, usize), DecodeFault> {
+        let mut rows = [[P::Operand::default(); 16]; 16];
+        let mut offset = base;
+        for (reg, &bm) in bitmaps.iter().enumerate() {
+            let (a0, a1) = decode_bitmap_tile_scalar(
+                counters,
+                bm,
+                values,
+                offset,
+                values_smem_base,
+                fault,
+                site_key.wrapping_add((reg as u64 + 1) << 48),
+            )?;
+            let (dr, dc) = QUAD_ORIGINS[reg];
+            for lane in 0..32 {
+                let (qr, qc) = lane_quadrant_coords(lane);
+                rows[qr + dr][qc + dc] = a0[lane].widen();
+                rows[qr + dr][qc + dc + 1] = a1[lane].widen();
+            }
+            offset += popc64(bm) as usize;
+        }
+        Ok((rows, offset - base))
     }
 
     #[test]
-    fn decode_reconstructs_quadrant() {
-        for &s in &[0.0, 0.4, 0.6, 0.9] {
-            let tile = random_sparse(8, 8, s, ValueDist::Uniform, 77);
-            let (bm, vals) = encode_bt(&tile);
-            let mut c = Counters::new();
-            let regs = decode_bitmap_tile(&mut c, bm, &vals, 0, 0);
+    fn registers_follow_the_paper_layout() {
+        // The A fragment of mma.m16n8k16: Ra0..Ra3 hold the top-left,
+        // bottom-left, top-right and bottom-right quadrants, the order
+        // TCA-BME stores a TCTile's BitmapTiles in (paper §4.2.1).
+        assert_eq!(QUAD_ORIGINS, [(0, 0), (8, 0), (0, 8), (8, 8)]);
+        // Within a quadrant, lane l's low half is row-major element 2l:
+        // Algorithm 2's MaskedPopCount offset.
+        for lane in 0..32 {
+            let (r, c) = lane_quadrant_coords(lane);
+            assert_eq!(r * 8 + c, 2 * lane);
+        }
+        // Decoding quadrant q per lane gives each lane the tile elements
+        // its Ra{q} register carries.
+        let tile = random_sparse(16, 16, 0.5, ValueDist::Uniform, 79);
+        let (bitmaps, values) = encode_tctile(&tile);
+        let mut offset = 0;
+        for (q, &bm) in bitmaps.iter().enumerate() {
+            let (a0, a1) =
+                decode_bitmap_tile_scalar(&mut Counters::new(), bm, &values, offset, 0, None, 0)
+                    .expect("in bounds");
+            let (dr, dc) = QUAD_ORIGINS[q];
             for lane in 0..32 {
-                let (r, col) = lane_quadrant_coords(lane);
-                let (lo, hi) = gpu_sim::fp16::unpack_f16x2(regs[lane]);
-                assert_eq!(lo, tile.get(r, col), "lane {lane} a0 sparsity {s}");
-                assert_eq!(hi, tile.get(r, col + 1), "lane {lane} a1 sparsity {s}");
+                let (r, c) = lane_quadrant_coords(lane);
+                assert_eq!(a0[lane], tile.get(dr + r, dc + c), "Ra{q} lane {lane} low");
+                assert_eq!(
+                    a1[lane],
+                    tile.get(dr + r, dc + c + 1),
+                    "Ra{q} lane {lane} high"
+                );
+            }
+            offset += popc64(bm) as usize;
+        }
+        assert_eq!(offset, values.len());
+    }
+
+    #[test]
+    fn decode_reconstructs_tile() {
+        for &s in &[0.0, 0.4, 0.6, 0.9] {
+            let tile = random_sparse(16, 16, s, ValueDist::Uniform, 77);
+            let (bitmaps, values) = encode_tctile(&tile);
+            let (rows, consumed) = decode_tctile_f32(&mut Counters::new(), &bitmaps, &values, 0, 0);
+            assert_eq!(consumed, values.len(), "sparsity {s}");
+            for (r, row) in rows.iter().enumerate() {
+                for (c, v) in row.iter().enumerate() {
+                    let want = tile.get(r, c).to_f32();
+                    assert_eq!(v.to_bits(), want.to_bits(), "({r},{c}) sparsity {s}");
+                }
             }
         }
     }
 
     #[test]
     fn decode_with_base_offset() {
-        let tile = random_sparse(8, 8, 0.5, ValueDist::Uniform, 78);
-        let (bm, vals) = encode_bt(&tile);
+        let tile = random_sparse(16, 16, 0.5, ValueDist::Uniform, 78);
+        let (bitmaps, values) = encode_tctile(&tile);
         // Prepend 5 unrelated values; decode with base = 5.
         let mut buf = vec![Half::from_f32(9.0); 5];
-        buf.extend_from_slice(&vals);
-        let mut c = Counters::new();
-        let regs = decode_bitmap_tile(&mut c, bm, &buf, 5, 0);
-        let direct = decode_bitmap_tile(&mut Counters::new(), bm, &vals, 0, 0);
-        assert_eq!(regs, direct);
-    }
-
-    #[test]
-    fn decode_tctile_matches_frag_a_layout() {
-        // Build a 16×16 tile, encode its four quadrants in TL,BL,TR,BR
-        // order, decode, and compare against FragA::from_tile.
-        let tile = random_sparse(16, 16, 0.5, ValueDist::Uniform, 79);
-        let mut bitmaps = [0u64; 4];
-        let mut values = Vec::new();
-        for (q, (dr, dc)) in [(0, 0), (8, 0), (0, 8), (8, 8)].iter().enumerate() {
-            let mut sub = DenseMatrix::zeros(8, 8);
-            for r in 0..8 {
-                for c in 0..8 {
-                    sub.set(r, c, tile.get(r + dr, c + dc));
-                }
-            }
-            let (bm, vals) = encode_bt(&sub);
-            bitmaps[q] = bm;
-            values.extend(vals);
-        }
-        let mut c = Counters::new();
-        let (frag, consumed) = decode_tctile(&mut c, &bitmaps, &values, 0, 0);
-        assert_eq!(consumed, values.len());
-        let expected = FragA::from_tile(|r, col| tile.get(r, col));
-        assert_eq!(frag, expected);
-    }
-
-    #[test]
-    fn dense_tile_consumes_64_values() {
-        let tile = random_sparse(8, 8, 0.0, ValueDist::Uniform, 80);
-        let (bm, vals) = encode_bt(&tile);
-        assert_eq!(vals.len(), 64);
-        assert_eq!(popc64(bm), 64);
+        buf.extend_from_slice(&values);
+        let shifted = decode_tctile_f32(&mut Counters::new(), &bitmaps, &buf, 5, 0);
+        let direct = decode_tctile_f32(&mut Counters::new(), &bitmaps, &values, 0, 0);
+        assert_eq!(shifted, direct);
     }
 
     #[test]
     fn empty_tile_decodes_to_zero_with_minimal_cost() {
         let mut c = Counters::new();
-        let regs = decode_bitmap_tile(&mut c, 0, &[], 0, 0);
-        assert!(regs.iter().all(|&r| r == 0));
-        // Only the bitmap broadcast (two half-warp phases) touches shared
-        // memory.
-        assert_eq!(c.smem_load_transactions, 2);
+        let (rows, consumed) = decode_tctile_f32(&mut c, &[0; 4], &[], 0, 0);
+        assert!(rows.iter().flatten().all(|v| v.to_bits() == 0));
+        assert_eq!(consumed, 0);
+        // Only the four bitmap broadcasts (two half-warp phases each)
+        // touch shared memory.
+        assert_eq!(c.smem_load_transactions, 8);
         assert_eq!(c.smem_bank_conflicts, 0);
     }
 
     #[test]
     fn functional_costs_match_analytic_model() {
-        let tile = random_sparse(8, 8, 0.5, ValueDist::Uniform, 81);
-        let (bm, vals) = encode_bt(&tile);
+        // One populated quadrant and three empty ones: the counters are
+        // one full BitmapTile cost plus three empty ones.
+        let tile = random_sparse(16, 16, 0.5, ValueDist::Uniform, 81);
+        let (bitmaps, values) = encode_tctile(&tile);
         let mut c = Counters::new();
-        decode_bitmap_tile(&mut c, bm, &vals, 0, 0);
-        let model = bt_decode_cost(true);
-        assert_eq!(c.cuda_int_insts, model.int_insts);
+        decode_tctile_f32(&mut c, &[bitmaps[0], 0, 0, 0], &values, 0, 0);
+        let (full, empty) = (bt_decode_cost(true), bt_decode_cost(false));
+        assert_eq!(c.cuda_int_insts, full.int_insts + 3 * empty.int_insts);
         assert_eq!(
-            c.smem_load_transactions, model.smem_transactions,
+            c.smem_load_transactions,
+            full.smem_transactions + 3 * empty.smem_transactions,
             "value gathers must be conflict-free wavefronts"
         );
-        let empty_model = bt_decode_cost(false);
-        let mut c2 = Counters::new();
-        decode_bitmap_tile(&mut c2, 0, &[], 0, 0);
-        assert_eq!(c2.smem_load_transactions, empty_model.smem_transactions);
     }
 
     #[test]
     fn checked_decode_matches_golden_with_no_injector() {
-        let tile = random_sparse(8, 8, 0.5, ValueDist::Uniform, 83);
-        let (bm, vals) = encode_bt(&tile);
+        let tile = random_sparse(16, 16, 0.5, ValueDist::Uniform, 83);
+        let (bitmaps, values) = encode_tctile(&tile);
         let mut cg = Counters::new();
-        let golden = decode_bitmap_tile(&mut cg, bm, &vals, 0, 128);
+        let mut golden = [[0.0f32; 16]; 16];
+        let used = decode_tctile_rows(&mut cg, &bitmaps, &values, 0, 128, &mut golden);
         let mut cc = Counters::new();
-        let checked = decode_bitmap_tile_f(&mut cc, bm, &vals, 0, 128, None, 9).expect("in bounds");
-        assert_eq!(golden, checked);
+        let checked =
+            rows_f::<Half>(&mut cc, &bitmaps, &values, 0, 128, None, 9).expect("in bounds");
+        assert_eq!(checked, (golden, used));
         assert_eq!(cg, cc, "checked path must not perturb the counter stream");
     }
 
     #[test]
     fn checked_decode_reports_overrun_instead_of_panicking() {
-        let tile = random_sparse(8, 8, 0.3, ValueDist::Uniform, 84);
-        let (bm, vals) = encode_bt(&tile);
-        assert!(!vals.is_empty());
+        let tile = random_sparse(16, 16, 0.7, ValueDist::Uniform, 84);
+        let (bitmaps, values) = encode_tctile(&tile);
+        let values = &values[..popc64(bitmaps[0]) as usize];
+        assert!(!values.is_empty());
         // Inflate the bitmap population past the value buffer — the
         // flipped-bit failure mode the unchecked path dies on.
-        let corrupt = bm | (1u64 << 63) | (1u64 << 62) | 1;
+        let corrupt = bitmaps[0] | (1u64 << 63) | (1u64 << 62) | 1;
         let pop = popc64(corrupt) as usize;
-        if pop > vals.len() {
-            let err = decode_bitmap_tile_f(&mut Counters::new(), corrupt, &vals, 0, 0, None, 0)
-                .unwrap_err();
-            assert_eq!(
-                err,
-                DecodeFault::Overrun {
-                    needed: pop,
-                    available: vals.len()
-                }
-            );
-        }
-        // Same corruption through the TCTile wrapper.
-        let bitmaps = [corrupt, 0, 0, 0];
-        assert!(matches!(
-            rows_f(&mut Counters::new(), &bitmaps, &vals, 0, 0, None, 0),
-            Err(DecodeFault::Overrun { .. })
-        ));
+        assert!(pop > values.len());
+        let err = rows_f(
+            &mut Counters::new(),
+            &[corrupt, 0, 0, 0],
+            values,
+            0,
+            0,
+            None,
+            0,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            DecodeFault::Overrun {
+                needed: pop,
+                available: values.len()
+            }
+        );
     }
 
     #[test]
     #[should_panic(expected = "corrupted bitmap")]
     fn unchecked_decode_panics_on_overrun_with_named_invariant() {
-        decode_bitmap_tile(&mut Counters::new(), u64::MAX, &[Half::ONE; 3], 0, 0);
+        decode_tctile_f32(
+            &mut Counters::new(),
+            &[u64::MAX, 0, 0, 0],
+            &[Half::ONE; 3],
+            0,
+            0,
+        );
     }
 
     #[test]
     fn poison_injection_is_caught_by_finiteness_scan() {
-        use gpu_sim::fault::{FaultInjector, FaultPlan};
         let tile = random_sparse(16, 16, 0.4, ValueDist::Uniform, 85);
-        let mut bitmaps = [0u64; 4];
-        let mut values = Vec::new();
-        for (q, (dr, dc)) in [(0, 0), (8, 0), (0, 8), (8, 8)].iter().enumerate() {
-            let mut sub = DenseMatrix::zeros(8, 8);
-            for r in 0..8 {
-                for c in 0..8 {
-                    sub.set(r, c, tile.get(r + dr, c + dc));
-                }
-            }
-            let (bm, vals) = encode_bt(&sub);
-            bitmaps[q] = bm;
-            values.extend(vals);
-        }
+        let (bitmaps, values) = encode_tctile(&tile);
         let plan = FaultPlan {
             fp16_poison_rate: 1.0,
             ..FaultPlan::default()
@@ -733,57 +853,15 @@ mod tests {
     }
 
     #[test]
-    fn set_bit_sweep_matches_scalar_oracle() {
-        // The sweep decode must reproduce the retained per-lane oracle
-        // bitwise — registers and counters — across sparsity levels
-        // including empty and dense tiles (proptest widens this in
-        // tests/simd_equiv.rs).
-        for (i, &s) in [1.0, 0.9, 0.6, 0.3, 0.0].iter().enumerate() {
-            let tile = random_sparse(8, 8, s, ValueDist::Uniform, 86 + i as u64);
-            let (bm, vals) = encode_bt(&tile);
-            let mut c_sweep = Counters::new();
-            let sweep =
-                decode_bitmap_tile_f(&mut c_sweep, bm, &vals, 0, 64, None, 5).expect("in bounds");
-            let mut c_oracle = Counters::new();
-            let oracle = decode_bitmap_tile_scalar(&mut c_oracle, bm, &vals, 0, 64, None, 5)
-                .expect("in bounds");
-            assert_eq!(sweep, oracle, "sparsity {s}");
-            assert_eq!(c_sweep, c_oracle, "sparsity {s}: counter stream drifted");
-        }
-    }
-
-    #[test]
     fn value_gathers_are_conflict_free() {
         // 64 consecutive 2-byte values span 128 B: one wavefront per
         // phase, zero replays — the property Figure 12 credits SpInfer
         // with versus Flash-LLM's scatter.
-        let tile = random_sparse(8, 8, 0.0, ValueDist::Uniform, 82);
-        let (bm, vals) = encode_bt(&tile);
+        let tile = random_sparse(16, 16, 0.0, ValueDist::Uniform, 82);
+        let (bitmaps, values) = encode_tctile(&tile);
         let mut c = Counters::new();
-        decode_bitmap_tile(&mut c, bm, &vals, 0, 256);
+        decode_tctile_f32(&mut c, &bitmaps, &values, 0, 256);
         assert_eq!(c.smem_bank_conflicts, 0);
-    }
-
-    /// Encodes a 16×16 tile's quadrants in TL,BL,TR,BR order with a
-    /// caller-supplied per-element encoder.
-    fn encode_tctile_with<T>(
-        tile: &DenseMatrix,
-        mut enc: impl FnMut(Half) -> T,
-    ) -> ([u64; 4], Vec<T>) {
-        let mut bitmaps = [0u64; 4];
-        let mut values = Vec::new();
-        for (q, (dr, dc)) in [(0, 0), (8, 0), (0, 8), (8, 8)].iter().enumerate() {
-            let mut bm = 0u64;
-            for bit in 0..64 {
-                let v = tile.get(bit / 8 + dr, bit % 8 + dc);
-                if !v.is_zero() {
-                    bm |= 1u64 << bit;
-                    values.push(enc(v));
-                }
-            }
-            bitmaps[q] = bm;
-        }
-        (bitmaps, values)
     }
 
     #[test]
@@ -839,7 +917,6 @@ mod tests {
 
     #[test]
     fn i8_poison_lands_in_decoded_rows() {
-        use gpu_sim::fault::{FaultInjector, FaultPlan};
         let tile = random_sparse(16, 16, 0.3, ValueDist::Uniform, 92);
         let (bitmaps, codes) = encode_tctile_with(&tile, |_| 7i8);
         let plan = FaultPlan {
@@ -851,108 +928,6 @@ mod tests {
             .expect("poison is not an overrun");
         let (clean, _) = rows_golden::<i8>(&mut Counters::new(), &bitmaps, &codes, 0, 0);
         assert_ne!(rows, clean, "an always-on injector must perturb codes");
-    }
-
-    /// The per-lane decode the row expand replaced, kept as its
-    /// reference: a set-bit sweep that fills each lane's `a0` (even bit
-    /// `2l`) and `a1` (odd bit `2l + 1`) slots and active-lane lists,
-    /// bounds each phase's gather span by its first and last value
-    /// index, and poisons the `sel`-th active lane.
-    #[allow(clippy::too_many_arguments)]
-    fn per_lane_halves<P: Payload>(
-        counters: &mut Counters,
-        bitmap: u64,
-        values: &[P],
-        base: usize,
-        values_smem_base: u64,
-        fault: Option<&FaultInjector>,
-        site_key: u64,
-    ) -> Result<([P; 32], [P; 32]), DecodeFault> {
-        let need = base + popc64(bitmap) as usize;
-        if need > values.len() {
-            return Err(DecodeFault::Overrun {
-                needed: need,
-                available: values.len(),
-            });
-        }
-        warp_smem_broadcast_load(counters, 8);
-        let mut halves = [[P::ZERO; 32]; 2];
-        let mut lanes = [[0usize; 32]; 2];
-        let mut active = [0usize; 2];
-        let mut span = [(0usize, 0usize); 2];
-        let mut bm = bitmap;
-        let mut rank = 0usize;
-        while bm != 0 {
-            let pos = bm.trailing_zeros() as usize;
-            let (phase, lane, idx) = (pos & 1, pos >> 1, base + rank);
-            halves[phase][lane] = values[idx];
-            if active[phase] == 0 {
-                span[phase].0 = idx;
-            }
-            span[phase].1 = idx;
-            lanes[phase][active[phase]] = lane;
-            active[phase] += 1;
-            rank += 1;
-            bm &= bm - 1;
-        }
-        let elem = P::BYTES as u64;
-        for (phase, insts, salt) in [
-            (0, INT_INSTS_PHASE1 + INT_INSTS_BASE, 0x5048_3141),
-            (1, INT_INSTS_PHASE2, 0x5048_3242),
-        ] {
-            counters.cuda_int_insts += insts;
-            counters.insts_issued += insts;
-            if active[phase] == 0 {
-                continue;
-            }
-            let (lo, hi) = span[phase];
-            let first = (values_smem_base + lo as u64 * elem) / BANK_WORD;
-            let last = (values_smem_base + hi as u64 * elem + (elem - 1)) / BANK_WORD;
-            if let Some((sel, poison)) = warp_smem_gather_load_f(
-                counters,
-                last - first,
-                active[phase] as u32,
-                fault,
-                site_key ^ salt,
-            ) {
-                halves[phase][lanes[phase][sel]] = P::from_poison(poison);
-            }
-        }
-        Ok((halves[0], halves[1]))
-    }
-
-    /// [`per_lane_halves`] over a TCTile, each lane's halves widened and
-    /// scattered to their fragment coordinates.
-    fn per_lane_rows<P: Datapath>(
-        counters: &mut Counters,
-        bitmaps: &[u64; 4],
-        values: &[P],
-        base: usize,
-        values_smem_base: u64,
-        fault: Option<&FaultInjector>,
-        site_key: u64,
-    ) -> Result<(TcRows<P>, usize), DecodeFault> {
-        let mut rows = [[P::Operand::default(); 16]; 16];
-        let mut offset = base;
-        for (reg, &bm) in bitmaps.iter().enumerate() {
-            let (a0, a1) = per_lane_halves(
-                counters,
-                bm,
-                values,
-                offset,
-                values_smem_base,
-                fault,
-                site_key.wrapping_add((reg as u64 + 1) << 48),
-            )?;
-            let (dr, dc) = QUAD_ORIGINS[reg];
-            for lane in 0..32 {
-                let (qr, qc) = lane_quadrant_coords(lane);
-                rows[qr + dr][qc + dc] = a0[lane].widen();
-                rows[qr + dr][qc + dc + 1] = a1[lane].widen();
-            }
-            offset += popc64(bm) as usize;
-        }
-        Ok((rows, offset - base))
     }
 
     /// SplitMix64 step.
@@ -976,9 +951,9 @@ mod tests {
         })
     }
 
-    /// Runs the row expand and the per-lane reference on the same
-    /// inputs, golden and under an always-firing poison injector, and
-    /// requires identical rows (compared through `bits`), consumed
+    /// Runs the row expand and the per-lane Algorithm 2 decode on the
+    /// same inputs, golden and under an always-firing poison injector,
+    /// and requires identical rows (compared through `bits`), consumed
     /// counts, overrun errors and counters, fault tallies included.
     #[allow(clippy::too_many_arguments)]
     fn assert_rows_parity<P: Datapath>(
@@ -1018,7 +993,7 @@ mod tests {
             shapes: u8,
             bm_seed: u64,
             val_seed: u64,
-            base in 1usize..48,
+            base in 0usize..48,
             smem_base in 0u64..4096,
             site_key: u64,
             short_by in prop::sample::select(vec![0usize, 0, 0, 1, 5]),
@@ -1037,26 +1012,6 @@ mod tests {
 
             assert_rows_parity::<Half>(&bitmaps, &halves, base, smem_base, site_key, f32::to_bits);
             assert_rows_parity::<i8>(&bitmaps, &codes, base, smem_base, site_key, |v| v as u32);
-
-            // FP16 also matches the register form unpacked to rows.
-            let inj = FaultInjector::new(FaultPlan {
-                fp16_poison_rate: 1.0,
-                ..FaultPlan::default()
-            });
-            for fault in [None, Some(&inj)] {
-                let mut c_rows = Counters::new();
-                let mut c_frag = Counters::new();
-                let rows = rows_f::<Half>(
-                    &mut c_rows, &bitmaps, &halves, base, smem_base, fault, site_key,
-                )
-                .map(|(r, used)| (r.map(|row| row.map(f32::to_bits)), used));
-                let frag = decode_tctile_f(
-                    &mut c_frag, &bitmaps, &halves, base, smem_base, fault, site_key,
-                )
-                .map(|(f, used)| (f.to_f32_rows().map(|row| row.map(f32::to_bits)), used));
-                prop_assert_eq!(rows, frag);
-                prop_assert_eq!(c_rows, c_frag);
-            }
         }
     }
 }

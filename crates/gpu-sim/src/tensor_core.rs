@@ -770,20 +770,28 @@ mod tests {
         }
     }
 
+    /// Row-major `f32` view of a 16×16 A tile starting at column `c0`.
+    fn a_rows(m: &crate::matrix::DenseMatrix, c0: usize) -> [[f32; MMA_K]; MMA_M] {
+        core::array::from_fn(|r| core::array::from_fn(|c| m.get(r, c0 + c).to_f32()))
+    }
+
     #[test]
     fn mma_matches_reference_product() {
         let a = random_dense(16, 16, ValueDist::Uniform, 21);
         let b = random_dense(16, 8, ValueDist::Uniform, 22);
         let mut counters = Counters::new();
-        let fa = tile_a_from(&a);
-        let fb = tile_b_from(&b);
-        let mut acc = FragC::zero();
-        mma_m16n8k16(&mut counters, &fa, &fb, &mut acc);
-        let d = acc.to_tile();
+        let mut acc = [[[0.0f32; MMA_N]; MMA_M]];
+        mma_m16n8k16_bslice_ntiles(
+            &mut counters,
+            &a_rows(&a, 0),
+            &b.to_f32_vec(),
+            MMA_N,
+            &mut acc,
+        );
         let reference = a.matmul_ref(&b);
         for r in 0..16 {
             for c in 0..8 {
-                let diff = (d[r][c] - reference[r * 8 + c]).abs();
+                let diff = (acc[0][r][c] - reference[r * 8 + c]).abs();
                 assert!(diff < 1e-4, "({r},{c}) diff {diff}");
             }
         }
@@ -795,15 +803,18 @@ mod tests {
         let a = random_dense(16, 16, ValueDist::Uniform, 31);
         let b = random_dense(16, 8, ValueDist::Uniform, 32);
         let mut counters = Counters::new();
-        let fa = tile_a_from(&a);
-        let fb = tile_b_from(&b);
-        let mut acc = FragC::from_tile(|_, _| 5.0);
-        mma_m16n8k16(&mut counters, &fa, &fb, &mut acc);
-        let d = acc.to_tile();
+        let mut acc = [[[5.0f32; MMA_N]; MMA_M]];
+        mma_m16n8k16_bslice_ntiles(
+            &mut counters,
+            &a_rows(&a, 0),
+            &b.to_f32_vec(),
+            MMA_N,
+            &mut acc,
+        );
         let reference = a.matmul_ref(&b);
         for r in 0..16 {
             for c in 0..8 {
-                assert!((d[r][c] - (reference[r * 8 + c] + 5.0)).abs() < 1e-4);
+                assert!((acc[0][r][c] - (reference[r * 8 + c] + 5.0)).abs() < 1e-4);
             }
         }
     }
@@ -983,18 +994,23 @@ mod tests {
         // reference product.
         let a = random_dense(16, 32, ValueDist::Uniform, 41);
         let b = random_dense(32, 8, ValueDist::Uniform, 42);
+        let bf = b.to_f32_vec();
         let mut counters = Counters::new();
-        let mut acc = FragC::zero();
+        let mut acc = [[[0.0f32; MMA_N]; MMA_M]];
         for step in 0..2 {
-            let fa = FragA::from_tile(|r, c| a.get(r, c + 16 * step));
-            let fb = FragB::from_tile(|r, c| b.get(r + 16 * step, c));
-            mma_m16n8k16(&mut counters, &fa, &fb, &mut acc);
+            let b_step = &bf[16 * step * MMA_N..];
+            mma_m16n8k16_bslice_ntiles(
+                &mut counters,
+                &a_rows(&a, 16 * step),
+                b_step,
+                MMA_N,
+                &mut acc,
+            );
         }
-        let d = acc.to_tile();
         let reference = a.matmul_ref(&b);
         for r in 0..16 {
             for c in 0..8 {
-                assert!((d[r][c] - reference[r * 8 + c]).abs() < 1e-3);
+                assert!((acc[0][r][c] - reference[r * 8 + c]).abs() < 1e-3);
             }
         }
         assert_eq!(counters.mma_insts, 2);
@@ -1015,6 +1031,30 @@ mod tests {
         t
     }
 
+    /// The textbook n-inner triple loop of one INT8 `mma` tile, no
+    /// zero-skip: each output sums its products from `0` in ascending
+    /// `k`, then adds the sum to the accumulator. Same counter writes as
+    /// one tile of [`mma_m16n8k16_s8_ntiles`].
+    fn mma_s8_oracle(
+        counters: &mut Counters,
+        a: &[[i32; MMA_K]; MMA_M],
+        b: &[i32],
+        ld: usize,
+        acc: &mut AccS8,
+    ) {
+        for (a_row, acc_row) in a.iter().zip(acc.iter_mut()) {
+            for (n, out) in acc_row.iter_mut().enumerate() {
+                let mut sum = 0i32;
+                for (k, &av) in a_row.iter().enumerate() {
+                    sum += av * b[k * ld + n];
+                }
+                *out += sum;
+            }
+        }
+        counters.mma_s8_insts += 1;
+        counters.insts_issued += 1;
+    }
+
     #[test]
     fn s8_ntiles_matches_scalar_oracle() {
         // The zero-skipping batched integer path must agree bit-exactly
@@ -1031,7 +1071,7 @@ mod tests {
         let mut c2 = Counters::new();
         let mut oracle = [[[0i32; MMA_N]; MMA_M]; 3];
         for (j, acc) in oracle.iter_mut().enumerate() {
-            mma_m16n8k16_s8_scalar(&mut c2, &a, &b[j * MMA_N..], ld, acc);
+            mma_s8_oracle(&mut c2, &a, &b[j * MMA_N..], ld, acc);
         }
         assert_eq!(batched, oracle);
         assert_eq!(c1.mma_s8_insts, 3);

@@ -5,8 +5,9 @@
 //! the complete serialize-v2 container — header, per-GroupTile
 //! checksums, offsets, values including alignment padding, bitmaps —
 //! produced by [`TcaBme::encode_with`] at several job counts against
-//! [`TcaBme::encode_serial_oracle`], over random shapes (edge
-//! dimensions included) and a non-default GroupTile geometry. The four
+//! the serial encoder in `common/encode_oracle.rs`, over random shapes
+//! (edge dimensions included), fixed sparsities 0.0 and 1.0, and two
+//! non-default GroupTile geometries. The four
 //! baseline formats (CSR, Tiled-CSL, BCSR, SparTA) are compared
 //! field-for-field via `PartialEq`, and SparTA's directly-assembled
 //! residual is additionally pinned to `Csr::encode` of the dense spill
@@ -22,6 +23,10 @@ use proptest::prelude::*;
 use spinfer_baselines::{Bcsr, Csr, SpartaFormat, TiledCsl};
 use spinfer_core::{serialize, TcaBme, TcaBmeConfig};
 use std::sync::{Mutex, MutexGuard};
+
+#[path = "common/encode_oracle.rs"]
+mod encode_oracle;
+use encode_oracle::encode_serial_oracle;
 
 /// Serialises the jobs flip: tests in this binary run concurrently and
 /// `exec::set_jobs` is process-global.
@@ -39,7 +44,7 @@ fn v2_bytes(w: &TcaBme) -> Vec<u8> {
 /// Asserts the parallel TCA-BME encoder reproduces the serial oracle's
 /// bytes at jobs 1, 2, and 8. Must be called with `jobs_lock` held.
 fn assert_tca_bme_parity(m: &DenseMatrix, config: TcaBmeConfig, label: &str) {
-    let oracle = v2_bytes(&TcaBme::encode_serial_oracle(m, config));
+    let oracle = v2_bytes(&encode_serial_oracle(m, config));
     for jobs in [1usize, 2, 8] {
         exec::set_jobs(jobs);
         let parallel = v2_bytes(&TcaBme::encode_with(m, config));
@@ -155,6 +160,29 @@ fn empty_and_full_matrices_encode_identically() {
     let dense = random_sparse(64, 64, 0.0, ValueDist::Uniform, 7);
     assert_tca_bme_parity(&dense, TcaBmeConfig::default(), "fully dense");
     assert_baseline_parity(&dense, "fully dense");
+}
+
+/// Fixed points the random draws cannot pin: sparsity exactly 0.0 and
+/// 1.0, edge and interior shapes, under the default and the wide 32×128
+/// GroupTile geometry.
+#[test]
+fn fixed_sparsities_and_wide_grouptile_match_serial_oracle() {
+    let _guard = jobs_lock();
+    let wide = TcaBmeConfig {
+        gt_rows: 32,
+        gt_cols: 128,
+    };
+    for config in [TcaBmeConfig::default(), wide] {
+        for (r, c, s) in [
+            (64, 64, 0.6),
+            (100, 70, 0.5),
+            (17, 200, 0.0),
+            (130, 66, 1.0),
+        ] {
+            let m = random_sparse(r, c, s, ValueDist::Uniform, 11);
+            assert_tca_bme_parity(&m, config, &format!("{r}x{c} s={s} {config:?}"));
+        }
+    }
 }
 
 #[test]

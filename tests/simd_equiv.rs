@@ -27,6 +27,10 @@ use gpu_sim::Counters;
 use proptest::prelude::*;
 use spinfer_core::smbd::{decode_bitmap_tile_f, decode_bitmap_tile_scalar};
 
+#[path = "common/mma_oracle.rs"]
+mod mma_oracle;
+use mma_oracle::mma_bslice_oracle;
+
 /// Deterministic f32 stream from SplitMix64 — ordinary magnitudes with
 /// sign variety, the distribution the kernels actually multiply.
 fn mix(state: &mut u64) -> f32 {
@@ -112,12 +116,10 @@ fn mma_ntiles_sums_start_from_positive_zero() {
         let b = vec![1.0f32; (MMA_K - 1) * ld + ntiles * MMA_N];
         let mut accs = vec![[[-0.0f32; MMA_N]; MMA_M]; ntiles];
         mma_m16n8k16_bslice_ntiles(&mut Counters::new(), &a, &b, ld, &mut accs);
-        let mut oracle = FragC::from_tile(|_, _| -0.0);
-        mma_m16n8k16_bslice_scalar(&mut Counters::new(), &a, &b, ld, &mut oracle);
-        for acc in &accs {
-            for v in acc.iter().flatten().chain(oracle.regs.iter().flatten()) {
-                assert_eq!(v.to_bits(), 0.0f32.to_bits(), "ntiles={ntiles}");
-            }
+        let mut oracle = [[-0.0f32; MMA_N]; MMA_M];
+        mma_bslice_oracle(&mut Counters::new(), &a, &b, ld, &mut oracle);
+        for v in accs.iter().flatten().chain(&oracle).flatten() {
+            assert_eq!(v.to_bits(), 0.0f32.to_bits(), "ntiles={ntiles}");
         }
     }
 }
@@ -208,9 +210,9 @@ proptest! {
         let mut c_oracle = Counters::new();
         mma_m16n8k16_bslice_ntiles(&mut c_fast, &a, &b, ld, &mut accs_fast);
         for (j, (fast, seed)) in accs_fast.iter().zip(&seeds).enumerate() {
-            let mut oracle = FragC::from_tile(|r, c| seed[r][c]);
-            mma_m16n8k16_bslice_scalar(&mut c_oracle, &a, &b[j * MMA_N..], ld, &mut oracle);
-            for (fr, or) in fast.iter().zip(&oracle.to_tile()) {
+            let mut oracle = *seed;
+            mma_bslice_oracle(&mut c_oracle, &a, &b[j * MMA_N..], ld, &mut oracle);
+            for (fr, or) in fast.iter().zip(&oracle) {
                 for (f, o) in fr.iter().zip(or) {
                     prop_assert!(
                         same_value(*f, *o),
