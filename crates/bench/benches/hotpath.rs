@@ -1,10 +1,9 @@
 //! Microbenchmarks for the SpMM wall-clock hot path: the register-blocked
-//! `mma` kernel, the set-bit SMBD expand, the batched
-//! FP16 → f32 LUT conversion, and the setup pipeline (weight
-//! generation + pruning + encode) — each next to its retained scalar/serial
-//! oracle, so a regression in either the fast path or the price of
-//! keeping the oracle shows up here before it shows up in
-//! `spinfer snapshot`.
+//! `mma` kernel, the set-bit SMBD expand, the batched FP16 → f32 LUT
+//! conversion (next to its per-element form), and the setup pipeline
+//! (weight generation, pruning, encode), so a regression shows up here
+//! before it shows up in `spinfer snapshot` or `perfbench/`. The test
+//! oracles these paths are pinned to live with the tests, not here.
 //!
 //! The `simd` feature selects the explicit-SIMD MAC kernel; run both
 //! ways to compare:
@@ -19,13 +18,12 @@
 
 use criterion::{criterion_main, Criterion};
 use gpu_sim::fp16::{f16_to_f32_slice, Half};
-use gpu_sim::matrix::{random_dense, random_sparse, random_sparse_oracle, ValueDist};
+use gpu_sim::matrix::{random_dense, random_sparse, ValueDist};
 use gpu_sim::tensor_core::{
-    mma_m16n8k16_bslice, mma_m16n8k16_bslice_ntiles, mma_m16n8k16_bslice_scalar, mma_m16n8k16_f32,
-    mma_m16n8k16_f32_scalar, simd_active, FragC, MAX_NTILES, MMA_K, MMA_M, MMA_N,
+    mma_m16n8k16_bslice_ntiles, simd_active, MAX_NTILES, MMA_K, MMA_M, MMA_N,
 };
 use gpu_sim::Counters;
-use spinfer_core::smbd::{decode_bitmap_tile_scalar, decode_tctile_f32};
+use spinfer_core::smbd::decode_tctile_f32;
 use spinfer_core::TcaBme;
 use spinfer_pruning::{magnitude_prune, wanda_prune, Calibration};
 use std::hint::black_box;
@@ -58,47 +56,15 @@ fn b_buf(seed: u64, len: usize) -> Vec<f32> {
 
 fn bench_mma(c: &mut Criterion) {
     let a = a_tile(1);
-    let b = b_buf(2, MMA_K * MMA_N);
-    let mut b2 = [[0.0f32; MMA_N]; MMA_K];
-    for (k, row) in b2.iter_mut().enumerate() {
-        row.copy_from_slice(&b[k * MMA_N..(k + 1) * MMA_N]);
-    }
     let mut g = c.benchmark_group(if simd_active() {
         "mma(simd)"
     } else {
         "mma(flat)"
     });
-    g.bench_function("m16n8k16_f32", |bench| {
-        let mut counters = Counters::new();
-        let mut acc = FragC::zero();
-        bench.iter(|| mma_m16n8k16_f32(&mut counters, black_box(&a), black_box(&b2), &mut acc));
-    });
-    g.bench_function("m16n8k16_f32_scalar", |bench| {
-        let mut counters = Counters::new();
-        let mut acc = FragC::zero();
-        bench.iter(|| {
-            mma_m16n8k16_f32_scalar(&mut counters, black_box(&a), black_box(&b2), &mut acc)
-        });
-    });
-
-    // The bslice pair at the SpMM launch's widest tile: ld spans the
-    // full 128-column X window the batched call sweeps in one pass.
+    // The SpMM launch's widest tile: ld spans the full 128-column X
+    // window the batched call sweeps in one pass.
     let ld = MAX_NTILES * MMA_N;
     let bw = b_buf(3, MMA_K * ld);
-    g.bench_function("m16n8k16_bslice", |bench| {
-        let mut counters = Counters::new();
-        let mut acc = FragC::zero();
-        bench.iter(|| {
-            mma_m16n8k16_bslice(&mut counters, black_box(&a), black_box(&bw), ld, &mut acc)
-        });
-    });
-    g.bench_function("m16n8k16_bslice_scalar", |bench| {
-        let mut counters = Counters::new();
-        let mut acc = FragC::zero();
-        bench.iter(|| {
-            mma_m16n8k16_bslice_scalar(&mut counters, black_box(&a), black_box(&bw), ld, &mut acc)
-        });
-    });
     g.bench_function("bslice_ntiles16_batched", |bench| {
         let mut counters = Counters::new();
         let mut accs = vec![[[0.0f32; MMA_N]; MMA_M]; MAX_NTILES];
@@ -123,21 +89,6 @@ fn bench_mma(c: &mut Criterion) {
             )
         });
     });
-    g.bench_function("bslice_ntiles16_per_tile", |bench| {
-        let mut counters = Counters::new();
-        let mut accs = vec![FragC::zero(); MAX_NTILES];
-        bench.iter(|| {
-            for (j, acc) in accs.iter_mut().enumerate() {
-                mma_m16n8k16_bslice(
-                    &mut counters,
-                    black_box(&a),
-                    black_box(&bw[j * MMA_N..]),
-                    ld,
-                    acc,
-                );
-            }
-        });
-    });
     g.finish();
 }
 
@@ -156,19 +107,6 @@ fn bench_smbd(c: &mut Criterion) {
                 0,
                 0,
             ))
-        });
-    });
-    g.bench_function("decode_tctile_scalar_oracle", |bench| {
-        let mut counters = Counters::new();
-        bench.iter(|| {
-            let mut offset = 0usize;
-            for &bm in &bitmaps {
-                let regs =
-                    decode_bitmap_tile_scalar(&mut counters, bm, &enc.values, offset, 0, None, 0)
-                        .expect("in bounds");
-                black_box(regs);
-                offset += bm.count_ones() as usize;
-            }
         });
     });
     g.finish();
@@ -195,8 +133,7 @@ fn bench_fp16(c: &mut Criterion) {
 }
 
 /// Setup-pipeline benchmarks: weight generation, the TCA-BME / CSR
-/// encoders (each fast path next to its retained serial oracle) and
-/// the Wanda / magnitude pruners' selection kernel — the host
+/// encoders and the Wanda / magnitude pruners' selection kernel — the host
 /// wall-clock that `perfbench/` measures at full scale in its setup
 /// phase, measured here at a shape small enough for quick iteration.
 fn bench_setup(c: &mut Criterion) {
@@ -208,19 +145,8 @@ fn bench_setup(c: &mut Criterion) {
     g.bench_function("generate_1kx1k", |bench| {
         bench.iter(|| black_box(random_sparse(M, K, S, ValueDist::Uniform, 42)));
     });
-    g.bench_function("generate_1kx1k_oracle", |bench| {
-        bench.iter(|| black_box(random_sparse_oracle(M, K, S, ValueDist::Uniform, 42)));
-    });
     g.bench_function("encode_tca_bme_1kx1k", |bench| {
         bench.iter(|| black_box(TcaBme::encode(black_box(&w))));
-    });
-    g.bench_function("encode_tca_bme_1kx1k_serial_oracle", |bench| {
-        bench.iter(|| {
-            black_box(TcaBme::encode_serial_oracle(
-                black_box(&w),
-                spinfer_core::TcaBmeConfig::default(),
-            ))
-        });
     });
     g.bench_function("encode_csr_1kx1k", |bench| {
         bench.iter(|| black_box(spinfer_baselines::Csr::encode(black_box(&w))));

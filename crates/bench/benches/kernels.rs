@@ -5,8 +5,8 @@
 //! * `estimate/*` — host-side cost of the analytic kernel estimators at
 //!   the paper's hero shape (these are what the `fig*` harnesses sweep,
 //!   so their speed bounds full-figure regeneration time);
-//! * `functional/*` — the bit-exact simulated kernels (fragment-level
-//!   Tensor Core emulation, SMBD decoding) at a reduced shape.
+//! * `functional/*` — the bit-exact simulated kernels (Tensor Core
+//!   emulation, SMBD decoding) at a reduced shape.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gpu_sim::matrix::{random_dense, random_sparse, ValueDist};
@@ -65,14 +65,20 @@ fn bench_functional(c: &mut Criterion) {
 
 fn bench_smbd(c: &mut Criterion) {
     use gpu_sim::Counters;
-    use spinfer_core::smbd::decode_tctile;
+    use spinfer_core::smbd::decode_tctile_f32;
     let w = random_sparse(16, 16, 0.5, ValueDist::Uniform, 3);
     let enc = TcaBme::encode(&w);
     let bitmaps: [u64; 4] = enc.bitmaps[0..4].try_into().unwrap();
     c.bench_function("smbd/decode_tctile", |b| {
         b.iter(|| {
             let mut counters = Counters::new();
-            black_box(decode_tctile(&mut counters, &bitmaps, &enc.values, 0, 0))
+            black_box(decode_tctile_f32(
+                &mut counters,
+                &bitmaps,
+                &enc.values,
+                0,
+                0,
+            ))
         })
     });
 }

@@ -1,8 +1,7 @@
 //! Shared Memory Bitmap Decoding (SMBD), paper §4.3.3 and Algorithm 2.
 //!
-//! SMBD turns a bitmap-compressed `WTile` in shared memory into the exact
-//! per-lane register distribution `mma.m16n8k16` requires, without any
-//! stored offsets:
+//! SMBD turns a bitmap-compressed `WTile` in shared memory into the A
+//! operand of `mma.m16n8k16`, without any stored offsets:
 //!
 //! * **PopCount** accumulates `__popcll` over preceding BitmapTiles to find
 //!   each tile's base offset into the compressed `Values` array.
@@ -14,20 +13,24 @@
 //! *reusing* the Phase I count — if `a0` was non-zero the offset advances
 //! by one — so no second popcount is needed.
 //!
+//! The simulator decodes each TCTile straight into row-major operand
+//! rows (the "decode into the operand tile" shape), one sweep over the
+//! set bits per BitmapTile. It records the per-lane algorithm's exact
+//! counter and fault-site stream: the unit tests pin it to Algorithm 2
+//! as written, lane by lane, and to the `Ra0..Ra3` register layout.
+//!
 //! Instruction and shared-memory costs are recorded per decode so the
 //! analytic estimator (used at paper-scale shapes) and the functional
 //! path share one source of truth: the constants below.
 
 use crate::payload::Payload;
 use crate::spmm::{Datapath, TcRows};
-use gpu_sim::bitops::{masked_popc64, popc64, test_bit};
+use gpu_sim::bitops::{masked_popc64, popc64};
 use gpu_sim::counters::Counters;
 use gpu_sim::fault::FaultInjector;
-use gpu_sim::fp16::{pack_f16x2, Half};
-use gpu_sim::shared_memory::{
-    warp_smem_broadcast_load, warp_smem_gather_load_f, warp_smem_load, warp_smem_load_f, BANK_WORD,
-};
-use gpu_sim::tensor_core::{FragA, QUAD_ORIGINS};
+use gpu_sim::fp16::Half;
+use gpu_sim::shared_memory::{warp_smem_broadcast_load, warp_smem_gather_load_f, BANK_WORD};
+use gpu_sim::tensor_core::QUAD_ORIGINS;
 
 /// A decode invariant violated at runtime — the typed form of what the
 /// unchecked decode would do by panicking (overrun) or silently
@@ -62,66 +65,6 @@ pub const INT_INSTS_BASE: u64 = 2;
 /// broadcast plus one 2-byte gather per phase.
 pub const SMEM_LOADS_PER_BT: u64 = 3;
 
-/// Decodes one 8×8 BitmapTile into the 32 packed `.f16x2` registers of a
-/// warp (one register per lane, covering the quadrant).
-///
-/// `values` is the GroupTile's compressed value buffer (resident in shared
-/// memory); `base` is this BitmapTile's starting offset within it, found
-/// by accumulating `popc64` over preceding tiles. Returns the packed
-/// registers and records the decode's hardware events.
-pub fn decode_bitmap_tile(
-    counters: &mut Counters,
-    bitmap: u64,
-    values: &[Half],
-    base: usize,
-    values_smem_base: u64,
-) -> [u32; 32] {
-    decode_bitmap_tile_f(counters, bitmap, values, base, values_smem_base, None, 0).expect(
-        "SMBD decode overran the GroupTile value buffer — bitmap population \
-         exceeds the encoded value span (corrupted bitmap?)",
-    )
-}
-
-/// Fault-aware, non-panicking [`decode_bitmap_tile`]. With
-/// `fault = None` the counter stream and registers are exactly the
-/// golden path's; a bitmap whose population overruns `values` returns
-/// [`DecodeFault::Overrun`] instead of panicking. When an injector is
-/// supplied, each value gather may have one lane's loaded FP16 poisoned
-/// (keyed by `site_key`, which the caller derives from the
-/// GroupTile/TCTile coordinates — shared-memory addresses repeat across
-/// tiles and cannot serve as keys).
-///
-/// The register form of the one decode body (`expand_bitmap_tile`):
-/// the quadrant is expanded row-major and lane `l` packs elements `2l`
-/// (low half) and `2l + 1` (high half).
-#[allow(clippy::too_many_arguments)]
-pub fn decode_bitmap_tile_f(
-    counters: &mut Counters,
-    bitmap: u64,
-    values: &[Half],
-    base: usize,
-    values_smem_base: u64,
-    fault: Option<&FaultInjector>,
-    site_key: u64,
-) -> Result<[u32; 32], DecodeFault> {
-    let mut quad = [Half::ZERO; 64];
-    expand_bitmap_tile(
-        counters,
-        bitmap,
-        values,
-        base,
-        values_smem_base,
-        fault,
-        site_key,
-        |p, v| quad[p] = v,
-    )?;
-    let mut regs = [0u32; 32];
-    for (reg, pair) in regs.iter_mut().zip(quad.chunks_exact(2)) {
-        *reg = pack_f16x2(pair[0], pair[1]);
-    }
-    Ok(regs)
-}
-
 /// Phase I bit positions of a BitmapTile: lane `l`'s `a0` is bit `2l`.
 /// Phase II (`a1`, bit `2l + 1`) is the complement.
 const PHASE1_BITS: u64 = 0x5555_5555_5555_5555;
@@ -136,11 +79,10 @@ fn nth_set_bit(mut mask: u64, n: usize) -> usize {
 
 /// The single SMBD decode body: expands one BitmapTile and records its
 /// hardware events. Every decode — golden, checked and injected, FP16
-/// and INT8, register form and row form — runs through here; callers
-/// differ only in `put(pos, value)`, which receives each decoded
-/// element at its bitmap position. Bit `pos` is quadrant element
-/// `(pos / 8, pos % 8)` in row-major order, so a row-form caller writes
-/// straight into `mma` operand rows.
+/// and INT8 — runs through here; `put(pos, value)` receives each
+/// decoded element at its bitmap position. Bit `pos` is quadrant
+/// element `(pos / 8, pos % 8)` in row-major order, so the caller
+/// writes straight into `mma` operand rows.
 ///
 /// Generic over the value payload: the bitmap walk, rank arithmetic and
 /// counter writes never depend on the element type — only the gather
@@ -150,8 +92,8 @@ fn nth_set_bit(mut mask: u64, n: usize) -> usize {
 /// The walk visits the set bits once, in ascending position, pairing
 /// each with the next packed value: the `r`-th set bit takes
 /// `values[base + r]`, which is the `masked_popc64` offset Algorithm 2's
-/// per-lane formulation computes ([`decode_bitmap_tile_scalar`] retains
-/// it). The counter writes follow from the masks alone:
+/// per-lane formulation computes (the unit tests keep that formulation
+/// as the reference). The counter writes follow from the masks alone:
 ///
 /// * the bitmap broadcast, then per phase the integer instructions and,
 ///   when the phase has any set bit, one gather;
@@ -231,150 +173,11 @@ fn expand_bitmap_tile<P: Payload>(
     Ok(())
 }
 
-/// Retained scalar oracle of [`decode_bitmap_tile_f`]: the
-/// pre-vectorization per-lane formulation — a `MaskedPopCount` and bit
-/// test for all 32 lanes per phase, exactly Algorithm 2 as written —
-/// kept as the independent definition the set-bit sweep is
-/// proptest-pinned against (`tests/simd_equiv.rs`). Identical counter
-/// writes, registers, and fault sites.
-#[allow(clippy::too_many_arguments)]
-pub fn decode_bitmap_tile_scalar(
-    counters: &mut Counters,
-    bitmap: u64,
-    values: &[Half],
-    base: usize,
-    values_smem_base: u64,
-    fault: Option<&FaultInjector>,
-    site_key: u64,
-) -> Result<[u32; 32], DecodeFault> {
-    let mut regs = [0u32; 32];
-    let need = base + popc64(bitmap) as usize;
-    if need > values.len() {
-        return Err(DecodeFault::Overrun {
-            needed: need,
-            available: values.len(),
-        });
-    }
-
-    // Bitmap broadcast load: every lane reads the same 8-byte word.
-    warp_smem_load(counters, &[Some(values_smem_base); 32], 8);
-
-    // Phase I: decode a0 (bit 2*lane) — one MaskedPopCount per lane.
-    let mut a0 = [Half::ZERO; 32];
-    let mut phase1_count = [0u32; 32];
-    let mut phase1_addrs = [None; 32];
-    let mut phase1_lanes = [0usize; 32];
-    let mut phase1_active = 0usize;
-    for lane in 0..32 {
-        let off = 2 * lane as u32;
-        let count = masked_popc64(bitmap, off);
-        phase1_count[lane] = count;
-        if test_bit(bitmap, off) {
-            let idx = base + count as usize;
-            a0[lane] = values[idx];
-            phase1_addrs[lane] = Some(values_smem_base + idx as u64 * 2);
-            phase1_lanes[phase1_active] = lane;
-            phase1_active += 1;
-        }
-    }
-    counters.cuda_int_insts += INT_INSTS_PHASE1 + INT_INSTS_BASE;
-    counters.insts_issued += INT_INSTS_PHASE1 + INT_INSTS_BASE;
-    if phase1_active > 0 {
-        if let Some((sel, poison)) =
-            warp_smem_load_f(counters, &phase1_addrs, 2, fault, site_key ^ 0x5048_3141)
-        {
-            a0[phase1_lanes[sel]] = poison;
-        }
-    }
-
-    // Phase II: decode a1 (bit 2*lane + 1), reusing the Phase I count.
-    let mut a1 = [Half::ZERO; 32];
-    let mut phase2_addrs = [None; 32];
-    let mut phase2_lanes = [0usize; 32];
-    let mut phase2_active = 0usize;
-    for lane in 0..32 {
-        let off = 2 * lane as u32 + 1;
-        if test_bit(bitmap, off) {
-            let advance = u32::from(test_bit(bitmap, 2 * lane as u32));
-            let idx = base + (phase1_count[lane] + advance) as usize;
-            a1[lane] = values[idx];
-            phase2_addrs[lane] = Some(values_smem_base + idx as u64 * 2);
-            phase2_lanes[phase2_active] = lane;
-            phase2_active += 1;
-        }
-    }
-    counters.cuda_int_insts += INT_INSTS_PHASE2;
-    counters.insts_issued += INT_INSTS_PHASE2;
-    if phase2_active > 0 {
-        if let Some((sel, poison)) =
-            warp_smem_load_f(counters, &phase2_addrs, 2, fault, site_key ^ 0x5048_3242)
-        {
-            a1[phase2_lanes[sel]] = poison;
-        }
-    }
-
-    for lane in 0..32 {
-        regs[lane] = pack_f16x2(a0[lane], a1[lane]);
-    }
-    Ok(regs)
-}
-
-/// Decodes a full 16×16 TCTile (four BitmapTiles in TL, BL, TR, BR order)
-/// into an `mma` A fragment. `base` is the TCTile's starting offset in the
-/// GroupTile's value buffer; returns the fragment and the total non-zeros
-/// consumed, so the caller can advance to the next TCTile.
-pub fn decode_tctile(
-    counters: &mut Counters,
-    bitmaps: &[u64; 4],
-    values: &[Half],
-    base: usize,
-    values_smem_base: u64,
-) -> (FragA, usize) {
-    decode_tctile_f(counters, bitmaps, values, base, values_smem_base, None, 0).expect(
-        "SMBD TCTile decode overran the GroupTile value buffer — bitmap \
-         population exceeds the encoded value span (corrupted bitmap?)",
-    )
-}
-
-/// Fault-aware, non-panicking [`decode_tctile`]; see
-/// [`decode_bitmap_tile_f`] for the `fault`/`site_key` contract.
-pub fn decode_tctile_f(
-    counters: &mut Counters,
-    bitmaps: &[u64; 4],
-    values: &[Half],
-    base: usize,
-    values_smem_base: u64,
-    fault: Option<&FaultInjector>,
-    site_key: u64,
-) -> Result<(FragA, usize), DecodeFault> {
-    let mut frag = FragA::zero();
-    let mut offset = base;
-    for (reg, &bm) in bitmaps.iter().enumerate() {
-        let regs = decode_bitmap_tile_f(
-            counters,
-            bm,
-            values,
-            offset,
-            values_smem_base,
-            fault,
-            site_key.wrapping_add((reg as u64 + 1) << 48),
-        )?;
-        for lane in 0..32 {
-            frag.regs[lane][reg] = regs[lane];
-        }
-        offset += popc64(bm) as usize;
-    }
-    Ok((frag, offset - base))
-}
-
-/// Decodes a full 16×16 TCTile straight to the decode-once `f32` row
-/// view the flat-array mma entry points
-/// ([`gpu_sim::tensor_core::mma_m16n8k16_f32`] /
-/// [`mma_m16n8k16_bslice`](gpu_sim::tensor_core::mma_m16n8k16_bslice))
-/// consume. One decode serves every N-block the tile multiplies, so the
-/// per-MAC bit-decode of the fragment path disappears from the SpMM hot
-/// loop. Counter writes are exactly those of [`decode_tctile`] — it *is*
-/// the same decode body, writing rows instead of registers.
+/// Decodes a full 16×16 FP16 TCTile into the row-major `f32` A operand
+/// [`mma_m16n8k16_bslice_ntiles`](gpu_sim::tensor_core::mma_m16n8k16_bslice_ntiles)
+/// consumes, returning the rows and the number of values consumed. The
+/// golden (fault-free, panicking) decode the SpMM block runs, as a
+/// standalone call for benchmarks.
 pub fn decode_tctile_f32(
     counters: &mut Counters,
     bitmaps: &[u64; 4],
@@ -417,20 +220,22 @@ pub(crate) fn decode_tctile_rows<P: Datapath>(
 /// any payload precision, returning the number of values consumed.
 /// `rows` is overwritten whole: it is cleared to the operand's zero,
 /// then [`expand_bitmap_tile`] writes each decoded value, widened
-/// ([`Datapath::widen`]), to its row and column. For FP16 the widening
-/// is the same LUT conversion `FragA::to_f32_rows` applies to a packed
-/// register and absent lanes read `+0.0`, so the rows are bit-identical
-/// to `decode_tctile_f(..).to_f32_rows()` — with the exact same counter
-/// and fault-site stream; the INT8 instantiation shares the bitmap walk
-/// and counter writes, with gather spans at the 1-byte width. The
-/// caller owns `rows`, so the SpMM block decodes every TCTile into one
-/// buffer instead of moving a fresh tile out per decode.
+/// ([`Datapath::widen`]), to its row and column; absent elements read
+/// the operand's zero (`+0.0` for FP16). The INT8 instantiation shares
+/// the bitmap walk and counter writes, with gather spans at the 1-byte
+/// width. The caller owns `rows`, so the SpMM block decodes every
+/// TCTile into one buffer instead of moving a fresh tile out per
+/// decode.
 ///
-/// Non-panicking: an overrun surfaces as [`DecodeFault::Overrun`]; see
-/// [`decode_bitmap_tile_f`] for the `fault`/`site_key` contract. An
-/// injected poison lands as the payload's projection of the FP16
-/// pattern — a NaN for FP16, a plausible nonzero code for INT8 (which
-/// no per-value scan can catch; the D3 gap in DESIGN.md §14).
+/// Non-panicking: a bitmap whose population overruns `values` returns
+/// [`DecodeFault::Overrun`]. With `fault = None` the counter stream and
+/// rows are exactly the golden path's. When an injector is supplied,
+/// each value gather may have one lane's loaded value poisoned, keyed
+/// by `site_key`, which the caller derives from the GroupTile/TCTile
+/// coordinates (shared-memory addresses repeat across tiles and cannot
+/// serve as keys). The poison lands as the payload's projection of the
+/// FP16 pattern — a NaN for FP16, a plausible nonzero code for INT8
+/// (which no per-value scan can catch; the D3 gap in DESIGN.md §14).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn decode_tctile_rows_f<P: Datapath>(
     counters: &mut Counters,
@@ -465,7 +270,8 @@ pub(crate) fn decode_tctile_rows_f<P: Datapath>(
 }
 
 /// Analytic cost of decoding one BitmapTile, mirroring the counter writes
-/// of [`decode_bitmap_tile`] without executing it. Used by the estimator.
+/// of the decode (`expand_bitmap_tile`) without executing it. Used by
+/// the estimator.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BtDecodeCost {
     /// Warp-level integer instructions.

@@ -314,8 +314,9 @@ impl SpmmConfig {
         let x_bytes = stats.config.gt_cols * tile_n * 2;
         let smem = bufs * (bitmap_bytes + value_bytes + x_bytes);
 
-        // Register estimate per thread: accumulators (4 FP32 per FragC per
-        // n8), live A fragment + prefetched next (4 + 4), B fragments
+        // Register estimate per thread: accumulators (4 FP32 registers per
+        // 16×8 accumulator tile, one tile per n8), live A fragment +
+        // prefetched next (4 + 4), B fragments
         // (2 per n8 pair), addresses and loop state. The register-decode
         // fallback (-SMBD) stages value words and shuffle temporaries in
         // the register file, costing substantially more.

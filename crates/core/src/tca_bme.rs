@@ -351,8 +351,8 @@ impl TcaBmeOf<Half> {
     /// pre-zeroed value span by sweeping the set bits of its bitmaps
     /// (ascending `trailing_zeros` order ≡ the serial per-bit loop), so
     /// the output — offsets, values incl. padding, bitmaps, `nnz` — is
-    /// byte-identical to [`Self::encode_serial_oracle`] at every job
-    /// count (pinned by `tests/encode_parity.rs`).
+    /// byte-identical to the element-at-a-time serial encoder at every
+    /// job count (pinned by `tests/encode_parity.rs`).
     fn encode_impl(
         matrix: &DenseMatrix,
         config: TcaBmeConfig,
@@ -412,85 +412,6 @@ impl TcaBmeOf<Half> {
             bitmaps,
             nnz,
         })
-    }
-
-    /// The original element-at-a-time serial encoder, retained as the
-    /// reference the two-pass parallel [`Self::encode_with`] is pinned
-    /// against (like the `*_scalar` mma oracles). Assumes the encoding
-    /// fits the `u32` offset space.
-    pub fn encode_serial_oracle(matrix: &DenseMatrix, config: TcaBmeConfig) -> Self {
-        config.validate();
-        let m = matrix.rows();
-        let k = matrix.cols();
-        let m_pad = m.div_ceil(config.gt_rows) * config.gt_rows;
-        let k_pad = k.div_ceil(config.gt_cols) * config.gt_cols;
-        let gts_y = m_pad / config.gt_rows;
-        let gts_x = k_pad / config.gt_cols;
-        let ngt = gts_y * gts_x;
-
-        let mut gtile_offsets = Vec::with_capacity(ngt + 1);
-        let mut values: Vec<Half> = Vec::new();
-        let mut bitmaps: Vec<u64> = Vec::with_capacity(ngt * config.bts_per_gt());
-        let mut nnz = 0usize;
-
-        let at = |r: usize, c: usize| -> Half {
-            if r < m && c < k {
-                matrix.get(r, c)
-            } else {
-                Half::ZERO
-            }
-        };
-
-        for gty in 0..gts_y {
-            for gtx in 0..gts_x {
-                gtile_offsets.push(values.len() as u32);
-                let base_r = gty * config.gt_rows;
-                let base_c = gtx * config.gt_cols;
-                // TCTiles column-major within the GroupTile.
-                for ttx in 0..config.tt_cols() {
-                    for tty in 0..config.tt_rows() {
-                        let tt_r = base_r + tty * TT_DIM;
-                        let tt_c = base_c + ttx * TT_DIM;
-                        // BitmapTiles column-major within the TCTile:
-                        // TL, BL, TR, BR — matching Ra0..Ra3.
-                        for (dr, dc) in [(0, 0), (BT_DIM, 0), (0, BT_DIM), (BT_DIM, BT_DIM)] {
-                            let bt_r = tt_r + dr;
-                            let bt_c = tt_c + dc;
-                            let mut bitmap = 0u64;
-                            for bit in 0..64 {
-                                let r = bt_r + bit / BT_DIM;
-                                let c = bt_c + bit % BT_DIM;
-                                let v = at(r, c);
-                                if !v.is_zero() {
-                                    bitmap |= 1u64 << bit;
-                                    values.push(v);
-                                    nnz += 1;
-                                }
-                            }
-                            bitmaps.push(bitmap);
-                        }
-                    }
-                }
-                // Pad this GroupTile's values to an 8-byte boundary so the
-                // next GroupTile starts aligned for LDGSTS.128.
-                while !values.len().is_multiple_of(VALUE_PAD) {
-                    values.push(Half::ZERO);
-                }
-            }
-        }
-        gtile_offsets.push(values.len() as u32);
-
-        TcaBme {
-            m,
-            k,
-            m_pad,
-            k_pad,
-            config,
-            gtile_offsets,
-            values,
-            bitmaps,
-            nnz,
-        }
     }
 
     /// The paper's Eq. 9 (no padding): `4B×(NGT+1) + 8B×NBT + 2B×NNZ`.
@@ -924,33 +845,6 @@ mod tests {
         assert_eq!(enc.m_pad, 128);
         assert_eq!(enc.k_pad, 128);
         assert_eq!(enc.decode(), m);
-    }
-
-    #[test]
-    fn two_pass_encode_equals_serial_oracle() {
-        // Interior fast path, edge clamping, and non-default tiling all
-        // produce the serial encoder's exact arrays (full parity incl.
-        // job counts lives in tests/encode_parity.rs).
-        let configs = [
-            TcaBmeConfig::default(),
-            TcaBmeConfig {
-                gt_rows: 32,
-                gt_cols: 128,
-            },
-        ];
-        for config in configs {
-            for (r, c, s) in [
-                (64, 64, 0.6),
-                (100, 70, 0.5),
-                (17, 200, 0.0),
-                (130, 66, 1.0),
-            ] {
-                let m = random_sparse(r, c, s, ValueDist::Uniform, 11);
-                let par = TcaBme::encode_with(&m, config);
-                let ser = TcaBme::encode_serial_oracle(&m, config);
-                assert_eq!(par, ser, "{r}x{c} s={s} config {config:?}");
-            }
-        }
     }
 
     #[test]

@@ -128,13 +128,6 @@ impl Half {
         F16_TO_F32[usize::from(self.0)]
     }
 
-    /// Bit-level `f16 → f32` conversion — the reference implementation
-    /// the `F16_TO_F32` table is generated from. Kept public so tests
-    /// can exhaustively verify the table against first principles.
-    pub const fn to_f32_bitwise(self) -> f32 {
-        f32::from_bits(f16_to_f32_bits(self.0))
-    }
-
     /// Returns `true` if the value is NaN.
     #[inline]
     pub fn is_nan(self) -> bool {
@@ -258,35 +251,6 @@ impl fmt::Display for Half {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.to_f32())
     }
-}
-
-/// Packs two `Half` values into one 32-bit register image (`.f16x2`).
-///
-/// `lo` occupies bits 0..16, `hi` bits 16..32 — the layout Tensor Core
-/// `mma` operands use for their `Ra`/`Rb` registers.
-#[inline]
-pub fn pack_f16x2(lo: Half, hi: Half) -> u32 {
-    u32::from(lo.to_bits()) | (u32::from(hi.to_bits()) << 16)
-}
-
-/// Unpacks a `.f16x2` register image into `(lo, hi)` halves.
-#[inline]
-pub fn unpack_f16x2(reg: u32) -> (Half, Half) {
-    (
-        Half::from_bits((reg & 0xFFFF) as u16),
-        Half::from_bits((reg >> 16) as u16),
-    )
-}
-
-/// Unpacks a `.f16x2` register image straight to `(lo, hi)` as `f32` —
-/// two `F16_TO_F32` lookups, the form the decode-once mma fragment
-/// views consume.
-#[inline]
-pub fn unpack_f16x2_f32(reg: u32) -> (f32, f32) {
-    (
-        F16_TO_F32[(reg & 0xFFFF) as usize],
-        F16_TO_F32[(reg >> 16) as usize],
-    )
 }
 
 /// Converts a whole `Half` slice to `f32` in one flat LUT sweep —
@@ -621,16 +585,6 @@ mod tests {
     }
 
     #[test]
-    fn pack_unpack_roundtrip() {
-        let lo = Half::from_f32(3.5);
-        let hi = Half::from_f32(-0.625);
-        let reg = pack_f16x2(lo, hi);
-        let (l2, h2) = unpack_f16x2(reg);
-        assert_eq!(l2, lo);
-        assert_eq!(h2, hi);
-    }
-
-    #[test]
     fn all_bit_patterns_convert_and_back() {
         // Every finite f16 must roundtrip f16 -> f32 -> f16 exactly.
         for bits in 0u16..=u16::MAX {
@@ -656,19 +610,9 @@ mod tests {
             let h = Half::from_bits(bits);
             assert_eq!(
                 h.to_f32().to_bits(),
-                h.to_f32_bitwise().to_bits(),
+                f16_to_f32_bits(bits),
                 "bits={bits:#06x}"
             );
-        }
-    }
-
-    #[test]
-    fn unpack_f32_matches_scalar_conversions() {
-        for &(lo, hi) in &[(0u16, 0x3C00u16), (0x8001, 0x7BFF), (0xFC00, 0x7E01)] {
-            let reg = pack_f16x2(Half::from_bits(lo), Half::from_bits(hi));
-            let (a, b) = unpack_f16x2_f32(reg);
-            assert_eq!(a.to_bits(), Half::from_bits(lo).to_f32().to_bits());
-            assert_eq!(b.to_bits(), Half::from_bits(hi).to_f32().to_bits());
         }
     }
 

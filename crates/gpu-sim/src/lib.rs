@@ -8,7 +8,8 @@
 //! * [`matrix`] — dense FP16 matrices, generators, and golden references.
 //! * [`spec`] — device parameter sheets.
 //! * [`bitops`] — `popc`/masked-popcount device intrinsics (Algorithm 2).
-//! * [`tensor_core`] — fragment-exact `mma.m16n8k16` emulation.
+//! * [`tensor_core`] — `mma.m16n8k16` emulation on row-major operand
+//!   tiles (FP16/FP32 and INT8/INT32).
 //! * [`shared_memory`] — 32-bank conflict model from real addresses.
 //! * [`global`] — DRAM sector/coalescing model from real addresses.
 //! * [`async_copy`] — `cp.async` commit-group semantics.

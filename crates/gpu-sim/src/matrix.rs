@@ -231,8 +231,9 @@ fn uniform_pm1(w: u64) -> f32 {
 
 /// Generates a dense matrix with i.i.d. values (no sparsity).
 ///
-/// Batched form of [`random_dense_oracle`], byte-identical by
-/// construction (and pinned by tests): every element consumes a fixed
+/// Batched form of the element-at-a-time draw (one `sample` per
+/// element), byte-identical by construction and pinned against it by
+/// this module's tests: every element consumes a fixed
 /// number of words — one for `Uniform`, twelve for `Normal` — so whole
 /// chunks of raw words are mapped through the same per-word formulas
 /// the serial draw path applies, then batch-converted to FP16.
@@ -273,25 +274,14 @@ pub fn random_dense(rows: usize, cols: usize, dist: ValueDist, seed: u64) -> Den
     DenseMatrix::from_vec(rows, cols, data)
 }
 
-/// The original element-at-a-time generator [`random_dense`] batches:
-/// one `sample` draw per element. Retained as the stream oracle the
-/// batched path is pinned against.
-pub fn random_dense_oracle(rows: usize, cols: usize, dist: ValueDist, seed: u64) -> DenseMatrix {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut data = Vec::with_capacity(rows * cols);
-    for _ in 0..rows * cols {
-        data.push(Half::from_f32(sample(&mut rng, dist)));
-    }
-    DenseMatrix::from_vec(rows, cols, data)
-}
-
 /// Generates a sparse matrix where each element is zero with probability
 /// `sparsity`, matching the uniform-random model the paper uses for kernel
 /// benchmarks (non-zeros follow `dist`). Exact zeros are re-rolled so that
 /// "non-zero" positions genuinely carry non-zero values.
 ///
-/// Batched form of [`random_sparse_oracle`], byte-identical by
-/// construction (and pinned by tests). `Uniform` non-zeros take the
+/// Batched form of the element-at-a-time draw (one gate draw, then the
+/// re-rolling non-zero sample), byte-identical by construction and
+/// pinned against it by this module's tests. `Uniform` non-zeros take the
 /// chunked optimistic path (see `fill_sparse_uniform`); `Normal`
 /// keeps the per-element draw loop — it is off the sweep hot path and
 /// its re-roll probability is distribution-dependent.
@@ -313,26 +303,6 @@ pub fn random_sparse(
                 *slot = sparse_element(&mut rng, sparsity, dist);
             }
         }
-    }
-    DenseMatrix::from_vec(rows, cols, data)
-}
-
-/// The original element-at-a-time generator [`random_sparse`] batches:
-/// one f64 gate draw per element, then the re-rolling non-zero sample
-/// for kept positions. Retained as the stream oracle the batched path
-/// is pinned against.
-pub fn random_sparse_oracle(
-    rows: usize,
-    cols: usize,
-    sparsity: f64,
-    dist: ValueDist,
-    seed: u64,
-) -> DenseMatrix {
-    assert!((0.0..=1.0).contains(&sparsity), "sparsity must be in [0,1]");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut data = Vec::with_capacity(rows * cols);
-    for _ in 0..rows * cols {
-        data.push(sparse_element(&mut rng, sparsity, dist));
     }
     DenseMatrix::from_vec(rows, cols, data)
 }
@@ -646,6 +616,38 @@ pub fn rel_l2_error(a: &[f32], b: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The original element-at-a-time generator [`random_dense`] batches:
+    /// one `sample` draw per element. Retained as the stream oracle the
+    /// batched path is pinned against.
+    fn random_dense_oracle(rows: usize, cols: usize, dist: ValueDist, seed: u64) -> DenseMatrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut data = Vec::with_capacity(rows * cols);
+        for _ in 0..rows * cols {
+            data.push(Half::from_f32(sample(&mut rng, dist)));
+        }
+        DenseMatrix::from_vec(rows, cols, data)
+    }
+
+    /// The original element-at-a-time generator [`random_sparse`] batches:
+    /// one f64 gate draw per element, then the re-rolling non-zero sample
+    /// for kept positions. Retained as the stream oracle the batched path
+    /// is pinned against.
+    fn random_sparse_oracle(
+        rows: usize,
+        cols: usize,
+        sparsity: f64,
+        dist: ValueDist,
+        seed: u64,
+    ) -> DenseMatrix {
+        assert!((0.0..=1.0).contains(&sparsity), "sparsity must be in [0,1]");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut data = Vec::with_capacity(rows * cols);
+        for _ in 0..rows * cols {
+            data.push(sparse_element(&mut rng, sparsity, dist));
+        }
+        DenseMatrix::from_vec(rows, cols, data)
+    }
 
     #[test]
     fn zeros_has_full_sparsity() {

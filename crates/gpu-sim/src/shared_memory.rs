@@ -195,40 +195,18 @@ pub fn warp_smem_load_f(
     Some((site as usize, poison))
 }
 
-/// Records an `ldmatrix.x4` load (LDSM.M88 ×4): a warp loads four 8×8 FP16
-/// matrices (16 B per lane-row). With the row-aligned layouts our kernels
-/// use, each of the 4 phases reads 8 rows of 16 B; conflicts are computed
-/// from the supplied 32 row addresses.
-pub fn warp_ldsm_x4(counters: &mut Counters, row_addrs: &[Option<u64>; 32]) {
-    let a = analyze_warp_access(row_addrs, 16);
-    counters.smem_load_transactions += a.transactions;
-    counters.smem_bank_conflicts += a.conflicts;
-    counters.ldsm_insts += 1;
-    counters.insts_issued += 1;
-}
-
 /// Records an `ldmatrix.x4` of 32 contiguous 16 B rows (lane `i` at
 /// `base + 16 i`, `base` word-aligned) without materialising the row
 /// addresses: each 8-lane phase reads 128 consecutive bytes — exactly
 /// one bank cycle — so the access costs four transactions and no
 /// conflicts regardless of `base`. The analytic form of
-/// [`warp_ldsm_x4`] on `strided_addrs(base, 16)`, pinned equal to it by
-/// this module's tests; the SpMM kernel loads its row-major X tile
-/// fragments this way once per TCTile.
+/// [`analyze_warp_access`] on those row addresses at 16 B, pinned equal
+/// to it by this module's tests; the SpMM kernel loads its row-major X
+/// tile fragments this way once per TCTile.
 pub fn warp_ldsm_x4_rows(counters: &mut Counters) {
     counters.smem_load_transactions += 4;
     counters.ldsm_insts += 1;
     counters.insts_issued += 1;
-}
-
-/// Builds a per-lane address array where lane `i` accesses
-/// `base + i * stride` (byte units).
-pub fn strided_addrs(base: u64, stride: u64) -> [Option<u64>; 32] {
-    let mut out = [None; 32];
-    for (i, slot) in out.iter_mut().enumerate() {
-        *slot = Some(base + i as u64 * stride);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -236,6 +214,27 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::HashMap;
+
+    /// Builds a per-lane address array where lane `i` accesses
+    /// `base + i * stride` (byte units).
+    fn strided_addrs(base: u64, stride: u64) -> [Option<u64>; 32] {
+        let mut out = [None; 32];
+        for (i, slot) in out.iter_mut().enumerate() {
+            *slot = Some(base + i as u64 * stride);
+        }
+        out
+    }
+
+    /// An `ldmatrix.x4` load (LDSM.M88 ×4) of 32 16 B rows at the given
+    /// addresses, conflicts computed from them: the address-array form
+    /// [`warp_ldsm_x4_rows`] is pinned to.
+    fn warp_ldsm_x4(counters: &mut Counters, row_addrs: &[Option<u64>; 32]) {
+        let a = analyze_warp_access(row_addrs, 16);
+        counters.smem_load_transactions += a.transactions;
+        counters.smem_bank_conflicts += a.conflicts;
+        counters.ldsm_insts += 1;
+        counters.insts_issued += 1;
+    }
 
     /// The previous `HashMap`-based implementation, kept verbatim as the
     /// reference the allocation-free rewrite is property-tested against.

@@ -1,13 +1,8 @@
-//! Property suite pinning the vectorized hot paths to their retained
-//! scalar oracles, bit for bit.
+//! Property suite pinning the vectorized hot paths to scalar
+//! definitions, bit for bit:
 //!
-//! Three pairs are pinned:
-//!
-//! * the register-blocked `mma` kernel (`mma_m16n8k16_bslice_ntiles`,
-//!   and the per-tile `mma_m16n8k16_f32` / `mma_m16n8k16_bslice` that
-//!   run through it) against the per-element scalar loops;
-//! * the set-bit SMBD decode against the per-lane
-//!   `MaskedPopCount` formulation of Algorithm 2;
+//! * the register-blocked `mma` kernel (`mma_m16n8k16_bslice_ntiles`)
+//!   against the per-element loop in `common/mma_oracle.rs`;
 //! * the batched FP16 → `f32` LUT conversion against per-element
 //!   `Half::to_f32`.
 //!
@@ -15,17 +10,14 @@
 //! the invariant that lets the `simd` feature (and the flat rewrite
 //! underneath it) claim "wall-clock only". CI runs this suite both with
 //! and without `--features gpu-sim/simd`, so whichever MAC kernel body
-//! is compiled in is the one pinned.
+//! is compiled in is the one pinned. The set-bit SMBD decode is pinned
+//! to Algorithm 2 per lane in `spinfer_core::smbd`'s unit tests, where
+//! its fault-aware row form is visible.
 
-use gpu_sim::fault::{FaultInjector, FaultPlan};
 use gpu_sim::fp16::{f16_to_f32_slice, Half};
-use gpu_sim::tensor_core::{
-    mma_m16n8k16_bslice, mma_m16n8k16_bslice_ntiles, mma_m16n8k16_bslice_scalar, mma_m16n8k16_f32,
-    mma_m16n8k16_f32_scalar, FragC, MAX_NTILES, MMA_K, MMA_M, MMA_N,
-};
+use gpu_sim::tensor_core::{mma_m16n8k16_bslice_ntiles, AccF32, MAX_NTILES, MMA_K, MMA_M, MMA_N};
 use gpu_sim::Counters;
 use proptest::prelude::*;
-use spinfer_core::smbd::{decode_bitmap_tile_f, decode_bitmap_tile_scalar};
 
 #[path = "common/mma_oracle.rs"]
 mod mma_oracle;
@@ -72,38 +64,6 @@ fn same_value(a: f32, b: f32) -> bool {
     a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
 
-fn a_tile(seed: u64) -> [[f32; MMA_K]; MMA_M] {
-    let mut s = seed;
-    let mut a = [[0.0f32; MMA_K]; MMA_M];
-    for row in a.iter_mut() {
-        for v in row.iter_mut() {
-            *v = mix(&mut s);
-        }
-    }
-    a
-}
-
-fn seeded_acc(seed: u64) -> FragC {
-    let mut s = seed;
-    let mut acc = FragC::zero();
-    for lane in acc.regs.iter_mut() {
-        for reg in lane.iter_mut() {
-            *reg = mix(&mut s);
-        }
-    }
-    acc
-}
-
-/// Exact bitwise equality of two accumulator fragments — `==` on f32
-/// would let `-0.0 == +0.0` slip through.
-fn assert_acc_bits(a: &FragC, b: &FragC) {
-    for (la, lb) in a.regs.iter().zip(&b.regs) {
-        for (ra, rb) in la.iter().zip(lb) {
-            assert_eq!(ra.to_bits(), rb.to_bits());
-        }
-    }
-}
-
 /// The sums start from `+0.0`: products that are all `-0.0` sum to
 /// `+0.0`, and adding that to a `-0.0` accumulator gives `+0.0`. A
 /// kernel that seeded each sum with its first product instead would
@@ -128,47 +88,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn mma_f32_matches_scalar_oracle(a_seed: u64, b_seed: u64, acc_seed: u64) {
-        let a = a_tile(a_seed);
-        let mut s = b_seed;
-        let mut b = [[0.0f32; MMA_N]; MMA_K];
-        for row in b.iter_mut() {
-            for v in row.iter_mut() {
-                *v = mix(&mut s);
-            }
-        }
-        let mut acc_fast = seeded_acc(acc_seed);
-        let mut acc_oracle = acc_fast.clone();
-        let mut c_fast = Counters::new();
-        let mut c_oracle = Counters::new();
-        mma_m16n8k16_f32(&mut c_fast, &a, &b, &mut acc_fast);
-        mma_m16n8k16_f32_scalar(&mut c_oracle, &a, &b, &mut acc_oracle);
-        assert_acc_bits(&acc_fast, &acc_oracle);
-        prop_assert_eq!(c_fast, c_oracle);
-    }
-
-    #[test]
-    fn mma_bslice_matches_scalar_oracle(
-        a_seed: u64,
-        b_seed: u64,
-        acc_seed: u64,
-        ld_extra in 0usize..32,
-    ) {
-        let a = a_tile(a_seed);
-        let ld = MMA_N + ld_extra;
-        let mut s = b_seed;
-        let b: Vec<f32> = (0..(MMA_K - 1) * ld + MMA_N).map(|_| mix(&mut s)).collect();
-        let mut acc_fast = seeded_acc(acc_seed);
-        let mut acc_oracle = acc_fast.clone();
-        let mut c_fast = Counters::new();
-        let mut c_oracle = Counters::new();
-        mma_m16n8k16_bslice(&mut c_fast, &a, &b, ld, &mut acc_fast);
-        mma_m16n8k16_bslice_scalar(&mut c_oracle, &a, &b, ld, &mut acc_oracle);
-        assert_acc_bits(&acc_fast, &acc_oracle);
-        prop_assert_eq!(c_fast, c_oracle);
-    }
-
-    #[test]
     fn mma_ntiles_matches_per_tile_scalar_oracle(
         a_seed: u64,
         b_seed: u64,
@@ -178,9 +97,9 @@ proptest! {
         special_pct in prop::sample::select(vec![0u64, 5, 25, 60]),
         zero_rows: u16,
     ) {
-        // The batched call against `ntiles` separate *scalar* calls:
-        // this chains batching and vectorization back to the original
-        // formulation in one step. Operands mix in ±0.0, ±Inf, NaN and
+        // The batched call against `ntiles` separate oracle calls:
+        // this chains batching and vectorization back to the textbook
+        // loop in one step. Operands mix in ±0.0, ±Inf, NaN and
         // subnormals, and whole A rows of signed zeros, so a zero-skip
         // (0 × Inf is NaN, not skipped) or a reassociated sum shows up;
         // `ld` is wider than the batch, so a kernel that assumed packed
@@ -202,7 +121,7 @@ proptest! {
             .map(|_| mix_special(&mut s, special_pct))
             .collect();
         let mut s = acc_seed;
-        let seeds: Vec<[[f32; MMA_N]; MMA_M]> = (0..ntiles)
+        let seeds: Vec<AccF32> = (0..ntiles)
             .map(|_| core::array::from_fn(|_| core::array::from_fn(|_| mix_special(&mut s, special_pct))))
             .collect();
         let mut accs_fast = seeds.clone();
@@ -222,63 +141,6 @@ proptest! {
             }
         }
         prop_assert_eq!(c_fast, c_oracle);
-    }
-
-    #[test]
-    fn smbd_sweep_matches_scalar_oracle(
-        bitmap: u64,
-        val_seed: u64,
-        base in 0usize..16,
-        smem_base in 0u64..512,
-        site_key: u64,
-    ) {
-        // Random bitmaps plus the two extremes the generator rarely
-        // hits by itself.
-        for bm in [bitmap, 0, u64::MAX] {
-            let need = base + bm.count_ones() as usize;
-            let mut s = val_seed;
-            let values: Vec<Half> =
-                (0..need).map(|_| Half::from_f32(mix(&mut s))).collect();
-            let mut c_sweep = Counters::new();
-            let mut c_oracle = Counters::new();
-            let sweep = decode_bitmap_tile_f(
-                &mut c_sweep, bm, &values, base, smem_base, None, site_key,
-            );
-            let oracle = decode_bitmap_tile_scalar(
-                &mut c_oracle, bm, &values, base, smem_base, None, site_key,
-            );
-            prop_assert_eq!(sweep, oracle);
-            prop_assert_eq!(c_sweep, c_oracle, "counter stream drifted (bm={:#x})", bm);
-
-            // Same parity under an always-firing injector: identical
-            // fault sites, poison values, and fault accounting.
-            let plan = FaultPlan { fp16_poison_rate: 1.0, ..FaultPlan::default() };
-            let inj = FaultInjector::new(plan);
-            let mut cf_sweep = Counters::new();
-            let mut cf_oracle = Counters::new();
-            let sweep = decode_bitmap_tile_f(
-                &mut cf_sweep, bm, &values, base, smem_base, Some(&inj), site_key,
-            );
-            let oracle = decode_bitmap_tile_scalar(
-                &mut cf_oracle, bm, &values, base, smem_base, Some(&inj), site_key,
-            );
-            prop_assert_eq!(sweep, oracle);
-            prop_assert_eq!(cf_sweep, cf_oracle);
-        }
-    }
-
-    #[test]
-    fn smbd_overrun_agrees_with_oracle(bitmap: u64, short_by in 1usize..8) {
-        // Truncated value buffers must fail identically on both paths.
-        let pop = bitmap.count_ones() as usize;
-        let len = pop.saturating_sub(short_by);
-        let values = vec![Half::ONE; len];
-        let mut c_sweep = Counters::new();
-        let mut c_oracle = Counters::new();
-        let sweep = decode_bitmap_tile_f(&mut c_sweep, bitmap, &values, 0, 0, None, 0);
-        let oracle = decode_bitmap_tile_scalar(&mut c_oracle, bitmap, &values, 0, 0, None, 0);
-        prop_assert_eq!(sweep, oracle);
-        prop_assert_eq!(c_sweep, c_oracle);
     }
 
     #[test]
