@@ -154,29 +154,8 @@ pub fn simulate_ctx(ctx: &LaunchCtx<'_>, cfg: &InferenceConfig) -> InferenceRepo
     );
     let oom = memory.is_oom(spec);
 
-    // --- Per-forward linear time for a given token count n ---
-    let linear_sec = |n: usize| -> f64 {
-        let mut t = 0.0;
-        for mat in model.layer_matrices() {
-            let (m, k) = if mat.col_parallel {
-                (mat.m.div_ceil(cfg.tp), mat.k)
-            } else {
-                (mat.m, mat.k.div_ceil(cfg.tp))
-            };
-            t += cfg.framework.linear_sec(spec, m, k, n, cfg.sparsity)
-                * mat.compute_instances as f64;
-        }
-        t *= model.layers as f64;
-        // LM head (dense in every framework).
-        t += Framework::FasterTransformer.linear_sec(
-            spec,
-            model.vocab.div_ceil(cfg.tp),
-            model.hidden,
-            n,
-            0.0,
-        );
-        t
-    };
+    let linear_sec =
+        |n: usize| linear_pass_sec(spec, model, cfg.framework, cfg.sparsity, cfg.tp, n);
 
     // --- Decode ---
     let lin_step = linear_sec(cfg.batch);
