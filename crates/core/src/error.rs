@@ -47,15 +47,6 @@ pub enum SpinferError {
     /// lengths would be undefined (the serving loop used to panic with a
     /// divide-by-zero on the profile index).
     EmptyLengthMix,
-    /// A disaggregated deployment plan with an empty pool: both the
-    /// prefill and decode stages need at least one GPU, or the stage
-    /// rates are meaningless.
-    DegenerateDisagg {
-        /// GPUs assigned to the prefill pool.
-        prefill_gpus: usize,
-        /// GPUs assigned to the decode pool.
-        decode_gpus: usize,
-    },
     /// A fleet cluster configuration that cannot be simulated (zero
     /// replicas, non-positive horizon, a retry policy with no attempts,
     /// ...). The reason names the offending field.
@@ -287,13 +278,6 @@ impl std::fmt::Display for SpinferError {
                 f,
                 "LengthMix::RoundRobin needs at least one (input, output) profile"
             ),
-            SpinferError::DegenerateDisagg {
-                prefill_gpus,
-                decode_gpus,
-            } => write!(
-                f,
-                "disaggregated plan needs GPUs in both pools: prefill {prefill_gpus}, decode {decode_gpus}"
-            ),
             SpinferError::InvalidCluster { reason } => {
                 write!(f, "invalid cluster config: {reason}")
             }
@@ -446,10 +430,6 @@ mod tests {
                 total: 4_294_967_296,
             },
             SpinferError::EmptyLengthMix,
-            SpinferError::DegenerateDisagg {
-                prefill_gpus: 0,
-                decode_gpus: 8,
-            },
             SpinferError::InvalidCluster {
                 reason: "replicas must be >= 1".to_string(),
             },
@@ -478,7 +458,6 @@ mod tests {
                 SpinferError::UnknownKernel { .. } => "'FlashAttention'",
                 SpinferError::OffsetOverflow { .. } => "4294967296 padded elements",
                 SpinferError::EmptyLengthMix => "at least one (input, output) profile",
-                SpinferError::DegenerateDisagg { .. } => "prefill 0, decode 8",
                 SpinferError::InvalidCluster { .. } => "replicas must be >= 1",
                 SpinferError::InvalidSpec { .. } => "acceptance_rate must be in [0, 1]",
                 SpinferError::Integrity(i) => match i {
