@@ -365,12 +365,6 @@ mod tests {
         (bitmaps, values)
     }
 
-    /// Encodes a 16×16 tile the way TCA-BME does: four bitmaps plus the
-    /// packed FP16 values.
-    fn encode_tctile(tile: &DenseMatrix) -> ([u64; 4], Vec<Half>) {
-        encode_tctile_with(tile, |v| v)
-    }
-
     /// Quadrant-local `(row, col)` of the low half of lane `lane`'s
     /// register; the high half is at `(row, col + 1)`.
     fn lane_quadrant_coords(lane: usize) -> (usize, usize) {
@@ -493,7 +487,7 @@ mod tests {
         // Decoding quadrant q per lane gives each lane the tile elements
         // its Ra{q} register carries.
         let tile = random_sparse(16, 16, 0.5, ValueDist::Uniform, 79);
-        let (bitmaps, values) = encode_tctile(&tile);
+        let (bitmaps, values) = encode_tctile_with(&tile, |v| v);
         let mut offset = 0;
         for (q, &bm) in bitmaps.iter().enumerate() {
             let (a0, a1) =
@@ -518,7 +512,7 @@ mod tests {
     fn decode_reconstructs_tile() {
         for &s in &[0.0, 0.4, 0.6, 0.9] {
             let tile = random_sparse(16, 16, s, ValueDist::Uniform, 77);
-            let (bitmaps, values) = encode_tctile(&tile);
+            let (bitmaps, values) = encode_tctile_with(&tile, |v| v);
             let (rows, consumed) = decode_tctile_f32(&mut Counters::new(), &bitmaps, &values, 0, 0);
             assert_eq!(consumed, values.len(), "sparsity {s}");
             for (r, row) in rows.iter().enumerate() {
@@ -533,7 +527,7 @@ mod tests {
     #[test]
     fn decode_with_base_offset() {
         let tile = random_sparse(16, 16, 0.5, ValueDist::Uniform, 78);
-        let (bitmaps, values) = encode_tctile(&tile);
+        let (bitmaps, values) = encode_tctile_with(&tile, |v| v);
         // Prepend 5 unrelated values; decode with base = 5.
         let mut buf = vec![Half::from_f32(9.0); 5];
         buf.extend_from_slice(&values);
@@ -559,7 +553,7 @@ mod tests {
         // One populated quadrant and three empty ones: the counters are
         // one full BitmapTile cost plus three empty ones.
         let tile = random_sparse(16, 16, 0.5, ValueDist::Uniform, 81);
-        let (bitmaps, values) = encode_tctile(&tile);
+        let (bitmaps, values) = encode_tctile_with(&tile, |v| v);
         let mut c = Counters::new();
         decode_tctile_f32(&mut c, &[bitmaps[0], 0, 0, 0], &values, 0, 0);
         let (full, empty) = (bt_decode_cost(true), bt_decode_cost(false));
@@ -574,7 +568,7 @@ mod tests {
     #[test]
     fn checked_decode_matches_golden_with_no_injector() {
         let tile = random_sparse(16, 16, 0.5, ValueDist::Uniform, 83);
-        let (bitmaps, values) = encode_tctile(&tile);
+        let (bitmaps, values) = encode_tctile_with(&tile, |v| v);
         let mut cg = Counters::new();
         let mut golden = [[0.0f32; 16]; 16];
         let used = decode_tctile_rows(&mut cg, &bitmaps, &values, 0, 128, &mut golden);
@@ -588,7 +582,7 @@ mod tests {
     #[test]
     fn checked_decode_reports_overrun_instead_of_panicking() {
         let tile = random_sparse(16, 16, 0.7, ValueDist::Uniform, 84);
-        let (bitmaps, values) = encode_tctile(&tile);
+        let (bitmaps, values) = encode_tctile_with(&tile, |v| v);
         let values = &values[..popc64(bitmaps[0]) as usize];
         assert!(!values.is_empty());
         // Inflate the bitmap population past the value buffer — the
@@ -630,7 +624,7 @@ mod tests {
     #[test]
     fn poison_injection_is_caught_by_finiteness_scan() {
         let tile = random_sparse(16, 16, 0.4, ValueDist::Uniform, 85);
-        let (bitmaps, values) = encode_tctile(&tile);
+        let (bitmaps, values) = encode_tctile_with(&tile, |v| v);
         let plan = FaultPlan {
             fp16_poison_rate: 1.0,
             ..FaultPlan::default()
@@ -664,7 +658,7 @@ mod tests {
         // phase, zero replays — the property Figure 12 credits SpInfer
         // with versus Flash-LLM's scatter.
         let tile = random_sparse(16, 16, 0.0, ValueDist::Uniform, 82);
-        let (bitmaps, values) = encode_tctile(&tile);
+        let (bitmaps, values) = encode_tctile_with(&tile, |v| v);
         let mut c = Counters::new();
         decode_tctile_f32(&mut c, &bitmaps, &values, 0, 256);
         assert_eq!(c.smem_bank_conflicts, 0);
