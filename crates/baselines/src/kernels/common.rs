@@ -168,16 +168,6 @@ pub fn single_launch(
     chain
 }
 
-/// Split-K factor filling the device to two blocks per SM, like the
-/// `auto_split_k` heuristic in `spinfer-core`.
-pub fn auto_split_k(spec: &GpuSpec, base_blocks: usize, k_tiles: usize) -> usize {
-    let target = 2 * spec.sm_count as usize;
-    if base_blocks == 0 {
-        return 1;
-    }
-    (target.div_ceil(base_blocks)).clamp(1, k_tiles.max(1))
-}
-
 /// The split-K reduction pass shared by Tensor-Core baselines.
 pub fn reduction_launch(spec: &GpuSpec, elems: usize, split_k: usize) -> LaunchResult {
     let read = (elems * split_k * 4) as u64;
@@ -213,16 +203,6 @@ pub fn synthetic_nnz(m: usize, k: usize, sparsity: f64) -> usize {
     ((m * k) as f64 * (1.0 - sparsity)).round() as usize
 }
 
-/// Pads `n` up to a multiple of 8 (the `mma` N granularity).
-pub fn pad8(n: usize) -> usize {
-    n.max(8).div_ceil(8) * 8
-}
-
-/// Sectors per contiguous aligned segment of `bytes`.
-pub fn sector_span(bytes: usize) -> u64 {
-    (bytes as u64).div_ceil(32).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,20 +230,5 @@ mod tests {
         let mut c = Counters::new();
         cuda_fma_work(&mut c, 6400);
         assert_eq!(c.cuda_fp_insts, 100);
-    }
-
-    #[test]
-    fn split_k_heuristic() {
-        let spec = GpuSpec::rtx4090();
-        assert_eq!(auto_split_k(&spec, 1000, 64), 1);
-        assert!(auto_split_k(&spec, 16, 64) > 1);
-        assert_eq!(auto_split_k(&spec, 1, 4), 4);
-    }
-
-    #[test]
-    fn pad8_behaviour() {
-        assert_eq!(pad8(1), 8);
-        assert_eq!(pad8(8), 8);
-        assert_eq!(pad8(9), 16);
     }
 }

@@ -8,10 +8,11 @@
 //! sparsity, which is exactly the cost SpMM formats compete against.
 
 use crate::kernels::common::{
-    auto_split_k, check_k, finish_launch, pad8, reduction_launch, single_launch, store_output,
-    stream_ldgsts, tensor_core_work,
+    check_k, finish_launch, reduction_launch, single_launch, store_output, stream_ldgsts,
+    tensor_core_work,
 };
 use gpu_sim::counters::Counters;
+use gpu_sim::kernel::{auto_split_k, pad8};
 use gpu_sim::matrix::DenseMatrix;
 use gpu_sim::occupancy::BlockResources;
 use gpu_sim::spec::GpuSpec;

@@ -15,12 +15,12 @@
 
 use crate::formats::tiled_csl::{TiledCsl, TILE_COLS, TILE_ROWS};
 use crate::kernels::common::{
-    auto_split_k, check_k, finish_launch, pad8, reduction_launch, sector_span, single_launch,
-    store_output, stream_ldg_via_rf, stream_ldgsts, synthetic_nnz, tensor_core_work,
-    validate_offsets,
+    check_k, finish_launch, reduction_launch, single_launch, store_output, stream_ldg_via_rf,
+    stream_ldgsts, synthetic_nnz, tensor_core_work, validate_offsets,
 };
 use gpu_sim::counters::Counters;
 use gpu_sim::exec::CounterShard;
+use gpu_sim::kernel::{auto_split_k, pad8, sector_span};
 use gpu_sim::matrix::DenseMatrix;
 use gpu_sim::occupancy::BlockResources;
 use gpu_sim::shared_memory::warp_smem_store;

@@ -9,10 +9,11 @@
 
 use crate::formats::bcsr::Bcsr;
 use crate::kernels::common::{
-    check_k, finish_launch, pad8, single_launch, store_output, stream_ldgsts, tensor_core_work,
+    check_k, finish_launch, single_launch, store_output, stream_ldgsts, tensor_core_work,
     validate_offsets,
 };
 use gpu_sim::counters::Counters;
+use gpu_sim::kernel::pad8;
 use gpu_sim::matrix::DenseMatrix;
 use gpu_sim::occupancy::BlockResources;
 use gpu_sim::spec::GpuSpec;

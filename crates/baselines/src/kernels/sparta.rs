@@ -9,10 +9,11 @@
 
 use crate::formats::sparta_fmt::SpartaFormat;
 use crate::kernels::common::{
-    auto_split_k, check_k, cuda_fma_work, finish_launch, gather, pad8, reduction_launch,
-    single_launch, store_output, stream_ldgsts, tensor_core_work, validate_offsets,
+    check_k, cuda_fma_work, finish_launch, gather, reduction_launch, single_launch, store_output,
+    stream_ldgsts, tensor_core_work, validate_offsets,
 };
 use gpu_sim::counters::Counters;
+use gpu_sim::kernel::{auto_split_k, pad8};
 use gpu_sim::matrix::DenseMatrix;
 use gpu_sim::occupancy::BlockResources;
 use gpu_sim::spec::GpuSpec;

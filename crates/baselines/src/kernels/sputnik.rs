@@ -10,10 +10,11 @@
 
 use crate::formats::csr::Csr;
 use crate::kernels::common::{
-    check_k, cuda_fma_work, finish_launch, gather, pad8, single_launch, store_output,
-    stream_ldg_via_rf, synthetic_nnz, validate_offsets,
+    check_k, cuda_fma_work, finish_launch, gather, single_launch, store_output, stream_ldg_via_rf,
+    synthetic_nnz, validate_offsets,
 };
 use gpu_sim::counters::Counters;
+use gpu_sim::kernel::pad8;
 use gpu_sim::matrix::DenseMatrix;
 use gpu_sim::occupancy::BlockResources;
 use gpu_sim::spec::GpuSpec;

@@ -5,12 +5,11 @@
 //! before it shows up in `spinfer snapshot` or `perfbench/`. The test
 //! oracles these paths are pinned to live with the tests, not here.
 //!
-//! The `simd` feature selects the explicit-SIMD MAC kernel; run both
-//! ways to compare:
+//! The MAC kernel body is picked from the host CPU (AVX2 when present,
+//! see `simd_active`):
 //!
 //! ```text
 //! cargo bench -p spinfer-bench --bench hotpath
-//! cargo bench -p spinfer-bench --bench hotpath --features gpu-sim/simd
 //! ```
 //!
 //! Setting `SPINFER_BENCH_SMOKE=1` drops to two samples per benchmark —

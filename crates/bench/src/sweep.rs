@@ -24,6 +24,7 @@ use gpu_sim::matrix::{random_dense, random_sparse, DenseMatrix, ValueDist};
 use gpu_sim::spec::GpuSpec;
 use spinfer_baselines::registry;
 use spinfer_core::spmm::{DynEncoded, DynSpmmKernel, LaunchCtx, SpmmRun};
+use spinfer_obs::json::{self, Value};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
@@ -404,40 +405,6 @@ fn point_key(p: &SweepPoint) -> String {
     )
 }
 
-/// Minimal JSON string escape for checkpoint lines (panic messages may
-/// contain quotes, backslashes, or newlines).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Pulls a field's raw value out of one of our own checkpoint lines.
-/// Not a general JSON parser — the writer below is the only producer.
-fn field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
-    let tag = format!("\"{name}\":");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        stripped.find('"').map(|e| &stripped[..e])
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
-}
-
 /// Completed `(idx, time_us)` entries of a checkpoint whose key still
 /// matches the current grid. Lines that are malformed (e.g. truncated
 /// by a crash mid-write), stale, or record a panic are ignored — a
@@ -450,17 +417,23 @@ fn load_checkpoint(path: &Path, points: &[SweepPoint]) -> io::Result<HashMap<usi
         Err(e) => return Err(e),
     };
     for line in io::BufReader::new(file).lines() {
-        let line = line?;
-        let Some(idx) = field(&line, "idx").and_then(|v| v.parse::<usize>().ok()) else {
+        let Ok(entry) = json::parse(&line?) else {
             continue;
         };
-        let (Some(key), Some(status)) = (field(&line, "key"), field(&line, "status")) else {
+        let idx = entry.get("idx").and_then(Value::as_f64);
+        let key = entry.get("key").and_then(Value::as_str);
+        let status = entry.get("status").and_then(Value::as_str);
+        let (Some(idx), Some(key), Some("done")) = (idx, key, status) else {
             continue;
         };
-        if status != "done" || points.get(idx).map(point_key).as_deref() != Some(key) {
+        if idx.fract() != 0.0 || idx < 0.0 {
             continue;
         }
-        if let Some(t) = field(&line, "time_us").and_then(|v| v.parse::<f64>().ok()) {
+        let idx = idx as usize;
+        if points.get(idx).map(point_key).as_deref() != Some(key) {
+            continue;
+        }
+        if let Some(t) = entry.get("time_us").and_then(Value::as_f64) {
             done.insert(idx, t);
         }
     }
@@ -468,15 +441,18 @@ fn load_checkpoint(path: &Path, points: &[SweepPoint]) -> io::Result<HashMap<usi
 }
 
 fn checkpoint_line(idx: usize, key: &str, outcome: &SweepOutcome) -> String {
-    match outcome {
-        SweepOutcome::Done(t) | SweepOutcome::Resumed(t) => {
-            format!("{{\"idx\":{idx},\"key\":\"{key}\",\"status\":\"done\",\"time_us\":{t}}}\n")
-        }
-        SweepOutcome::Panicked(msg) => format!(
-            "{{\"idx\":{idx},\"key\":\"{key}\",\"status\":\"panicked\",\"error\":\"{}\"}}\n",
-            json_escape(msg)
-        ),
-    }
+    let entry = Value::obj()
+        .set("idx", Value::Num(idx as f64))
+        .set("key", Value::Str(key.to_string()));
+    let entry = match outcome {
+        SweepOutcome::Done(t) | SweepOutcome::Resumed(t) => entry
+            .set("status", Value::Str("done".to_string()))
+            .set("time_us", Value::Num(*t)),
+        SweepOutcome::Panicked(msg) => entry
+            .set("status", Value::Str("panicked".to_string()))
+            .set("error", Value::Str(msg.clone())),
+    };
+    entry.to_json() + "\n"
 }
 
 /// Hardened analytic sweep: [`run_grid_hardened_with`] with the default
@@ -755,15 +731,6 @@ mod tests {
             "stale rows must be re-run, not resumed: {out:?}"
         );
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(field("{\"a\":\"x\",\"b\":3}", "a"), Some("x"));
-        assert_eq!(field("{\"a\":\"x\",\"b\":3}", "b"), Some("3"));
-        assert_eq!(field("{\"a\":\"x\"", "missing"), None);
     }
 
     #[test]

@@ -24,8 +24,6 @@ pub enum SpinferError {
         /// The supplied activation row count.
         got: usize,
     },
-    /// The sparsity argument must lie in `[0, 1]`.
-    InvalidSparsity(f64),
     /// A TCA-BME container failed structural validation.
     Integrity(IntegrityError),
     /// A kernel detected corruption at runtime and could not recover.
@@ -264,7 +262,6 @@ impl std::fmt::Display for SpinferError {
             SpinferError::DimensionMismatch { expected_k, got } => {
                 write!(f, "X has {got} rows but the weights need K = {expected_k}")
             }
-            SpinferError::InvalidSparsity(s) => write!(f, "sparsity {s} outside [0, 1]"),
             SpinferError::Integrity(e) => write!(f, "encoding integrity violation: {e}"),
             SpinferError::Kernel(e) => write!(f, "kernel fault: {e}"),
             SpinferError::UnknownKernel { name } => {
@@ -349,9 +346,6 @@ mod tests {
             got: 64,
         };
         assert!(e.to_string().contains("128"));
-        assert!(SpinferError::InvalidSparsity(1.5)
-            .to_string()
-            .contains("1.5"));
     }
 
     /// One instance of every `SpinferError` variant (and every nested
@@ -422,7 +416,6 @@ mod tests {
                 expected_k: 128,
                 got: 64,
             },
-            SpinferError::InvalidSparsity(1.5),
             SpinferError::UnknownKernel {
                 name: "FlashAttention".to_string(),
             },
@@ -454,7 +447,6 @@ mod tests {
             let token: &str = match e {
                 SpinferError::InvalidTiling { .. } => "24x64",
                 SpinferError::DimensionMismatch { .. } => "K = 128",
-                SpinferError::InvalidSparsity(_) => "1.5",
                 SpinferError::UnknownKernel { .. } => "'FlashAttention'",
                 SpinferError::OffsetOverflow { .. } => "4294967296 padded elements",
                 SpinferError::EmptyLengthMix => "at least one (input, output) profile",

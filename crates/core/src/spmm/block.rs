@@ -30,7 +30,9 @@ use gpu_sim::fp16::{f16_to_f32_slice, Half};
 use gpu_sim::global::{warp_global_store, warp_ldgsts, warp_ldgsts_f, VAddr};
 use gpu_sim::matrix::DenseMatrix;
 use gpu_sim::shared_memory::warp_ldsm_x4_rows;
-use gpu_sim::tensor_core::{mma_m16n8k16_bslice_ntiles, AccF32, MAX_NTILES, MMA_K, MMA_M, MMA_N};
+use gpu_sim::tensor_core::{
+    mma_m16n8k16_bslice_ntiles, AccF32, MAX_NTILES, MMA_K, MMA_M, MMA_N, QUAD_ORIGINS,
+};
 use gpu_sim::trace::attribution_weight;
 
 use super::traced::{BlockTracer, TracePhase};
@@ -906,8 +908,8 @@ fn fallback_gtile_product<P: Datapath>(
     for (bi, &bm) in bms.iter().enumerate() {
         let tc_idx = bi / 4;
         // Quadrant order within a TCTile: TL, BL, TR, BR (column-major
-        // 8×8 blocks), matching `TcaBme::decode_cell`.
-        let (qr, qc) = [(0, 0), (8, 0), (0, 8), (8, 8)][bi % 4];
+        // 8×8 blocks).
+        let (qr, qc) = QUAD_ORIGINS[bi % 4];
         let ttx = tc_idx / cfg.tt_rows();
         let tty = tc_idx % cfg.tt_rows();
         for bit in 0..64 {

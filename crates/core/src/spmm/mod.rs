@@ -61,11 +61,10 @@ pub use traced::emit_chain_trace;
 
 use crate::payload::Payload;
 use crate::smbd::bt_decode_cost;
-use crate::tca_bme::{TcaBme, TcaBmeOf, TT_DIM};
-use gpu_sim::bitops::popc64;
+use crate::tca_bme::{TcaBmeOf, TT_DIM};
 use gpu_sim::counters::Counters;
 use gpu_sim::fp16::Half;
-use gpu_sim::kernel::{LaunchChain, LaunchResult};
+use gpu_sim::kernel::{auto_split_k, pad8, sector_span, LaunchChain, LaunchResult};
 use gpu_sim::occupancy::BlockResources;
 use gpu_sim::spec::GpuSpec;
 use gpu_sim::timing::{L2Reuse, LaunchShape, PipelineMode};
@@ -286,7 +285,7 @@ impl SpmmConfig {
         stats: &FormatStats,
         n: usize,
     ) -> Geometry {
-        let n_pad = n.max(8).div_ceil(8) * 8;
+        let n_pad = pad8(n);
         // Decode-phase batches use up to `max_tile_n`; prefill-scale N
         // widens the block tile to 128 so each decoded WTile amortises
         // over more output columns (otherwise SMBD work scales with
@@ -471,59 +470,10 @@ impl SpmmConfig {
     }
 }
 
-impl TcaBme {
-    /// Random access to a single logical cell (slow; used by the -SMBD
-    /// functional fallback only).
-    pub fn decode_cell(&self, r: usize, c: usize) -> Half {
-        let cfg = self.config;
-        let gty = r / cfg.gt_rows;
-        let gtx = c / cfg.gt_cols;
-        let gt = self.gt_index(gty, gtx);
-        let lr = r % cfg.gt_rows;
-        let lc = c % cfg.gt_cols;
-        let tty = lr / TT_DIM;
-        let ttx = lc / TT_DIM;
-        let tc_idx = ttx * cfg.tt_rows() + tty;
-        let qr = lr % TT_DIM;
-        let qc = lc % TT_DIM;
-        let quad = match (qr >= 8, qc >= 8) {
-            (false, false) => 0,
-            (true, false) => 1,
-            (false, true) => 2,
-            (true, true) => 3,
-        };
-        let bit = (qr % 8) * 8 + (qc % 8);
-        let bms = self.gtile_bitmaps(gt);
-        let bi = tc_idx * 4 + quad;
-        if (bms[bi] >> bit) & 1 == 0 {
-            return Half::ZERO;
-        }
-        let base: usize = bms[..bi].iter().map(|&b| popc64(b) as usize).sum();
-        let within = popc64(bms[bi] & ((1u64 << bit) - 1)) as usize;
-        self.gtile_values(gt)[base + within]
-    }
-}
-
-/// Split-K selection: split until the grid comfortably fills the device
-/// (two blocks per SM), bounded by the number of K-dimension GroupTiles.
-fn auto_split_k(spec: &GpuSpec, base_blocks: usize, gtiles_x: usize) -> usize {
-    let target = 2 * spec.sm_count as usize;
-    if base_blocks == 0 {
-        return 1;
-    }
-    let want = target.div_ceil(base_blocks);
-    want.clamp(1, gtiles_x.max(1))
-}
-
-/// Sectors per contiguous row segment of `bytes` (32 B granularity,
-/// assuming aligned starts).
-fn sector_span(bytes: usize) -> u64 {
-    (bytes as u64).div_ceil(32).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tca_bme::TcaBme;
     use gpu_sim::fault::{FaultInjector, FaultPlan};
     use gpu_sim::matrix::{max_abs_diff, random_dense, random_sparse, DenseMatrix, ValueDist};
     use gpu_sim::trace::TraceSink;
@@ -909,17 +859,6 @@ mod tests {
         // loudly, not silently mis-decoded.
         let foreign = DynEncoded::new("dense", DenseMatrix::zeros(64, 64));
         let _ = dynk.launch(&LaunchCtx::new(&spec), &foreign, &x);
-    }
-
-    #[test]
-    fn decode_cell_matches_decode() {
-        let w = random_sparse(128, 192, 0.6, ValueDist::Uniform, 102);
-        let enc = TcaBme::encode(&w);
-        for r in (0..128).step_by(7) {
-            for c in (0..192).step_by(11) {
-                assert_eq!(enc.decode_cell(r, c), w.get(r, c), "({r},{c})");
-            }
-        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Production serving stacks treat silent memory corruption as a
 //! first-class failure mode; this module gives the simulator the same
 //! vocabulary. A [`FaultPlan`] describes *where* faults may strike
-//! (per-site rates plus site filters) and a [`FaultInjector`] turns the
-//! plan into concrete, reproducible decisions:
+//! (per-site rates; a zero rate disables a site) and a [`FaultInjector`]
+//! turns the plan into concrete, reproducible decisions:
 //!
 //! * **Global-load bit flips** — one bit of a loaded word inverted
 //!   ([`FaultInjector::bitflip`]), modelling an uncorrected DRAM error.
@@ -31,28 +31,6 @@
 use crate::counters::Counters;
 use crate::fp16::Half;
 
-/// Which injection sites a plan may strike; filters compose with the
-/// per-site rates (a disabled site never fires regardless of rate).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultSites {
-    /// Bit flips on global-memory loads (`LDGSTS` / `LDG`).
-    pub global_loads: bool,
-    /// Corrupted or dropped `cp.async` commit groups.
-    pub commits: bool,
-    /// FP16 NaN/Inf poison on gathered values.
-    pub values: bool,
-}
-
-impl Default for FaultSites {
-    fn default() -> Self {
-        FaultSites {
-            global_loads: true,
-            commits: true,
-            values: true,
-        }
-    }
-}
-
 /// A seeded fault schedule. [`FaultPlan::default`] has every rate at
 /// zero: an injector built from it never fires, and results are
 /// bit-identical to running with no injector at all.
@@ -69,8 +47,6 @@ pub struct FaultPlan {
     pub commit_drop_rate: f64,
     /// Probability that a gathered FP16 value is poisoned to NaN/±Inf.
     pub fp16_poison_rate: f64,
-    /// Site filter; all sites enabled by default.
-    pub sites: FaultSites,
     /// Restrict injection to one GroupTile index (tests pin a blast
     /// radius with this); `None` targets everything.
     pub only_gtile: Option<usize>,
@@ -84,7 +60,6 @@ impl Default for FaultPlan {
             commit_corrupt_rate: 0.0,
             commit_drop_rate: 0.0,
             fp16_poison_rate: 0.0,
-            sites: FaultSites::default(),
             only_gtile: None,
         }
     }
@@ -104,11 +79,11 @@ impl FaultPlan {
         }
     }
 
-    /// True when at least one enabled site has a non-zero rate.
+    /// True when at least one site has a non-zero rate.
     pub fn armed(&self) -> bool {
-        (self.sites.global_loads && self.global_bitflip_rate > 0.0)
-            || (self.sites.commits && (self.commit_corrupt_rate + self.commit_drop_rate) > 0.0)
-            || (self.sites.values && self.fp16_poison_rate > 0.0)
+        self.global_bitflip_rate > 0.0
+            || (self.commit_corrupt_rate + self.commit_drop_rate) > 0.0
+            || self.fp16_poison_rate > 0.0
     }
 }
 
@@ -221,9 +196,6 @@ impl FaultInjector {
     /// (typically its virtual address) gets bit `bit` (in `0..width_bits`)
     /// flipped. Records one injected fault.
     pub fn bitflip(&self, counters: &mut Counters, key: u64, width_bits: u32) -> Option<u32> {
-        if !self.plan.sites.global_loads {
-            return None;
-        }
         if !self.fires(self.plan.global_bitflip_rate, SALT_GLOBAL, key) {
             return None;
         }
@@ -234,9 +206,6 @@ impl FaultInjector {
     /// Commit site: what happens to the `cp.async` group identified by
     /// `key`. Records one injected fault for any non-`None` outcome.
     pub fn commit_fault(&self, counters: &mut Counters, key: u64) -> CommitFault {
-        if !self.plan.sites.commits {
-            return CommitFault::None;
-        }
         if self.fires(self.plan.commit_drop_rate, SALT_COMMIT, key) {
             counters.faults_injected += 1;
             return CommitFault::Dropped;
@@ -256,9 +225,6 @@ impl FaultInjector {
     /// `key` is replaced by NaN, `+Inf`, or `-Inf`. Records one
     /// injected fault.
     pub fn poison_value(&self, counters: &mut Counters, key: u64) -> Option<Half> {
-        if !self.plan.sites.values {
-            return None;
-        }
         if !self.fires(self.plan.fp16_poison_rate, SALT_POISON, key) {
             return None;
         }
@@ -342,22 +308,6 @@ mod tests {
             .count();
         let rate = fired as f64 / 20_000.0;
         assert!((rate - 0.10).abs() < 0.02, "observed rate {rate}");
-    }
-
-    #[test]
-    fn site_filters_gate_each_site() {
-        let mut plan = FaultPlan::uniform(3, 1.0);
-        plan.sites = FaultSites {
-            global_loads: false,
-            commits: false,
-            values: false,
-        };
-        let inj = FaultInjector::new(plan);
-        let mut c = Counters::new();
-        assert_eq!(inj.bitflip(&mut c, 1, 64), None);
-        assert_eq!(inj.commit_fault(&mut c, 1), CommitFault::None);
-        assert_eq!(inj.poison_value(&mut c, 1), None);
-        assert!(!plan.armed());
     }
 
     #[test]

@@ -84,6 +84,27 @@ impl LaunchChain {
     }
 }
 
+/// Split-K selection: split until the grid comfortably fills the device
+/// (two blocks per SM), bounded by the number of K-dimension tiles.
+pub fn auto_split_k(spec: &GpuSpec, base_blocks: usize, k_tiles: usize) -> usize {
+    let target = 2 * spec.sm_count as usize;
+    if base_blocks == 0 {
+        return 1;
+    }
+    target.div_ceil(base_blocks).clamp(1, k_tiles.max(1))
+}
+
+/// Pads `n` up to a multiple of 8, at least 8 (the `mma` N granularity).
+pub fn pad8(n: usize) -> usize {
+    n.max(8).div_ceil(8) * 8
+}
+
+/// Sectors per contiguous row segment of `bytes` (32 B granularity,
+/// assuming aligned starts).
+pub fn sector_span(bytes: usize) -> u64 {
+    (bytes as u64).div_ceil(32).max(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,5 +154,24 @@ mod tests {
             chain.merged_counters().dram_read_bytes,
             (64 << 20) + (32 << 20)
         );
+    }
+
+    #[test]
+    fn split_k_heuristic() {
+        let spec = GpuSpec::rtx4090();
+        assert_eq!(auto_split_k(&spec, 1000, 64), 1);
+        assert!(auto_split_k(&spec, 16, 64) > 1);
+        assert_eq!(auto_split_k(&spec, 1, 4), 4);
+        assert_eq!(auto_split_k(&spec, 0, 4), 1);
+    }
+
+    #[test]
+    fn pad8_and_sector_span() {
+        assert_eq!(pad8(1), 8);
+        assert_eq!(pad8(8), 8);
+        assert_eq!(pad8(9), 16);
+        assert_eq!(sector_span(0), 1);
+        assert_eq!(sector_span(32), 1);
+        assert_eq!(sector_span(33), 2);
     }
 }

@@ -36,18 +36,18 @@ pub const MMA_K: usize = 16;
 /// `BitmapTile`s in (paper §4.2.1).
 pub const QUAD_ORIGINS: [(usize, usize); 4] = [(0, 0), (8, 0), (0, 8), (8, 8)];
 
-/// Whether the explicit-SIMD MAC kernel is live: compiled in via the
-/// `simd` feature *and* supported by the host CPU (AVX2, detected once
-/// per process). With the feature off, or on a non-x86_64 target, this
-/// is `false` and every mma runs the portable flat kernel — which is
-/// bit-identical, so the answer never changes results, only wall-clock.
+/// Whether the explicit-SIMD MAC kernel is live: the host CPU supports
+/// AVX2 (detected once per process). On a non-x86_64 target, or an
+/// x86_64 CPU without AVX2, this is `false` and every mma runs the
+/// portable flat kernel — which is bit-identical, so the answer never
+/// changes results, only wall-clock.
 pub fn simd_active() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
         *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
@@ -75,7 +75,8 @@ pub type AccF32 = [[f32; MMA_N]; MMA_M];
 /// then add per step, with no zero-skip — and then adds the sum to its
 /// accumulator once: the textbook per-element loop, bit for bit, for
 /// every `accs.len()` in `1..=MAX_NTILES` (pinned by
-/// `tests/simd_equiv.rs` with the `simd` feature on and off).
+/// `tests/simd_equiv.rs`; the portable body is pinned to the AVX2 body
+/// by this module's unit tests).
 ///
 /// Records one `mma` instruction per tile.
 pub fn mma_m16n8k16_bslice_ntiles(
@@ -98,7 +99,7 @@ pub fn mma_m16n8k16_bslice_ntiles(
             b.len(),
             accs.len()
         );
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if simd_active() {
             // SAFETY: `simd_active` verified AVX2 support at runtime, and
             // the assert above bounds every B read.
@@ -106,7 +107,7 @@ pub fn mma_m16n8k16_bslice_ntiles(
         } else {
             mac_tiles_flat(a, b, ld, accs);
         }
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+        #[cfg(not(target_arch = "x86_64"))]
         mac_tiles_flat(a, b, ld, accs);
     }
     counters.mma_insts += accs.len() as u64;
@@ -121,7 +122,7 @@ const BLOCK_ROWS: usize = 4;
 /// Portable body of [`mma_m16n8k16_bslice_ntiles`]: per tile, a block of
 /// [`BLOCK_ROWS`] A rows accumulates its 8-wide sums in locals across
 /// the `k` loop, the same blocking the AVX2 body uses with one B vector
-/// per block. Compiled on every target, `simd` feature or not.
+/// per block. The only body on hosts without AVX2.
 fn mac_tiles_flat(a: &[[f32; MMA_K]; MMA_M], b: &[f32], ld: usize, accs: &mut [AccF32]) {
     for (j, acc) in accs.iter_mut().enumerate() {
         for (a_blk, acc_blk) in a
@@ -154,7 +155,7 @@ fn mac_tiles_flat(a: &[[f32; MMA_K]; MMA_M], b: &[f32], ld: usize, accs: &mut [A
 ///
 /// The CPU must support AVX2, and `b` must cover `(MMA_K - 1) * ld +
 /// accs.len() * MMA_N` elements.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn mac_tiles_avx2(a: &[[f32; MMA_K]; MMA_M], b: &[f32], ld: usize, accs: &mut [AccF32]) {
     for (p, pair) in accs.chunks_mut(2).enumerate() {
@@ -184,7 +185,7 @@ unsafe fn mac_tiles_avx2(a: &[[f32; MMA_K]; MMA_M], b: &[f32], ld: usize, accs: 
 ///
 /// The CPU must support AVX2, and `b` must cover `(MMA_K - 1) * ld +
 /// W * MMA_N` elements.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
 unsafe fn mac_block_avx2<const W: usize>(
@@ -300,6 +301,80 @@ mod tests {
             }
         }
         assert_eq!(counters.mma_insts, 1);
+    }
+
+    /// Operand palette for `flat_body_matches_avx2_body_bit_for_bit`:
+    /// signed zeros, infinities, NaN and subnormals.
+    #[cfg(target_arch = "x86_64")]
+    const SPECIALS: [f32; 8] = [
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        f32::from_bits(1),
+        -f32::MIN_POSITIVE / 4.0,
+        f32::MIN_POSITIVE / 3.0,
+    ];
+
+    /// `xorshift64*` draw: a special value with probability `1/32`, a
+    /// signed zero with probability `1/zero_in` (never when `zero_in` is
+    /// 0), else a full-mantissa normal in `±[1/16, 16)`.
+    #[cfg(target_arch = "x86_64")]
+    fn draw(state: &mut u64, zero_in: u64) -> f32 {
+        *state ^= *state >> 12;
+        *state ^= *state << 25;
+        *state ^= *state >> 27;
+        let r = state.wrapping_mul(0x2545_f491_4f6c_dd1d);
+        if r.is_multiple_of(32) {
+            return SPECIALS[(r >> 8) as usize % SPECIALS.len()];
+        }
+        if zero_in != 0 && (r >> 16).is_multiple_of(zero_in) {
+            return if r & (1 << 40) == 0 { 0.0 } else { -0.0 };
+        }
+        let sign = ((r >> 63) as u32) << 31;
+        let exp = (123 + (r >> 32) % 8) as u32;
+        f32::from_bits(sign | exp << 23 | (r as u32 & 0x7f_ffff))
+    }
+
+    /// The portable body is the only one hosts without AVX2 run, so on
+    /// an AVX2 host it is pinned to the AVX2 body bit for bit (any NaN
+    /// matches any NaN), for every batch width and a leading dimension
+    /// wider than the batch.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn flat_body_matches_avx2_body_bit_for_bit() {
+        if !simd_active() {
+            return;
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for ntiles in 1..=MAX_NTILES {
+            let ld = ntiles * MMA_N + 5;
+            let a: [[f32; MMA_K]; MMA_M] =
+                core::array::from_fn(|_| core::array::from_fn(|_| draw(&mut state, 2)));
+            let b: Vec<f32> = (0..(MMA_K - 1) * ld + ntiles * MMA_N)
+                .map(|_| draw(&mut state, 0))
+                .collect();
+            let init: Vec<AccF32> = (0..ntiles)
+                .map(|_| core::array::from_fn(|_| core::array::from_fn(|_| draw(&mut state, 4))))
+                .collect();
+            let mut flat = init.clone();
+            mac_tiles_flat(&a, &b, ld, &mut flat);
+            let mut avx2 = init;
+            // SAFETY: `simd_active` confirmed AVX2, and `b` spans
+            // `(MMA_K - 1) * ld + ntiles * MMA_N` elements.
+            unsafe { mac_tiles_avx2(&a, &b, ld, &mut avx2) };
+            for (j, (f, v)) in flat.iter().zip(&avx2).enumerate() {
+                for (m, (fr, vr)) in f.iter().zip(v).enumerate() {
+                    for (n, (&x, &y)) in fr.iter().zip(vr).enumerate() {
+                        assert!(
+                            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                            "ntiles {ntiles} tile {j} ({m},{n}): flat {x:e} vs avx2 {y:e}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -60,40 +60,40 @@ const LAUNCH_FAULT_ESCALATE: u32 = 2;
 /// one rung back down the ladder (hysteresis against flapping).
 const DEESCALATE_IDLE_STEPS: u64 = 3;
 
-/// Load shedding and queueing at the replica door.
+/// How long a routed request may sit queued before the router gives up
+/// on that replica and re-routes it (only while retries are enabled).
+const ATTEMPT_TIMEOUT_SEC: f64 = 10.0;
+
+/// Health-probe interval feeding the failover router's lagged view.
+const HEALTH_CHECK_SEC: f64 = 0.5;
+
+/// Load shedding and queueing at the replica door. Every rung's batch
+/// is also clamped to the KV-memory concurrency cap (the
+/// doubling/binary-search oracle shared with `serving`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdmissionPolicy {
     /// Queued requests a replica holds before shedding new arrivals.
     pub queue_cap_per_replica: usize,
-    /// Clamp the batch to the KV-memory concurrency cap (the
-    /// doubling/binary-search oracle shared with `serving`).
-    pub kv_guard: bool,
 }
 
 impl Default for AdmissionPolicy {
     fn default() -> Self {
         AdmissionPolicy {
             queue_cap_per_replica: 64,
-            kv_guard: true,
         }
     }
 }
 
-/// The graceful-degradation ladder: rung 1 halves the batch, rung 2
-/// drops the weight payload to INT8, rung 3 swaps to the fallback
+/// The graceful-degradation ladder: rung 1 halves the batch width (min
+/// 1), rung 2 serves from INT8 weight payloads ([`Framework::SpInfer`]
+/// → [`Framework::SpInferInt8`]; cheaper steps at a bounded accuracy
+/// cost, one rung before abandoning the sparse format; other primaries
+/// pass straight through to rung 3), rung 3 swaps to the fallback
 /// kernel, rung 4 rejects new work.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DegradationPolicy {
     /// Master switch; `false` pins every replica to rung 0.
     pub enabled: bool,
-    /// Rung 1: halve the batch width (min 1).
-    pub shrink_batch: bool,
-    /// Rung 2: serve from INT8 weight payloads ([`Framework::SpInfer`]
-    /// → [`Framework::SpInferInt8`]) — cheaper steps at a bounded
-    /// accuracy cost, one rung before abandoning the sparse format
-    /// entirely. Only takes effect when the primary framework is
-    /// `SpInfer`; other primaries pass straight through to rung 3.
-    pub int8_precision: bool,
     /// Rung 3: registered kernel name to fall back to, resolved through
     /// `spinfer_baselines::kernel_by_name` (unknown names are a typed
     /// [`SpinferError::UnknownKernel`] at validation time). `None`
@@ -105,8 +105,6 @@ impl Default for DegradationPolicy {
     fn default() -> Self {
         DegradationPolicy {
             enabled: true,
-            shrink_batch: true,
-            int8_precision: true,
             // The dense tensor-core path: slower per token at high
             // sparsity, but immune to sparse-format hazards — the
             // classic "boring fallback".
@@ -172,8 +170,6 @@ pub struct ClusterConfig {
     pub degradation: DegradationPolicy,
     /// Routing policy.
     pub router: RouterPolicy,
-    /// Health-probe interval feeding the failover router's lagged view.
-    pub health_check_sec: f64,
     /// Speculative decoding on every replica. `None` — and, bit for
     /// bit, `Some(SpecConfig::degenerate())` — is the incremental
     /// decode fleet.
@@ -202,7 +198,6 @@ impl Default for ClusterConfig {
             admission: AdmissionPolicy::default(),
             degradation: DegradationPolicy::default(),
             router: RouterPolicy::FailoverAware,
-            health_check_sec: 0.5,
             spec: None,
             seed: 0,
         }
@@ -235,9 +230,6 @@ impl ClusterConfig {
         if self.deadline_sec <= 0.0 || self.deadline_sec.is_nan() {
             return invalid("deadline_sec must be > 0");
         }
-        if self.health_check_sec <= 0.0 || self.health_check_sec.is_nan() {
-            return invalid("health_check_sec must be > 0");
-        }
         if self.retry.enabled {
             if self.retry.max_attempts == 0 {
                 return invalid("retry.max_attempts must be >= 1");
@@ -250,9 +242,6 @@ impl ClusterConfig {
             }
             if self.retry.jitter_frac < 0.0 || self.retry.jitter_frac.is_nan() {
                 return invalid("retry.jitter_frac must be >= 0");
-            }
-            if self.retry.attempt_timeout_sec < 0.0 || self.retry.attempt_timeout_sec.is_nan() {
-                return invalid("retry.attempt_timeout_sec must be >= 0");
             }
         }
         self.mix.validate()?;
@@ -500,7 +489,7 @@ impl<'a> Sim<'a> {
         let (max_in, max_out) = cfg.mix.max_lengths((cfg.input_len, cfg.output_len));
         let mut caps = HashMap::new();
         let mut fws = vec![cfg.framework];
-        if cfg.degradation.int8_precision && cfg.framework == Framework::SpInfer {
+        if cfg.framework == Framework::SpInfer {
             fws.push(Framework::SpInferInt8);
         }
         if let Some(f) = fallback_fw {
@@ -582,16 +571,16 @@ impl<'a> Sim<'a> {
     }
 
     /// Effective (framework, batch) at a replica's current ladder rung,
-    /// clamped by the KV concurrency cap when the guard is on.
+    /// clamped by the KV concurrency cap.
     fn effective(&self, r: usize) -> (Framework, usize) {
         let level = self.replicas[r].level;
         let mut fw = self.cfg.framework;
         let mut batch = self.cfg.max_batch;
         if self.cfg.degradation.enabled {
-            if level >= 1 && self.cfg.degradation.shrink_batch {
+            if level >= 1 {
                 batch = (batch / 2).max(1);
             }
-            if level >= 2 && self.cfg.degradation.int8_precision && fw == Framework::SpInfer {
+            if level >= 2 && fw == Framework::SpInfer {
                 fw = Framework::SpInferInt8;
             }
             if level >= 3 {
@@ -600,9 +589,7 @@ impl<'a> Sim<'a> {
                 }
             }
         }
-        if self.cfg.admission.kv_guard {
-            batch = batch.min(*self.caps.get(&fw).unwrap_or(&batch));
-        }
+        batch = batch.min(*self.caps.get(&fw).unwrap_or(&batch));
         (fw, batch)
     }
 
@@ -702,11 +689,8 @@ impl<'a> Sim<'a> {
         let attempt = self.reqs[id as usize].attempt;
         self.reqs[id as usize].state = ReqState::Queued(r);
         self.replicas[r].queue.push_back(id);
-        if self.cfg.retry.enabled && self.cfg.retry.attempt_timeout_sec > 0.0 {
-            self.schedule(
-                now + self.cfg.retry.attempt_timeout_sec,
-                Ev::Timeout { req: id, attempt },
-            );
+        if self.cfg.retry.enabled {
+            self.schedule(now + ATTEMPT_TIMEOUT_SEC, Ev::Timeout { req: id, attempt });
         }
         if !self.replicas[r].busy {
             self.start_step(r, now);
@@ -963,7 +947,7 @@ impl<'a> Sim<'a> {
         if first <= self.cfg.duration_sec {
             self.schedule(first, Ev::Arrival(0));
         }
-        self.schedule(self.cfg.health_check_sec, Ev::Health);
+        self.schedule(HEALTH_CHECK_SEC, Ev::Health);
         while let Some(Scheduled { t, ev, .. }) = self.heap.pop() {
             if t > self.cfg.duration_sec {
                 // Min-heap on time: everything left is also past the
@@ -980,7 +964,7 @@ impl<'a> Sim<'a> {
                     for rep in &mut self.replicas {
                         rep.probed_up = rep.up;
                     }
-                    let next = t + self.cfg.health_check_sec;
+                    let next = t + HEALTH_CHECK_SEC;
                     if next <= self.cfg.duration_sec {
                         self.schedule(next, Ev::Health);
                     }
@@ -1285,24 +1269,6 @@ mod tests {
         sim.replicas[0].level = 4;
         sim.escalate(0, 0.0);
         assert_eq!(sim.replicas[0].level, 4);
-    }
-
-    #[test]
-    fn int8_rung_can_be_opted_out() {
-        let spec = GpuSpec::rtx4090();
-        let cfg = ClusterConfig {
-            degradation: DegradationPolicy {
-                int8_precision: false,
-                ..DegradationPolicy::default()
-            },
-            ..smoke_cfg()
-        };
-        let fallback = cfg.degradation.resolve_fallback().unwrap();
-        let mut sim = Sim::new(&spec, &cfg, ClusterFaultPlan::default(), fallback, None);
-        assert!(!sim.caps.contains_key(&Framework::SpInferInt8));
-        sim.replicas[0].level = 2;
-        let (fw2, _) = sim.effective(0);
-        assert_eq!(fw2, Framework::SpInfer, "rung 2 is a no-op when opted out");
     }
 
     #[test]

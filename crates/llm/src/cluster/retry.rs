@@ -21,9 +21,6 @@ pub struct RetryPolicy {
     /// Jitter amplitude: the drawn backoff is `nominal * (1 + frac*u)`
     /// with `u ∈ [0, 1)` drawn deterministically per (request, attempt).
     pub jitter_frac: f64,
-    /// How long a routed request may sit queued before the router gives
-    /// up on that replica and re-routes (`0` disables attempt timeouts).
-    pub attempt_timeout_sec: f64,
 }
 
 impl Default for RetryPolicy {
@@ -34,7 +31,6 @@ impl Default for RetryPolicy {
             base_backoff_sec: 0.05,
             backoff_cap_sec: 2.0,
             jitter_frac: 0.25,
-            attempt_timeout_sec: 10.0,
         }
     }
 }

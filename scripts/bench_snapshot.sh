@@ -14,9 +14,9 @@
 # regenerate BENCH_kernels.json on purpose and say why. Host wall-clock
 # is not recorded here; perfbench/ measures it with paired runs.
 #
-# The CLI is built with the explicit-SIMD MAC panels (`gpu-sim/simd`);
-# results are bit-identical to the scalar build (pinned in
-# tests/simd_equiv.rs).
+# The MAC kernel body is picked from the host CPU at runtime (AVX2 or
+# portable); results are bit-identical either way (tests/simd_equiv.rs
+# and gpu-sim's tensor_core unit tests).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,7 +26,7 @@ if [ "${1:-}" = "--out" ]; then
   shift 2
 fi
 
-cargo build --release -p spinfer-bench --bin spinfer --features gpu-sim/simd
+cargo build --release -p spinfer-bench --bin spinfer
 ./target/release/spinfer snapshot --out "$OUT" "$@"
 echo "--- $OUT ---"
 cat "$OUT"

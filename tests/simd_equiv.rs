@@ -7,10 +7,10 @@
 //!   `Half::to_f32`.
 //!
 //! Equality is exact `f32` bit equality *and* counter-stream equality —
-//! the invariant that lets the `simd` feature (and the flat rewrite
-//! underneath it) claim "wall-clock only". CI runs this suite both with
-//! and without `--features gpu-sim/simd`, so whichever MAC kernel body
-//! is compiled in is the one pinned. The set-bit SMBD decode is pinned
+//! the invariant that lets the AVX2 MAC body (and the portable body
+//! beside it) claim "wall-clock only". The body the host CPU selects is
+//! the one pinned here; `gpu_sim::tensor_core`'s unit tests pin the
+//! portable body to the AVX2 body. The set-bit SMBD decode is pinned
 //! to Algorithm 2 per lane in `spinfer_core::smbd`'s unit tests, where
 //! its fault-aware row form is visible.
 
