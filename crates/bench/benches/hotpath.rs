@@ -131,7 +131,8 @@ fn bench_fp16(c: &mut Criterion) {
     g.finish();
 }
 
-/// Setup-pipeline benchmarks: weight generation, the TCA-BME / CSR
+/// Setup-pipeline benchmarks: weight generation (Uniform and Normal
+/// values, one sparse walk), the TCA-BME / CSR
 /// encoders and the Wanda / magnitude pruners' selection kernel — the host
 /// wall-clock that `perfbench/` measures at full scale in its setup
 /// phase, measured here at a shape small enough for quick iteration.
@@ -143,6 +144,10 @@ fn bench_setup(c: &mut Criterion) {
     let mut g = c.benchmark_group("setup");
     g.bench_function("generate_1kx1k", |bench| {
         bench.iter(|| black_box(random_sparse(M, K, S, ValueDist::Uniform, 42)));
+    });
+    g.bench_function("generate_normal_1kx1k", |bench| {
+        let dist = ValueDist::Normal { std: 0.02 };
+        bench.iter(|| black_box(random_sparse(M, K, S, dist, 42)));
     });
     g.bench_function("encode_tca_bme_1kx1k", |bench| {
         bench.iter(|| black_box(TcaBme::encode(black_box(&w))));

@@ -22,9 +22,5 @@ for b in "${BINS[@]}"; do
 done
 
 echo
-echo "== criterion benches (host-side cost of the harness itself) =="
-cargo bench --workspace
-
-echo
 echo "All outputs written to results/. Paper-vs-measured commentary lives"
 echo "in EXPERIMENTS.md; the timing model is specified in docs/TIMING_MODEL.md."
