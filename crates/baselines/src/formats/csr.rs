@@ -128,25 +128,14 @@ impl Csr {
         out
     }
 
-    /// Reference SpMM `self × x` with FP32 accumulation.
-    pub fn spmm_ref(&self, x: &DenseMatrix) -> Vec<f32> {
-        assert_eq!(x.rows(), self.k);
-        let n = x.cols();
-        let x_f32 = x.to_f32_vec();
-        let v_f32 = gpu_sim::fp16::f16_to_f32_vec(&self.values);
-        let mut out = vec![0.0f32; self.m * n];
-        self.spmm_ref_rows(&v_f32, &x_f32, n, 0..self.m, &mut out);
-        out
-    }
-
     /// Serial inner loop for output rows `rows`, writing into `out`
     /// (densely packed from the first requested row). `x_f32` is the
     /// pre-converted activation matrix with `n` columns and `v_f32` the
     /// pre-converted nonzero values — hoisting every per-element
     /// `f16 → f32` conversion and the X row slicing out of the
-    /// per-nonzero loop. Shared by [`Csr::spmm_ref`] and
-    /// [`Csr::par_spmm_ref`] so accumulation order is identical by
-    /// construction at every job count.
+    /// per-nonzero loop. Shared by [`Csr::par_spmm_ref`] and the serial
+    /// test oracle, so accumulation order is identical by construction at
+    /// every job count.
     fn spmm_ref_rows(
         &self,
         v_f32: &[f32],
@@ -168,11 +157,11 @@ impl Csr {
         }
     }
 
-    /// [`Csr::spmm_ref`] fanned across host cores via
-    /// [`gpu_sim::exec`]: each worker computes a contiguous band of
-    /// output rows with the serial per-row loop (one shared pre-converted
-    /// X and value buffer read by all workers), so the result is
-    /// bit-identical to `spmm_ref` at any job count.
+    /// Reference SpMM `self × x` with FP32 accumulation, fanned across
+    /// host cores via [`gpu_sim::exec`]: each worker computes a
+    /// contiguous band of output rows with the serial per-row loop (one
+    /// shared pre-converted X and value buffer read by all workers), so
+    /// the result is bit-identical to one serial pass at any job count.
     pub fn par_spmm_ref(&self, x: &DenseMatrix) -> Vec<f32> {
         assert_eq!(x.rows(), self.k);
         let n = x.cols();
@@ -191,6 +180,17 @@ impl Csr {
 mod tests {
     use super::*;
     use gpu_sim::matrix::{random_dense, random_sparse, ValueDist};
+
+    /// The serial oracle [`Csr::par_spmm_ref`] is pinned against: one
+    /// pass of the shared row loop over every output row.
+    fn spmm_ref(enc: &Csr, x: &DenseMatrix) -> Vec<f32> {
+        let n = x.cols();
+        let x_f32 = x.to_f32_vec();
+        let v_f32 = gpu_sim::fp16::f16_to_f32_vec(&enc.values);
+        let mut out = vec![0.0f32; enc.m * n];
+        enc.spmm_ref_rows(&v_f32, &x_f32, n, 0..enc.m, &mut out);
+        out
+    }
 
     #[test]
     fn roundtrip() {
@@ -231,7 +231,7 @@ mod tests {
         let w = random_sparse(64, 64, 0.5, ValueDist::Uniform, 5);
         let x = random_dense(64, 8, ValueDist::Uniform, 6);
         let enc = Csr::encode(&w);
-        let a = enc.spmm_ref(&x);
+        let a = spmm_ref(&enc, &x);
         let b = w.matmul_ref(&x);
         for (p, q) in a.iter().zip(&b) {
             assert!((p - q).abs() < 1e-4);
@@ -243,7 +243,7 @@ mod tests {
         let w = random_sparse(123, 77, 0.7, ValueDist::Uniform, 7);
         let x = random_dense(77, 9, ValueDist::Uniform, 8);
         let enc = Csr::encode(&w);
-        assert_eq!(enc.par_spmm_ref(&x), enc.spmm_ref(&x));
+        assert_eq!(enc.par_spmm_ref(&x), spmm_ref(&enc, &x));
     }
 
     #[test]

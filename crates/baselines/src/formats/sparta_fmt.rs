@@ -131,11 +131,6 @@ impl SpartaFormat {
         }
     }
 
-    /// Non-zeros carried by the 2:4 part.
-    pub fn nm_nnz(&self) -> usize {
-        self.nm_values.iter().filter(|v| !v.is_zero()).count()
-    }
-
     /// Actual storage bytes: 2:4 values (2 B each, `MK/2` slots) + 2-bit
     /// indices (packed) + residual CSR.
     pub fn storage_bytes(&self) -> usize {

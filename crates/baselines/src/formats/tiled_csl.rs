@@ -129,11 +129,6 @@ impl TiledCsl {
         self.tile_offsets.len() - 1
     }
 
-    /// Tiles along M.
-    pub fn tiles_y(&self) -> usize {
-        self.m_pad / TILE_ROWS
-    }
-
     /// Tiles along K.
     pub fn tiles_x(&self) -> usize {
         self.k_pad / TILE_COLS

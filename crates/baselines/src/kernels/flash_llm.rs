@@ -19,7 +19,6 @@ use crate::kernels::common::{
     stream_ldgsts, synthetic_nnz, tensor_core_work, validate_offsets,
 };
 use gpu_sim::counters::Counters;
-use gpu_sim::exec::CounterShard;
 use gpu_sim::kernel::{auto_split_k, pad8, sector_span};
 use gpu_sim::matrix::DenseMatrix;
 use gpu_sim::occupancy::BlockResources;
@@ -59,11 +58,11 @@ impl FlashLlmStats {
     ///
     /// Tiles are independent, so ranges of them fan out across host
     /// cores (`gpu_sim::exec`), each worker tallying bank transactions
-    /// into its own [`CounterShard`]; the `u64` tallies sum
+    /// into its own [`Counters`]; the `u64` tallies sum
     /// commutatively, so the result is bit-identical to a serial scan.
     pub fn from_encoded(w: &TiledCsl) -> Self {
         let partials = gpu_sim::exec::par_chunks(w.num_tiles(), |tiles| {
-            let mut shard = CounterShard::new();
+            let mut shard = Counters::new();
             let mut txns = 0u64;
             let mut stores = 0u64;
             for t in tiles {
@@ -72,9 +71,9 @@ impl FlashLlmStats {
                     for (i, e) in chunk.iter().enumerate() {
                         addrs[i] = Some(u64::from(e.pos()) * 2);
                     }
-                    let before = shard.counters().smem_store_transactions;
-                    warp_smem_store(shard.counters(), &addrs, 2);
-                    txns += shard.counters().smem_store_transactions - before;
+                    let before = shard.smem_store_transactions;
+                    warp_smem_store(&mut shard, &addrs, 2);
+                    txns += shard.smem_store_transactions - before;
                     stores += 1;
                 }
             }

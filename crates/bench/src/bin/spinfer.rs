@@ -116,7 +116,7 @@ use gpu_sim::trace::{pids, TraceEvent, TraceSink};
 use gpu_sim::GpuSpec;
 use spinfer_bench::sweep::{self, EncodeCache, SweepOutcome, SweepPoint};
 use spinfer_bench::{kernels, render_table, FIGURE10_KERNELS};
-use spinfer_core::spmm::LaunchCtx;
+use spinfer_core::spmm::{LaunchCtx, SpmmKernel};
 use spinfer_core::{serialize, tune, SpinferSpmm, TcaBme};
 use spinfer_llm::model::{BatchGenerator, ModelRef, TransformerWeights};
 use spinfer_llm::{simulate, Framework, InferenceConfig, ModelConfig};
@@ -481,7 +481,7 @@ fn cmd_faults(args: &[String]) -> CliResult {
     let enc = TcaBme::encode(&w);
     let inj = FaultInjector::new(FaultPlan::uniform(seed, rate));
     let run = SpinferSpmm::new()
-        .run_checked(&spec, &enc, &x, Some(&inj))
+        .launch(&LaunchCtx::new(&spec).with_fault(&inj), &enc, &x)
         .map_err(|e| format!("checked kernel aborted: {e}"))?;
     let c = &run.chain.launches[0].counters;
     let out = run

@@ -361,14 +361,6 @@ pub fn run_functional(cache: &EncodeCache, spec: &GpuSpec, p: &SweepPoint, seed:
     }
 }
 
-/// Functional sweep: fans every point across host cores through one
-/// shared [`EncodeCache`], so each (shape, sparsity) encodes once no
-/// matter how many batch sizes and kernels visit it.
-pub fn run_functional_grid(spec: &GpuSpec, points: Vec<SweepPoint>, seed: u64) -> Vec<SpmmRun> {
-    let cache = EncodeCache::new();
-    par_points(points, |p| run_functional(&cache, spec, &p, seed))
-}
-
 /// Outcome of one isolated sweep point (see [`run_grid_hardened_with`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum SweepOutcome {
@@ -749,8 +741,11 @@ mod tests {
                 })
             })
             .collect();
-        let runs = run_functional_grid(&spec, points.clone(), 9);
-        for (p, r) in points.iter().zip(&runs) {
+        // One shared cache serves every point, so later points reuse
+        // earlier encodings.
+        let cache = EncodeCache::new();
+        for p in &points {
+            let r = run_functional(&cache, &spec, p, 9);
             // Rebuild the point without the cache: identical output.
             let direct = run_functional(&EncodeCache::new(), &spec, p, 9);
             assert_eq!(r.output, direct.output, "{} n={}", p.kernel.name(), p.n);

@@ -2,21 +2,13 @@
 //!
 //! The ergonomic entry points (`SpMMHandle::matmul`, `TcaBme::encode`)
 //! panic on contract violations, matching CUDA's launch-failure
-//! semantics; the `try_*` variants here return typed errors for callers
-//! that handle invalid inputs at runtime (e.g. the CLI).
-
-use crate::tca_bme::{TcaBmeConfig, TT_DIM};
+//! semantics; `SpmmKernel::launch` and the serving, speculation and
+//! fleet configs return these typed errors for callers that handle
+//! invalid inputs at runtime (e.g. the CLI).
 
 /// Errors from the SpInfer public API.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SpinferError {
-    /// GroupTile dimensions must be positive multiples of the TCTile edge.
-    InvalidTiling {
-        /// The offending GroupTile rows.
-        gt_rows: usize,
-        /// The offending GroupTile columns.
-        gt_cols: usize,
-    },
     /// `X` must be `K×N` for a `M×K` weight matrix.
     DimensionMismatch {
         /// The weight matrix's K.
@@ -143,8 +135,10 @@ pub enum IntegrityError {
 }
 
 /// Corruption detected *during* an SpMM launch by the checked kernel
-/// path (`SpinferSpmm::run_checked`). These carry the GroupTile where
-/// detection fired so operators can correlate with injected fault sites.
+/// path (a [`LaunchCtx`](crate::spmm::LaunchCtx) carrying a fault
+/// injector or a [`FaultPolicy`](crate::spmm::FaultPolicy)). These
+/// carry the GroupTile where detection fired so operators can correlate
+/// with injected fault sites.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelError {
     /// A GroupTile's shared-memory image no longer matches its encoded
@@ -255,10 +249,6 @@ impl std::fmt::Display for KernelError {
 impl std::fmt::Display for SpinferError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SpinferError::InvalidTiling { gt_rows, gt_cols } => write!(
-                f,
-                "GroupTile {gt_rows}x{gt_cols} is not a positive multiple of {TT_DIM}"
-            ),
             SpinferError::DimensionMismatch { expected_k, got } => {
                 write!(f, "X has {got} rows but the weights need K = {expected_k}")
             }
@@ -301,43 +291,9 @@ impl std::error::Error for SpinferError {}
 impl std::error::Error for IntegrityError {}
 impl std::error::Error for KernelError {}
 
-/// Validates a tiling configuration.
-pub fn validate_config(config: &TcaBmeConfig) -> Result<(), SpinferError> {
-    let ok = |d: usize| d > 0 && d.is_multiple_of(TT_DIM);
-    if ok(config.gt_rows) && ok(config.gt_cols) {
-        Ok(())
-    } else {
-        Err(SpinferError::InvalidTiling {
-            gt_rows: config.gt_rows,
-            gt_cols: config.gt_cols,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn validate_config_accepts_and_rejects() {
-        assert!(validate_config(&TcaBmeConfig::default()).is_ok());
-        let bad = TcaBmeConfig {
-            gt_rows: 24,
-            gt_cols: 64,
-        };
-        assert_eq!(
-            validate_config(&bad).unwrap_err(),
-            SpinferError::InvalidTiling {
-                gt_rows: 24,
-                gt_cols: 64
-            }
-        );
-        assert!(validate_config(&TcaBmeConfig {
-            gt_rows: 0,
-            gt_cols: 64
-        })
-        .is_err());
-    }
 
     #[test]
     fn errors_display_usefully() {
@@ -408,10 +364,6 @@ mod tests {
             KernelError::RetryBudgetExhausted { gt: 7, attempts: 3 },
         ];
         let mut all = vec![
-            SpinferError::InvalidTiling {
-                gt_rows: 24,
-                gt_cols: 64,
-            },
             SpinferError::DimensionMismatch {
                 expected_k: 128,
                 got: 64,
@@ -445,7 +397,6 @@ mod tests {
             assert!(seen.insert(text.clone()), "duplicate Display: {text}");
             // Each arm must surface its distinguishing payload.
             let token: &str = match e {
-                SpinferError::InvalidTiling { .. } => "24x64",
                 SpinferError::DimensionMismatch { .. } => "K = 128",
                 SpinferError::UnknownKernel { .. } => "'FlashAttention'",
                 SpinferError::OffsetOverflow { .. } => "4294967296 padded elements",

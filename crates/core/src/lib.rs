@@ -35,6 +35,8 @@
 
 pub mod error;
 pub mod payload;
+#[cfg(test)]
+mod pipeline;
 pub mod reduction;
 pub mod serialize;
 pub mod smbd;
@@ -86,22 +88,11 @@ impl SpMMHandle {
     ///
     /// # Panics
     ///
-    /// Panics if `x` is not `K×N`; use [`Self::try_matmul`] to handle
-    /// that as an error.
+    /// Panics if `x` is not `K×N`. [`SpmmKernel::launch`] on
+    /// `self.kernel` returns that as a typed
+    /// [`SpinferError::DimensionMismatch`] instead.
     pub fn matmul(&self, spec: &GpuSpec, x: &DenseMatrix) -> SpmmRun {
         self.kernel.run(spec, &self.weights, x)
-    }
-
-    /// Fallible [`Self::matmul`]: dimension mismatches become typed
-    /// errors instead of panics.
-    pub fn try_matmul(&self, spec: &GpuSpec, x: &DenseMatrix) -> Result<SpmmRun, SpinferError> {
-        if x.rows() != self.weights.k {
-            return Err(SpinferError::DimensionMismatch {
-                expected_k: self.weights.k,
-                got: x.rows(),
-            });
-        }
-        Ok(self.kernel.run(spec, &self.weights, x))
     }
 
     /// Analytic timing estimate for a batch size `n` without data.

@@ -230,6 +230,7 @@ impl Datapath for i8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spmm::tests::rel_gap;
     use crate::spmm::{FaultPolicy, SpinferSpmm};
     use gpu_sim::fault::{FaultInjector, FaultPlan};
     use gpu_sim::matrix::{max_abs_diff, random_dense, random_sparse, ValueDist};
@@ -285,54 +286,63 @@ mod tests {
         assert!(run.output.unwrap().iter().all(|&v| v == 0.0));
     }
 
+    /// The INT8 estimate against the functional run over the FP16
+    /// test's grid (sparsity 0.3/0.6/0.9, N 1/16/40, 300×500 and
+    /// 1024×512) at both SMBD settings — including the -SMBD
+    /// register-decode charge, which the functional path applies per
+    /// BitmapTile.
     #[test]
     fn estimate_matches_functional_counters() {
-        // Both halves of the shared body must agree at every ablation
-        // setting — including the -SMBD register-decode charge, which
-        // the functional path applies per BitmapTile.
         let spec = GpuSpec::rtx4090();
-        let (_, enc) = quantized(512, 512, 0.5, 205);
-        let x = random_dense(512, 16, ValueDist::Uniform, 206);
-        for ablation in [
-            Ablation::default(),
-            Ablation {
-                smbd: false,
-                ..Default::default()
-            },
-        ] {
+        // Per ablation, the band of the issue-slot gap (measured 3.8–5.7 %
+        // and 1.4–1.8 % below the estimate): the estimate charges one
+        // slot per decode shared-memory transaction where the functional
+        // path charges one per gather instruction, and none for LDGSTS,
+        // which the functional path does. The -SMBD register-decode
+        // slots, equal on both sides, dilute it.
+        for (smbd, issued_band) in [(true, -0.06..-0.03), (false, -0.02..-0.01)] {
             let kernel = SpinferSpmmInt8 {
                 config: SpmmConfig {
-                    ablation,
+                    ablation: Ablation {
+                        smbd,
+                        ..Default::default()
+                    },
                     ..SpmmConfig::default()
                 },
             };
-            let run = kernel.run(&spec, &enc, &x);
-            let est = kernel.estimate(&spec, &FormatStats::from_encoded(&enc.tiles), 16);
-            let cf = run.chain.launches[0].counters.clone();
-            let ce = est.chain.launches[0].counters.clone();
-            let close = |a: u64, b: u64, tol: f64, what: &str| {
-                let rel = (a as f64 - b as f64).abs() / (b as f64).max(1.0);
-                assert!(
-                    rel < tol,
-                    "{ablation:?} {what}: functional {a} vs estimate {b}"
-                );
-            };
-            close(
-                run.chain.launches[0].timing.dram_bytes,
-                est.chain.launches[0].timing.dram_bytes,
-                0.05,
-                "dram_bytes",
-            );
-            close(cf.mma_s8_insts, ce.mma_s8_insts, 0.01, "mma_s8");
-            close(cf.cuda_fp_insts, ce.cuda_fp_insts, 0.01, "scale folds");
-            close(cf.cuda_int_insts, ce.cuda_int_insts, 0.05, "int");
-            close(cf.shfl_insts, ce.shfl_insts, 0.01, "shfl");
-            let tf = run.time_us();
-            let te = est.time_us();
-            assert!(
-                (tf - te).abs() / tf < 0.10,
-                "{ablation:?} time {tf} vs {te}"
-            );
+            for (m, k) in [(300, 500), (1024, 512)] {
+                for (i, s) in [0.3, 0.6, 0.9].into_iter().enumerate() {
+                    let (_, enc) = quantized(m, k, s, 205 + i as u64);
+                    let stats = FormatStats::from_encoded(&enc.tiles);
+                    for n in [1, 16, 40] {
+                        let x = random_dense(k, n, ValueDist::Uniform, 206);
+                        let run = kernel.run(&spec, &enc, &x);
+                        let est = kernel.estimate(&spec, &stats, n);
+                        let (lf, le) = (&run.chain.launches[0], &est.chain.launches[0]);
+                        let (cf, ce) = (&lf.counters, &le.counters);
+                        let at = format!("smbd={smbd} {m}x{k} s={s} n={n}");
+                        assert_eq!(cf.mma_s8_insts, ce.mma_s8_insts, "{at} mma_s8");
+                        assert_eq!(cf.cuda_int_insts, ce.cuda_int_insts, "{at} int");
+                        assert_eq!(cf.smem_bank_conflicts, ce.smem_bank_conflicts, "{at} bank");
+                        assert_eq!(cf.cuda_fp_insts, ce.cuda_fp_insts, "{at} scale folds");
+                        assert_eq!(cf.shfl_insts, ce.shfl_insts, "{at} shfl");
+                        // Post-L2 DRAM bytes, functional 0.1–3.2 % above
+                        // the estimate: the functional path records raw X
+                        // traffic and discounts it at timing; the
+                        // estimate caps it up front.
+                        let dram = rel_gap(lf.timing.dram_bytes, le.timing.dram_bytes);
+                        assert!((0.0..0.035).contains(&dram), "{at} dram gap {dram}");
+                        let issued = rel_gap(cf.insts_issued, ce.insts_issued);
+                        assert!(issued_band.contains(&issued), "{at} issued gap {issued}");
+                        // Launch-chain time, measured −0.9 to +0.9 %: the
+                        // DRAM surplus slows memory-bound points and the
+                        // issue deficit speeds issue-bound ones, so the
+                        // sign flips.
+                        let (tf, te) = (run.time_us(), est.time_us());
+                        assert!((tf - te).abs() / te < 0.015, "{at} time {tf} vs {te}");
+                    }
+                }
+            }
         }
     }
 

@@ -3,13 +3,12 @@
 //! [`DynSpmmKernel`] wrapper, and the unified SpInfer-SpMM launch body
 //! shared by the FP16 and INT8 kernels.
 //!
-//! Historically each capability grew its own method variant (`run`,
-//! `run_traced`, `run_checked`, `run_checked_with`, …) and only the
-//! SpInfer kernel got the fault/trace seams. All entry points now funnel
-//! into one body parameterised by a [`LaunchCtx`], so capabilities
-//! compose (traced **and** checked in one launch) and apply uniformly to
-//! every registered kernel — and, through the `Datapath` type parameter,
-//! to both SpInfer payload precisions.
+//! Every entry point funnels into one body parameterised by a
+//! [`LaunchCtx`]: `run` and `run_traced` build a context, and fault-aware
+//! callers pass theirs to [`SpmmKernel::launch`] directly. Capabilities
+//! therefore compose (traced **and** checked in one launch) and apply
+//! uniformly to every registered kernel — and, through the `Datapath`
+//! type parameter, to both SpInfer payload precisions.
 
 use std::any::Any;
 use std::fmt;
@@ -18,7 +17,7 @@ use std::sync::Arc;
 use crate::error::SpinferError;
 use crate::tca_bme::TcaBme;
 use gpu_sim::counters::Counters;
-use gpu_sim::exec::{self, CounterShard};
+use gpu_sim::exec;
 use gpu_sim::fault::FaultInjector;
 use gpu_sim::fp16::Half;
 use gpu_sim::global::GlobalMemory;
@@ -30,7 +29,7 @@ use gpu_sim::trace::TraceSink;
 
 use super::block::{BlockBases, BlockGrid, BlockScratch, CheckedState, Datapath};
 use super::traced::{emit_kernel_trace, BlockTracer, TracePhase};
-use super::{FaultPolicy, FormatStats, SpinferSpmm, SpmmConfig, SpmmRun};
+use super::{FormatStats, SpinferSpmm, SpmmConfig, SpmmRun};
 
 /// Capability bundle for one kernel launch: the device plus every
 /// optional seam.
@@ -89,8 +88,8 @@ impl<'a> LaunchCtx<'a> {
     }
 
     /// Whether this launch runs with integrity checking: any fault or
-    /// policy attachment opts in. `run_checked(.., None)` still
-    /// validates the container, so a policy alone is sufficient.
+    /// policy attachment opts in. A policy alone still validates the
+    /// container, with no injector attached.
     pub fn checked(&self) -> bool {
         self.fault.is_some() || self.policy.is_some()
     }
@@ -109,6 +108,45 @@ impl fmt::Debug for LaunchCtx<'_> {
             .field("policy", &self.policy)
             .field("sink", &self.sink.is_some())
             .finish()
+    }
+}
+
+/// Recovery policy for checked launches: how hard to try before giving
+/// up on a GroupTile, and what giving up means.
+///
+/// A checked launch (a [`LaunchCtx`] carrying a fault injector or a
+/// policy) runs four defence layers:
+/// * **D1** — per-GroupTile FNV-1a checksums verify the landed
+///   shared-memory image; mismatches re-stream from DRAM with a
+///   reseeded draw stream.
+/// * **D2** — checked SMBD decode surfaces packed-value offset
+///   overruns from corrupted bitmaps.
+/// * **D3** — checked decode rejects non-finite FP16 weights
+///   (NaN/Inf poison).
+/// * **D4** — container validation before launch, so a corrupt or
+///   truncated container is rejected with a typed error instead of a
+///   panic.
+///
+/// With no injector (or an unarmed one) a checked launch is
+/// bit-identical to the golden path in both output and counter digest —
+/// fault tallies are excluded from
+/// [`Counters::digest`](gpu_sim::counters::Counters::digest).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FaultPolicy {
+    /// Maximum load/decode attempts per site (first try + retries).
+    pub max_attempts: u32,
+    /// After exhausting retries: `true` falls back to a reference
+    /// product of the pristine GroupTile (slow but exact), `false`
+    /// surfaces a typed [`KernelError`](crate::error::KernelError).
+    pub fallback: bool,
+}
+
+impl Default for FaultPolicy {
+    fn default() -> Self {
+        Self {
+            max_attempts: 3,
+            fallback: true,
+        }
     }
 }
 
@@ -572,8 +610,8 @@ impl SpmmConfig {
             band_len,
             BlockScratch::<P>::new,
             |block_scratch, scratch, gty| {
-                let mut shard = CounterShard::new();
-                let mut x_shard = CounterShard::new();
+                let mut shard = Counters::new();
+                let mut x_shard = Counters::new();
                 let mut tracer = sink.map(|_| BlockTracer::default());
                 for nt in 0..geo.grid_x {
                     let n0 = nt * geo.tile_n;
@@ -584,8 +622,8 @@ impl SpmmConfig {
                             w,
                             x,
                             x_scale,
-                            shard.counters(),
-                            x_shard.counters(),
+                            &mut shard,
+                            &mut x_shard,
                             &mut scratch[split * slice_len..][..slice_len],
                             block_scratch,
                             &geo,
@@ -653,7 +691,7 @@ impl SpmmConfig {
 
 /// Per-block-row outcome from a [`fan_out_block_rows`] body: the W-side
 /// and X-side counter shards plus optional per-phase trace spans.
-type RowOutcome = (CounterShard, CounterShard, Option<Vec<(TracePhase, u64)>>);
+type RowOutcome = (Counters, Counters, Option<Vec<(TracePhase, u64)>>);
 
 /// Aggregated [`fan_out_block_rows`] result: the filled split-K
 /// workspace, merged W-side and X-side counters, and per-block-row
@@ -736,8 +774,8 @@ fn fan_out_block_rows<S: Send>(
     let mut task_spans: Vec<Vec<(TracePhase, u64)>> = Vec::new();
     for res in shards {
         let (shard, x_shard, spans) = res.map_err(SpinferError::Kernel)?;
-        counters.merge(&shard.into_counters());
-        x_counters.merge(&x_shard.into_counters());
+        counters.merge(&shard);
+        x_counters.merge(&x_shard);
         if let Some(spans) = spans {
             task_spans.push(spans);
         }

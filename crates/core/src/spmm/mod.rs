@@ -30,17 +30,16 @@
 //! and by the payload precision, a crate-private `Datapath` type
 //! parameter:
 //!
-//! * [`launch`](self) — [`LaunchCtx`], the [`SpmmKernel`] trait shared
-//!   with every baseline, the object-safe [`DynSpmmKernel`] wrapper, and
-//!   the unified launch body (`SpmmConfig::launch`).
+//! * [`launch`](self) — [`LaunchCtx`] with its [`FaultPolicy`], the
+//!   [`SpmmKernel`] trait shared with every baseline, the object-safe
+//!   [`DynSpmmKernel`] wrapper, and the unified launch body
+//!   (`SpmmConfig::launch`).
 //! * `block` — the single per-thread-block routine (golden, traced, and
 //!   checked arms in one function; the checked arms are no-cost when the
 //!   context carries no injector), its fault-image helpers, and the
 //!   `Datapath` trait with its FP16 hooks.
 //! * `int8` — [`SpinferSpmmInt8`] and the INT8 `Datapath` hooks (code
 //!   quantization, `mma.s8`, per-GroupTile scale fold).
-//! * `checked` — [`FaultPolicy`] and the `run_checked`/`run_checked_with`
-//!   wrappers.
 //! * `traced` — phase attribution and Chrome-trace emission.
 //!
 //! Geometry, launch shape and the analytic estimator are likewise one
@@ -48,15 +47,13 @@
 //! fold cost from the `Datapath`.
 
 mod block;
-mod checked;
 mod int8;
 mod launch;
 mod traced;
 
 pub(crate) use block::{Datapath, TcRows};
-pub use checked::FaultPolicy;
 pub use int8::SpinferSpmmInt8;
-pub use launch::{DynEncoded, DynSpmmKernel, LaunchCtx, SpmmKernel};
+pub use launch::{DynEncoded, DynSpmmKernel, FaultPolicy, LaunchCtx, SpmmKernel};
 pub use traced::emit_chain_trace;
 
 use crate::payload::Payload;
@@ -624,10 +621,14 @@ mod tests {
         let enc = TcaBme::encode(&w);
         let kernel = SpinferSpmm::new();
         let golden = kernel.run(&spec, &enc, &x);
+        let policy = FaultPolicy::default();
         let unarmed = FaultInjector::new(FaultPlan::default());
-        for fault in [None, Some(&unarmed)] {
+        for ctx in [
+            LaunchCtx::new(&spec).with_policy(&policy),
+            LaunchCtx::new(&spec).with_fault(&unarmed),
+        ] {
             let checked = kernel
-                .run_checked(&spec, &enc, &x, fault)
+                .launch(&ctx, &enc, &x)
                 .expect("clean container, clean run");
             assert_eq!(checked.output, golden.output, "bit-identical output");
             assert_eq!(
@@ -646,7 +647,7 @@ mod tests {
         let kernel = SpinferSpmm::new();
         let inj = FaultInjector::new(FaultPlan::uniform(77, 0.02));
         let run = kernel
-            .run_checked(&spec, &enc, &x, Some(&inj))
+            .launch(&LaunchCtx::new(&spec).with_fault(&inj), &enc, &x)
             .expect("default policy always recovers or falls back");
         let out = run.output.as_ref().expect("functional output");
         assert!(
@@ -673,8 +674,12 @@ mod tests {
         let enc = TcaBme::encode(&w);
         let kernel = SpinferSpmm::new();
         let inj = FaultInjector::new(FaultPlan::uniform(31, 0.03));
-        let a = kernel.run_checked(&spec, &enc, &x, Some(&inj)).unwrap();
-        let b = kernel.run_checked(&spec, &enc, &x, Some(&inj)).unwrap();
+        let a = kernel
+            .launch(&LaunchCtx::new(&spec).with_fault(&inj), &enc, &x)
+            .unwrap();
+        let b = kernel
+            .launch(&LaunchCtx::new(&spec).with_fault(&inj), &enc, &x)
+            .unwrap();
         assert_eq!(a.output, b.output, "same seed, same output");
         assert_eq!(
             a.chain.launches[0].counters, b.chain.launches[0].counters,
@@ -701,7 +706,11 @@ mod tests {
             fallback: false,
         };
         let err = kernel
-            .run_checked_with(&spec, &enc, &x, Some(&inj), policy)
+            .launch(
+                &LaunchCtx::new(&spec).with_fault(&inj).with_policy(&policy),
+                &enc,
+                &x,
+            )
             .expect_err("unrecoverable corruption must surface");
         assert!(
             matches!(err, crate::error::SpinferError::Kernel(_)),
@@ -726,7 +735,11 @@ mod tests {
             fallback: true,
         };
         let run = kernel
-            .run_checked_with(&spec, &enc, &x, Some(&inj), policy)
+            .launch(
+                &LaunchCtx::new(&spec).with_fault(&inj).with_policy(&policy),
+                &enc,
+                &x,
+            )
             .expect("fallback path completes the run");
         let c = &run.chain.launches[0].counters;
         assert!(c.fault_fallbacks > 0, "budget exhaustion must fall back");
@@ -750,7 +763,9 @@ mod tests {
             ..FaultPlan::default()
         };
         let inj = FaultInjector::new(plan);
-        let run = kernel.run_checked(&spec, &enc, &x, Some(&inj)).unwrap();
+        let run = kernel
+            .launch(&LaunchCtx::new(&spec).with_fault(&inj), &enc, &x)
+            .unwrap();
         let c = &run.chain.launches[0].counters;
         assert!(c.faults_detected > 0, "poison must be caught by D3");
         assert!(c.faults_recovered + c.fault_fallbacks > 0);
@@ -768,15 +783,17 @@ mod tests {
         let x = random_dense(64, 8, ValueDist::Uniform, 123);
         let enc = TcaBme::encode(&w);
         let kernel = SpinferSpmm::new();
+        let policy = FaultPolicy::default();
+        let ctx = LaunchCtx::new(&spec).with_policy(&policy);
         let bad_x = random_dense(32, 8, ValueDist::Uniform, 124);
         assert!(matches!(
-            kernel.run_checked(&spec, &enc, &bad_x, None),
+            kernel.launch(&ctx, &enc, &bad_x),
             Err(SpinferError::DimensionMismatch { .. })
         ));
         let mut corrupt = enc.clone();
         corrupt.nnz += 1;
         assert!(matches!(
-            kernel.run_checked(&spec, &corrupt, &x, None),
+            kernel.launch(&ctx, &corrupt, &x),
             Err(SpinferError::Integrity(_))
         ));
     }
@@ -861,41 +878,59 @@ mod tests {
         let _ = dynk.launch(&LaunchCtx::new(&spec), &foreign, &x);
     }
 
+    /// Relative gap of a functional counter over its estimate (shared
+    /// with the INT8 grid test).
+    pub(super) fn rel_gap(functional: u64, estimate: u64) -> f64 {
+        (functional as f64 - estimate as f64) / (estimate as f64).max(1.0)
+    }
+
+    /// The analytic estimate against the functional run over a grid:
+    /// sparsity 0.3/0.6/0.9, N 1/16/40, a ragged shape (300×500 pads
+    /// to GroupTile multiples) and a tall one. Counters that agree today
+    /// must agree exactly; the rest are held to the gaps measured on
+    /// this grid.
     #[test]
     fn estimate_matches_functional_counters() {
         let spec = GpuSpec::rtx4090();
-        let w = random_sparse(512, 512, 0.5, ValueDist::Uniform, 103);
-        let x = random_dense(512, 16, ValueDist::Uniform, 104);
-        let enc = TcaBme::encode(&w);
         let kernel = SpinferSpmm::new();
-        let run = kernel.run(&spec, &enc, &x);
-        let est = kernel.estimate(&spec, &FormatStats::from_encoded(&enc), 16);
-        let cf = run.chain.launches[0].counters.clone();
-        let ce = est.chain.launches[0].counters.clone();
-        let close = |a: u64, b: u64, tol: f64, what: &str| {
-            let rel = (a as f64 - b as f64).abs() / (b as f64).max(1.0);
-            assert!(rel < tol, "{what}: functional {a} vs estimate {b}");
-        };
-        // Compare post-L2 DRAM bytes: the functional path records raw X
-        // traffic and discounts at timing; the estimate caps it up front.
-        close(
-            run.chain.launches[0].timing.dram_bytes,
-            est.chain.launches[0].timing.dram_bytes,
-            0.05,
-            "dram_bytes",
-        );
-        close(cf.mma_insts, ce.mma_insts, 0.01, "mma");
-        close(cf.cuda_int_insts, ce.cuda_int_insts, 0.05, "int");
-        close(
-            cf.smem_load_transactions,
-            ce.smem_load_transactions,
-            0.15,
-            "smem_loads",
-        );
-        // Times within 10%.
-        let tf = run.time_us();
-        let te = est.time_us();
-        assert!((tf - te).abs() / tf < 0.10, "time {tf} vs {te}");
+        for (m, k) in [(300, 500), (1024, 512)] {
+            for (i, s) in [0.3, 0.6, 0.9].into_iter().enumerate() {
+                let w = random_sparse(m, k, s, ValueDist::Uniform, 103 + i as u64);
+                let enc = TcaBme::encode(&w);
+                for n in [1, 16, 40] {
+                    let x = random_dense(k, n, ValueDist::Uniform, 104);
+                    let run = kernel.run(&spec, &enc, &x);
+                    let est = kernel.estimate(&spec, &FormatStats::from_encoded(&enc), n);
+                    let (lf, le) = (&run.chain.launches[0], &est.chain.launches[0]);
+                    let (cf, ce) = (&lf.counters, &le.counters);
+                    let at = format!("{m}x{k} s={s} n={n}");
+                    assert_eq!(cf.mma_insts, ce.mma_insts, "{at} mma");
+                    assert_eq!(cf.cuda_int_insts, ce.cuda_int_insts, "{at} int");
+                    assert_eq!(cf.smem_bank_conflicts, ce.smem_bank_conflicts, "{at} bank");
+                    let smem = rel_gap(cf.smem_load_transactions, ce.smem_load_transactions);
+                    assert!(smem.abs() < 0.15, "{at} smem_loads gap {smem}");
+                    // Post-L2 DRAM bytes, functional 0.2–3.2 % above the
+                    // estimate: the functional path records raw X
+                    // traffic and discounts it at timing; the estimate
+                    // caps it up front.
+                    let dram = rel_gap(lf.timing.dram_bytes, le.timing.dram_bytes);
+                    assert!((0.0..0.035).contains(&dram), "{at} dram gap {dram}");
+                    // Issue slots, functional 3.5–5.7 % below: the
+                    // estimate charges one slot per decode shared-memory
+                    // transaction where the functional path charges one
+                    // per gather instruction, and it charges none for
+                    // LDGSTS, which the functional path does.
+                    let issued = rel_gap(cf.insts_issued, ce.insts_issued);
+                    assert!((-0.06..-0.03).contains(&issued), "{at} issued gap {issued}");
+                    // Launch-chain time within 1.5 % (measured −0.8 to
+                    // +1.2 %): the DRAM surplus slows memory-bound
+                    // points and the issue deficit speeds issue-bound
+                    // ones, so the sign flips with sparsity and N.
+                    let (tf, te) = (run.time_us(), est.time_us());
+                    assert!((tf - te).abs() / te < 0.015, "{at} time {tf} vs {te}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -311,17 +311,6 @@ impl TcaBmeOf<Half> {
         Self::encode_with(matrix, TcaBmeConfig::default())
     }
 
-    /// Fallible [`Self::encode_with`]: an invalid tiling configuration —
-    /// or an encoding whose padded value array would overflow the `u32`
-    /// `GTileOffset` space — becomes a typed error instead of a panic.
-    pub fn try_encode_with(
-        matrix: &DenseMatrix,
-        config: TcaBmeConfig,
-    ) -> Result<Self, crate::error::SpinferError> {
-        crate::error::validate_config(&config)?;
-        Self::encode_impl(matrix, config)
-    }
-
     /// Encodes a dense matrix with an explicit configuration. Dimensions
     /// that are not GroupTile multiples are zero-padded.
     ///
@@ -329,8 +318,7 @@ impl TcaBmeOf<Half> {
     ///
     /// Panics on an invalid tiling configuration, or if the padded value
     /// array would overflow the `u32` `GTileOffset` space (beyond 2³²−1
-    /// encoded elements — 8 GiB of values); use
-    /// [`Self::try_encode_with`] for a fallible variant.
+    /// encoded elements — 8 GiB of values).
     pub fn encode_with(matrix: &DenseMatrix, config: TcaBmeConfig) -> Self {
         config.validate();
         let enc = Self::encode_impl(matrix, config)
@@ -339,8 +327,7 @@ impl TcaBmeOf<Half> {
         enc
     }
 
-    /// The two-pass parallel encode behind [`Self::encode_with`] /
-    /// [`Self::try_encode_with`].
+    /// The two-pass parallel encode behind [`Self::encode_with`].
     ///
     /// Pass 1 builds every GroupTile's bitmaps into disjoint slices of
     /// the pre-allocated bitmap array (in parallel over GroupTiles) and
@@ -590,12 +577,6 @@ impl TcaBmeInt8 {
             out[r * k + c] = f32::from(code) * self.scales[gt];
         });
         out
-    }
-
-    /// Worst-case absolute reconstruction error bound for one GroupTile:
-    /// half a quantization step.
-    pub fn error_bound(&self, gt: usize) -> f32 {
-        0.5 * self.scales[gt]
     }
 }
 
@@ -1152,7 +1133,8 @@ mod tests {
                 let orig = m.get(r, c).to_f32();
                 let got = deq[r * 128 + c];
                 let gt = (r / 64) * enc.gtiles_x() + c / 64;
-                let bound = q.error_bound(gt) * 1.0001;
+                // Half a quantization step, with float slack.
+                let bound = 0.5 * q.scales[gt] * 1.0001;
                 assert!(
                     (orig - got).abs() <= bound,
                     "({r},{c}): {orig} vs {got}, bound {bound}"

@@ -82,11 +82,6 @@ impl AsyncCopyState {
         retired
     }
 
-    /// Number of groups currently in flight.
-    pub fn groups_in_flight(&self) -> usize {
-        self.in_flight.len()
-    }
-
     /// Asserts that every group has been retired — call at block exit to
     /// catch kernels that read a buffer whose copy was never awaited.
     pub fn assert_drained(&self) {
@@ -116,10 +111,10 @@ mod tests {
         s.issue();
         s.issue();
         s.commit_group(); // Group B.
-        assert_eq!(s.groups_in_flight(), 2);
+        assert_eq!(s.in_flight.len(), 2);
         // wait_group(1): only the oldest (A) retires.
         assert_eq!(s.wait_group(1), 1);
-        assert_eq!(s.groups_in_flight(), 1);
+        assert_eq!(s.in_flight.len(), 1);
         assert_eq!(s.wait_group(0), 1);
         s.assert_drained();
     }
@@ -150,7 +145,7 @@ mod tests {
         let mut s = AsyncCopyState::new();
         s.issue();
         assert_eq!(s.commit_group_f(&mut c, None, 7), CommitFault::None);
-        assert_eq!(s.groups_in_flight(), 1);
+        assert_eq!(s.in_flight.len(), 1);
         s.wait_group(0);
         s.assert_drained();
         assert_eq!(c.faults_injected, 0);
@@ -167,7 +162,7 @@ mod tests {
             s.commit_group_f(&mut c, Some(&inj), 7),
             CommitFault::Dropped
         );
-        assert_eq!(s.groups_in_flight(), 1);
+        assert_eq!(s.in_flight.len(), 1);
         s.wait_group(0);
         s.assert_drained();
         assert_eq!(c.faults_injected, 1);

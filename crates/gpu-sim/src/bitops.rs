@@ -37,22 +37,6 @@ pub fn test_bit(bitmap: u64, pos: u32) -> bool {
     (bitmap >> pos) & 1 == 1
 }
 
-/// Builds a 64-bit bitmap from an iterator of 64 booleans, bit `i` taken
-/// from the `i`-th element. Used by format encoders.
-pub fn bitmap_from_bools<I: IntoIterator<Item = bool>>(bits: I) -> u64 {
-    let mut bm = 0u64;
-    let mut n = 0u32;
-    for (i, b) in bits.into_iter().enumerate() {
-        assert!(i < 64, "more than 64 bits supplied");
-        if b {
-            bm |= 1u64 << i;
-        }
-        n += 1;
-    }
-    assert_eq!(n, 64, "exactly 64 bits required, got {n}");
-    bm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,20 +73,5 @@ mod tests {
         // Paper Algorithm 2: lane l uses offset 2l. With an all-ones bitmap
         // lane 5 must see exactly 10 preceding non-zeros.
         assert_eq!(masked_popc64(u64::MAX, 2 * 5), 10);
-    }
-
-    #[test]
-    fn bitmap_from_bools_roundtrip() {
-        let bits: Vec<bool> = (0..64).map(|i| i % 3 == 0).collect();
-        let bm = bitmap_from_bools(bits.clone());
-        for (i, b) in bits.iter().enumerate() {
-            assert_eq!(test_bit(bm, i as u32), *b);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "exactly 64 bits")]
-    fn bitmap_from_bools_rejects_short_input() {
-        bitmap_from_bools(vec![true; 63]);
     }
 }

@@ -2,14 +2,15 @@
 //!
 //! The simulator is a pure host program: every kernel "launch" is a
 //! deterministic function of its inputs that produces numerical output
-//! plus a [`Counters`] record. That makes block-level fan-out across
-//! host cores safe *provided* the parallel decomposition is exact:
+//! plus a [`Counters`](crate::counters::Counters) record. That makes
+//! block-level fan-out across host cores safe *provided* the parallel
+//! decomposition is exact:
 //!
-//! * **Counters** — every field of [`Counters`] is a `u64` event count
-//!   and [`Counters::merge`] is field-wise addition, which is
-//!   commutative and associative. Sharding counts per worker and
-//!   merging after the barrier therefore yields bit-identical totals
-//!   regardless of schedule.
+//! * **Counters** — every field of `Counters` is a `u64` event count
+//!   and [`Counters::merge`](crate::counters::Counters::merge) is
+//!   field-wise addition, which is commutative and associative.
+//!   Sharding counts per worker and merging after the barrier
+//!   therefore yields bit-identical totals regardless of schedule.
 //! * **Numerics** — callers must partition floating-point work so each
 //!   worker owns a disjoint output region (e.g. disjoint block rows of
 //!   a workspace). Disjoint writes are plain copies; no cross-worker
@@ -23,7 +24,6 @@
 //! Job count resolution: [`set_jobs`] override → `SPINFER_JOBS`
 //! environment variable → [`std::thread::available_parallelism`].
 
-use crate::counters::Counters;
 use crate::trace::{pids, TraceEvent, TraceSink};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -152,10 +152,11 @@ where
 ///
 /// Each worker calls `init` once and threads the resulting state
 /// through every item it processes — the hook for reusable scratch
-/// buffers and per-worker [`CounterShard`]s. The serial path (one job
-/// or ≤1 item) uses a single state, which is indistinguishable
-/// because worker state must never affect results (only counters
-/// recorded into shards that are merged commutatively).
+/// buffers and per-worker [`Counters`](crate::counters::Counters)
+/// shards. The serial path (one job or ≤1 item) uses a single state,
+/// which is indistinguishable because worker state must never affect
+/// results (only counters recorded into shards that are merged
+/// commutatively).
 pub fn par_map_with<I, S, R, F, N>(items: Vec<I>, init: N, f: F) -> Vec<R>
 where
     I: Send,
@@ -311,54 +312,10 @@ pub fn chunk_ranges(len: usize, jobs: usize) -> Vec<std::ops::Range<usize>> {
         .collect()
 }
 
-/// Per-worker event-count shard.
-///
-/// The pattern for parallelising an instrumented kernel: give each
-/// worker its own shard via [`par_map_with`], record into
-/// [`CounterShard::counters`] exactly as the serial code records into
-/// its single [`Counters`], return the shard (or fold it into the
-/// per-item result), and total with [`CounterShard::merge_all`] after
-/// the pool joins. Because merging is field-wise `u64` addition, the
-/// total is bit-identical to serial accumulation in any order.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct CounterShard(Counters);
-
-impl CounterShard {
-    /// A fresh zeroed shard.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The shard's counters, for kernels to record into.
-    pub fn counters(&mut self) -> &mut Counters {
-        &mut self.0
-    }
-
-    /// Consumes the shard, yielding its counts.
-    pub fn into_counters(self) -> Counters {
-        self.0
-    }
-
-    /// Merges any number of shards into one total via
-    /// [`Counters::merge`].
-    pub fn merge_all(shards: impl IntoIterator<Item = CounterShard>) -> Counters {
-        let mut total = Counters::default();
-        for shard in shards {
-            total.merge(&shard.0);
-        }
-        total
-    }
-}
-
-impl From<Counters> for CounterShard {
-    fn from(c: Counters) -> Self {
-        CounterShard(c)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::Counters;
 
     #[test]
     fn task_trace_is_ordinal_and_job_count_invariant() {
@@ -472,12 +429,15 @@ mod tests {
         }
         // Sharded: each item records into its worker's shard.
         let shards = par_map((0..100u64).collect(), |i| {
-            let mut shard = CounterShard::new();
-            shard.counters().mma_insts += i;
-            shard.counters().dram_read_bytes += 2 * i;
+            let mut shard = Counters::default();
+            shard.mma_insts += i;
+            shard.dram_read_bytes += 2 * i;
             shard
         });
-        let total = CounterShard::merge_all(shards);
+        let mut total = Counters::default();
+        for shard in &shards {
+            total.merge(shard);
+        }
         assert_eq!(total, serial);
     }
 

@@ -24,7 +24,8 @@
 //! Injected events are recorded in [`Counters::faults_injected`]; the
 //! detection/recovery counts ([`Counters::faults_detected`] and
 //! friends) are written by the integrity layer that consumes them (see
-//! `spinfer_core::spmm::SpinferSpmm::run_checked`). All four fields are
+//! `spinfer_core::spmm::LaunchCtx`, whose fault or policy field turns
+//! the integrity checks on). All four fields are
 //! excluded from [`Counters::digest`] — injection is off the golden
 //! path by construction.
 

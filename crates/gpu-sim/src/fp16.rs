@@ -31,8 +31,6 @@ impl Half {
     pub const ZERO: Half = Half(0x0000);
     /// One.
     pub const ONE: Half = Half(0x3C00);
-    /// Negative one.
-    pub const NEG_ONE: Half = Half(0xBC00);
     /// Largest finite value (65504.0).
     pub const MAX: Half = Half(0x7BFF);
     /// Smallest finite value (-65504.0).

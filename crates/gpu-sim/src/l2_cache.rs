@@ -1,4 +1,4 @@
-//! Functional set-associative L2 cache model.
+//! Functional set-associative L2 cache model: a test oracle.
 //!
 //! The timing layer uses two closed-form L2 heuristics: whole-buffer
 //! residency ([`crate::timing::l2_effective_bytes`]) and the wave-level
@@ -7,34 +7,32 @@
 //! set-associative cache with LRU replacement, simulated at 128-byte line
 //! granularity. Tests replay the access patterns the kernels generate and
 //! check the heuristics' predicted DRAM traffic against the simulated
-//! miss traffic.
+//! miss traffic. Nothing else uses it, so it is compiled only for
+//! tests.
 
 use std::collections::BTreeMap;
 
 /// Cache line size in bytes (L2 lines on NVIDIA parts).
-pub const LINE_BYTES: u64 = 128;
+const LINE_BYTES: u64 = 128;
 
 /// A set-associative, LRU cache model.
 #[derive(Debug)]
-pub struct L2Cache {
+struct L2Cache {
     sets: usize,
     ways: usize,
     /// Per set: `(tag, last_use)` entries, at most `ways`.
     lines: Vec<Vec<(u64, u64)>>,
     tick: u64,
     /// Accesses served from the cache.
-    pub hits: u64,
+    hits: u64,
     /// Accesses that went to DRAM.
-    pub misses: u64,
+    misses: u64,
 }
 
 impl L2Cache {
     /// Builds a cache of `capacity_bytes` with `ways`-way associativity.
-    ///
-    /// # Panics
-    ///
     /// Panics if the geometry does not divide into whole sets.
-    pub fn new(capacity_bytes: usize, ways: usize) -> Self {
+    fn new(capacity_bytes: usize, ways: usize) -> Self {
         assert!(ways > 0);
         let lines_total = capacity_bytes / LINE_BYTES as usize;
         assert!(
@@ -53,14 +51,14 @@ impl L2Cache {
     }
 
     /// A cache sized like the given fraction of a device's L2.
-    pub fn for_spec(spec: &crate::spec::GpuSpec) -> Self {
+    fn for_spec(spec: &crate::spec::GpuSpec) -> Self {
         // 16-way, matching typical GPU L2 organisation.
         let cap = spec.l2_bytes / (16 * LINE_BYTES as usize) * (16 * LINE_BYTES as usize);
         L2Cache::new(cap, 16)
     }
 
     /// Touches byte address `addr`; returns `true` on hit.
-    pub fn access(&mut self, addr: u64) -> bool {
+    fn access(&mut self, addr: u64) -> bool {
         self.tick += 1;
         let line = addr / LINE_BYTES;
         let set = (line % self.sets as u64) as usize;
@@ -86,7 +84,7 @@ impl L2Cache {
     }
 
     /// Touches a byte range, one access per line.
-    pub fn access_range(&mut self, addr: u64, bytes: u64) {
+    fn access_range(&mut self, addr: u64, bytes: u64) {
         let first = addr / LINE_BYTES;
         let last = (addr + bytes.max(1) - 1) / LINE_BYTES;
         for l in first..=last {
@@ -95,18 +93,8 @@ impl L2Cache {
     }
 
     /// DRAM bytes implied by the misses so far.
-    pub fn miss_bytes(&self) -> u64 {
+    fn miss_bytes(&self) -> u64 {
         self.misses * LINE_BYTES
-    }
-
-    /// Hit rate over all accesses.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
     }
 }
 
@@ -114,7 +102,7 @@ impl L2Cache {
 /// output grid in column-window order (window of `win` tiles), each block
 /// streaming its W panel rows and X panel columns. Returns the simulated
 /// DRAM bytes for the W operand. Used by heuristic-validation tests.
-pub fn replay_weight_panel(
+fn replay_weight_panel(
     cache: &mut L2Cache,
     m: usize,
     k: usize,

@@ -38,10 +38,10 @@ pub mod fault;
 pub mod fp16;
 pub mod global;
 pub mod kernel;
-pub mod l2_cache;
+#[cfg(test)]
+mod l2_cache;
 pub mod matrix;
 pub mod occupancy;
-pub mod pipeline;
 pub mod shared_memory;
 pub mod spec;
 pub mod tensor_core;

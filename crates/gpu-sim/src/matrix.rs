@@ -491,34 +491,6 @@ fn scan_sparse_generic<const W: usize>(
     (wp + z, cnt + z, kept)
 }
 
-/// Generates a sparse matrix with an *exact* number of non-zeros per row
-/// (balanced), the pattern magnitude-style per-row pruning produces.
-pub fn random_sparse_balanced(
-    rows: usize,
-    cols: usize,
-    sparsity: f64,
-    dist: ValueDist,
-    seed: u64,
-) -> DenseMatrix {
-    assert!((0.0..=1.0).contains(&sparsity), "sparsity must be in [0,1]");
-    assert_nonzero_dist(dist);
-    let keep_per_row = ((cols as f64) * (1.0 - sparsity)).round() as usize;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = DenseMatrix::zeros(rows, cols);
-    let mut idx: Vec<usize> = (0..cols).collect();
-    for r in 0..rows {
-        // Partial Fisher-Yates: choose `keep_per_row` distinct columns.
-        for i in 0..keep_per_row.min(cols) {
-            let j = rng.gen_range(i..cols);
-            idx.swap(i, j);
-        }
-        for &c in idx.iter().take(keep_per_row) {
-            out.set(r, c, nonzero_sample(&mut rng, dist));
-        }
-    }
-    out
-}
-
 /// Generates an extremely sparse matrix whose non-zeros cluster into a
 /// `block_density` fraction of `block×block` tiles (each chosen tile is
 /// `fill` dense inside) — the structure of scientific/graph matrices that
@@ -594,18 +566,6 @@ pub fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
         .fold(0.0f32, f32::max)
 }
 
-/// Relative L2 error `‖a−b‖₂ / max(‖b‖₂, ε)`.
-pub fn rel_l2_error(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len());
-    let mut num = 0.0f64;
-    let mut den = 0.0f64;
-    for (x, y) in a.iter().zip(b) {
-        num += f64::from(x - y) * f64::from(x - y);
-        den += f64::from(*y) * f64::from(*y);
-    }
-    (num.sqrt() / den.sqrt().max(1e-30)) as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -672,15 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn balanced_sparsity_is_exact_per_row() {
-        let m = random_sparse_balanced(64, 100, 0.7, ValueDist::Uniform, 7);
-        for r in 0..64 {
-            let nnz_row = (0..100).filter(|&c| !m.get(r, c).is_zero()).count();
-            assert_eq!(nnz_row, 30, "row {r}");
-        }
-    }
-
-    #[test]
     fn matmul_ref_identity() {
         let mut id = DenseMatrix::zeros(4, 4);
         for i in 0..4 {
@@ -715,7 +666,6 @@ mod tests {
         let a = vec![1.0, 2.0, 3.0];
         let b = vec![1.0, 2.5, 3.0];
         assert_eq!(max_abs_diff(&a, &b), 0.5);
-        assert!(rel_l2_error(&a, &a) < 1e-12);
     }
 
     #[test]
@@ -867,7 +817,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "Normal std must be finite and non-zero in FP16")]
     fn nan_normal_std_is_rejected() {
-        random_sparse_balanced(4, 4, 0.5, ValueDist::Normal { std: f32::NAN }, 1);
+        random_sparse(4, 4, 0.5, ValueDist::Normal { std: f32::NAN }, 1);
     }
 
     #[test]

@@ -487,7 +487,6 @@ mod tests {
         assert_eq!(c.smem_bank_conflicts, 31);
         warp_smem_load(&mut c, &strided_addrs(0, 4), 4);
         assert_eq!(c.smem_load_transactions, 1);
-        assert_eq!(c.bank_conflict_rate(), 31.0 / 33.0);
     }
 
     #[test]

@@ -80,8 +80,6 @@ pub struct GpuSpec {
     pub tc_flops_per_cycle_per_sm: f64,
     /// Cycles for one warp-wide `mma.m16n8k16` issue-to-complete.
     pub mma_latency_cycles: u32,
-    /// FP32 CUDA-core FLOPs per cycle per SM (128 cores × 2).
-    pub cuda_flops_per_cycle_per_sm: f64,
     /// Device memory capacity in bytes.
     pub memory_capacity: usize,
     /// Node-level interconnect used for tensor parallelism.
@@ -115,7 +113,6 @@ impl GpuSpec {
             schedulers_per_sm: 4,
             tc_flops_per_cycle_per_sm: 1024.0,
             mma_latency_cycles: 16,
-            cuda_flops_per_cycle_per_sm: 256.0,
             memory_capacity: 24 * 1024 * 1024 * 1024,
             interconnect: Interconnect::Pcie {
                 bandwidth_gbs: 30.5,
@@ -148,7 +145,6 @@ impl GpuSpec {
             schedulers_per_sm: 4,
             tc_flops_per_cycle_per_sm: 1024.0,
             mma_latency_cycles: 16,
-            cuda_flops_per_cycle_per_sm: 256.0,
             memory_capacity: 48 * 1024 * 1024 * 1024,
             interconnect: Interconnect::NvLink {
                 bandwidth_gbs: 56.2,
@@ -181,7 +177,6 @@ impl GpuSpec {
             schedulers_per_sm: 4,
             tc_flops_per_cycle_per_sm: 2048.0,
             mma_latency_cycles: 16,
-            cuda_flops_per_cycle_per_sm: 128.0,
             memory_capacity: 40 * 1024 * 1024 * 1024,
             interconnect: Interconnect::NvLink {
                 bandwidth_gbs: 300.0,
@@ -194,11 +189,6 @@ impl GpuSpec {
         self.tc_flops_per_cycle_per_sm * self.clock_hz * f64::from(self.sm_count)
     }
 
-    /// Peak FP32 CUDA-core throughput of the whole device, FLOP/s.
-    pub fn peak_cuda_flops(&self) -> f64 {
-        self.cuda_flops_per_cycle_per_sm * self.clock_hz * f64::from(self.sm_count)
-    }
-
     /// The ridge point of the Tensor-Core roofline in FLOP/byte: compute
     /// intensity above which kernels become compute-bound.
     pub fn tc_ridge_point(&self) -> f64 {
@@ -208,11 +198,6 @@ impl GpuSpec {
     /// Converts a cycle count on this device to seconds.
     pub fn cycles_to_sec(&self, cycles: f64) -> f64 {
         cycles / self.clock_hz
-    }
-
-    /// Converts seconds to cycles on this device.
-    pub fn sec_to_cycles(&self, sec: f64) -> f64 {
-        sec * self.clock_hz
     }
 }
 
@@ -252,7 +237,6 @@ mod tests {
         let g = GpuSpec::rtx4090();
         let s = g.cycles_to_sec(g.clock_hz);
         assert!((s - 1.0).abs() < 1e-12);
-        assert!((g.sec_to_cycles(0.5) - 0.5 * g.clock_hz).abs() < 1.0);
     }
 
     #[test]

@@ -34,8 +34,6 @@ pub type TrackId = (u32, u32);
 pub mod pids {
     /// SpInfer SpMM kernel: one compute + one cp.async track per block row.
     pub const KERNEL: u32 = 1;
-    /// Discrete-event pipeline model: one track per execution unit.
-    pub const PIPELINE: u32 = 2;
     /// Host worker pool (ordinal task clock).
     pub const HOST_POOL: u32 = 3;
     /// Serving simulation (iteration-level continuous batching).

@@ -43,34 +43,6 @@ pub fn pseudo_perplexity(mean_reconstruction_error: f64) -> f64 {
     DENSE_PPL * (PPL_SENSITIVITY * mean_reconstruction_error).exp()
 }
 
-/// Relative L2 error the INT8 payload adds on top of pruning: the pruned
-/// layer's output against the prune-then-quantise layer's output, on the
-/// same calibration activations as [`reconstruction_error`].
-///
-/// Measured against the *pruned* reference (not the dense one) so it
-/// isolates the quantisation contribution — the two errors compose in
-/// [`pseudo_perplexity_quantized`].
-pub fn quantization_error(pruned: &DenseMatrix, calib: &Calibration) -> f64 {
-    let enc = spinfer_core::tca_bme::TcaBme::encode(pruned);
-    let deq = crate::quant::QuantizedTcaBme::quantize(&enc)
-        .dequantize()
-        .decode();
-    reconstruction_error(pruned, &deq, calib)
-}
-
-/// Pseudo-perplexity for a pruned *and* INT8-quantised layer.
-///
-/// The two error sources are independent to first order (pruning removes
-/// positions, quantisation perturbs surviving values), so their relative
-/// L2 contributions add in quadrature before the calibrated mapping.
-pub fn pseudo_perplexity_quantized(
-    mean_reconstruction_error: f64,
-    mean_quantization_error: f64,
-) -> f64 {
-    let combined = (mean_reconstruction_error.powi(2) + mean_quantization_error.powi(2)).sqrt();
-    pseudo_perplexity(combined)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,31 +87,5 @@ mod tests {
     #[test]
     fn pseudo_perplexity_monotone() {
         assert!(pseudo_perplexity(0.5) > pseudo_perplexity(0.3));
-    }
-
-    #[test]
-    fn quantization_error_is_small_relative_to_pruning() {
-        // Symmetric per-GroupTile INT8 keeps the added error a couple of
-        // orders below the pruning error at the paper's operating point.
-        let w = random_dense(32, 128, ValueDist::Normal { std: 0.05 }, 207);
-        let c = Calibration::synthetic(128, 64, 208);
-        let pruned = wanda_prune(&w, &c, 0.6);
-        let eq = quantization_error(&pruned, &c);
-        let ep = reconstruction_error(&w, &pruned, &c);
-        assert!(eq > 0.0, "quantisation must perturb something");
-        assert!(eq < 0.02, "int8 error {eq} unexpectedly large");
-        assert!(eq < ep / 5.0, "quant {eq} should be well below prune {ep}");
-    }
-
-    #[test]
-    fn quantized_pseudo_perplexity_composes() {
-        // No quantisation error ⇒ identical to the pruning-only proxy;
-        // adding it can only push the proxy up, and by less than the sum
-        // of the parts (quadrature, not linear).
-        let base = pseudo_perplexity(0.33);
-        assert!((pseudo_perplexity_quantized(0.33, 0.0) - base).abs() < 1e-12);
-        let with_q = pseudo_perplexity_quantized(0.33, 0.01);
-        assert!(with_q > base);
-        assert!(with_q < pseudo_perplexity(0.33 + 0.01));
     }
 }

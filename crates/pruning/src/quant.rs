@@ -80,12 +80,6 @@ impl QuantizedTcaBme {
         self.inner.compression_ratio()
     }
 
-    /// Worst-case relative quantisation error bound per GroupTile
-    /// (half a quantisation step over the tile maximum).
-    pub fn relative_error_bound(&self) -> f64 {
-        0.5 / 127.0
-    }
-
     /// Analytic kernel estimate — the registered INT8 kernel's own
     /// estimator (half the value traffic, `mma.s8` pricing, scale-fold
     /// instructions), not a local re-model.

@@ -32,13 +32,6 @@ pub fn ci_optimal(m: usize, n: usize, s: f64) -> f64 {
     (m as f64 * n as f64) / (m as f64 * (1.0 - s) + n as f64)
 }
 
-/// Converts the paper's element-unit CI to FLOP/byte: each element pair
-/// contributes 2 FLOPs and FP16 elements are 2 bytes, so the scale factor
-/// is 1.0 — the units coincide.
-pub fn ci_to_flop_per_byte(ci_elements: f64) -> f64 {
-    ci_elements
-}
-
 /// A point on the roofline.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RooflinePoint {

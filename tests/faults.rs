@@ -40,7 +40,7 @@ fn seeded_fault_run_is_bit_identical_at_any_job_count() {
             (
                 "SpInfer",
                 SpinferSpmm::new()
-                    .run_checked(&spec, &enc, &x, Some(&inj))
+                    .launch(&ctx, &enc, &x)
                     .expect("recovers under 2% injection"),
             ),
             (
@@ -108,7 +108,7 @@ fn corruption_never_escapes_into_output() {
     for seed in 0..5u64 {
         let inj = FaultInjector::new(FaultPlan::uniform(seed, 0.05));
         let run = kernel
-            .run_checked(&spec, &enc, &x, Some(&inj))
+            .launch(&LaunchCtx::new(&spec).with_fault(&inj), &enc, &x)
             .expect("default policy always recovers or falls back");
         let c = &run.chain.launches[0].counters;
         assert!(c.faults_detected > 0, "5% must strike (seed {seed})");

@@ -1,74 +1,10 @@
-//! Validation of the analytical timing model against the discrete-event
-//! pipeline simulator, and persistence → kernel integration.
+//! Persistence → kernel integration. (The analytic model's check
+//! against the discrete-event pipeline simulator is a `spinfer-core`
+//! unit test beside the simulator, which is test-only.)
 
-use gpu_sim::pipeline::{simulate_block, StageCosts};
-use gpu_sim::timing::{BASE_MEM_EFF, INT_WIPC, SMEM_TPC};
 use gpu_sim::GpuSpec;
-use spinfer_suite::core::{serialize, FormatStats, SpinferSpmm, TcaBme};
+use spinfer_suite::core::{serialize, SpinferSpmm, TcaBme};
 use spinfer_suite::gpu_sim::matrix::{max_abs_diff, random_dense, random_sparse, ValueDist};
-
-/// Derives SpInfer's per-iteration stage costs at the hero shape and
-/// checks the discrete-event pipeline agrees with the analytic
-/// per-iteration steady state within 20%.
-#[test]
-fn pipeline_simulation_validates_analytic_spmm_model() {
-    let spec = GpuSpec::rtx4090();
-    let (m, k, n, s) = (28672usize, 8192usize, 16usize, 0.6f64);
-    let stats = FormatStats::synthetic(m, k, s);
-    let run = SpinferSpmm::new().estimate(&spec, &stats, n);
-    let launch = &run.chain.launches[0];
-    let grid = launch.shape.grid_blocks as f64;
-    let iters = launch.shape.iters_per_block;
-
-    // Per-block, per-iteration stage costs in cycles, from the counters.
-    let occ = launch.timing.occupancy;
-    let resident = (grid).min(f64::from(spec.sm_count) * f64::from(occ.blocks_per_sm));
-    let c = &launch.counters;
-    // DRAM cycles available to one block per cycle of wall time.
-    let bpc_per_block = spec.dram_bandwidth / spec.clock_hz / resident * BASE_MEM_EFF;
-    let w_bytes_iter = launch.timing.dram_bytes as f64 * 0.92 / grid / iters; // W dominates.
-    let x_bytes_iter = launch.timing.dram_bytes as f64 * 0.08 / grid / iters;
-    let decode_cycles = (c.cuda_int_insts as f64 / INT_WIPC
-        + (c.smem_load_transactions + c.smem_store_transactions) as f64 / SMEM_TPC)
-        / grid
-        / iters
-        / f64::from(occ.blocks_per_sm).max(1.0);
-    let mma_cycles =
-        c.mma_insts as f64 * 4.0 / grid / iters / f64::from(occ.blocks_per_sm).max(1.0);
-
-    let costs = StageCosts {
-        load_w: (w_bytes_iter / bpc_per_block) as u64,
-        load_x: (x_bytes_iter / bpc_per_block) as u64,
-        decode: decode_cycles as u64,
-        mma: mma_cycles as u64,
-    };
-    let sim = simulate_block(iters as usize, 2, costs);
-    let waves = (grid / resident).ceil();
-    let sim_total_sec = spec.cycles_to_sec(sim.total_cycles as f64 * waves);
-    let analytic_sec = launch.timing.time_sec;
-    let ratio = sim_total_sec / analytic_sec;
-    assert!(
-        (0.8..=1.25).contains(&ratio),
-        "pipeline {sim_total_sec:.2e}s vs analytic {analytic_sec:.2e}s (ratio {ratio:.2})"
-    );
-}
-
-/// The pipeline simulator reproduces the AsyncPipe ablation's direction:
-/// depth-1 is slower than depth-2, by a modest factor when memory-bound.
-#[test]
-fn pipeline_asyncpipe_ablation_direction() {
-    // Memory-heavy mix typical of the decode regime.
-    let c = StageCosts {
-        load_w: 900,
-        load_x: 100,
-        decode: 300,
-        mma: 60,
-    };
-    let d2 = simulate_block(128, 2, c);
-    let d1 = simulate_block(128, 1, c);
-    let slowdown = d1.total_cycles as f64 / d2.total_cycles as f64;
-    assert!(slowdown > 1.02 && slowdown < 1.6, "slowdown {slowdown}");
-}
 
 /// Serialized weights round-trip through the kernel: encode → bytes →
 /// decode → SpMM must equal the original product exactly.
