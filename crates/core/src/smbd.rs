@@ -108,7 +108,7 @@ fn nth_set_bit(mut mask: u64, n: usize) -> usize {
 /// which is pinned equal to the address-array analysis, so no per-lane
 /// address arrays are built.
 #[allow(clippy::too_many_arguments)]
-#[inline]
+#[inline(always)]
 fn expand_bitmap_tile<P: Payload>(
     counters: &mut Counters,
     bitmap: u64,
@@ -192,6 +192,7 @@ pub fn decode_tctile_f32(
 }
 
 /// Golden (fault-free, panicking) [`decode_tctile_rows_f`].
+#[inline(always)]
 pub(crate) fn decode_tctile_rows<P: Datapath>(
     counters: &mut Counters,
     bitmaps: &[u64; 4],
@@ -237,6 +238,7 @@ pub(crate) fn decode_tctile_rows<P: Datapath>(
 /// FP16 pattern — a NaN for FP16, a plausible nonzero code for INT8
 /// (which no per-value scan can catch; the D3 gap in DESIGN.md §14).
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 pub(crate) fn decode_tctile_rows_f<P: Datapath>(
     counters: &mut Counters,
     bitmaps: &[u64; 4],

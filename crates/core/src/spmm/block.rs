@@ -23,11 +23,11 @@ use crate::error::{IntegrityError, KernelError};
 use crate::payload::Payload;
 use crate::smbd::{decode_tctile_rows, decode_tctile_rows_f, DecodeFault};
 use crate::tca_bme::{checksum_gtile, TcaBme, TcaBmeConfig, TcaBmeOf, TT_DIM};
-use gpu_sim::bitops::popc64;
+use gpu_sim::bitops::{popc64, popcnt_bmi1_active};
 use gpu_sim::counters::Counters;
 use gpu_sim::fault::{flip_bit_u16, flip_bit_u64, CommitFault, FaultInjector};
 use gpu_sim::fp16::{f16_to_f32_slice, Half};
-use gpu_sim::global::{warp_global_store, warp_ldgsts, warp_ldgsts_f, VAddr};
+use gpu_sim::global::{warp_global_store, warp_ldgsts_runs, VAddr};
 use gpu_sim::matrix::DenseMatrix;
 use gpu_sim::shared_memory::warp_ldsm_x4_rows;
 use gpu_sim::tensor_core::{
@@ -264,8 +264,82 @@ impl SpmmConfig {
     /// counter stream and numerics are bit-identical to the golden path:
     /// the `_f` hooks collapse to the golden functions and no
     /// shared-memory image is materialised.
+    ///
+    /// The body is compiled twice: portable, and with POPCNT and BMI1
+    /// enabled. The second runs when [`popcnt_bmi1_active`] finds both on
+    /// the host; the SMBD decode and the per-GroupTile prefix scan then
+    /// use hardware popcounts and set-bit sweeps. Both compute the same
+    /// arithmetic, pinned equal by this module's tests.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_block<P: Datapath>(
+        &self,
+        w: &P::Container,
+        x: &DenseMatrix,
+        x_scale: f32,
+        counters: &mut Counters,
+        x_counters: &mut Counters,
+        workspace: &mut [f32],
+        scratch: &mut BlockScratch<P>,
+        geo: &Geometry,
+        at: &BlockGrid,
+        bases: &BlockBases,
+        checked: Option<&CheckedState<'_>>,
+        fault: Option<&FaultInjector>,
+        tracer: Option<&mut BlockTracer>,
+    ) -> Result<(), KernelError> {
+        #[cfg(target_arch = "x86_64")]
+        if popcnt_bmi1_active() {
+            // SAFETY: `popcnt_bmi1_active` verified POPCNT and BMI1 on
+            // this CPU at runtime.
+            return unsafe {
+                self.run_block_popcnt_bmi1(
+                    w, x, x_scale, counters, x_counters, workspace, scratch, geo, at, bases,
+                    checked, fault, tracer,
+                )
+            };
+        }
+        self.run_block_body(
+            w, x, x_scale, counters, x_counters, workspace, scratch, geo, at, bases, checked,
+            fault, tracer,
+        )
+    }
+
+    /// [`Self::run_block_body`] compiled with POPCNT and BMI1 enabled:
+    /// the body and every `#[inline(always)]` helper it calls inline
+    /// here with those instructions available.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support POPCNT and BMI1.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "popcnt,bmi1")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn run_block_popcnt_bmi1<P: Datapath>(
+        &self,
+        w: &P::Container,
+        x: &DenseMatrix,
+        x_scale: f32,
+        counters: &mut Counters,
+        x_counters: &mut Counters,
+        workspace: &mut [f32],
+        scratch: &mut BlockScratch<P>,
+        geo: &Geometry,
+        at: &BlockGrid,
+        bases: &BlockBases,
+        checked: Option<&CheckedState<'_>>,
+        fault: Option<&FaultInjector>,
+        tracer: Option<&mut BlockTracer>,
+    ) -> Result<(), KernelError> {
+        self.run_block_body(
+            w, x, x_scale, counters, x_counters, workspace, scratch, geo, at, bases, checked,
+            fault, tracer,
+        )
+    }
+
+    /// The body of [`Self::run_block`], inlined into both of its copies.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn run_block_body<P: Datapath>(
         &self,
         w: &P::Container,
         x: &DenseMatrix,
@@ -707,6 +781,7 @@ fn decode_tctile_checked<P: Datapath>(
 /// (leading dimension `tile_n`); `a_rows` the TCTile's decode-once A
 /// view. The N loop is amortized: one batched sweep ([`Datapath::mma`])
 /// carries each A row across all adjacent accumulator tiles at once.
+#[inline(always)]
 fn mma_row<P: Datapath>(
     counters: &mut Counters,
     xb: &[P::Operand],
@@ -754,15 +829,10 @@ fn record_ldgsts_stream_f(
 ) {
     let mut off = 0u64;
     while off < bytes {
-        let mut addrs = [None; 32];
-        for (i, slot) in addrs.iter_mut().enumerate() {
-            let a = off + i as u64 * 16;
-            if a < bytes {
-                *slot = Some(base + a);
-            }
-        }
-        if let Some(hit) = warp_ldgsts_f(counters, &addrs, 16, fault) {
-            // Active lanes are contiguous from lane 0, 16 B apart.
+        // One warp chunk: up to 32 lanes of 16 B, contiguous from lane 0
+        // (the last lane of a ragged tail still copies a full 16 B).
+        let lanes = (bytes - off).div_ceil(16).min(32) as u32;
+        if let Some(hit) = warp_ldgsts_runs(counters, &[(base + off, lanes)], 16, fault) {
             on_flip(
                 off + hit.lane_sel as u64 * 16 + u64::from(hit.bit / 8),
                 hit.bit % 8,
@@ -787,23 +857,20 @@ fn stream_x_tile(
     n0: usize,
 ) {
     let row_bytes = (geo.tile_n * 2) as u64;
+    let row_lanes = row_bytes.div_ceil(16) as u32;
     for kr in (0..gt_cols).step_by(4) {
         // Four X rows per warp instruction (8 lanes × 16 B when
-        // tile_n = 32; proportionally predicated otherwise).
-        let mut addrs = [None; 32];
-        let mut li = 0usize;
-        for dr in 0..4 {
+        // tile_n = 32; proportionally predicated otherwise), one run
+        // per row, lanes filled row by row up to the warp's 32.
+        let mut runs = [(0, 0); 4];
+        let mut free = 32u32;
+        for (dr, run) in runs.iter_mut().enumerate() {
             let krow = gtx * gt_cols + kr + dr;
-            let base = x_base + (krow * geo.n_pad + n0) as u64 * 2;
-            let lanes = (row_bytes as usize).div_ceil(16);
-            for l in 0..lanes {
-                if li < 32 {
-                    addrs[li] = Some(base + (l * 16) as u64);
-                    li += 1;
-                }
-            }
+            let lanes = row_lanes.min(free);
+            free -= lanes;
+            *run = (x_base + (krow * geo.n_pad + n0) as u64 * 2, lanes);
         }
-        warp_ldgsts(x_counters, &addrs, 16);
+        warp_ldgsts_runs(x_counters, &runs, 16, None);
         // LDGSTS writes shared memory directly; conflict-free rows.
         counters.smem_store_transactions += (4 * row_bytes).div_ceil(128);
     }
@@ -930,6 +997,221 @@ fn fallback_gtile_product<P: Datapath>(
         let tty = warp % cfg.tt_rows();
         for (j, acc) in acc_row.iter_mut().enumerate() {
             P::accumulate(acc, |r, c| contrib[(tty * TT_DIM + r) * tile_n + j * 8 + c]);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spmm::FormatStats;
+    use gpu_sim::fault::FaultPlan;
+    use gpu_sim::global::sectors_touched;
+    use gpu_sim::matrix::{random_dense, random_sparse, ValueDist};
+    use gpu_sim::occupancy::BlockResources;
+    use gpu_sim::spec::GpuSpec;
+    use proptest::prelude::*;
+
+    /// A launch geometry with only the X-stream fields set.
+    fn x_geometry(tile_n: usize, n_pad: usize) -> Geometry {
+        Geometry {
+            tile_n,
+            n_pad,
+            grid_x: n_pad.div_ceil(tile_n),
+            split_k: 1,
+            gtx_per_split: 1,
+            grid_blocks: 1,
+            warps: 1,
+            block: BlockResources {
+                threads: 32,
+                regs_per_thread: 32,
+                smem_bytes: 0,
+            },
+            iters_per_block: 1.0,
+        }
+    }
+
+    /// The X stream as per-lane address arrays: each group of four rows
+    /// lists every lane's 16 B address row by row, and a warp
+    /// instruction takes up to 32 of them, sectors counted by
+    /// [`sectors_touched`]. The oracle [`stream_x_tile`] is pinned to.
+    fn x_stream_by_lanes(
+        x_base: VAddr,
+        gtx: usize,
+        gt_cols: usize,
+        geo: &Geometry,
+        n0: usize,
+    ) -> Counters {
+        let mut c = Counters::new();
+        for kr in (0..gt_cols).step_by(4) {
+            let lanes: Vec<Option<VAddr>> = (0..4)
+                .flat_map(|dr| {
+                    let krow = gtx * gt_cols + kr + dr;
+                    let base = x_base + (krow * geo.n_pad + n0) as u64 * 2;
+                    (0..geo.tile_n as u64 * 2 / 16).map(move |l| Some(base + l * 16))
+                })
+                .collect();
+            for warp in lanes.chunks(32).take(1) {
+                c.dram_read_bytes += sectors_touched(warp, 16) * 32;
+                c.useful_read_bytes += warp.len() as u64 * 16;
+                c.ldgsts_insts += 1;
+                c.insts_issued += 1;
+            }
+        }
+        c
+    }
+
+    /// Streams one GroupTile column's X tile and returns the X counters.
+    fn x_stream(x_base: VAddr, gtx: usize, gt_cols: usize, geo: &Geometry, n0: usize) -> Counters {
+        let (mut c, mut xc) = (Counters::new(), Counters::new());
+        stream_x_tile(&mut c, &mut xc, x_base, gtx, gt_cols, geo, n0);
+        xc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The X stream's run formula records the per-lane analysis'
+        /// counters over tile widths 8..=128, padded row pitches and N
+        /// offsets; at `tile_n = 8` adjacent 16 B rows share sectors.
+        #[test]
+        fn x_stream_matches_per_lane_analysis(
+            tile_n8 in 1usize..=16,
+            pad8 in 0usize..=16,
+            nt in 0usize..4,
+            gtx in 0usize..4,
+            gt_cols in prop::sample::select(vec![16usize, 32, 64]),
+            x_base256 in 0u64..64,
+        ) {
+            let tile_n = 8 * tile_n8;
+            let n_pad = tile_n + 8 * pad8;
+            let geo = x_geometry(tile_n, n_pad);
+            let n0 = (nt % geo.grid_x) * tile_n;
+            let x_base = 0x1000_0000 + 256 * x_base256;
+            prop_assert_eq!(
+                x_stream(x_base, gtx, gt_cols, &geo, n0),
+                x_stream_by_lanes(x_base, gtx, gt_cols, &geo, n0)
+            );
+        }
+    }
+
+    /// At `tile_n = 8` with no padding the four 16 B rows of a warp are
+    /// one contiguous 64 B run: two sectors, each shared by two rows.
+    #[test]
+    fn x_stream_rows_share_boundary_sectors_at_tile_n_8() {
+        let geo = x_geometry(8, 8);
+        for x_base in [0x1000_0000, 0x1000_0010] {
+            let c = x_stream(x_base, 0, 4, &geo, 0);
+            assert_eq!(c, x_stream_by_lanes(x_base, 0, 4, &geo, 0));
+            assert_eq!(c.dram_read_bytes, if x_base % 32 == 0 { 64 } else { 96 });
+            assert_eq!(c.useful_read_bytes, 64);
+        }
+    }
+
+    /// Every block of one launch through the dispatched [`run_block`]
+    /// or straight through the portable body: workspace bits, the W and
+    /// X counter shards, and each block's outcome. `fault` runs a
+    /// checked launch under that injector.
+    ///
+    /// [`run_block`]: SpmmConfig::run_block
+    fn all_blocks<P: Datapath>(
+        w: &P::Container,
+        x: &DenseMatrix,
+        fault: Option<&FaultInjector>,
+        dispatched: bool,
+    ) -> (Vec<u32>, Counters, Counters, Vec<Result<(), KernelError>>) {
+        let cfg = SpmmConfig::default();
+        let t = P::tiles(w);
+        let geo = cfg.geometry::<P>(&GpuSpec::rtx4090(), &FormatStats::from_encoded(t), x.cols());
+        let checksums = t.gtile_checksums();
+        let checked = fault.map(|_| CheckedState {
+            checksums: &checksums,
+            policy: FaultPolicy::default(),
+        });
+        let bases = BlockBases {
+            values: 0x1000_0000,
+            bitmaps: 0x2000_0000,
+            x: 0x3000_0000,
+            ws: 0x4000_0000,
+            smem_values: (t.config.bts_per_gt() * 8) as u64,
+        };
+        let slice_len = t.m_pad * geo.n_pad;
+        let mut ws = vec![0.0f32; geo.split_k * slice_len];
+        let (mut c, mut xc) = (Counters::new(), Counters::new());
+        let mut scratch = BlockScratch::<P>::new();
+        let mut outcomes = Vec::new();
+        for gty in 0..t.gtiles_y() {
+            for nt in 0..geo.grid_x {
+                for split in 0..geo.split_k {
+                    let gx0 = split * geo.gtx_per_split;
+                    let at = BlockGrid {
+                        gty,
+                        n0: nt * geo.tile_n,
+                        gx0,
+                        gx1: (gx0 + geo.gtx_per_split).min(t.gtiles_x()),
+                    };
+                    let ws = &mut ws[split * slice_len..][..slice_len];
+                    let (x_scale, checked) = (P::x_scale(x), checked.as_ref());
+                    outcomes.push(if dispatched {
+                        cfg.run_block(
+                            w,
+                            x,
+                            x_scale,
+                            &mut c,
+                            &mut xc,
+                            ws,
+                            &mut scratch,
+                            &geo,
+                            &at,
+                            &bases,
+                            checked,
+                            fault,
+                            None,
+                        )
+                    } else {
+                        cfg.run_block_body(
+                            w,
+                            x,
+                            x_scale,
+                            &mut c,
+                            &mut xc,
+                            ws,
+                            &mut scratch,
+                            &geo,
+                            &at,
+                            &bases,
+                            checked,
+                            fault,
+                            None,
+                        )
+                    });
+                }
+            }
+        }
+        (ws.iter().map(|v| v.to_bits()).collect(), c, xc, outcomes)
+    }
+
+    /// The portable body is the only one hosts without POPCNT or BMI1
+    /// run, so it is pinned to the dispatched body — on such hosts the
+    /// same body twice — on FP16 and INT8, golden and under an armed
+    /// injector: output bits, full counters (fault tallies included)
+    /// and every block's outcome.
+    #[test]
+    fn portable_body_matches_dispatched_body() {
+        let w = random_sparse(96, 160, 0.6, ValueDist::Uniform, 41);
+        let x = random_dense(160, 24, ValueDist::Uniform, 42);
+        let enc = TcaBme::encode(&w);
+        let enc8 = enc.quantize_int8();
+        let inj = FaultInjector::new(FaultPlan::uniform(43, 0.05));
+        for fault in [None, Some(&inj)] {
+            let fp16 = all_blocks::<Half>(&enc, &x, fault, true);
+            assert_eq!(fp16, all_blocks::<Half>(&enc, &x, fault, false));
+            let int8 = all_blocks::<i8>(&enc8, &x, fault, true);
+            assert_eq!(int8, all_blocks::<i8>(&enc8, &x, fault, false));
+            if fault.is_some() {
+                assert!(fp16.1.faults_injected > 0 && int8.1.faults_injected > 0);
+                assert!(fp16.1.faults_detected > 0 && int8.1.faults_detected > 0);
+            }
         }
     }
 }
