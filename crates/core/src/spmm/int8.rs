@@ -334,6 +334,18 @@ mod tests {
                         assert!((0.0..0.035).contains(&dram), "{at} dram gap {dram}");
                         let issued = rel_gap(cf.insts_issued, ce.insts_issued);
                         assert!(issued_band.contains(&issued), "{at} issued gap {issued}");
+                        // Shared-memory store transactions, measured −64 to +18 % off
+                        // the estimate, bounded just outside: the estimate charges one X
+                        // store per X row and none for the W stream, where the
+                        // functional run charges one per 128 B of each four-row X warp
+                        // (a quarter of the estimate's at N ≤ 16, three quarters at N
+                        // 40) plus the LDGSTS W stream, which grows with density.
+                        let stores =
+                            rel_gap(cf.smem_store_transactions, ce.smem_store_transactions);
+                        assert!(
+                            (-0.65..0.2).contains(&stores),
+                            "{at} smem_stores gap {stores}"
+                        );
                         // Launch-chain time, measured −0.9 to +0.9 %: the
                         // DRAM surplus slows memory-bound points and the
                         // issue deficit speeds issue-bound ones, so the

@@ -922,6 +922,17 @@ mod tests {
                     // LDGSTS, which the functional path does.
                     let issued = rel_gap(cf.insts_issued, ce.insts_issued);
                     assert!((-0.06..-0.03).contains(&issued), "{at} issued gap {issued}");
+                    // Shared-memory store transactions, measured −59 to +52 % off the
+                    // estimate, bounded just outside: the estimate charges one X store
+                    // per X row and none for the W stream, where the functional run
+                    // charges one per 128 B of each four-row X warp (a quarter of the
+                    // estimate's at N ≤ 16, three quarters at N 40) plus the LDGSTS W
+                    // stream, which grows with density.
+                    let stores = rel_gap(cf.smem_store_transactions, ce.smem_store_transactions);
+                    assert!(
+                        (-0.6..0.55).contains(&stores),
+                        "{at} smem_stores gap {stores}"
+                    );
                     // Launch-chain time within 1.5 % (measured −0.8 to
                     // +1.2 %): the DRAM surplus slows memory-bound
                     // points and the issue deficit speeds issue-bound
