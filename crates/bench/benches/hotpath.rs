@@ -1,12 +1,14 @@
 //! Microbenchmarks for the SpMM wall-clock hot path: the register-blocked
-//! `mma` kernel, the set-bit SMBD expand, the batched FP16 → f32 LUT
-//! conversion (next to its per-element form), and the setup pipeline
-//! (weight generation, pruning, encode), so a regression shows up here
-//! before it shows up in `spinfer snapshot` or `perfbench/`. The test
-//! oracles these paths are pinned to live with the tests, not here.
+//! `mma` kernel, the set-bit SMBD expand, one whole SpInfer launch at a
+//! decode shape, the batched FP16 → f32 LUT conversion (next to its
+//! per-element form), and the setup pipeline (weight generation,
+//! pruning, encode), so a regression shows up here before it shows up in
+//! `spinfer snapshot` or `perfbench/`. The test oracles these paths are
+//! pinned to live with the tests, not here.
 //!
-//! The MAC kernel body is picked from the host CPU (AVX2 when present,
-//! see `simd_active`):
+//! The MAC kernel body and the block-routine body are picked from the
+//! host CPU (AVX2 and POPCNT/BMI1 when present, see `simd_active` and
+//! `popcnt_bmi1_active`):
 //!
 //! ```text
 //! cargo bench -p spinfer-bench --bench hotpath
@@ -16,14 +18,15 @@
 //! the CI smoke mode that only proves the harness runs.
 
 use criterion::{criterion_main, Criterion};
+use gpu_sim::exec;
 use gpu_sim::fp16::{f16_to_f32_slice, Half};
 use gpu_sim::matrix::{random_dense, random_sparse, ValueDist};
 use gpu_sim::tensor_core::{
     mma_m16n8k16_bslice_ntiles, simd_active, MAX_NTILES, MMA_K, MMA_M, MMA_N,
 };
-use gpu_sim::Counters;
+use gpu_sim::{Counters, GpuSpec};
 use spinfer_core::smbd::decode_tctile_f32;
-use spinfer_core::TcaBme;
+use spinfer_core::{SpinferSpmm, TcaBme};
 use spinfer_pruning::{magnitude_prune, wanda_prune, Calibration};
 use std::hint::black_box;
 
@@ -111,6 +114,24 @@ fn bench_smbd(c: &mut Criterion) {
     g.finish();
 }
 
+/// One golden SpInfer launch at a decode shape (1024×1024 at 60 %
+/// sparsity, N = 16) on one worker: GTile and X streams, SMBD decode and
+/// `mma` through the block-routine body the host CPU selects, which
+/// `smbd/decode_tctile_f32_sweep` bypasses.
+fn bench_spmm(c: &mut Criterion) {
+    let spec = GpuSpec::rtx4090();
+    let enc = TcaBme::encode(&random_sparse(1024, 1024, 0.6, ValueDist::Uniform, 6));
+    let x = random_dense(1024, 16, ValueDist::Uniform, 7);
+    let kernel = SpinferSpmm::new();
+    let mut g = c.benchmark_group("spmm");
+    g.bench_function("spinfer_decode_1kx1k_n16_jobs1", |bench| {
+        exec::set_jobs(1);
+        bench.iter(|| black_box(kernel.run(&spec, black_box(&enc), black_box(&x))));
+    });
+    g.finish();
+    exec::set_jobs(0);
+}
+
 fn bench_fp16(c: &mut Criterion) {
     // One GroupTile column of X at the hero shape: 64 rows × 16 cols.
     let src: Vec<Half> = (0..1024)
@@ -185,6 +206,7 @@ pub fn benches() {
     let mut criterion = configured();
     bench_mma(&mut criterion);
     bench_smbd(&mut criterion);
+    bench_spmm(&mut criterion);
     bench_fp16(&mut criterion);
     bench_setup(&mut criterion);
 }
