@@ -859,18 +859,32 @@ fn stream_x_tile(
     let row_bytes = (geo.tile_n * 2) as u64;
     let row_lanes = row_bytes.div_ceil(16) as u32;
     for kr in (0..gt_cols).step_by(4) {
-        // Four X rows per warp instruction (8 lanes × 16 B when
-        // tile_n = 32; proportionally predicated otherwise), one run
-        // per row, lanes filled row by row up to the warp's 32.
+        // Four X rows per group (8 lanes × 16 B each when tile_n = 32),
+        // one run per row. Lanes fill row by row, 32 per warp
+        // instruction: past tile_n = 64 the rows overflow into further
+        // instructions, each picking up where the last one stopped.
         let mut runs = [(0, 0); 4];
-        let mut free = 32u32;
-        for (dr, run) in runs.iter_mut().enumerate() {
+        let (mut used, mut free) = (0, 32u32);
+        for dr in 0..4 {
             let krow = gtx * gt_cols + kr + dr;
-            let lanes = row_lanes.min(free);
-            free -= lanes;
-            *run = (x_base + (krow * geo.n_pad + n0) as u64 * 2, lanes);
+            let mut addr = x_base + (krow * geo.n_pad + n0) as u64 * 2;
+            let mut left = row_lanes;
+            while left > 0 {
+                let lanes = left.min(free);
+                runs[used] = (addr, lanes);
+                used += 1;
+                addr += u64::from(lanes) * 16;
+                left -= lanes;
+                free -= lanes;
+                if free == 0 {
+                    warp_ldgsts_runs(x_counters, &runs[..used], 16, None);
+                    (used, free) = (0, 32);
+                }
+            }
         }
-        warp_ldgsts_runs(x_counters, &runs, 16, None);
+        if used > 0 {
+            warp_ldgsts_runs(x_counters, &runs[..used], 16, None);
+        }
         // LDGSTS writes shared memory directly; conflict-free rows.
         counters.smem_store_transactions += (4 * row_bytes).div_ceil(128);
     }
@@ -1032,8 +1046,8 @@ mod tests {
     }
 
     /// The X stream as per-lane address arrays: each group of four rows
-    /// lists every lane's 16 B address row by row, and a warp
-    /// instruction takes up to 32 of them, sectors counted by
+    /// lists every lane's 16 B address row by row, and warp
+    /// instructions take them 32 at a time, sectors counted by
     /// [`sectors_touched`]. The oracle [`stream_x_tile`] is pinned to.
     fn x_stream_by_lanes(
         x_base: VAddr,
@@ -1051,7 +1065,7 @@ mod tests {
                     (0..geo.tile_n as u64 * 2 / 16).map(move |l| Some(base + l * 16))
                 })
                 .collect();
-            for warp in lanes.chunks(32).take(1) {
+            for warp in lanes.chunks(32) {
                 c.dram_read_bytes += sectors_touched(warp, 16) * 32;
                 c.useful_read_bytes += warp.len() as u64 * 16;
                 c.ldgsts_insts += 1;
@@ -1106,6 +1120,30 @@ mod tests {
             assert_eq!(c.dram_read_bytes, if x_base % 32 == 0 { 64 } else { 96 });
             assert_eq!(c.useful_read_bytes, 64);
         }
+    }
+
+    /// At N = 128 a four-row X group needs 64 lanes, two warp
+    /// instructions. Against N = 64 (same weights, same one N tile and
+    /// split) the launch must stream twice the X bytes with one more
+    /// LDGSTS per four rows; the W stream is identical.
+    #[test]
+    fn x_stream_loads_every_row_at_n_128() {
+        let spec = GpuSpec::rtx4090();
+        let (m, k) = (128, 256);
+        let enc = TcaBme::encode(&random_sparse(m, k, 0.6, ValueDist::Uniform, 44));
+        let run = |n| {
+            let x = random_dense(k, n, ValueDist::Uniform, 45);
+            crate::SpinferSpmm::new()
+                .run(&spec, &enc, &x)
+                .chain
+                .launches[0]
+                .counters
+                .clone()
+        };
+        let (c64, c128) = (run(64), run(128));
+        let x_rows = (enc.gtiles_y() * enc.k_pad) as u64;
+        assert_eq!(c128.useful_read_bytes - c64.useful_read_bytes, x_rows * 128);
+        assert_eq!(c128.ldgsts_insts - c64.ldgsts_insts, x_rows / 4);
     }
 
     /// Every block of one launch through the dispatched [`run_block`]
