@@ -859,7 +859,7 @@ fn stream_x_tile(
     let row_bytes = (geo.tile_n * 2) as u64;
     let row_lanes = row_bytes.div_ceil(16) as u32;
     for kr in (0..gt_cols).step_by(4) {
-        // Four X rows per group (8 lanes × 16 B each when tile_n = 32),
+        // Four X rows per group (4 lanes × 16 B each when tile_n = 32),
         // one run per row. Lanes fill row by row, 32 per warp
         // instruction: past tile_n = 64 the rows overflow into further
         // instructions, each picking up where the last one stopped.
