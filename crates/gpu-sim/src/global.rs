@@ -101,8 +101,9 @@ pub struct LoadFault {
 /// Each `(base, lanes)` run is `lanes` lanes reading `bytes_per_lane`
 /// each, lane `i` at `base + i * bytes_per_lane`. Runs come in
 /// ascending address order and none starts before the previous one
-/// ends, so the sectors follow from the bounds alone: a run covers
-/// sectors `base / 32 ..= (base + len - 1) / 32`, less the one it
+/// ends, so the sectors follow from the bounds alone: a run of
+/// `len = lanes * bytes_per_lane` bytes covers sectors
+/// `base / 32 ..= (base + len - 1) / 32`, less the one it
 /// shares with the previous run when it starts in the sector that run
 /// ends in. These are the counts [`sectors_touched`] gives on the
 /// per-lane address array; this module's tests pin the two forms equal,
