@@ -287,20 +287,26 @@ mod tests {
     }
 
     /// The INT8 estimate against the functional run over the FP16
-    /// test's grid (sparsity 0.3/0.6/0.9, N 1/16/40, 300×500 and
+    /// test's grid (sparsity 0.3/0.6/0.9, N 1/16/40/128, 300×500 and
     /// 1024×512) at both SMBD settings — including the -SMBD
     /// register-decode charge, which the functional path applies per
-    /// BitmapTile.
+    /// BitmapTile. As there, N 128 (past 64 columns) has bands of its
+    /// own; the FP16 test gives each gap's cause.
     #[test]
     fn estimate_matches_functional_counters() {
         let spec = GpuSpec::rtx4090();
-        // Per ablation, the band of the issue-slot gap (measured 3.8–5.7 %
-        // and 1.4–1.8 % below the estimate): the estimate charges one
-        // slot per decode shared-memory transaction where the functional
-        // path charges one per gather instruction, and none for LDGSTS,
-        // which the functional path does. The -SMBD register-decode
-        // slots, equal on both sides, dilute it.
-        for (smbd, issued_band) in [(true, -0.06..-0.03), (false, -0.02..-0.01)] {
+        // Per ablation, the band of the issue-slot gap at N ≤ 40 and at
+        // N 128 (measured 3.8–5.7 % and 1.6–2.2 % below the estimate with
+        // SMBD, 1.4–1.8 % and 0.7–1.0 % below without): the estimate
+        // charges one slot per decode shared-memory transaction where the
+        // functional path charges one per gather instruction, and none
+        // for LDGSTS, which the functional path does. The -SMBD
+        // register-decode slots, equal on both sides, dilute it, and so
+        // do the mma slots as N grows.
+        for (smbd, issued_bands) in [
+            (true, [-0.06..-0.03, -0.025..-0.01]),
+            (false, [-0.02..-0.01, -0.012..-0.005]),
+        ] {
             let kernel = SpinferSpmmInt8 {
                 config: SpmmConfig {
                     ablation: Ablation {
@@ -314,44 +320,56 @@ mod tests {
                 for (i, s) in [0.3, 0.6, 0.9].into_iter().enumerate() {
                     let (_, enc) = quantized(m, k, s, 205 + i as u64);
                     let stats = FormatStats::from_encoded(&enc.tiles);
-                    for n in [1, 16, 40] {
+                    for n in [1, 16, 40, 128] {
                         let x = random_dense(k, n, ValueDist::Uniform, 206);
                         let run = kernel.run(&spec, &enc, &x);
                         let est = kernel.estimate(&spec, &stats, n);
                         let (lf, le) = (&run.chain.launches[0], &est.chain.launches[0]);
                         let (cf, ce) = (&lf.counters, &le.counters);
                         let at = format!("smbd={smbd} {m}x{k} s={s} n={n}");
+                        let wide = n > 64;
                         assert_eq!(cf.mma_s8_insts, ce.mma_s8_insts, "{at} mma_s8");
                         assert_eq!(cf.cuda_int_insts, ce.cuda_int_insts, "{at} int");
                         assert_eq!(cf.smem_bank_conflicts, ce.smem_bank_conflicts, "{at} bank");
                         assert_eq!(cf.cuda_fp_insts, ce.cuda_fp_insts, "{at} scale folds");
                         assert_eq!(cf.shfl_insts, ce.shfl_insts, "{at} shfl");
+                        // LDGSTS, measured −2.2 to +3.4 % at N ≤ 40 (the W
+                        // stream's per-GroupTile rounding) and +67 to +89 %
+                        // at N 128 (two X LDGSTS per four-row group).
+                        let ldgsts = rel_gap(cf.ldgsts_insts, ce.ldgsts_insts);
+                        let band = if wide { 0.6..0.95 } else { -0.025..0.04 };
+                        assert!(band.contains(&ldgsts), "{at} ldgsts gap {ldgsts}");
                         // Post-L2 DRAM bytes, functional 0.1–3.2 % above
-                        // the estimate: the functional path records raw X
-                        // traffic and discounts it at timing; the
-                        // estimate caps it up front.
+                        // the estimate at N ≤ 40: the functional path
+                        // records raw X traffic and discounts it at
+                        // timing; the estimate caps it up front. At N 128,
+                        // −0.12 to +0.48 %, diluted and offset as in the
+                        // FP16 test.
                         let dram = rel_gap(lf.timing.dram_bytes, le.timing.dram_bytes);
-                        assert!((0.0..0.035).contains(&dram), "{at} dram gap {dram}");
+                        let band = if wide { -0.005..0.01 } else { 0.0..0.035 };
+                        assert!(band.contains(&dram), "{at} dram gap {dram}");
                         let issued = rel_gap(cf.insts_issued, ce.insts_issued);
-                        assert!(issued_band.contains(&issued), "{at} issued gap {issued}");
+                        let band = &issued_bands[usize::from(wide)];
+                        assert!(band.contains(&issued), "{at} issued gap {issued}");
                         // Shared-memory store transactions, measured −64 to +18 % off
                         // the estimate, bounded just outside: the estimate charges one X
                         // store per X row and none for the W stream, where the
                         // functional run charges one per 128 B of each four-row X warp
                         // (a quarter of the estimate's at N ≤ 16, three quarters at N
-                        // 40) plus the LDGSTS W stream, which grows with density.
+                        // 40) plus the LDGSTS W stream, which grows with density. At
+                        // N 128 only the W stream is left: +6 to +21 %.
                         let stores =
                             rel_gap(cf.smem_store_transactions, ce.smem_store_transactions);
-                        assert!(
-                            (-0.65..0.2).contains(&stores),
-                            "{at} smem_stores gap {stores}"
-                        );
-                        // Launch-chain time, measured −0.9 to +0.9 %: the
-                        // DRAM surplus slows memory-bound points and the
-                        // issue deficit speeds issue-bound ones, so the
-                        // sign flips.
+                        let band = if wide { 0.03..0.25 } else { -0.65..0.2 };
+                        assert!(band.contains(&stores), "{at} smem_stores gap {stores}");
+                        // Launch-chain time, measured −0.9 to +0.9 % at
+                        // N ≤ 40: the DRAM surplus slows memory-bound
+                        // points and the issue deficit speeds issue-bound
+                        // ones, so the sign flips. At N 128, −0.05 to
+                        // +0.23 %.
                         let (tf, te) = (run.time_us(), est.time_us());
-                        assert!((tf - te).abs() / te < 0.015, "{at} time {tf} vs {te}");
+                        let tol = if wide { 0.005 } else { 0.015 };
+                        assert!((tf - te).abs() / te < tol, "{at} time {tf} vs {te}");
                     }
                 }
             }

@@ -885,10 +885,12 @@ mod tests {
     }
 
     /// The analytic estimate against the functional run over a grid:
-    /// sparsity 0.3/0.6/0.9, N 1/16/40, a ragged shape (300×500 pads
+    /// sparsity 0.3/0.6/0.9, N 1/16/40/128, a ragged shape (300×500 pads
     /// to GroupTile multiples) and a tall one. Counters that agree today
     /// must agree exactly; the rest are held to the gaps measured on
-    /// this grid.
+    /// this grid. N 128 is the one point past 64 columns, where a
+    /// four-row X group needs more than one warp LDGSTS (32 lanes of
+    /// 16 B), so it has bands of its own.
     #[test]
     fn estimate_matches_functional_counters() {
         let spec = GpuSpec::rtx4090();
@@ -897,48 +899,73 @@ mod tests {
             for (i, s) in [0.3, 0.6, 0.9].into_iter().enumerate() {
                 let w = random_sparse(m, k, s, ValueDist::Uniform, 103 + i as u64);
                 let enc = TcaBme::encode(&w);
-                for n in [1, 16, 40] {
+                for n in [1, 16, 40, 128] {
                     let x = random_dense(k, n, ValueDist::Uniform, 104);
                     let run = kernel.run(&spec, &enc, &x);
                     let est = kernel.estimate(&spec, &FormatStats::from_encoded(&enc), n);
                     let (lf, le) = (&run.chain.launches[0], &est.chain.launches[0]);
                     let (cf, ce) = (&lf.counters, &le.counters);
                     let at = format!("{m}x{k} s={s} n={n}");
+                    let wide = n > 64;
                     assert_eq!(cf.mma_insts, ce.mma_insts, "{at} mma");
                     assert_eq!(cf.cuda_int_insts, ce.cuda_int_insts, "{at} int");
                     assert_eq!(cf.smem_bank_conflicts, ce.smem_bank_conflicts, "{at} bank");
                     let smem = rel_gap(cf.smem_load_transactions, ce.smem_load_transactions);
                     assert!(smem.abs() < 0.15, "{at} smem_loads gap {smem}");
+                    // LDGSTS, functional −0.5 to +2.1 % off the estimate
+                    // at N ≤ 40: the W stream rounds each GroupTile's own
+                    // value bytes up to 512 B, where the estimate rounds
+                    // their mean. At N 128, +55 to +84 %: the functional
+                    // X stream takes one warp LDGSTS per 32 lanes, two per
+                    // four-row group of 128 columns, where the estimate
+                    // charges one; the share grows with sparsity as the W
+                    // stream shrinks.
+                    let ldgsts = rel_gap(cf.ldgsts_insts, ce.ldgsts_insts);
+                    let band = if wide { 0.5..0.9 } else { -0.01..0.025 };
+                    assert!(band.contains(&ldgsts), "{at} ldgsts gap {ldgsts}");
                     // Post-L2 DRAM bytes, functional 0.2–3.2 % above the
-                    // estimate: the functional path records raw X
-                    // traffic and discounts it at timing; the estimate
-                    // caps it up front.
+                    // estimate at N ≤ 40: the functional path records raw
+                    // X traffic and discounts it at timing; the estimate
+                    // caps it up front. At N 128, −0.07 to +0.7 %: the
+                    // surplus is a fixed byte count per shape and
+                    // sparsity, diluted by the X and output traffic that
+                    // grows with N. On 300×500 the estimate also charges
+                    // the 12 padded K rows of X, about 24 B per column,
+                    // which outweighs the surplus at sparsity 0.9.
                     let dram = rel_gap(lf.timing.dram_bytes, le.timing.dram_bytes);
-                    assert!((0.0..0.035).contains(&dram), "{at} dram gap {dram}");
-                    // Issue slots, functional 3.5–5.7 % below: the
-                    // estimate charges one slot per decode shared-memory
-                    // transaction where the functional path charges one
-                    // per gather instruction, and it charges none for
-                    // LDGSTS, which the functional path does.
+                    let band = if wide { -0.005..0.01 } else { 0.0..0.035 };
+                    assert!(band.contains(&dram), "{at} dram gap {dram}");
+                    // Issue slots, functional 3.5–5.7 % below at N ≤ 40:
+                    // the estimate charges one slot per decode
+                    // shared-memory transaction where the functional path
+                    // charges one per gather instruction, and it charges
+                    // none for LDGSTS, which the functional path does. At
+                    // N 128, 1.4–2.5 % below: the mma and ldmatrix slots,
+                    // equal on both sides and growing with N, dilute the
+                    // decode gap, and the second X LDGSTS per group adds
+                    // functional slots.
                     let issued = rel_gap(cf.insts_issued, ce.insts_issued);
-                    assert!((-0.06..-0.03).contains(&issued), "{at} issued gap {issued}");
+                    let band = if wide { -0.03..-0.01 } else { -0.06..-0.03 };
+                    assert!(band.contains(&issued), "{at} issued gap {issued}");
                     // Shared-memory store transactions, measured −59 to +52 % off the
                     // estimate, bounded just outside: the estimate charges one X store
                     // per X row and none for the W stream, where the functional run
                     // charges one per 128 B of each four-row X warp (a quarter of the
                     // estimate's at N ≤ 16, three quarters at N 40) plus the LDGSTS W
-                    // stream, which grows with density.
+                    // stream, which grows with density. At N 128 both charge two per
+                    // X row, so only the W stream is left: +8 to +38 %.
                     let stores = rel_gap(cf.smem_store_transactions, ce.smem_store_transactions);
-                    assert!(
-                        (-0.6..0.55).contains(&stores),
-                        "{at} smem_stores gap {stores}"
-                    );
+                    let band = if wide { 0.05..0.45 } else { -0.6..0.55 };
+                    assert!(band.contains(&stores), "{at} smem_stores gap {stores}");
                     // Launch-chain time within 1.5 % (measured −0.8 to
-                    // +1.2 %): the DRAM surplus slows memory-bound
-                    // points and the issue deficit speeds issue-bound
-                    // ones, so the sign flips with sparsity and N.
+                    // +1.2 %) at N ≤ 40: the DRAM surplus slows
+                    // memory-bound points and the issue deficit speeds
+                    // issue-bound ones, so the sign flips with sparsity
+                    // and N. At N 128 within 0.5 % (measured −0.02 to
+                    // +0.34 %): both of those gaps are smaller there.
                     let (tf, te) = (run.time_us(), est.time_us());
-                    assert!((tf - te).abs() / te < 0.015, "{at} time {tf} vs {te}");
+                    let tol = if wide { 0.005 } else { 0.015 };
+                    assert!((tf - te).abs() / te < tol, "{at} time {tf} vs {te}");
                 }
             }
         }

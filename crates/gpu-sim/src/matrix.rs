@@ -218,7 +218,7 @@ pub enum ValueDist {
 }
 
 /// Staging-chunk size (elements) shared by the batched generator paths:
-/// one full [`BufferedRng`] refill's worth of words.
+/// the widest window of words [`BufferedRng::buffered`] returns.
 const GEN_CHUNK: usize = BUFFER_WORDS;
 
 /// Raw words one `Normal` value consumes: the twelve uniforms of its
