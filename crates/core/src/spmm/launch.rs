@@ -27,7 +27,7 @@ use gpu_sim::spec::GpuSpec;
 use gpu_sim::timing::L2Reuse;
 use gpu_sim::trace::TraceSink;
 
-use super::block::{BlockBases, BlockGrid, BlockScratch, CheckedState, Datapath};
+use super::block::{x_operands, BlockBases, BlockGrid, BlockScratch, CheckedState, Datapath};
 use super::traced::{emit_kernel_trace, BlockTracer, TracePhase};
 use super::{FormatStats, SpinferSpmm, SpmmConfig, SpmmRun};
 
@@ -579,6 +579,9 @@ impl SpmmConfig {
         let stats = FormatStats::from_encoded(t);
         let geo = self.geometry::<P>(spec, &stats, n);
         let x_scale = P::x_scale(x);
+        // X converted to `mma` operands once for the whole launch; every
+        // block reads its K rows and N tile from this buffer.
+        let xb = x_operands::<P>(x, t.k_pad, &geo, x_scale);
 
         // Virtual address space for coalescing analysis.
         let mut gm = GlobalMemory::new();
@@ -620,7 +623,7 @@ impl SpmmConfig {
                         let gx1 = (gx0 + geo.gtx_per_split).min(gtiles_x);
                         self.run_block(
                             w,
-                            x,
+                            &xb,
                             x_scale,
                             &mut shard,
                             &mut x_shard,
@@ -750,7 +753,7 @@ fn fan_out_block_rows<S: Send>(
     let shards = exec::par_map_with(
         tasks,
         // Worker-scoped state: the full-size workspace image plus the
-        // block-level scratch (accumulators, X tile, decode buffers),
+        // block-level scratch (accumulators, decode buffers),
         // allocated once per worker and reused across every block
         // invocation instead of per launch-grid cell.
         || (vec![0.0f32; split_k * slice_len], init()),

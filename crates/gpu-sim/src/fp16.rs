@@ -23,7 +23,10 @@ use std::ops::{Add, Mul, Neg, Sub};
 /// let b = Half::from_f32(2.25);
 /// assert_eq!((a + b).to_f32(), 3.75);
 /// ```
+/// `repr(transparent)`, so a `[Half]` is laid out as its `u16` bit
+/// patterns and SIMD loads may read it as packed halves.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Hash)]
+#[repr(transparent)]
 pub struct Half(u16);
 
 impl Half {
@@ -248,6 +251,28 @@ impl fmt::Debug for Half {
 impl fmt::Display for Half {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.to_f32())
+    }
+}
+
+/// Whether the host CPU has AVX2 and F16C (detected once per process),
+/// so `vcvtph2ps` widens eight halves in one instruction — the FP16
+/// sibling of [`simd_active`](crate::tensor_core::simd_active). The
+/// SMBD row expansion runs an F16C body when this is `true`. F16C gives
+/// the same `f32` bits as [`Half::to_f32`] for all 65 536 patterns,
+/// NaN payloads included (`f16c_matches_lut_for_every_pattern`), so the
+/// answer changes only wall-clock. Always `false` off x86_64.
+pub fn f16c_active() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static F16C: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *F16C.get_or_init(|| {
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("f16c")
+        })
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
     }
 }
 
@@ -611,6 +636,36 @@ mod tests {
                 f16_to_f32_bits(bits),
                 "bits={bits:#06x}"
             );
+        }
+    }
+
+    /// `vcvtph2ps` against the LUT over every f16 pattern, eight at a
+    /// time, compared as bits: signed zeros, subnormals, infinities and
+    /// NaNs (both quiet a NaN to `sign | 0x7FC0_0000 | mant << 13`).
+    #[test]
+    fn f16c_matches_lut_for_every_pattern() {
+        if !f16c_active() {
+            eprintln!("skipped: the host has no AVX2 + F16C");
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        for lo in (0..=u16::MAX).step_by(8) {
+            use std::arch::x86_64::{_mm256_cvtph_ps, _mm256_storeu_ps, _mm_loadu_si128};
+            let halves: [u16; 8] = std::array::from_fn(|i| lo + i as u16);
+            let mut wide = [0.0f32; 8];
+            // SAFETY: `f16c_active` verified F16C and AVX2, and both
+            // pointers cover eight elements.
+            unsafe {
+                let v = _mm256_cvtph_ps(_mm_loadu_si128(halves.as_ptr().cast()));
+                _mm256_storeu_ps(wide.as_mut_ptr(), v);
+            }
+            for (h, w) in halves.iter().zip(wide) {
+                assert_eq!(
+                    w.to_bits(),
+                    Half::from_bits(*h).to_f32().to_bits(),
+                    "bits={h:#06x}"
+                );
+            }
         }
     }
 
