@@ -1,14 +1,16 @@
 //! Microbenchmarks for the SpMM wall-clock hot path: the register-blocked
-//! `mma` kernel, the set-bit SMBD expand, one whole SpInfer launch at a
+//! `mma` kernel, the SMBD TCTile expansion, one whole SpInfer launch at a
 //! decode shape, the batched FP16 → f32 LUT conversion (next to its
 //! per-element form), and the setup pipeline (weight generation,
 //! pruning, encode), so a regression shows up here before it shows up in
 //! `spinfer snapshot` or `perfbench/`. The test oracles these paths are
 //! pinned to live with the tests, not here.
 //!
-//! The MAC kernel body and the block-routine body are picked from the
-//! host CPU (AVX2 and POPCNT/BMI1 when present, see `simd_active` and
-//! `popcnt_bmi1_active`):
+//! The MAC kernel body, the block-routine body and the SMBD expansion
+//! are picked from the host CPU (AVX2, and POPCNT/BMI1 with AVX2/F16C,
+//! when present; see `simd_active`, `popcnt_bmi1_active` and
+//! `f16c_active`). `smbd/decode_tctile_f32_sweep` picks the expansion
+//! the block picks: the F16C row expansion, or the set-bit walk.
 //!
 //! ```text
 //! cargo bench -p spinfer-bench --bench hotpath
