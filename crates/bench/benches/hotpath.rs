@@ -7,10 +7,10 @@
 //! pinned to live with the tests, not here.
 //!
 //! The MAC kernel body, the block-routine body and the SMBD expansion
-//! are picked from the host CPU (AVX2, and POPCNT/BMI1 with AVX2/F16C,
-//! when present; see `simd_active`, `popcnt_bmi1_active` and
-//! `f16c_active`). `smbd/decode_tctile_f32_sweep` picks the expansion
-//! the block picks: the F16C row expansion, or the set-bit walk.
+//! are picked from the host CPU by one token, `gpu_sim::cpu::Simd`
+//! (AVX2, BMI1, BMI2, F16C, LZCNT and POPCNT, when all are present).
+//! `smbd/decode_tctile_f32_sweep` picks the expansion the block picks:
+//! the F16C row expansion, or the set-bit walk.
 //!
 //! ```text
 //! cargo bench -p spinfer-bench --bench hotpath
@@ -20,12 +20,11 @@
 //! the CI smoke mode that only proves the harness runs.
 
 use criterion::{criterion_main, Criterion};
+use gpu_sim::cpu::Simd;
 use gpu_sim::exec;
 use gpu_sim::fp16::{f16_to_f32_slice, Half};
 use gpu_sim::matrix::{random_dense, random_sparse, ValueDist};
-use gpu_sim::tensor_core::{
-    mma_m16n8k16_bslice_ntiles, simd_active, MAX_NTILES, MMA_K, MMA_M, MMA_N,
-};
+use gpu_sim::tensor_core::{mma_m16n8k16_bslice_ntiles, MAX_NTILES, MMA_K, MMA_M, MMA_N};
 use gpu_sim::{Counters, GpuSpec};
 use spinfer_core::smbd::decode_tctile_f32;
 use spinfer_core::{SpinferSpmm, TcaBme};
@@ -60,7 +59,7 @@ fn b_buf(seed: u64, len: usize) -> Vec<f32> {
 
 fn bench_mma(c: &mut Criterion) {
     let a = a_tile(1);
-    let mut g = c.benchmark_group(if simd_active() {
+    let mut g = c.benchmark_group(if Simd::detect().is_some() {
         "mma(simd)"
     } else {
         "mma(flat)"

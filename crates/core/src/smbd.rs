@@ -14,10 +14,10 @@
 //! by one — so no second popcount is needed.
 //!
 //! The simulator decodes each TCTile straight into row-major operand
-//! rows (the "decode into the operand tile" shape). On hosts with AVX2
-//! and F16C an FP16 quadrant row expands in one step: a `pshufb` moves
-//! the row's packed halves to their set-bit columns and `vcvtph2ps`
-//! widens all eight into the `f32` row. Elsewhere, and for INT8, one
+//! rows (the "decode into the operand tile" shape). On hosts where
+//! [`Simd::detect`] finds its features, an FP16 quadrant row expands in
+//! one step: a `pshufb` moves the row's packed halves to their set-bit
+//! columns and `vcvtph2ps` widens all eight into the `f32` row. Elsewhere, and for INT8, one
 //! sweep over the set bits per BitmapTile writes each value. Both
 //! record the per-lane algorithm's exact counter and fault-site stream:
 //! the unit tests pin the expansion to the sweep, and the dispatched one
@@ -29,10 +29,11 @@
 //! path share one source of truth: the constants below.
 
 use crate::spmm::{Datapath, TcRows};
-use gpu_sim::bitops::{masked_popc64, popc64, popcnt_bmi1_active};
+use gpu_sim::bitops::{masked_popc64, popc64};
 use gpu_sim::counters::Counters;
+use gpu_sim::cpu::Simd;
 use gpu_sim::fault::FaultInjector;
-use gpu_sim::fp16::{f16c_active, Half};
+use gpu_sim::fp16::Half;
 use gpu_sim::shared_memory::{warp_smem_broadcast_load, warp_smem_gather_load_f, BANK_WORD};
 use gpu_sim::tensor_core::QUAD_ORIGINS;
 
@@ -81,10 +82,9 @@ fn nth_set_bit(mut mask: u64, n: usize) -> usize {
     mask.trailing_zeros() as usize
 }
 
-/// How a decode writes FP16 quadrant rows: [`SetBitWalk`] on any host,
-/// [`F16cRows`] where the host has the SIMD features. The SpMM block
-/// picks one per block and passes it down by value; both write the
-/// same bits.
+/// How the SpMM block computes: [`SetBitWalk`] on any host, a
+/// [`Simd`] token where the host has the SIMD features. The block picks
+/// one per launch and passes it down by value; both write the same bits.
 pub(crate) trait RowExpansion: Copy {
     /// Writes one FP16 quadrant, origin `origin`, of `rows` from its
     /// bitmap and packed values (`vals` starts at the quadrant's first
@@ -97,9 +97,11 @@ pub(crate) trait RowExpansion: Copy {
         rows: &mut [[f32; 16]; 16],
         origin: (usize, usize),
     );
+    /// The token the block's FP16 `mma` runs its MAC body with.
+    fn simd(self) -> Option<Simd>;
 }
 
-/// The portable expansion, [`walk_quadrant`].
+/// The portable expansion, [`walk_quadrant`], and the portable MAC.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SetBitWalk;
 
@@ -114,24 +116,14 @@ impl RowExpansion for SetBitWalk {
     ) {
         walk_quadrant::<Half>(bitmap, vals, rows, origin);
     }
-}
 
-/// The F16C row expansion, [`expand_quadrant_f16c`]. Only
-/// [`F16cRows::detect`] makes one, so holding one proves the host has
-/// POPCNT and BMI1, for the block's popcounts and set-bit sweeps, and
-/// AVX2 and F16C, for the rows.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct F16cRows(());
-
-impl F16cRows {
-    /// `Some` when the host has POPCNT, BMI1, AVX2 and F16C (each
-    /// detected once per process).
-    pub(crate) fn detect() -> Option<Self> {
-        (popcnt_bmi1_active() && f16c_active()).then_some(F16cRows(()))
+    fn simd(self) -> Option<Simd> {
+        None
     }
 }
 
-impl RowExpansion for F16cRows {
+/// The F16C row expansion, [`expand_quadrant_f16c`], and the AVX2 MAC.
+impl RowExpansion for Simd {
     #[inline(always)]
     fn expand_f16(
         self,
@@ -140,15 +132,18 @@ impl RowExpansion for F16cRows {
         rows: &mut [[f32; 16]; 16],
         origin: (usize, usize),
     ) {
-        // SAFETY: `self` exists, so `detect` found AVX2 and F16C on this
-        // CPU.
+        // SAFETY: `self` is a `Simd`.
         #[cfg(target_arch = "x86_64")]
         unsafe {
             expand_quadrant_f16c(bitmap, vals, rows, origin);
         }
-        // Unreachable: `detect` never finds F16C off x86_64.
+        // Unreachable: no `Simd` exists off x86_64.
         #[cfg(not(target_arch = "x86_64"))]
         walk_quadrant::<Half>(bitmap, vals, rows, origin);
+    }
+
+    fn simd(self) -> Option<Simd> {
+        Some(self)
     }
 }
 
@@ -184,12 +179,18 @@ static ROW_SHUFFLE: [[u8; 16]; 256] = {
 /// population; the 16-byte load never reads past `vals`, whose last
 /// rows may be shorter than eight halves: those load from a zeroed copy.
 ///
+/// It enables no features of its own: stable Rust does not allow
+/// `#[inline(always)]` on a `#[target_feature]` function, and with
+/// plain `#[inline]` `run_block_simd` kept one of its three decode
+/// sites calling it out of line. Always inlined, it runs with the
+/// features of the copy it lands in (`run_block_simd`,
+/// `decode_tctile_f32_simd`).
+///
 /// # Safety
 ///
-/// The CPU must support AVX2 and F16C ([`f16c_active`]).
+/// The caller holds a `Simd`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,f16c")]
-#[inline]
+#[inline(always)]
 unsafe fn expand_quadrant_f16c(
     bitmap: u64,
     vals: &[Half],
@@ -339,7 +340,7 @@ fn expand_bitmap_tile<P: Datapath, E: RowExpansion>(
 /// consumes, returning the rows and the number of values consumed. The
 /// golden (fault-free, panicking) decode the SpMM block runs, as a
 /// standalone call for benchmarks: it picks the expansion and the
-/// compiled copy the block picks ([`F16cRows::detect`]).
+/// compiled copy the block picks ([`Simd::detect`]).
 pub fn decode_tctile_f32(
     counters: &mut Counters,
     bitmaps: &[u64; 4],
@@ -348,11 +349,11 @@ pub fn decode_tctile_f32(
     values_smem_base: u64,
 ) -> ([[f32; 16]; 16], usize) {
     let mut rows = [[0.0; 16]; 16];
-    let used = match F16cRows::detect() {
-        // SAFETY: `f16c` proves POPCNT, BMI1, AVX2 and F16C on this CPU.
-        Some(f16c) => unsafe {
+    let used = match Simd::detect() {
+        // SAFETY: `Simd::detect` made `simd`.
+        Some(simd) => unsafe {
             decode_tctile_f32_simd(
-                f16c,
+                simd,
                 counters,
                 bitmaps,
                 values,
@@ -379,14 +380,13 @@ pub fn decode_tctile_f32(
 ///
 /// # Safety
 ///
-/// The CPU must support POPCNT, BMI1, AVX2 and F16C; `F16cRows::detect`
-/// checked it when it made `f16c`.
+/// The caller holds a `Simd`.
 #[cfg_attr(
     target_arch = "x86_64",
-    target_feature(enable = "popcnt,bmi1,avx2,f16c")
+    target_feature(enable = "avx2,bmi1,bmi2,f16c,lzcnt,popcnt")
 )]
 unsafe fn decode_tctile_f32_simd(
-    f16c: F16cRows,
+    simd: Simd,
     counters: &mut Counters,
     bitmaps: &[u64; 4],
     values: &[Half],
@@ -395,7 +395,7 @@ unsafe fn decode_tctile_f32_simd(
     rows: &mut [[f32; 16]; 16],
 ) -> usize {
     decode_tctile_rows(
-        f16c,
+        simd,
         counters,
         bitmaps,
         values,
@@ -569,8 +569,8 @@ mod tests {
         site_key: u64,
     ) -> Result<(TcRows<P>, usize), DecodeFault> {
         let (smem, key) = (values_smem_base, site_key);
-        match F16cRows::detect() {
-            Some(f16c) => rows_with(f16c, counters, bitmaps, values, base, smem, fault, key),
+        match Simd::detect() {
+            Some(simd) => rows_with(simd, counters, bitmaps, values, base, smem, fault, key),
             None => rows_with(
                 SetBitWalk, counters, bitmaps, values, base, smem, fault, key,
             ),
@@ -1082,8 +1082,8 @@ mod tests {
     }
 
     /// The portable set-bit walk is the only FP16 expansion hosts
-    /// without POPCNT, BMI1, AVX2 or F16C run, and FP16 never reaches it
-    /// on hosts with them, so it is pinned to the F16C row expansion: empty, full,
+    /// without the [`Simd`] features run, and FP16 never reaches it on
+    /// hosts with them, so it is pinned to the F16C row expansion: empty, full,
     /// single-bit and random bitmaps in every quadrant mix, every base
     /// mod 8, value slices that end exactly at the tile's population (the
     /// short-tail loads) or run on past it, golden and under an
@@ -1093,8 +1093,8 @@ mod tests {
     /// counters.
     #[test]
     fn portable_walk_matches_f16c_expansion() {
-        let Some(f16c) = F16cRows::detect() else {
-            eprintln!("skipped: the host lacks POPCNT, BMI1, AVX2 or F16C");
+        let Some(simd) = Simd::detect() else {
+            eprintln!("skipped: the host lacks the SIMD features");
             return;
         };
         let inj = FaultInjector::new(FaultPlan {
@@ -1120,8 +1120,8 @@ mod tests {
                     for fault in [None, Some(&inj)] {
                         let key = next(&mut s);
                         let walk = row_bits(SetBitWalk, &bitmaps, &halves, base, fault, key);
-                        let simd = row_bits(f16c, &bitmaps, &halves, base, fault, key);
-                        assert_eq!(walk, simd, "shapes {shapes:#04x} base {base} len {len}");
+                        let rows = row_bits(simd, &bitmaps, &halves, base, fault, key);
+                        assert_eq!(walk, rows, "shapes {shapes:#04x} base {base} len {len}");
                     }
                 }
             }

@@ -22,18 +22,19 @@ use std::ops::{AddAssign, Mul};
 use crate::error::{IntegrityError, KernelError};
 use crate::payload::Payload;
 use crate::smbd::{
-    decode_tctile_rows, decode_tctile_rows_f, DecodeFault, F16cRows, RowExpansion, SetBitWalk,
+    decode_tctile_rows, decode_tctile_rows_f, DecodeFault, RowExpansion, SetBitWalk,
 };
 use crate::tca_bme::{checksum_gtile, TcaBme, TcaBmeConfig, TcaBmeOf, TT_DIM};
 use gpu_sim::bitops::popc64;
 use gpu_sim::counters::Counters;
+use gpu_sim::cpu::Simd;
 use gpu_sim::fault::{flip_bit_u16, flip_bit_u64, CommitFault, FaultInjector};
 use gpu_sim::fp16::{f16_to_f32_slice, Half};
 use gpu_sim::global::{warp_global_store, warp_ldgsts_runs, VAddr};
 use gpu_sim::matrix::DenseMatrix;
 use gpu_sim::shared_memory::warp_ldsm_x4_rows;
 use gpu_sim::tensor_core::{
-    mma_m16n8k16_bslice_ntiles, AccF32, MAX_NTILES, MMA_K, MMA_M, MMA_N, QUAD_ORIGINS,
+    mma_m16n8k16_bslice_ntiles_on, AccF32, MAX_NTILES, MMA_K, MMA_M, MMA_N, QUAD_ORIGINS,
 };
 use gpu_sim::trace::attribution_weight;
 
@@ -97,8 +98,10 @@ pub(crate) trait Datapath: Payload {
     /// Post-decode scan of a checked TCTile decode (D3).
     fn scan(rows: &TcRows<Self>) -> Result<(), DecodeFault>;
     /// Batched `mma.m16n8k16` of one decoded TCTile against adjacent
-    /// 8-column B tiles (`b` row-major with leading dimension `ld`).
+    /// 8-column B tiles (`b` row-major with leading dimension `ld`), on
+    /// the launch's token where the precision has a SIMD MAC body.
     fn mma(
+        simd: Option<Simd>,
         counters: &mut Counters,
         a: &TcRows<Self>,
         b: &[Self::Operand],
@@ -187,13 +190,14 @@ impl Datapath for Half {
     }
 
     fn mma(
+        simd: Option<Simd>,
         counters: &mut Counters,
         a: &[[f32; MMA_K]; MMA_M],
         b: &[f32],
         ld: usize,
         accs: &mut [AccF32],
     ) {
-        mma_m16n8k16_bslice_ntiles(counters, a, b, ld, accs);
+        mma_m16n8k16_bslice_ntiles_on(simd, counters, a, b, ld, accs);
     }
 
     fn accumulate(acc: &mut AccF32, tile: impl Fn(usize, usize) -> f32) {
@@ -310,15 +314,16 @@ impl SpmmConfig {
     ///
     /// `xb` is the launch's X operand buffer ([`x_operands`]).
     ///
-    /// The body is compiled twice: portable, and with POPCNT, BMI1, AVX2
-    /// and F16C enabled. The second runs when [`F16cRows::detect`] finds
-    /// all four on the host; the SMBD decode and the per-GroupTile prefix
-    /// scan then use hardware popcounts and set-bit sweeps, and FP16
-    /// quadrant rows expand through F16C. Both compute the same bits,
-    /// pinned equal by this module's and `smbd`'s tests.
+    /// The body is compiled twice: portable, and with the [`Simd`]
+    /// features enabled. The second runs when the launch holds a `simd`
+    /// token; the SMBD decode and the per-GroupTile prefix scan then use
+    /// hardware popcounts and set-bit sweeps, FP16 quadrant rows expand
+    /// through F16C, and the FP16 `mma` runs its AVX2 body. Both compute
+    /// the same bits, pinned equal by this module's and `smbd`'s tests.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_block<P: Datapath>(
         &self,
+        simd: Option<Simd>,
         w: &P::Container,
         xb: &[P::Operand],
         x_scale: f32,
@@ -333,12 +338,11 @@ impl SpmmConfig {
         fault: Option<&FaultInjector>,
         tracer: Option<&mut BlockTracer>,
     ) -> Result<(), KernelError> {
-        match F16cRows::detect() {
-            // SAFETY: `f16c` proves POPCNT, BMI1, AVX2 and F16C on this
-            // CPU.
-            Some(f16c) => unsafe {
+        match simd {
+            // SAFETY: the caller holds a `Simd`.
+            Some(simd) => unsafe {
                 self.run_block_simd(
-                    f16c, w, xb, x_scale, counters, x_counters, workspace, scratch, geo, at, bases,
+                    simd, w, xb, x_scale, counters, x_counters, workspace, scratch, geo, at, bases,
                     checked, fault, tracer,
                 )
             },
@@ -349,23 +353,21 @@ impl SpmmConfig {
         }
     }
 
-    /// [`Self::run_block_body`] with the F16C row expansion, compiled
-    /// with POPCNT, BMI1, AVX2 and F16C enabled: the body and every
-    /// `#[inline(always)]` helper it calls inline here with those
-    /// instructions available.
+    /// [`Self::run_block_body`] on the `simd` token, compiled with its
+    /// features enabled: the body and every `#[inline(always)]` helper it
+    /// calls inline here with those instructions available.
     ///
     /// # Safety
     ///
-    /// The CPU must support POPCNT, BMI1, AVX2 and F16C;
-    /// `F16cRows::detect` checked it when it made `f16c`.
+    /// The caller holds a `Simd`.
     #[cfg_attr(
         target_arch = "x86_64",
-        target_feature(enable = "popcnt,bmi1,avx2,f16c")
+        target_feature(enable = "avx2,bmi1,bmi2,f16c,lzcnt,popcnt")
     )]
     #[allow(clippy::too_many_arguments)]
     unsafe fn run_block_simd<P: Datapath>(
         &self,
-        f16c: F16cRows,
+        simd: Simd,
         w: &P::Container,
         xb: &[P::Operand],
         x_scale: f32,
@@ -381,13 +383,14 @@ impl SpmmConfig {
         tracer: Option<&mut BlockTracer>,
     ) -> Result<(), KernelError> {
         self.run_block_body(
-            f16c, w, xb, x_scale, counters, x_counters, workspace, scratch, geo, at, bases,
+            simd, w, xb, x_scale, counters, x_counters, workspace, scratch, geo, at, bases,
             checked, fault, tracer,
         )
     }
 
     /// The body of [`Self::run_block`], inlined into both of its copies;
-    /// `expansion` is the decode's FP16 row expansion.
+    /// `expansion` is the decode's FP16 row expansion and carries the
+    /// `mma`'s token.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn run_block_body<P: Datapath, E: RowExpansion>(
@@ -654,6 +657,7 @@ impl SpmmConfig {
                     // The TCTile's 16 K rows of X, from column `n0`.
                     let k0 = gtx * cfg.gt_cols + ttx * TT_DIM;
                     mma_row::<P>(
+                        expansion.simd(),
                         counters,
                         &xb[k0 * geo.x_ld() + n0..],
                         geo,
@@ -727,6 +731,7 @@ impl SpmmConfig {
 /// counter stream and succeeds on the first attempt. The decoded tile
 /// lands in `rows`.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn decode_tctile_checked<P: Datapath, E: RowExpansion>(
     expansion: E,
     counters: &mut Counters,
@@ -825,6 +830,7 @@ fn decode_tctile_checked<P: Datapath, E: RowExpansion>(
 /// accumulator tiles at once.
 #[inline(always)]
 fn mma_row<P: Datapath>(
+    simd: Option<Simd>,
     counters: &mut Counters,
     x_tile: &[P::Operand],
     geo: &Geometry,
@@ -839,7 +845,7 @@ fn mma_row<P: Datapath>(
     }
     for (jc, chunk) in accs.chunks_mut(MAX_NTILES).enumerate() {
         let b = &x_tile[jc * MAX_NTILES * 8..];
-        P::mma(counters, a_rows, b, geo.x_ld(), chunk);
+        P::mma(simd, counters, a_rows, b, geo.x_ld(), chunk);
     }
 }
 
@@ -1188,17 +1194,17 @@ mod tests {
         assert_eq!(c128.ldgsts_insts - c64.ldgsts_insts, x_rows / 4);
     }
 
-    /// Every block of one launch through the dispatched [`run_block`]
-    /// or straight through the portable body: workspace bits, the W and
-    /// X counter shards, and each block's outcome. `fault` runs a
-    /// checked launch under that injector.
+    /// Every block of one launch through [`run_block`] on `simd` (the
+    /// portable body with `None`): workspace bits, the W and X counter
+    /// shards, and each block's outcome. `fault` runs a checked launch
+    /// under that injector.
     ///
     /// [`run_block`]: SpmmConfig::run_block
     fn all_blocks<P: Datapath>(
         w: &P::Container,
         x: &DenseMatrix,
         fault: Option<&FaultInjector>,
-        dispatched: bool,
+        simd: Option<Simd>,
     ) -> (Vec<u32>, Counters, Counters, Vec<Result<(), KernelError>>) {
         let cfg = SpmmConfig::default();
         let t = P::tiles(w);
@@ -1233,52 +1239,33 @@ mod tests {
                         gx1: (gx0 + geo.gtx_per_split).min(t.gtiles_x()),
                     };
                     let ws = &mut ws[split * slice_len..][..slice_len];
-                    let checked = checked.as_ref();
-                    outcomes.push(if dispatched {
-                        cfg.run_block(
-                            w,
-                            &xb,
-                            x_scale,
-                            &mut c,
-                            &mut xc,
-                            ws,
-                            &mut scratch,
-                            &geo,
-                            &at,
-                            &bases,
-                            checked,
-                            fault,
-                            None,
-                        )
-                    } else {
-                        cfg.run_block_body(
-                            SetBitWalk,
-                            w,
-                            &xb,
-                            x_scale,
-                            &mut c,
-                            &mut xc,
-                            ws,
-                            &mut scratch,
-                            &geo,
-                            &at,
-                            &bases,
-                            checked,
-                            fault,
-                            None,
-                        )
-                    });
+                    outcomes.push(cfg.run_block(
+                        simd,
+                        w,
+                        &xb,
+                        x_scale,
+                        &mut c,
+                        &mut xc,
+                        ws,
+                        &mut scratch,
+                        &geo,
+                        &at,
+                        &bases,
+                        checked.as_ref(),
+                        fault,
+                        None,
+                    ));
                 }
             }
         }
         (ws.iter().map(|v| v.to_bits()).collect(), c, xc, outcomes)
     }
 
-    /// The portable body is the only one hosts without POPCNT, BMI1,
-    /// AVX2 or F16C run, so it is pinned to the dispatched body — on such
-    /// hosts the same body twice — on FP16 and INT8, golden and under an
-    /// armed injector: output bits, full counters (fault tallies
-    /// included) and every block's outcome.
+    /// The portable body (set-bit walk and portable MAC) is the only one
+    /// hosts without the [`Simd`] features run, so it is pinned to the
+    /// dispatched body — on such hosts the same body twice — on FP16 and
+    /// INT8, golden and under an armed injector: output bits, full
+    /// counters (fault tallies included) and every block's outcome.
     #[test]
     fn portable_body_matches_dispatched_body() {
         let w = random_sparse(96, 160, 0.6, ValueDist::Uniform, 41);
@@ -1287,10 +1274,10 @@ mod tests {
         let enc8 = enc.quantize_int8();
         let inj = FaultInjector::new(FaultPlan::uniform(43, 0.05));
         for fault in [None, Some(&inj)] {
-            let fp16 = all_blocks::<Half>(&enc, &x, fault, true);
-            assert_eq!(fp16, all_blocks::<Half>(&enc, &x, fault, false));
-            let int8 = all_blocks::<i8>(&enc8, &x, fault, true);
-            assert_eq!(int8, all_blocks::<i8>(&enc8, &x, fault, false));
+            let fp16 = all_blocks::<Half>(&enc, &x, fault, Simd::detect());
+            assert_eq!(fp16, all_blocks::<Half>(&enc, &x, fault, None));
+            let int8 = all_blocks::<i8>(&enc8, &x, fault, Simd::detect());
+            assert_eq!(int8, all_blocks::<i8>(&enc8, &x, fault, None));
             if fault.is_some() {
                 assert!(fp16.1.faults_injected > 0 && int8.1.faults_injected > 0);
                 assert!(fp16.1.faults_detected > 0 && int8.1.faults_detected > 0);

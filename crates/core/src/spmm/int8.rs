@@ -34,6 +34,7 @@ use crate::error::{IntegrityError, SpinferError};
 use crate::smbd::{walk_quadrant, DecodeFault, RowExpansion};
 use crate::tca_bme::{TcaBme, TcaBmeInt8, TcaBmeOf};
 use gpu_sim::counters::Counters;
+use gpu_sim::cpu::Simd;
 use gpu_sim::fp16::Half;
 use gpu_sim::matrix::DenseMatrix;
 use gpu_sim::spec::GpuSpec;
@@ -194,6 +195,7 @@ impl Datapath for i8 {
     }
 
     fn mma(
+        _simd: Option<Simd>,
         counters: &mut Counters,
         a: &[[i32; MMA_K]; MMA_M],
         b: &[i32],

@@ -17,6 +17,7 @@ use std::sync::Arc;
 use crate::error::SpinferError;
 use crate::tca_bme::TcaBme;
 use gpu_sim::counters::Counters;
+use gpu_sim::cpu::Simd;
 use gpu_sim::exec;
 use gpu_sim::fault::FaultInjector;
 use gpu_sim::fp16::Half;
@@ -582,6 +583,7 @@ impl SpmmConfig {
         // X converted to `mma` operands once for the whole launch; every
         // block reads its K rows and N tile from this buffer.
         let xb = x_operands::<P>(x, t.k_pad, &geo, x_scale);
+        let simd = Simd::detect();
 
         // Virtual address space for coalescing analysis.
         let mut gm = GlobalMemory::new();
@@ -622,6 +624,7 @@ impl SpmmConfig {
                         let gx0 = split * geo.gtx_per_split;
                         let gx1 = (gx0 + geo.gtx_per_split).min(gtiles_x);
                         self.run_block(
+                            simd,
                             w,
                             &xb,
                             x_scale,

@@ -28,6 +28,7 @@
 
 use crate::error::IntegrityError;
 use crate::payload::Payload;
+use gpu_sim::cpu::Simd;
 use gpu_sim::fp16::Half;
 use gpu_sim::matrix::DenseMatrix;
 
@@ -353,12 +354,19 @@ impl TcaBmeOf<Half> {
         let ngt = gts_y * gts_x;
         let bts = config.bts_per_gt();
         let data = matrix.as_slice();
+        let simd = Simd::detect();
 
         // Pass 1: bitmaps + per-GroupTile counts.
         let mut bitmaps = vec![0u64; ngt * bts];
         let gt_slices: Vec<(usize, &mut [u64])> = bitmaps.chunks_mut(bts).enumerate().collect();
         let counts: Vec<usize> = gpu_sim::exec::par_map_untraced(gt_slices, |(gt, bms)| {
-            build_gtile_bitmaps(data, m, k, config, gt / gts_x, gt % gts_x, bms)
+            let (gty, gtx) = (gt / gts_x, gt % gts_x);
+            match simd {
+                // SAFETY: the encode holds a `Simd`.
+                #[cfg(target_arch = "x86_64")]
+                Some(_) => unsafe { build_gtile_bitmaps_simd(data, m, k, config, gty, gtx, bms) },
+                _ => build_gtile_bitmaps(data, m, k, config, gty, gtx, bms),
+            }
         });
 
         let (gtile_offsets, total) = prefix_offsets(&counts)?;
@@ -376,16 +384,16 @@ impl TcaBmeOf<Half> {
             rest = tail;
         }
         gpu_sim::exec::par_map_untraced(spans, |(gt, vals)| {
-            fill_gtile_values(
-                data,
-                k,
-                config,
-                gt / gts_x,
-                gt % gts_x,
-                &bitmaps[gt * bts..(gt + 1) * bts],
-                counts[gt],
-                vals,
-            )
+            let (gty, gtx, bms) = (gt / gts_x, gt % gts_x, &bitmaps[gt * bts..(gt + 1) * bts]);
+            let count = counts[gt];
+            match simd {
+                // SAFETY: the encode holds a `Simd`.
+                #[cfg(target_arch = "x86_64")]
+                Some(_) => unsafe {
+                    fill_gtile_values_simd(data, k, config, gty, gtx, bms, count, vals)
+                },
+                _ => fill_gtile_values(data, k, config, gty, gtx, bms, count, vals),
+            }
         });
 
         Ok(TcaBme {
@@ -580,6 +588,29 @@ impl TcaBmeInt8 {
     }
 }
 
+/// [`build_gtile_bitmaps`] compiled with the [`Simd`] features
+/// so the row-slice `!is_zero` reduction vectorizes (the baseline SSE2
+/// build cannot encode the 16-lane compare + movemask pattern).
+/// Identical integer arithmetic — invisible to the layout and
+/// serialization pins.
+///
+/// # Safety
+///
+/// The caller holds a `Simd`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,bmi1,bmi2,f16c,lzcnt,popcnt")]
+unsafe fn build_gtile_bitmaps_simd(
+    data: &[Half],
+    m: usize,
+    k: usize,
+    config: TcaBmeConfig,
+    gty: usize,
+    gtx: usize,
+    bms: &mut [u64],
+) -> usize {
+    build_gtile_bitmaps(data, m, k, config, gty, gtx, bms)
+}
+
 /// Pass 1 worker: builds one GroupTile's bitmaps (nested TT-column-major
 /// → BT-quadrant order) into `bms` and returns the tile's non-zero count
 /// as the sum of popcounts. Interior GroupTiles (fully inside the
@@ -587,47 +618,8 @@ impl TcaBmeInt8 {
 /// per-element bounds logic; edge tiles clamp row/column spans so
 /// out-of-extent bits stay zero, exactly like the serial `at(r, c)`
 /// closure's zero padding.
-fn build_gtile_bitmaps(
-    data: &[Half],
-    m: usize,
-    k: usize,
-    config: TcaBmeConfig,
-    gty: usize,
-    gtx: usize,
-    bms: &mut [u64],
-) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the avx2 requirement was just checked at runtime.
-        return unsafe { build_gtile_bitmaps_avx2(data, m, k, config, gty, gtx, bms) };
-    }
-    build_gtile_bitmaps_generic(data, m, k, config, gty, gtx, bms)
-}
-
-/// [`build_gtile_bitmaps_generic`] compiled with AVX2/BMI enabled so the
-/// row-slice `!is_zero` reduction vectorizes (the baseline SSE2 build
-/// cannot encode the 16-lane compare + movemask pattern). Identical
-/// integer arithmetic — invisible to the layout and serialization pins.
-///
-/// # Safety
-///
-/// The caller must ensure the CPU supports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,bmi1,popcnt")]
-unsafe fn build_gtile_bitmaps_avx2(
-    data: &[Half],
-    m: usize,
-    k: usize,
-    config: TcaBmeConfig,
-    gty: usize,
-    gtx: usize,
-    bms: &mut [u64],
-) -> usize {
-    build_gtile_bitmaps_generic(data, m, k, config, gty, gtx, bms)
-}
-
 #[inline]
-fn build_gtile_bitmaps_generic(
+fn build_gtile_bitmaps(
     data: &[Half],
     m: usize,
     k: usize,
@@ -699,6 +691,29 @@ fn bt_bitmap_edge(data: &[Half], m: usize, k: usize, bt_r: usize, bt_c: usize) -
     bm
 }
 
+/// [`fill_gtile_values`] compiled with the [`Simd`] features,
+/// turning the per-bit `trailing_zeros` / clear-lowest-set-bit sweep
+/// into single `tzcnt` / `blsr` instructions. Identical arithmetic.
+///
+/// # Safety
+///
+/// The caller holds a `Simd`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,bmi1,bmi2,f16c,lzcnt,popcnt")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn fill_gtile_values_simd(
+    data: &[Half],
+    k: usize,
+    config: TcaBmeConfig,
+    gty: usize,
+    gtx: usize,
+    bms: &[u64],
+    count: usize,
+    vals: &mut [Half],
+) {
+    fill_gtile_values(data, k, config, gty, gtx, bms, count, vals)
+}
+
 /// Pass 2 worker: fills one GroupTile's pre-zeroed value span by
 /// sweeping the set bits of its pass-1 bitmaps in ascending order —
 /// `trailing_zeros` yields bits in exactly the order the serial
@@ -706,51 +721,9 @@ fn bt_bitmap_edge(data: &[Half], m: usize, k: usize, bt_r: usize, bt_c: usize) -
 /// construction, so each value is a direct row-major load. The span's
 /// tail beyond `count` stays zero: that is the GroupTile's
 /// [`VALUE_PAD`] alignment padding.
-#[allow(clippy::too_many_arguments)]
-fn fill_gtile_values(
-    data: &[Half],
-    k: usize,
-    config: TcaBmeConfig,
-    gty: usize,
-    gtx: usize,
-    bms: &[u64],
-    count: usize,
-    vals: &mut [Half],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("bmi1") {
-        // SAFETY: the bmi1 requirement was just checked at runtime.
-        return unsafe { fill_gtile_values_bmi(data, k, config, gty, gtx, bms, count, vals) };
-    }
-    fill_gtile_values_generic(data, k, config, gty, gtx, bms, count, vals)
-}
-
-/// [`fill_gtile_values_generic`] compiled with BMI1 enabled, turning the
-/// per-bit `trailing_zeros` / clear-lowest-set-bit sweep into single
-/// `tzcnt` / `blsr` instructions. Identical arithmetic.
-///
-/// # Safety
-///
-/// The caller must ensure the CPU supports BMI1.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "bmi1,popcnt")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn fill_gtile_values_bmi(
-    data: &[Half],
-    k: usize,
-    config: TcaBmeConfig,
-    gty: usize,
-    gtx: usize,
-    bms: &[u64],
-    count: usize,
-    vals: &mut [Half],
-) {
-    fill_gtile_values_generic(data, k, config, gty, gtx, bms, count, vals)
-}
-
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn fill_gtile_values_generic(
+fn fill_gtile_values(
     data: &[Half],
     k: usize,
     config: TcaBmeConfig,

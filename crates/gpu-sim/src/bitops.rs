@@ -6,30 +6,6 @@
 //! integer ops on CUDA cores; the simulator mirrors them here so kernels and
 //! the instruction-counting layer share one definition.
 
-/// Whether the host CPU has POPCNT and BMI1 (detected once per
-/// process) — the bit-manipulation sibling of
-/// [`simd_active`](crate::tensor_core::simd_active). The SpMM block
-/// routine runs a copy of its body compiled with both enabled when this
-/// is `true`, so the popcounts and set-bit sweeps below become single
-/// `popcnt` / `tzcnt` / `blsr` instructions; baseline x86-64 has
-/// neither and emulates them in software. Both bodies compute the same
-/// arithmetic, so the answer changes only wall-clock. Always `false`
-/// off x86_64.
-pub fn popcnt_bmi1_active() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        static POPCNT_BMI1: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        *POPCNT_BMI1.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("popcnt")
-                && std::arch::is_x86_feature_detected!("bmi1")
-        })
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 /// 64-bit population count — the CUDA `__popcll` intrinsic.
 #[inline]
 pub fn popc64(bitmap: u64) -> u32 {

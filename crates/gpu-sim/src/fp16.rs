@@ -5,6 +5,7 @@
 //! crate is used; conversions implement round-to-nearest-even, matching the
 //! behaviour of the `cvt.rn.f16.f32` PTX instruction.
 
+use crate::cpu::Simd;
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
@@ -254,28 +255,6 @@ impl fmt::Display for Half {
     }
 }
 
-/// Whether the host CPU has AVX2 and F16C (detected once per process),
-/// so `vcvtph2ps` widens eight halves in one instruction — the FP16
-/// sibling of [`simd_active`](crate::tensor_core::simd_active). The
-/// SMBD row expansion runs an F16C body when this is `true`. F16C gives
-/// the same `f32` bits as [`Half::to_f32`] for all 65 536 patterns,
-/// NaN payloads included (`f16c_matches_lut_for_every_pattern`), so the
-/// answer changes only wall-clock. Always `false` off x86_64.
-pub fn f16c_active() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        static F16C: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        *F16C.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("f16c")
-        })
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 /// Converts a whole `Half` slice to `f32` in one flat LUT sweep —
 /// `dst[i] = src[i].to_f32()` bit-for-bit, without per-element call
 /// dispatch. The batch form the X-tile fill and the reference-product
@@ -349,17 +328,17 @@ fn f16_bits_from_f32_bits_rne(bits: u32) -> u16 {
 /// `dst[i] = Half::from_f32(src[i])` bit-for-bit (same round-to-nearest-
 /// even, same NaN quieting), without per-element call dispatch or
 /// data-dependent branching (`f16_bits_from_f32_bits_rne`). The batch
-/// form the chunked matrix generators use. `dst.len()` must equal
-/// `src.len()`.
-pub fn f32_to_f16_slice(src: &[f32], dst: &mut [Half]) {
+/// form the chunked matrix generators use, which detect the token once
+/// per matrix: with `Some`, the loop is compiled with the [`Simd`]
+/// features. `dst.len()` must equal `src.len()`.
+pub fn f32_to_f16_slice(simd: Option<Simd>, src: &[f32], dst: &mut [Half]) {
     assert_eq!(src.len(), dst.len(), "length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the avx2 requirement was just checked at runtime.
-        unsafe { f32_to_f16_slice_avx2(src, dst) };
-        return;
+    match simd {
+        // SAFETY: the caller holds a `Simd`.
+        #[cfg(target_arch = "x86_64")]
+        Some(_) => unsafe { f32_to_f16_slice_simd(src, dst) },
+        _ => f32_to_f16_slice_scalar(src, dst),
     }
-    f32_to_f16_slice_scalar(src, dst);
 }
 
 #[inline]
@@ -369,19 +348,19 @@ fn f32_to_f16_slice_scalar(src: &[f32], dst: &mut [Half]) {
     }
 }
 
-/// The same scalar loop compiled with AVX2 enabled so the compiler can
-/// auto-vectorize the branch-free conversion eight lanes wide (variable
-/// shifts and unsigned mins have no SSE2 encoding, which blocks
-/// vectorization in the baseline build). Semantics are untouched — this
-/// is the identical integer arithmetic per element, so the dispatch is
-/// invisible to every bit-identity pin.
+/// The same scalar loop compiled with the [`Simd`] features so the
+/// compiler can auto-vectorize the branch-free conversion eight lanes
+/// wide (variable shifts and unsigned mins have no SSE2 encoding, which
+/// blocks vectorization in the baseline build). Semantics are untouched
+/// — this is the identical integer arithmetic per element, so the
+/// dispatch is invisible to every bit-identity pin.
 ///
 /// # Safety
 ///
-/// The caller must ensure the CPU supports AVX2.
+/// The caller holds a `Simd`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn f32_to_f16_slice_avx2(src: &[f32], dst: &mut [Half]) {
+#[target_feature(enable = "avx2,bmi1,bmi2,f16c,lzcnt,popcnt")]
+unsafe fn f32_to_f16_slice_simd(src: &[f32], dst: &mut [Half]) {
     f32_to_f16_slice_scalar(src, dst);
 }
 
@@ -501,10 +480,12 @@ mod tests {
         fn f32_to_f16_slice_matches_per_element(raw in prop::collection::vec(any::<u32>(), 0..64)) {
             // Arbitrary bit patterns, NaNs and infinities included.
             let src: Vec<f32> = raw.iter().map(|&b| f32::from_bits(b)).collect();
-            let mut dst = vec![Half::ZERO; src.len()];
-            f32_to_f16_slice(&src, &mut dst);
-            for (&x, &h) in src.iter().zip(&dst) {
-                prop_assert_eq!(h.to_bits(), Half::from_f32(x).to_bits());
+            for simd in [None, Simd::detect()] {
+                let mut dst = vec![Half::ZERO; src.len()];
+                f32_to_f16_slice(simd, &src, &mut dst);
+                for (&x, &h) in src.iter().zip(&dst) {
+                    prop_assert_eq!(h.to_bits(), Half::from_f32(x).to_bits());
+                }
             }
         }
 
@@ -644,8 +625,8 @@ mod tests {
     /// NaNs (both quiet a NaN to `sign | 0x7FC0_0000 | mant << 13`).
     #[test]
     fn f16c_matches_lut_for_every_pattern() {
-        if !f16c_active() {
-            eprintln!("skipped: the host has no AVX2 + F16C");
+        if Simd::detect().is_none() {
+            eprintln!("skipped: the host lacks the SIMD features");
             return;
         }
         #[cfg(target_arch = "x86_64")]
@@ -653,7 +634,7 @@ mod tests {
             use std::arch::x86_64::{_mm256_cvtph_ps, _mm256_storeu_ps, _mm_loadu_si128};
             let halves: [u16; 8] = std::array::from_fn(|i| lo + i as u16);
             let mut wide = [0.0f32; 8];
-            // SAFETY: `f16c_active` verified F16C and AVX2, and both
+            // SAFETY: the test holds a `Simd`, and both
             // pointers cover eight elements.
             unsafe {
                 let v = _mm256_cvtph_ps(_mm_loadu_si128(halves.as_ptr().cast()));

@@ -8,6 +8,7 @@
 //! * [`matrix`] — dense FP16 matrices, generators, and golden references.
 //! * [`spec`] — device parameter sheets.
 //! * [`bitops`] — `popc`/masked-popcount device intrinsics (Algorithm 2).
+//! * [`cpu`] — the one host SIMD feature token every SIMD body runs under.
 //! * [`tensor_core`] — `mma.m16n8k16` emulation on row-major operand
 //!   tiles (FP16/FP32 and INT8/INT32).
 //! * [`shared_memory`] — 32-bank conflict model from real addresses.
@@ -33,6 +34,7 @@
 pub mod async_copy;
 pub mod bitops;
 pub mod counters;
+pub mod cpu;
 pub mod exec;
 pub mod fault;
 pub mod fp16;

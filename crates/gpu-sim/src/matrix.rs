@@ -5,7 +5,8 @@
 //! matrices here are row-major FP16; reference products accumulate in FP32,
 //! matching Tensor Core semantics.
 
-use crate::fp16::Half;
+use crate::cpu::Simd;
+use crate::fp16::{f32_to_f16_slice, Half};
 use rand::distributions::{Distribution, Uniform};
 use rand::rngs::{BufferedRng, StdRng, BUFFER_WORDS};
 use rand::{f32_from_word, Rng, RngCore, SeedableRng};
@@ -266,6 +267,7 @@ fn assert_nonzero_dist(dist: ValueDist) {
 /// the serial draw path applies, then batch-converted to FP16.
 pub fn random_dense(rows: usize, cols: usize, dist: ValueDist, seed: u64) -> DenseMatrix {
     let n = rows * cols;
+    let simd = Simd::detect();
     let mut rng = BufferedRng::new(StdRng::seed_from_u64(seed));
     let mut data = vec![Half::ZERO; n];
     let mut tmp = [0.0f32; GEN_CHUNK];
@@ -289,7 +291,7 @@ pub fn random_dense(rows: usize, cols: usize, dist: ValueDist, seed: u64) -> Den
             }
         }
         rng.advance(cnt * words_per_elem);
-        crate::fp16::f32_to_f16_slice(&tmp[..cnt], &mut data[i..i + cnt]);
+        f32_to_f16_slice(simd, &tmp[..cnt], &mut data[i..i + cnt]);
         i += cnt;
     }
     DenseMatrix::from_vec(rows, cols, data)
@@ -369,17 +371,22 @@ fn fill_sparse(
     let thresh = (sparsity * 9007199254740992.0).ceil() as u64; // 2⁵³
     debug_assert!((0.0..=1.0).contains(&sparsity));
     let n = data.len();
+    let simd = Simd::detect();
     let mut tmp = [0.0f32; GEN_CHUNK];
     let mut i = 0;
     while i < n {
         let chunk = &mut tmp[..(n - i).min(GEN_CHUNK)];
         let (wp, cnt, kept) = match dist {
-            ValueDist::Uniform => scan_sparse(rng, thresh, chunk, |w: &[u64; 1]| uniform_pm1(w[0])),
-            ValueDist::Normal { std } => scan_sparse(rng, thresh, chunk, |w| irwin_hall(w, std)),
+            ValueDist::Uniform => {
+                scan_sparse(simd, rng, thresh, chunk, |w: &[u64; 1]| uniform_pm1(w[0]))
+            }
+            ValueDist::Normal { std } => {
+                scan_sparse(simd, rng, thresh, chunk, |w| irwin_hall(w, std))
+            }
         };
         debug_assert!(cnt > 0, "the sparse walk made no progress");
         let out = &mut data[i..i + cnt];
-        crate::fp16::f32_to_f16_slice(&tmp[..cnt], out);
+        f32_to_f16_slice(simd, &tmp[..cnt], out);
         if force_replay || out.iter().filter(|h| !h.is_zero()).count() != kept {
             for slot in out.iter_mut() {
                 *slot = sparse_element(rng, sparsity, dist);
@@ -398,32 +405,32 @@ fn fill_sparse(
 /// [`scan_sparse_generic`] for the logic.
 #[inline]
 fn scan_sparse<const W: usize>(
+    simd: Option<Simd>,
     rng: &mut BufferedRng<StdRng>,
     thresh: u64,
     tmp: &mut [f32],
     value: impl Fn(&[u64; W]) -> f32,
 ) -> (usize, usize, usize) {
     let words = rng.buffered(1 + W);
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the avx2 requirement was just checked at runtime.
-        return unsafe { scan_sparse_avx2(words, thresh, tmp, value) };
+    match simd {
+        // SAFETY: the caller holds a `Simd`.
+        #[cfg(target_arch = "x86_64")]
+        Some(_) => unsafe { scan_sparse_simd(words, thresh, tmp, value) },
+        _ => scan_sparse_generic(words, thresh, tmp, value),
     }
-    scan_sparse_generic(words, thresh, tmp, value)
 }
 
-/// The same walk compiled with AVX2/BMI enabled (see
+/// The same walk compiled with the [`Simd`] features (see
 /// [`crate::fp16::f32_to_f16_slice`] for why the baseline SSE2 build
 /// can't vectorize these patterns). Identical arithmetic — invisible to
 /// the stream-fidelity pins.
 ///
 /// # Safety
 ///
-/// The caller must ensure the CPU supports AVX2 (which implies the BMI1
-/// and LZCNT levels enabled here).
+/// The caller holds a `Simd`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,bmi1,bmi2,lzcnt,popcnt")]
-unsafe fn scan_sparse_avx2<const W: usize>(
+#[target_feature(enable = "avx2,bmi1,bmi2,f16c,lzcnt,popcnt")]
+unsafe fn scan_sparse_simd<const W: usize>(
     words: &[u64],
     thresh: u64,
     tmp: &mut [f32],
@@ -432,7 +439,7 @@ unsafe fn scan_sparse_avx2<const W: usize>(
     scan_sparse_generic(words, thresh, tmp, value)
 }
 
-// Always inlined, so the AVX2 wrapper compiles the whole walk with its
+// Always inlined, so the SIMD wrapper compiles the whole walk with its
 // features rather than calling the baseline build.
 #[inline(always)]
 fn scan_sparse_generic<const W: usize>(
@@ -767,11 +774,12 @@ mod tests {
     fn sparse_walk_ends_chunk_only_when_full_or_out_of_words() {
         fn check<const W: usize>(sparsity: f64, lim: usize) {
             let thresh = (sparsity * 9007199254740992.0).ceil() as u64;
+            let simd = Simd::detect();
             let mut rng = BufferedRng::new(StdRng::seed_from_u64(3));
             let mut tmp = [0.0f32; GEN_CHUNK];
             for chunk in 0..64 {
                 let (wp, cnt, _) =
-                    scan_sparse(&mut rng, thresh, &mut tmp[..lim], |_: &[u64; W]| 1.0);
+                    scan_sparse(simd, &mut rng, thresh, &mut tmp[..lim], |_: &[u64; W]| 1.0);
                 let peeked = rng.buffered(0).len();
                 assert!(
                     cnt == lim || wp + 1 + W > peeked,

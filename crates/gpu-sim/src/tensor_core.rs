@@ -22,6 +22,7 @@
 //! decode to that per-lane form.
 
 use crate::counters::Counters;
+use crate::cpu::Simd;
 
 /// Rows of the `mma` A operand / D result.
 pub const MMA_M: usize = 16;
@@ -35,23 +36,6 @@ pub const MMA_K: usize = 16;
 /// bottom-right — the column-major quadrant order TCA-BME stores its
 /// `BitmapTile`s in (paper §4.2.1).
 pub const QUAD_ORIGINS: [(usize, usize); 4] = [(0, 0), (8, 0), (0, 8), (8, 8)];
-
-/// Whether the explicit-SIMD MAC kernel is live: the host CPU supports
-/// AVX2 (detected once per process). On a non-x86_64 target, or an
-/// x86_64 CPU without AVX2, this is `false` and every mma runs the
-/// portable flat kernel — which is bit-identical, so the answer never
-/// changes results, only wall-clock.
-pub fn simd_active() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
 
 /// Widest N-tile batch [`mma_m16n8k16_bslice_ntiles`] accepts: 16
 /// accumulator tiles cover a 128-column X window, the widest `tile_n`
@@ -78,8 +62,23 @@ pub type AccF32 = [[f32; MMA_N]; MMA_M];
 /// `tests/simd_equiv.rs`; the portable body is pinned to the AVX2 body
 /// by this module's unit tests).
 ///
-/// Records one `mma` instruction per tile.
+/// Records one `mma` instruction per tile. Runs the AVX2 body where
+/// [`Simd::detect`] finds the features, else the portable one.
 pub fn mma_m16n8k16_bslice_ntiles(
+    counters: &mut Counters,
+    a: &[[f32; MMA_K]; MMA_M],
+    b: &[f32],
+    ld: usize,
+    accs: &mut [AccF32],
+) {
+    mma_m16n8k16_bslice_ntiles_on(Simd::detect(), counters, a, b, ld, accs);
+}
+
+/// [`mma_m16n8k16_bslice_ntiles`] for a caller that already holds the
+/// launch's token: the AVX2 body with `Some`, the portable body with
+/// `None`. Both compute the same bits.
+pub fn mma_m16n8k16_bslice_ntiles_on(
+    simd: Option<Simd>,
     counters: &mut Counters,
     a: &[[f32; MMA_K]; MMA_M],
     b: &[f32],
@@ -99,16 +98,13 @@ pub fn mma_m16n8k16_bslice_ntiles(
             b.len(),
             accs.len()
         );
-        #[cfg(target_arch = "x86_64")]
-        if simd_active() {
-            // SAFETY: `simd_active` verified AVX2 support at runtime, and
-            // the assert above bounds every B read.
-            unsafe { mac_tiles_avx2(a, b, ld, accs) };
-        } else {
-            mac_tiles_flat(a, b, ld, accs);
+        match simd {
+            // SAFETY: the caller holds a `Simd`, and the assert above
+            // bounds every B read.
+            #[cfg(target_arch = "x86_64")]
+            Some(_) => unsafe { mac_tiles_avx2(a, b, ld, accs) },
+            _ => mac_tiles_flat(a, b, ld, accs),
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        mac_tiles_flat(a, b, ld, accs);
     }
     counters.mma_insts += accs.len() as u64;
     counters.insts_issued += accs.len() as u64;
@@ -122,7 +118,7 @@ const BLOCK_ROWS: usize = 4;
 /// Portable body of [`mma_m16n8k16_bslice_ntiles`]: per tile, a block of
 /// [`BLOCK_ROWS`] A rows accumulates its 8-wide sums in locals across
 /// the `k` loop, the same blocking the AVX2 body uses with one B vector
-/// per block. The only body on hosts without AVX2.
+/// per block. The only body on hosts without the [`Simd`] features.
 fn mac_tiles_flat(a: &[[f32; MMA_K]; MMA_M], b: &[f32], ld: usize, accs: &mut [AccF32]) {
     for (j, acc) in accs.iter_mut().enumerate() {
         for (a_blk, acc_blk) in a
@@ -153,17 +149,17 @@ fn mac_tiles_flat(a: &[[f32; MMA_K]; MMA_M], b: &[f32], ld: usize, accs: &mut [A
 ///
 /// # Safety
 ///
-/// The CPU must support AVX2, and `b` must cover `(MMA_K - 1) * ld +
+/// The caller holds a `Simd`, and `b` must cover `(MMA_K - 1) * ld +
 /// accs.len() * MMA_N` elements.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,bmi1,bmi2,f16c,lzcnt,popcnt")]
 unsafe fn mac_tiles_avx2(a: &[[f32; MMA_K]; MMA_M], b: &[f32], ld: usize, accs: &mut [AccF32]) {
     for (p, pair) in accs.chunks_mut(2).enumerate() {
         // SAFETY: the pair's first tile starts at column `2 p * MMA_N`,
         // inside the caller's bound.
         let bj = unsafe { b.as_ptr().add(2 * p * MMA_N) };
         for m0 in (0..MMA_M).step_by(BLOCK_ROWS) {
-            // SAFETY: AVX2 is enabled on this function; `bj` covers
+            // SAFETY: the caller holds a `Simd`; `bj` covers
             // `pair.len()` tiles for every `k` row.
             unsafe {
                 match pair {
@@ -183,10 +179,10 @@ unsafe fn mac_tiles_avx2(a: &[[f32; MMA_K]; MMA_M], b: &[f32], ld: usize, accs: 
 ///
 /// # Safety
 ///
-/// The CPU must support AVX2, and `b` must cover `(MMA_K - 1) * ld +
+/// The caller holds a `Simd`, and `b` must cover `(MMA_K - 1) * ld +
 /// W * MMA_N` elements.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,bmi1,bmi2,f16c,lzcnt,popcnt")]
 #[inline]
 unsafe fn mac_block_avx2<const W: usize>(
     tiles: [&mut AccF32; W],
@@ -305,7 +301,6 @@ mod tests {
 
     /// Operand palette for `flat_body_matches_avx2_body_bit_for_bit`:
     /// signed zeros, infinities, NaN and subnormals.
-    #[cfg(target_arch = "x86_64")]
     const SPECIALS: [f32; 8] = [
         0.0,
         -0.0,
@@ -320,7 +315,6 @@ mod tests {
     /// `xorshift64*` draw: a special value with probability `1/32`, a
     /// signed zero with probability `1/zero_in` (never when `zero_in` is
     /// 0), else a full-mantissa normal in `±[1/16, 16)`.
-    #[cfg(target_arch = "x86_64")]
     fn draw(state: &mut u64, zero_in: u64) -> f32 {
         *state ^= *state >> 12;
         *state ^= *state << 25;
@@ -337,16 +331,16 @@ mod tests {
         f32::from_bits(sign | exp << 23 | (r as u32 & 0x7f_ffff))
     }
 
-    /// The portable body is the only one hosts without AVX2 run, so on
-    /// an AVX2 host it is pinned to the AVX2 body bit for bit (any NaN
-    /// matches any NaN), for every batch width and a leading dimension
-    /// wider than the batch.
-    #[cfg(target_arch = "x86_64")]
+    /// The portable body is the only one hosts without the [`Simd`]
+    /// features run, so on a host with them it is pinned to the AVX2
+    /// body bit for bit (any NaN matches any NaN), for every batch width
+    /// and a leading dimension wider than the batch.
     #[test]
     fn flat_body_matches_avx2_body_bit_for_bit() {
-        if !simd_active() {
+        let Some(simd) = Simd::detect() else {
+            eprintln!("skipped: the host lacks the SIMD features");
             return;
-        }
+        };
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         for ntiles in 1..=MAX_NTILES {
             let ld = ntiles * MMA_N + 5;
@@ -359,11 +353,9 @@ mod tests {
                 .map(|_| core::array::from_fn(|_| core::array::from_fn(|_| draw(&mut state, 4))))
                 .collect();
             let mut flat = init.clone();
-            mac_tiles_flat(&a, &b, ld, &mut flat);
+            mma_m16n8k16_bslice_ntiles_on(None, &mut Counters::new(), &a, &b, ld, &mut flat);
             let mut avx2 = init;
-            // SAFETY: `simd_active` confirmed AVX2, and `b` spans
-            // `(MMA_K - 1) * ld + ntiles * MMA_N` elements.
-            unsafe { mac_tiles_avx2(&a, &b, ld, &mut avx2) };
+            mma_m16n8k16_bslice_ntiles_on(Some(simd), &mut Counters::new(), &a, &b, ld, &mut avx2);
             for (j, (f, v)) in flat.iter().zip(&avx2).enumerate() {
                 for (m, (fr, vr)) in f.iter().zip(v).enumerate() {
                     for (n, (&x, &y)) in fr.iter().zip(vr).enumerate() {

@@ -14,9 +14,10 @@
 # regenerate BENCH_kernels.json on purpose and say why. Host wall-clock
 # is not recorded here; perfbench/ measures it with paired runs.
 #
-# The MAC kernel body is picked from the host CPU at runtime (AVX2 or
-# portable); results are bit-identical either way (tests/simd_equiv.rs
-# and gpu-sim's tensor_core unit tests).
+# The SIMD bodies are picked from the host CPU at runtime by one token,
+# gpu_sim::cpu::Simd; results are bit-identical either way. CI's
+# `portable` job runs this script under RUSTFLAGS="--cfg spinfer_portable"
+# with its own CARGO_TARGET_DIR, which the binary path below follows.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,6 +28,6 @@ if [ "${1:-}" = "--out" ]; then
 fi
 
 cargo build --release -p spinfer-bench --bin spinfer
-./target/release/spinfer snapshot --out "$OUT" "$@"
+"${CARGO_TARGET_DIR:-target}/release/spinfer" snapshot --out "$OUT" "$@"
 echo "--- $OUT ---"
 cat "$OUT"

@@ -1,0 +1,131 @@
+//! Every feature-compiled body runs only where its caller holds a
+//! `gpu_sim::cpu::Simd`, so no body may enable a feature that
+//! `Simd::detect` does not check: this suite reads the sources and pins
+//! every `target_feature(enable = "…")` string in `crates/` to the
+//! feature list `detect` checks, in its order. `vendor/rand` sits below
+//! `gpu-sim` and keeps its own detector; its bodies may enable only what
+//! that detector checks. Feature detection itself lives in those two
+//! places only.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// Every `.rs` file under `dir`, recursively, in path order.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    let mut entries: Vec<PathBuf> = fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
+        .map(|e| e.expect("directory entry").path())
+        .collect();
+    entries.sort();
+    for path in entries {
+        if path.is_dir() {
+            out.extend(rust_files(&path));
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+    out
+}
+
+/// The string literal of each `head … ( … "lit"` occurrence in `src`,
+/// where `head` is followed by `(` and then `prefix` (whitespace
+/// between the tokens ignored): `("target_feature", "enable=")` finds
+/// `target_feature(enable = "avx2")`, and
+/// `("is_x86_feature_detected!", "")` finds the macro's argument.
+fn literals(src: &str, head: &str, prefix: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut rest = src;
+    while let Some(at) = rest.find(head) {
+        rest = &rest[at + head.len()..];
+        let mut chars = rest.char_indices().filter(|(_, c)| !c.is_whitespace());
+        let expected = std::iter::once('(').chain(prefix.chars()).chain(['"']);
+        let mut start = None;
+        for want in expected {
+            match chars.next() {
+                Some((i, c)) if c == want => start = Some(i + 1),
+                _ => {
+                    start = None;
+                    break;
+                }
+            }
+        }
+        if let Some(start) = start {
+            let len = rest[start..].find('"').expect("unterminated literal");
+            out.push(rest[start..start + len].to_string());
+        }
+    }
+    out
+}
+
+fn root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// `(file, literal)` for every `target_feature(enable = …)` under `dir`.
+fn enabled(dir: &Path) -> Vec<(PathBuf, String)> {
+    rust_files(dir)
+        .into_iter()
+        .flat_map(|f| {
+            let src = fs::read_to_string(&f).expect("read source");
+            literals(&src, "target_feature", "enable=")
+                .into_iter()
+                .map(move |lit| (f.clone(), lit))
+        })
+        .collect()
+}
+
+/// The features one file's `is_x86_feature_detected!` calls check, in
+/// source order.
+fn detected(file: &Path) -> Vec<String> {
+    let src = fs::read_to_string(file).expect("read detector source");
+    literals(&src, "is_x86_feature_detected!", "")
+}
+
+#[test]
+fn every_crate_body_enables_exactly_the_token_set() {
+    let token = detected(&root().join("crates/gpu-sim/src/cpu.rs")).join(",");
+    assert_eq!(token, "avx2,bmi1,bmi2,f16c,lzcnt,popcnt");
+    let bodies = enabled(&root().join("crates"));
+    assert!(!bodies.is_empty(), "no feature body found under crates/");
+    for (file, lit) in bodies {
+        assert_eq!(lit, token, "{}", file.display());
+    }
+}
+
+#[test]
+fn rand_bodies_enable_only_what_its_detector_checks() {
+    let src = root().join("vendor/rand/src");
+    let checked: Vec<String> = rust_files(&src).iter().flat_map(|f| detected(f)).collect();
+    assert!(!checked.is_empty(), "vendor/rand has no detector");
+    let bodies = enabled(&src);
+    assert!(!bodies.is_empty(), "vendor/rand has no feature body");
+    for (file, lit) in bodies {
+        for feature in lit.split(',') {
+            assert!(
+                checked.iter().any(|c| c == feature),
+                "{} enables {feature}, which its detector does not check",
+                file.display()
+            );
+        }
+    }
+}
+
+#[test]
+fn features_are_detected_only_by_the_token_and_rand() {
+    let allowed = [
+        root().join("crates/gpu-sim/src/cpu.rs"),
+        root().join("vendor/rand/src/lib.rs"),
+    ];
+    for dir in ["crates", "vendor"] {
+        for file in rust_files(&root().join(dir)) {
+            if !allowed.contains(&file) {
+                assert!(
+                    detected(&file).is_empty(),
+                    "{} detects features",
+                    file.display()
+                );
+            }
+        }
+    }
+}
