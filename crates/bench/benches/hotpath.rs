@@ -1,16 +1,17 @@
 //! Microbenchmarks for the SpMM wall-clock hot path: the register-blocked
-//! `mma` kernel, the SMBD TCTile expansion, one whole SpInfer launch at a
-//! decode shape, the batched FP16 → f32 LUT conversion (next to its
-//! per-element form), and the setup pipeline (weight generation,
-//! pruning, encode), so a regression shows up here before it shows up in
-//! `spinfer snapshot` or `perfbench/`. The test oracles these paths are
-//! pinned to live with the tests, not here.
+//! `mma` kernels and the SMBD TCTile expansions, each at FP16 and INT8,
+//! one whole SpInfer launch at a decode shape, the batched FP16 → f32
+//! LUT conversion (next to its per-element form), and the setup
+//! pipeline (weight generation, pruning, encode), so a regression shows
+//! up here before it shows up in `spinfer snapshot` or `perfbench/`. The
+//! test oracles these paths are pinned to live with the tests, not here.
 //!
 //! The MAC kernel body, the block-routine body and the SMBD expansion
 //! are picked from the host CPU by one token, `gpu_sim::cpu::Simd`
 //! (AVX2, BMI1, BMI2, F16C, LZCNT and POPCNT, when all are present).
-//! `smbd/decode_tctile_f32_sweep` picks the expansion the block picks:
-//! the F16C row expansion, or the set-bit walk.
+//! `smbd/decode_tctile_{f32,s8}_sweep` pick the expansion the block
+//! picks: the `pshufb` row expansion (F16C for halves, `vpmovsxbd` for
+//! codes), or the set-bit walk.
 //!
 //! ```text
 //! cargo bench -p spinfer-bench --bench hotpath
@@ -24,9 +25,11 @@ use gpu_sim::cpu::Simd;
 use gpu_sim::exec;
 use gpu_sim::fp16::{f16_to_f32_slice, Half};
 use gpu_sim::matrix::{random_dense, random_sparse, ValueDist};
-use gpu_sim::tensor_core::{mma_m16n8k16_bslice_ntiles, MAX_NTILES, MMA_K, MMA_M, MMA_N};
+use gpu_sim::tensor_core::{
+    mma_m16n8k16_bslice_ntiles, mma_m16n8k16_s8_ntiles, MAX_NTILES, MMA_K, MMA_M, MMA_N,
+};
 use gpu_sim::{Counters, GpuSpec};
-use spinfer_core::smbd::decode_tctile_f32;
+use spinfer_core::smbd::{decode_tctile_f32, decode_tctile_s8};
 use spinfer_core::{SpinferSpmm, TcaBme};
 use spinfer_pruning::{magnitude_prune, wanda_prune, Calibration};
 use std::hint::black_box;
@@ -55,6 +58,11 @@ fn a_tile(seed: u64) -> [[f32; MMA_K]; MMA_M] {
 fn b_buf(seed: u64, len: usize) -> Vec<f32> {
     let mut s = seed;
     (0..len).map(|_| mix(&mut s)).collect()
+}
+
+/// An `i8`-range code in [-127, 127] from [`mix`].
+fn code(state: &mut u64) -> i32 {
+    (mix(state) * 127.0).round() as i32
 }
 
 fn bench_mma(c: &mut Criterion) {
@@ -92,6 +100,23 @@ fn bench_mma(c: &mut Criterion) {
             )
         });
     });
+    // The INT8 `mma.s8` kernel at the same two widths, on codes.
+    let a8: [[i32; MMA_K]; MMA_M] = {
+        let mut s = 9;
+        core::array::from_fn(|_| core::array::from_fn(|_| code(&mut s)))
+    };
+    for ntiles in [MAX_NTILES, 2] {
+        let ld = ntiles * MMA_N;
+        let mut s = 11;
+        let b8: Vec<i32> = (0..MMA_K * ld).map(|_| code(&mut s)).collect();
+        g.bench_function(&format!("s8_ntiles{ntiles}_batched"), |bench| {
+            let mut counters = Counters::new();
+            let mut accs = vec![[[0i32; MMA_N]; MMA_M]; ntiles];
+            bench.iter(|| {
+                mma_m16n8k16_s8_ntiles(&mut counters, black_box(&a8), black_box(&b8), ld, &mut accs)
+            });
+        });
+    }
     g.finish();
 }
 
@@ -107,6 +132,19 @@ fn bench_smbd(c: &mut Criterion) {
                 &mut counters,
                 &bitmaps,
                 &enc.values,
+                0,
+                0,
+            ))
+        });
+    });
+    let enc8 = enc.quantize_int8();
+    g.bench_function("decode_tctile_s8_sweep", |bench| {
+        let mut counters = Counters::new();
+        bench.iter(|| {
+            black_box(decode_tctile_s8(
+                &mut counters,
+                &bitmaps,
+                &enc8.tiles.values,
                 0,
                 0,
             ))

@@ -15,14 +15,14 @@
 //!
 //! The simulator decodes each TCTile straight into row-major operand
 //! rows (the "decode into the operand tile" shape). On hosts where
-//! [`Simd::detect`] finds its features, an FP16 quadrant row expands in
-//! one step: a `pshufb` moves the row's packed halves to their set-bit
-//! columns and `vcvtph2ps` widens all eight into the `f32` row. Elsewhere, and for INT8, one
-//! sweep over the set bits per BitmapTile writes each value. Both
-//! record the per-lane algorithm's exact counter and fault-site stream:
-//! the unit tests pin the expansion to the sweep, and the dispatched one
-//! to Algorithm 2 as written, lane by lane, and to the `Ra0..Ra3`
-//! register layout.
+//! [`Simd::detect`] finds its features, a quadrant row expands in one
+//! step: a `pshufb` moves the row's packed values to their set-bit
+//! columns, and `vcvtph2ps` (FP16 halves) or `vpmovsxbd` (INT8 codes)
+//! widens all eight into the operand row. Elsewhere one sweep over the
+//! set bits per BitmapTile writes each value. Both record the per-lane
+//! algorithm's exact counter and fault-site stream: the unit tests pin
+//! each expansion to the sweep, and the dispatched one to Algorithm 2
+//! as written, lane by lane, and to the `Ra0..Ra3` register layout.
 //!
 //! Instruction and shared-memory costs are recorded per decode so the
 //! analytic estimator (used at paper-scale shapes) and the functional
@@ -97,7 +97,16 @@ pub(crate) trait RowExpansion: Copy {
         rows: &mut [[f32; 16]; 16],
         origin: (usize, usize),
     );
-    /// The token the block's FP16 `mma` runs its MAC body with.
+    /// [`Self::expand_f16`] for an INT8 quadrant: codes widened to
+    /// `i32`, absent ones as `0`.
+    fn expand_s8(
+        self,
+        bitmap: u64,
+        vals: &[i8],
+        rows: &mut [[i32; 16]; 16],
+        origin: (usize, usize),
+    );
+    /// The token the block's `mma` runs its MAC body with.
     fn simd(self) -> Option<Simd>;
 }
 
@@ -117,12 +126,24 @@ impl RowExpansion for SetBitWalk {
         walk_quadrant::<Half>(bitmap, vals, rows, origin);
     }
 
+    #[inline(always)]
+    fn expand_s8(
+        self,
+        bitmap: u64,
+        vals: &[i8],
+        rows: &mut [[i32; 16]; 16],
+        origin: (usize, usize),
+    ) {
+        walk_quadrant::<i8>(bitmap, vals, rows, origin);
+    }
+
     fn simd(self) -> Option<Simd> {
         None
     }
 }
 
-/// The F16C row expansion, [`expand_quadrant_f16c`], and the AVX2 MAC.
+/// The `pshufb` row expansions, [`expand_quadrant_f16c`] and
+/// [`expand_quadrant_s8`], and the AVX2 MACs.
 impl RowExpansion for Simd {
     #[inline(always)]
     fn expand_f16(
@@ -142,25 +163,47 @@ impl RowExpansion for Simd {
         walk_quadrant::<Half>(bitmap, vals, rows, origin);
     }
 
+    #[inline(always)]
+    fn expand_s8(
+        self,
+        bitmap: u64,
+        vals: &[i8],
+        rows: &mut [[i32; 16]; 16],
+        origin: (usize, usize),
+    ) {
+        // SAFETY: `self` is a `Simd`.
+        #[cfg(target_arch = "x86_64")]
+        unsafe {
+            expand_quadrant_s8(bitmap, vals, rows, origin);
+        }
+        // Unreachable: no `Simd` exists off x86_64.
+        #[cfg(not(target_arch = "x86_64"))]
+        walk_quadrant::<i8>(bitmap, vals, rows, origin);
+    }
+
     fn simd(self) -> Option<Simd> {
         Some(self)
     }
 }
 
-/// `pshufb` control for one 8-bit quadrant row, indexed by the row's
-/// bitmap byte: the row's `r`-th set bit at column `c` takes packed half
-/// `r` (bytes `2r`, `2r + 1`) into bytes `2c`, `2c + 1`; clear columns
-/// read `0x80`, which zeroes their bytes, so they widen to `+0.0`.
-static ROW_SHUFFLE: [[u8; 16]; 256] = {
-    let mut table = [[0x80u8; 16]; 256];
+/// `pshufb` controls for one 8-bit quadrant row of `B`-byte values
+/// (`N = 8 B` bytes), indexed by the row's bitmap byte: the row's `r`-th
+/// set bit at column `c` takes packed value `r` (bytes `B r .. B r + B`)
+/// into bytes `B c .. B c + B`; clear columns read `0x80`, which zeroes
+/// their bytes, so they widen to the operand's zero.
+const fn row_shuffle<const B: usize, const N: usize>() -> [[u8; N]; 256] {
+    let mut table = [[0x80u8; N]; 256];
     let mut byte = 0;
     while byte < 256 {
-        let mut rank = 0u8;
+        let mut rank = 0;
         let mut col = 0;
         while col < 8 {
             if (byte >> col) & 1 == 1 {
-                table[byte][2 * col] = 2 * rank;
-                table[byte][2 * col + 1] = 2 * rank + 1;
+                let mut i = 0;
+                while i < B {
+                    table[byte][B * col + i] = (B * rank + i) as u8;
+                    i += 1;
+                }
                 rank += 1;
             }
             col += 1;
@@ -168,7 +211,12 @@ static ROW_SHUFFLE: [[u8; 16]; 256] = {
         byte += 1;
     }
     table
-};
+}
+
+/// [`row_shuffle`] for FP16 halves.
+static ROW_SHUFFLE: [[u8; 16]; 256] = row_shuffle::<2, 16>();
+/// [`row_shuffle`] for INT8 codes.
+static CODE_SHUFFLE: [[u8; 8]; 256] = row_shuffle::<1, 8>();
 
 /// Expands one FP16 quadrant into its eight `f32` operand rows, one
 /// quadrant row per step: load 16 bytes of packed halves at the running
@@ -184,7 +232,7 @@ static ROW_SHUFFLE: [[u8; 16]; 256] = {
 /// plain `#[inline]` `run_block_simd` kept one of its three decode
 /// sites calling it out of line. Always inlined, it runs with the
 /// features of the copy it lands in (`run_block_simd`,
-/// `decode_tctile_f32_simd`).
+/// `decode_tctile_simd`).
 ///
 /// # Safety
 ///
@@ -213,6 +261,48 @@ unsafe fn expand_quadrant_f16c(
         let ctl = _mm_loadu_si128(ROW_SHUFFLE[usize::from(byte)].as_ptr().cast());
         let wide = _mm256_cvtph_ps(_mm_shuffle_epi8(packed, ctl));
         _mm256_storeu_ps(row[dc..dc + 8].as_mut_ptr(), wide);
+        off += byte.count_ones() as usize;
+    }
+}
+
+/// The INT8 twin of [`expand_quadrant_f16c`]: per quadrant row, load 8
+/// bytes of packed codes at the running offset, [`CODE_SHUFFLE`] them to
+/// their set-bit columns, `vpmovsxbd` the eight codes to `i32` and store
+/// them over the row's eight columns (clear columns as `0`). The last
+/// rows, with fewer than eight codes left in `vals`, load from a zeroed
+/// copy. Like the FP16 expansion it is always inlined and enables no
+/// features of its own, taking those of `run_block_simd` or
+/// `decode_tctile_simd`.
+///
+/// # Safety
+///
+/// The caller holds a `Simd`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn expand_quadrant_s8(
+    bitmap: u64,
+    vals: &[i8],
+    rows: &mut [[i32; 16]; 16],
+    (dr, dc): (usize, usize),
+) {
+    use std::arch::x86_64::{
+        _mm256_cvtepi8_epi32, _mm256_storeu_si256, _mm_loadl_epi64, _mm_shuffle_epi8,
+    };
+    let mut off = 0;
+    for (r, row) in rows[dr..dr + 8].iter_mut().enumerate() {
+        let byte = (bitmap >> (8 * r)) as u8;
+        let packed = match vals.get(off..off + 8) {
+            Some(win) => _mm_loadl_epi64(win.as_ptr().cast()),
+            None => {
+                let mut tail = [0i8; 8];
+                let left = &vals[off..];
+                tail[..left.len()].copy_from_slice(left);
+                _mm_loadl_epi64(tail.as_ptr().cast())
+            }
+        };
+        let ctl = _mm_loadl_epi64(CODE_SHUFFLE[usize::from(byte)].as_ptr().cast());
+        let wide = _mm256_cvtepi8_epi32(_mm_shuffle_epi8(packed, ctl));
+        _mm256_storeu_si256(row[dc..dc + 8].as_mut_ptr().cast(), wide);
         off += byte.count_ones() as usize;
     }
 }
@@ -249,9 +339,8 @@ pub(crate) fn walk_quadrant<P: Datapath>(
 /// The single SMBD decode body: expands one BitmapTile into the
 /// quadrant of `rows` at `origin` and records its hardware events. Every
 /// decode — golden, checked and injected, FP16 and INT8 — runs through
-/// here. The values land through [`Datapath::expand_quadrant`]:
-/// `expansion`'s rows for FP16, [`walk_quadrant`] for INT8. Each writes
-/// the whole quadrant.
+/// here. The values land through [`Datapath::expand_quadrant`], as
+/// `expansion`'s rows, which write the whole quadrant.
 ///
 /// Generic over the value payload: the bitmap walk, rank arithmetic and
 /// counter writes never depend on the element type — only the gather
@@ -348,11 +437,36 @@ pub fn decode_tctile_f32(
     base: usize,
     values_smem_base: u64,
 ) -> ([[f32; 16]; 16], usize) {
-    let mut rows = [[0.0; 16]; 16];
+    decode_tctile_detected(counters, bitmaps, values, base, values_smem_base)
+}
+
+/// [`decode_tctile_f32`] for an INT8 TCTile: `i8` codes into the `i32`
+/// A operand
+/// [`mma_m16n8k16_s8_ntiles`](gpu_sim::tensor_core::mma_m16n8k16_s8_ntiles)
+/// consumes.
+pub fn decode_tctile_s8(
+    counters: &mut Counters,
+    bitmaps: &[u64; 4],
+    values: &[i8],
+    base: usize,
+    values_smem_base: u64,
+) -> ([[i32; 16]; 16], usize) {
+    decode_tctile_detected(counters, bitmaps, values, base, values_smem_base)
+}
+
+/// [`decode_tctile_rows`] through the expansion [`Simd::detect`] picks.
+fn decode_tctile_detected<P: Datapath>(
+    counters: &mut Counters,
+    bitmaps: &[u64; 4],
+    values: &[P],
+    base: usize,
+    values_smem_base: u64,
+) -> (TcRows<P>, usize) {
+    let mut rows = [[P::Operand::default(); 16]; 16];
     let used = match Simd::detect() {
         // SAFETY: `Simd::detect` made `simd`.
         Some(simd) => unsafe {
-            decode_tctile_f32_simd(
+            decode_tctile_simd(
                 simd,
                 counters,
                 bitmaps,
@@ -375,8 +489,8 @@ pub fn decode_tctile_f32(
     (rows, used)
 }
 
-/// [`decode_tctile_rows`] with the F16C expansion, compiled with the
-/// SpMM block's SIMD features so the expansion inlines as it does there.
+/// [`decode_tctile_rows`] with the `pshufb` expansions, compiled with the
+/// SpMM block's SIMD features so the expansions inline as they do there.
 ///
 /// # Safety
 ///
@@ -385,14 +499,14 @@ pub fn decode_tctile_f32(
     target_arch = "x86_64",
     target_feature(enable = "avx2,bmi1,bmi2,f16c,lzcnt,popcnt")
 )]
-unsafe fn decode_tctile_f32_simd(
+unsafe fn decode_tctile_simd<P: Datapath>(
     simd: Simd,
     counters: &mut Counters,
     bitmaps: &[u64; 4],
-    values: &[Half],
+    values: &[P],
     base: usize,
     values_smem_base: u64,
-    rows: &mut [[f32; 16]; 16],
+    rows: &mut TcRows<P>,
 ) -> usize {
     decode_tctile_rows(
         simd,
@@ -1063,68 +1177,93 @@ mod tests {
     /// A decode's rows as bits with the consumed count, or its fault.
     type RowBits = Result<([[u32; 16]; 16], usize), DecodeFault>;
 
-    /// One FP16 decode through `expansion` at shared-memory base 64, and
-    /// its counters.
-    fn row_bits<E: RowExpansion>(
+    /// One decode through `expansion` at shared-memory base 64, rows
+    /// compared through `bits`, and its counters.
+    #[allow(clippy::too_many_arguments)]
+    fn row_bits<P: Datapath, E: RowExpansion>(
         expansion: E,
         bitmaps: &[u64; 4],
-        values: &[Half],
+        values: &[P],
         base: usize,
         fault: Option<&FaultInjector>,
         site_key: u64,
+        bits: impl Fn(P::Operand) -> u32,
     ) -> (RowBits, Counters) {
         let mut c = Counters::new();
         let r = rows_with(
             expansion, &mut c, bitmaps, values, base, 64, fault, site_key,
         )
-        .map(|(rows, used)| (rows.map(|row| row.map(f32::to_bits)), used));
+        .map(|(rows, used)| (rows.map(|row| row.map(&bits)), used));
         (r, c)
     }
 
-    /// The portable set-bit walk is the only FP16 expansion hosts
-    /// without the [`Simd`] features run, and FP16 never reaches it on
-    /// hosts with them, so it is pinned to the F16C row expansion: empty, full,
-    /// single-bit and random bitmaps in every quadrant mix, every base
-    /// mod 8, value slices that end exactly at the tile's population (the
-    /// short-tail loads) or run on past it, golden and under an
+    /// Pins the portable set-bit walk, the only expansion hosts without
+    /// the [`Simd`] features run, to the `pshufb` expansion `simd` picks
+    /// for payload `P`: every row byte (each repeated over all rows and
+    /// quadrants), empty, full, single-bit and random bitmaps in every
+    /// quadrant mix, every base mod 8, value slices that end exactly at
+    /// the tile's population (the short-tail loads) or run on past it,
+    /// and one short (an overrun both must report), golden and under an
     /// always-firing injector (the poison must land after the
-    /// expansion). Values are any f16 pattern, NaNs included. Rows are
-    /// compared as bits, with the consumed count, overruns and full
-    /// counters.
-    #[test]
-    fn portable_walk_matches_f16c_expansion() {
-        let Some(simd) = Simd::detect() else {
-            eprintln!("skipped: the host lacks the SIMD features");
-            return;
-        };
+    /// expansion). `draw` makes values; rows are compared as `bits`, with
+    /// the consumed count, overruns and full counters.
+    fn assert_walk_matches_expansion<P: Datapath>(
+        simd: Simd,
+        seed: u64,
+        draw: impl Fn(u64) -> P,
+        bits: impl Fn(P::Operand) -> u32 + Copy,
+    ) {
         let inj = FaultInjector::new(FaultPlan {
             fp16_poison_rate: 1.0,
             ..FaultPlan::default()
         });
-        let mut s = 0x5EED_F16C;
-        for shapes in 0..=u8::MAX {
-            let bitmaps = bitmaps_from(shapes, next(&mut s));
+        let mut s = seed;
+        let mut cases: Vec<[u64; 4]> = (0..=u8::MAX)
+            .map(|byte| [u64::from(byte) * 0x0101_0101_0101_0101; 4])
+            .collect();
+        cases.extend((0..=u8::MAX).map(|shapes| bitmaps_from(shapes, next(&mut s))));
+        for bitmaps in cases {
             let pop: usize = bitmaps.iter().map(|&b| popc64(b) as usize).sum();
             for base in 0..16 {
-                // Exactly the population (the tail path), a few past it,
-                // and one short (an overrun both must report).
                 for len in [
                     base + pop,
                     base + pop + 3,
                     base + pop + 9,
                     (base + pop).saturating_sub(1),
                 ] {
-                    let halves: Vec<Half> = (0..len)
-                        .map(|_| Half::from_bits(next(&mut s) as u16))
-                        .collect();
+                    let values: Vec<P> = (0..len).map(|_| draw(next(&mut s))).collect();
                     for fault in [None, Some(&inj)] {
                         let key = next(&mut s);
-                        let walk = row_bits(SetBitWalk, &bitmaps, &halves, base, fault, key);
-                        let rows = row_bits(simd, &bitmaps, &halves, base, fault, key);
-                        assert_eq!(walk, rows, "shapes {shapes:#04x} base {base} len {len}");
+                        let walk = row_bits(SetBitWalk, &bitmaps, &values, base, fault, key, bits);
+                        let rows = row_bits(simd, &bitmaps, &values, base, fault, key, bits);
+                        assert_eq!(walk, rows, "bitmaps {bitmaps:x?} base {base} len {len}");
                     }
                 }
             }
         }
+    }
+
+    /// The FP16 arm of [`assert_walk_matches_expansion`]: the F16C
+    /// expansion, values any f16 pattern, NaNs included.
+    #[test]
+    fn portable_walk_matches_f16c_expansion() {
+        let Some(simd) = Simd::detect() else {
+            eprintln!("skipped: the host lacks the SIMD features");
+            return;
+        };
+        let draw = |r: u64| Half::from_bits(r as u16);
+        assert_walk_matches_expansion::<Half>(simd, 0x5EED_F16C, draw, f32::to_bits);
+    }
+
+    /// The INT8 arm of [`assert_walk_matches_expansion`]: the `pshufb` +
+    /// `vpmovsxbd` code expansion, values any `i8` code, −128 and ±127
+    /// included.
+    #[test]
+    fn portable_walk_matches_s8_expansion() {
+        let Some(simd) = Simd::detect() else {
+            eprintln!("skipped: the host lacks the SIMD features");
+            return;
+        };
+        assert_walk_matches_expansion::<i8>(simd, 0x5EED_0058, |r| r as i8, |v| v as u32);
     }
 }

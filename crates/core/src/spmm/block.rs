@@ -86,8 +86,8 @@ pub(crate) trait Datapath: Payload {
     /// Writes one decoded quadrant, origin `origin`, of `rows` from its
     /// bitmap and its packed values (`vals` starts at the quadrant's
     /// first value and holds at least its population): every element,
-    /// absent ones as the operand's zero. FP16 writes its rows through
-    /// `expansion`; `expansion` changes no bit.
+    /// absent ones as the operand's zero, through `expansion`'s rows;
+    /// `expansion` changes no bit.
     fn expand_quadrant<E: RowExpansion>(
         expansion: E,
         bitmap: u64,
@@ -99,7 +99,7 @@ pub(crate) trait Datapath: Payload {
     fn scan(rows: &TcRows<Self>) -> Result<(), DecodeFault>;
     /// Batched `mma.m16n8k16` of one decoded TCTile against adjacent
     /// 8-column B tiles (`b` row-major with leading dimension `ld`), on
-    /// the launch's token where the precision has a SIMD MAC body.
+    /// the launch's token.
     fn mma(
         simd: Option<Simd>,
         counters: &mut Counters,
@@ -317,9 +317,10 @@ impl SpmmConfig {
     /// The body is compiled twice: portable, and with the [`Simd`]
     /// features enabled. The second runs when the launch holds a `simd`
     /// token; the SMBD decode and the per-GroupTile prefix scan then use
-    /// hardware popcounts and set-bit sweeps, FP16 quadrant rows expand
-    /// through F16C, and the FP16 `mma` runs its AVX2 body. Both compute
-    /// the same bits, pinned equal by this module's and `smbd`'s tests.
+    /// hardware popcounts and set-bit sweeps, quadrant rows expand
+    /// through `pshufb` (F16C for FP16, `vpmovsxbd` for INT8), and the
+    /// `mma` runs its AVX2 body. Both compute the same bits, pinned equal
+    /// by this module's, `smbd`'s and `tensor_core`'s tests.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_block<P: Datapath>(
         &self,
@@ -389,8 +390,8 @@ impl SpmmConfig {
     }
 
     /// The body of [`Self::run_block`], inlined into both of its copies;
-    /// `expansion` is the decode's FP16 row expansion and carries the
-    /// `mma`'s token.
+    /// `expansion` is the decode's row expansion and carries the `mma`'s
+    /// token.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn run_block_body<P: Datapath, E: RowExpansion>(

@@ -14,9 +14,10 @@
 //!    global scale per launch (`max|x| / 127`, order-independent and
 //!    therefore job-count invariant).
 //! 3. **The mma work runs on the integer pipe**
-//!    ([`mma_m16n8k16_s8_ntiles`], `mma.m16n8k16.s8.s8.s32`): exact
+//!    ([`mma_m16n8k16_s8_ntiles_on`], `mma.m16n8k16.s8.s8.s32`): exact
 //!    `i32` accumulation, priced at twice the FP16 Tensor Core
-//!    throughput by the timing model.
+//!    throughput by the timing model. Like FP16, the MAC and the SMBD
+//!    row expansion run their AVX2 bodies on the launch's `Simd` token.
 //! 4. **A scale fold** at each GroupTile-column boundary moves the `i32`
 //!    accumulators into the `f32` output bank with
 //!    `scale_w[gt] × scale_x` (per-GroupTile symmetric weight scales from
@@ -31,14 +32,14 @@
 //! detector-coverage gap documented in DESIGN.md §14).
 
 use crate::error::{IntegrityError, SpinferError};
-use crate::smbd::{walk_quadrant, DecodeFault, RowExpansion};
+use crate::smbd::{DecodeFault, RowExpansion};
 use crate::tca_bme::{TcaBme, TcaBmeInt8, TcaBmeOf};
 use gpu_sim::counters::Counters;
 use gpu_sim::cpu::Simd;
 use gpu_sim::fp16::Half;
 use gpu_sim::matrix::DenseMatrix;
 use gpu_sim::spec::GpuSpec;
-use gpu_sim::tensor_core::{mma_m16n8k16_s8_ntiles, AccS8, MMA_K, MMA_M, MMA_N};
+use gpu_sim::tensor_core::{mma_m16n8k16_s8_ntiles_on, AccS8, MMA_K, MMA_M, MMA_N};
 
 use super::block::OutTile;
 use super::{Ablation, Datapath, FormatStats, LaunchCtx, SpmmConfig, SpmmKernel, SpmmRun};
@@ -176,16 +177,17 @@ impl Datapath for i8 {
         i32::from(self)
     }
 
-    /// The set-bit walk under either expansion: codes have no SIMD one.
+    /// The `pshufb` + `vpmovsxbd` rows on a `Simd`, the set-bit walk
+    /// elsewhere.
     #[inline(always)]
     fn expand_quadrant<E: RowExpansion>(
-        _expansion: E,
+        expansion: E,
         bitmap: u64,
         vals: &[i8],
         rows: &mut [[i32; MMA_K]; MMA_M],
         origin: (usize, usize),
     ) {
-        walk_quadrant::<i8>(bitmap, vals, rows, origin);
+        expansion.expand_s8(bitmap, vals, rows, origin);
     }
 
     /// Every `i8` bit pattern is a plausible code: nothing to scan (the
@@ -195,14 +197,14 @@ impl Datapath for i8 {
     }
 
     fn mma(
-        _simd: Option<Simd>,
+        simd: Option<Simd>,
         counters: &mut Counters,
         a: &[[i32; MMA_K]; MMA_M],
         b: &[i32],
         ld: usize,
         accs: &mut [AccS8],
     ) {
-        mma_m16n8k16_s8_ntiles(counters, a, b, ld, accs);
+        mma_m16n8k16_s8_ntiles_on(simd, counters, a, b, ld, accs);
     }
 
     fn accumulate(acc: &mut AccS8, tile: impl Fn(usize, usize) -> i32) {

@@ -1,7 +1,8 @@
 //! The host CPU's SIMD features, detected once per process.
 //!
-//! Every feature-compiled body in the workspace — the AVX2 `mma` MAC,
-//! the SpMM block copy with its F16C SMBD rows, the sparse generator
+//! Every feature-compiled body in the workspace — the AVX2 `mma` MACs
+//! (FP16 and INT8), the SpMM block copy with its `pshufb` SMBD rows
+//! (F16C-widened halves, sign-extended codes), the sparse generator
 //! walk, the f32 → f16 batch converter and the TCA-BME encode passes —
 //! enables the one feature set [`Simd::detect`] checks, and runs only
 //! where its caller holds a [`Simd`]. A body therefore cannot enable a

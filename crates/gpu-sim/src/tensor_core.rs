@@ -21,6 +21,8 @@
 //! offset `2l` (paper Algorithm 2). SMBD's unit tests pin its row
 //! decode to that per-lane form.
 
+use core::ops::{AddAssign, Mul};
+
 use crate::counters::Counters;
 use crate::cpu::Simd;
 
@@ -85,21 +87,10 @@ pub fn mma_m16n8k16_bslice_ntiles_on(
     ld: usize,
     accs: &mut [AccF32],
 ) {
-    assert!(
-        accs.len() <= MAX_NTILES,
-        "N-tile batch of {} exceeds MAX_NTILES = {MAX_NTILES}",
-        accs.len()
-    );
+    assert_batch(b.len(), ld, accs.len());
     if !accs.is_empty() {
-        let need = (MMA_K - 1) * ld + accs.len() * MMA_N;
-        assert!(
-            b.len() >= need,
-            "B slice of {} elements with ld {ld} cannot feed {} tiles",
-            b.len(),
-            accs.len()
-        );
         match simd {
-            // SAFETY: the caller holds a `Simd`, and the assert above
+            // SAFETY: the caller holds a `Simd`, and `assert_batch`
             // bounds every B read.
             #[cfg(target_arch = "x86_64")]
             Some(_) => unsafe { mac_tiles_avx2(a, b, ld, accs) },
@@ -110,22 +101,42 @@ pub fn mma_m16n8k16_bslice_ntiles_on(
     counters.insts_issued += accs.len() as u64;
 }
 
+/// The bounds both batched entry points check before their `unsafe`
+/// bodies: at most [`MAX_NTILES`] tiles, and a B slice of `b_len`
+/// elements with leading dimension `ld` covering every row of them.
+fn assert_batch(b_len: usize, ld: usize, ntiles: usize) {
+    assert!(
+        ntiles <= MAX_NTILES,
+        "N-tile batch of {ntiles} exceeds MAX_NTILES = {MAX_NTILES}"
+    );
+    if ntiles > 0 {
+        let need = (MMA_K - 1) * ld + ntiles * MMA_N;
+        assert!(
+            b_len >= need,
+            "B slice of {b_len} elements with ld {ld} cannot feed {ntiles} tiles"
+        );
+    }
+}
+
 /// Rows of A one register block of [`mma_m16n8k16_bslice_ntiles`]
 /// carries: four A rows × two 8-column B vectors keep eight running
 /// sums in `ymm` registers across all 16 `k` steps.
 const BLOCK_ROWS: usize = 4;
 
-/// Portable body of [`mma_m16n8k16_bslice_ntiles`]: per tile, a block of
+/// Portable body of both batched entry points: per tile, a block of
 /// [`BLOCK_ROWS`] A rows accumulates its 8-wide sums in locals across
-/// the `k` loop, the same blocking the AVX2 body uses with one B vector
+/// the `k` loop, the same blocking the AVX2 bodies use with one B vector
 /// per block. The only body on hosts without the [`Simd`] features.
-fn mac_tiles_flat(a: &[[f32; MMA_K]; MMA_M], b: &[f32], ld: usize, accs: &mut [AccF32]) {
+fn mac_tiles_flat<T>(a: &[[T; MMA_K]; MMA_M], b: &[T], ld: usize, accs: &mut [[[T; MMA_N]; MMA_M]])
+where
+    T: Copy + Default + AddAssign + Mul<Output = T>,
+{
     for (j, acc) in accs.iter_mut().enumerate() {
         for (a_blk, acc_blk) in a
             .chunks_exact(BLOCK_ROWS)
             .zip(acc.chunks_exact_mut(BLOCK_ROWS))
         {
-            let mut sums = [[0.0f32; MMA_N]; BLOCK_ROWS];
+            let mut sums = [[T::default(); MMA_N]; BLOCK_ROWS];
             for k in 0..MMA_K {
                 let brow = &b[k * ld + j * MMA_N..][..MMA_N];
                 for (s, a_row) in sums.iter_mut().zip(a_blk) {
@@ -231,11 +242,14 @@ pub type AccS8 = [[i32; MMA_N]; MMA_M];
 /// accs.len() * 8` elements).
 ///
 /// Integer accumulation is exact and associative, so unlike the FP16
-/// path there is no rounding-order contract to pin — but the sweep
-/// still visits `k` ascending for symmetry with the float panel.
+/// path there is no rounding-order contract: any summation order, and
+/// either body, gives the same bits (the portable body is pinned to the
+/// AVX2 body by this module's unit tests). Products of `i8`-range codes
+/// summed over 16 `k` steps stay far inside `i32`.
 /// Records one `mma.s8` instruction per tile (`mma_s8_insts`, priced at
 /// twice the FP16 per-instruction Tensor Core throughput by the timing
-/// model) plus the matching issue slots.
+/// model) plus the matching issue slots. Runs the AVX2 body where
+/// [`Simd::detect`] finds the features, else the portable one.
 pub fn mma_m16n8k16_s8_ntiles(
     counters: &mut Counters,
     a: &[[i32; MMA_K]; MMA_M],
@@ -243,27 +257,104 @@ pub fn mma_m16n8k16_s8_ntiles(
     ld: usize,
     accs: &mut [AccS8],
 ) {
-    assert!(
-        accs.len() <= MAX_NTILES,
-        "N-tile batch of {} exceeds MAX_NTILES = {MAX_NTILES}",
-        accs.len()
-    );
-    for (m, a_row) in a.iter().enumerate() {
-        for (k, &av) in a_row.iter().enumerate() {
-            if av == 0 {
-                continue;
-            }
-            let brow = &b[k * ld..];
-            for (j, acc) in accs.iter_mut().enumerate() {
-                let arow = &mut acc[m];
-                for (n, s) in arow.iter_mut().enumerate() {
-                    *s += av * brow[j * MMA_N + n];
-                }
-            }
+    mma_m16n8k16_s8_ntiles_on(Simd::detect(), counters, a, b, ld, accs);
+}
+
+/// [`mma_m16n8k16_s8_ntiles`] for a caller that already holds the
+/// launch's token: the AVX2 body with `Some`, the portable body with
+/// `None`. Both compute the same bits.
+pub fn mma_m16n8k16_s8_ntiles_on(
+    simd: Option<Simd>,
+    counters: &mut Counters,
+    a: &[[i32; MMA_K]; MMA_M],
+    b: &[i32],
+    ld: usize,
+    accs: &mut [AccS8],
+) {
+    assert_batch(b.len(), ld, accs.len());
+    if !accs.is_empty() {
+        match simd {
+            // SAFETY: the caller holds a `Simd`, and `assert_batch`
+            // bounds every B read.
+            #[cfg(target_arch = "x86_64")]
+            Some(_) => unsafe { mac_tiles_s8_avx2(a, b, ld, accs) },
+            _ => mac_tiles_flat(a, b, ld, accs),
         }
     }
     counters.mma_s8_insts += accs.len() as u64;
     counters.insts_issued += accs.len() as u64;
+}
+
+/// AVX2 body of [`mma_m16n8k16_s8_ntiles`]: the blocking of
+/// [`mac_tiles_avx2`] on `i32` lanes.
+///
+/// # Safety
+///
+/// The caller holds a `Simd`, and `b` must cover `(MMA_K - 1) * ld +
+/// accs.len() * MMA_N` elements.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,bmi1,bmi2,f16c,lzcnt,popcnt")]
+unsafe fn mac_tiles_s8_avx2(a: &[[i32; MMA_K]; MMA_M], b: &[i32], ld: usize, accs: &mut [AccS8]) {
+    for (p, pair) in accs.chunks_mut(2).enumerate() {
+        // SAFETY: the pair's first tile starts at column `2 p * MMA_N`,
+        // inside the caller's bound.
+        let bj = unsafe { b.as_ptr().add(2 * p * MMA_N) };
+        for m0 in (0..MMA_M).step_by(BLOCK_ROWS) {
+            // SAFETY: the caller holds a `Simd`; `bj` covers
+            // `pair.len()` tiles for every `k` row.
+            unsafe {
+                match pair {
+                    [t0, t1] => mac_block_s8_avx2([t0, t1], a, m0, bj, ld),
+                    [t0] => mac_block_s8_avx2([t0], a, m0, bj, ld),
+                    _ => unreachable!("chunks_mut(2) yields one or two tiles"),
+                }
+            }
+        }
+    }
+}
+
+/// One `i32` register block: A rows `m0 .. m0 + BLOCK_ROWS` against `W`
+/// adjacent tiles, `vpmulld` then `vpaddd` for every `k`, with no
+/// zero-skip; the sums are added once into the accumulator rows.
+///
+/// # Safety
+///
+/// The caller holds a `Simd`, and `b` must cover `(MMA_K - 1) * ld +
+/// W * MMA_N` elements.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,bmi1,bmi2,f16c,lzcnt,popcnt")]
+#[inline]
+unsafe fn mac_block_s8_avx2<const W: usize>(
+    tiles: [&mut AccS8; W],
+    a: &[[i32; MMA_K]; MMA_M],
+    m0: usize,
+    b: *const i32,
+    ld: usize,
+) {
+    use core::arch::x86_64::{
+        _mm256_add_epi32, _mm256_loadu_si256, _mm256_mullo_epi32, _mm256_set1_epi32,
+        _mm256_setzero_si256, _mm256_storeu_si256,
+    };
+    let mut sums = [[_mm256_setzero_si256(); W]; BLOCK_ROWS];
+    for k in 0..MMA_K {
+        // SAFETY: row `k` spans `W * MMA_N` codes inside the bound.
+        let vb: [_; W] = core::array::from_fn(|w| unsafe {
+            _mm256_loadu_si256(b.add(k * ld + w * MMA_N).cast())
+        });
+        for (r, row) in sums.iter_mut().enumerate() {
+            let va = _mm256_set1_epi32(a[m0 + r][k]);
+            for (s, &v) in row.iter_mut().zip(&vb) {
+                *s = _mm256_add_epi32(*s, _mm256_mullo_epi32(va, v));
+            }
+        }
+    }
+    for (w, tile) in tiles.into_iter().enumerate() {
+        for (r, row) in sums.iter().enumerate() {
+            let dst = tile[m0 + r].as_mut_ptr().cast();
+            // SAFETY: `dst` is one 8-code accumulator row.
+            unsafe { _mm256_storeu_si256(dst, _mm256_add_epi32(_mm256_loadu_si256(dst), row[w])) };
+        }
+    }
 }
 
 #[cfg(test)]
@@ -459,8 +550,8 @@ mod tests {
 
     #[test]
     fn s8_ntiles_matches_scalar_oracle() {
-        // The zero-skipping batched integer path must agree bit-exactly
-        // with the textbook triple loop on every tile of the batch.
+        // The batched integer path must agree bit-exactly with the
+        // textbook triple loop on every tile of the batch.
         let a = code_tile(7);
         let ld = 3 * MMA_N;
         let mut b = vec![0i32; MMA_K * ld];
@@ -516,6 +607,67 @@ mod tests {
             }
         }
         assert_eq!(counters.mma_s8_insts, 3);
+    }
+
+    /// `xorshift64*` draw of an `i8`-range code: ±127 and zero each with
+    /// probability `1/8`, −128 (a flipped sign bit of `0`) with `1/16`,
+    /// else any code.
+    fn draw_code(state: &mut u64) -> i32 {
+        *state ^= *state >> 12;
+        *state ^= *state << 25;
+        *state ^= *state >> 27;
+        let r = state.wrapping_mul(0x2545_f491_4f6c_dd1d);
+        match r % 16 {
+            0 | 1 => 127,
+            2 | 3 => -127,
+            4 | 5 => 0,
+            6 => -128,
+            _ => i32::from((r >> 32) as i8),
+        }
+    }
+
+    /// The portable `s8` body is the only one hosts without the [`Simd`]
+    /// features run, so on a host with them it is pinned to the AVX2
+    /// body bit for bit, for every batch width, a leading dimension wider
+    /// than the batch, extreme codes and nonzero starting accumulators.
+    #[test]
+    fn s8_flat_body_matches_avx2_body_bit_for_bit() {
+        let Some(simd) = Simd::detect() else {
+            eprintln!("skipped: the host lacks the SIMD features");
+            return;
+        };
+        let mut state = 0x5eed_0008_c0de_u64;
+        for ntiles in 1..=MAX_NTILES {
+            let ld = ntiles * MMA_N + 3;
+            let a: [[i32; MMA_K]; MMA_M] =
+                core::array::from_fn(|_| core::array::from_fn(|_| draw_code(&mut state)));
+            let b: Vec<i32> = (0..(MMA_K - 1) * ld + ntiles * MMA_N)
+                .map(|_| draw_code(&mut state))
+                .collect();
+            let init: Vec<AccS8> = (0..ntiles)
+                .map(|_| {
+                    core::array::from_fn(|_| core::array::from_fn(|_| draw_code(&mut state) * 4099))
+                })
+                .collect();
+            let (mut cf, mut cv) = (Counters::new(), Counters::new());
+            let mut flat = init.clone();
+            mma_m16n8k16_s8_ntiles_on(None, &mut cf, &a, &b, ld, &mut flat);
+            let mut avx2 = init.clone();
+            mma_m16n8k16_s8_ntiles_on(Some(simd), &mut cv, &a, &b, ld, &mut avx2);
+            assert_eq!(flat, avx2, "ntiles {ntiles}");
+            assert_ne!(flat, init, "ntiles {ntiles}: the batch must accumulate");
+            assert_eq!(cf, cv, "ntiles {ntiles}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot feed 3 tiles")]
+    fn s8_rejects_a_short_b_slice() {
+        let a = [[1i32; MMA_K]; MMA_M];
+        let ld = 3 * MMA_N;
+        let b = vec![1i32; (MMA_K - 1) * ld + 3 * MMA_N - 1];
+        let mut accs = [[[0i32; MMA_N]; MMA_M]; 3];
+        mma_m16n8k16_s8_ntiles(&mut Counters::new(), &a, &b, ld, &mut accs);
     }
 
     #[test]
