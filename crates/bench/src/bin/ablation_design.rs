@@ -1,10 +1,9 @@
 //! Design-choice ablations beyond the paper's Table 1: GroupTile
-//! geometry, split-K factor, and N-tile width — the tunables DESIGN.md
-//! calls out. Quantifies how much the shipped defaults matter.
+//! geometry and split-K factor — the tunables DESIGN.md calls out.
+//! Quantifies how much the shipped defaults matter.
 
 use gpu_sim::GpuSpec;
 use spinfer_bench::{render_table, save_csv, HERO_K, HERO_M};
-use spinfer_core::tune::synthetic_with_config;
 use spinfer_core::{Ablation, FormatStats, SpinferSpmm, SpmmConfig, TcaBmeConfig};
 
 fn main() {
@@ -22,7 +21,7 @@ fn main() {
     let base_time = run_gt(&spec, 64, 64, n, s);
     for (r, c) in [(32, 64), (64, 64), (64, 128), (128, 64), (128, 128)] {
         let t = run_gt(&spec, r, c, n, s);
-        let stats = synthetic_with_config(
+        let stats = FormatStats::synthetic_with_config(
             HERO_M,
             HERO_K,
             s,
@@ -50,7 +49,6 @@ fn main() {
         let kernel = SpinferSpmm {
             config: SpmmConfig {
                 split_k: sk,
-                max_tile_n: 32,
                 ablation: Ablation::default(),
             },
         };
@@ -72,7 +70,6 @@ fn main() {
         let kernel = SpinferSpmm {
             config: SpmmConfig {
                 split_k: sk,
-                max_tile_n: 32,
                 ablation: Ablation::default(),
             },
         };
@@ -87,6 +84,7 @@ fn main() {
 }
 
 fn run_gt(spec: &GpuSpec, gt_rows: usize, gt_cols: usize, n: usize, s: f64) -> f64 {
-    let stats = synthetic_with_config(HERO_M, HERO_K, s, TcaBmeConfig { gt_rows, gt_cols });
+    let stats =
+        FormatStats::synthetic_with_config(HERO_M, HERO_K, s, TcaBmeConfig { gt_rows, gt_cols });
     SpinferSpmm::new().estimate(spec, &stats, n).time_us()
 }

@@ -16,10 +16,12 @@
 //! The simulator decodes each TCTile straight into row-major operand
 //! rows (the "decode into the operand tile" shape). On hosts where
 //! [`Simd::detect`] finds its features, a quadrant row expands in one
-//! step: a `pshufb` moves the row's packed values to their set-bit
-//! columns, and `vcvtph2ps` (FP16 halves) or `vpmovsxbd` (INT8 codes)
-//! widens all eight into the operand row. Elsewhere one sweep over the
-//! set bits per BitmapTile writes each value. Both record the per-lane
+//! step, inside [`Simd::vectorize`]: one body for both payloads loads
+//! the row's packed values, and the payload's
+//! `Datapath::expand_row` hook `pshufb`s them to their set-bit columns
+//! and widens all eight into the operand row, with `vcvtph2ps` (FP16
+//! halves) or `vpmovsxbd` (INT8 codes). Elsewhere one sweep over the set
+//! bits per BitmapTile writes each value. Both record the per-lane
 //! algorithm's exact counter and fault-site stream: the unit tests pin
 //! each expansion to the sweep, and the dispatched one to Algorithm 2
 //! as written, lane by lane, and to the `Ra0..Ra3` register layout.
@@ -86,24 +88,15 @@ fn nth_set_bit(mut mask: u64, n: usize) -> usize {
 /// [`Simd`] token where the host has the SIMD features. The block picks
 /// one per launch and passes it down by value; both write the same bits.
 pub(crate) trait RowExpansion: Copy {
-    /// Writes one FP16 quadrant, origin `origin`, of `rows` from its
-    /// bitmap and packed values (`vals` starts at the quadrant's first
-    /// value and holds at least its population): every element, absent
-    /// ones as `+0.0`.
-    fn expand_f16(
+    /// Writes one quadrant, origin `origin`, of `rows` from its bitmap
+    /// and packed values (`vals` starts at the quadrant's first value and
+    /// holds at least its population): every element, absent ones as the
+    /// operand's zero.
+    fn expand<P: Datapath>(
         self,
         bitmap: u64,
-        vals: &[Half],
-        rows: &mut [[f32; 16]; 16],
-        origin: (usize, usize),
-    );
-    /// [`Self::expand_f16`] for an INT8 quadrant: codes widened to
-    /// `i32`, absent ones as `0`.
-    fn expand_s8(
-        self,
-        bitmap: u64,
-        vals: &[i8],
-        rows: &mut [[i32; 16]; 16],
+        vals: &[P],
+        rows: &mut TcRows<P>,
         origin: (usize, usize),
     );
     /// The token the block's `mma` runs its MAC body with.
@@ -116,25 +109,14 @@ pub(crate) struct SetBitWalk;
 
 impl RowExpansion for SetBitWalk {
     #[inline(always)]
-    fn expand_f16(
+    fn expand<P: Datapath>(
         self,
         bitmap: u64,
-        vals: &[Half],
-        rows: &mut [[f32; 16]; 16],
+        vals: &[P],
+        rows: &mut TcRows<P>,
         origin: (usize, usize),
     ) {
-        walk_quadrant::<Half>(bitmap, vals, rows, origin);
-    }
-
-    #[inline(always)]
-    fn expand_s8(
-        self,
-        bitmap: u64,
-        vals: &[i8],
-        rows: &mut [[i32; 16]; 16],
-        origin: (usize, usize),
-    ) {
-        walk_quadrant::<i8>(bitmap, vals, rows, origin);
+        walk_quadrant(bitmap, vals, rows, origin);
     }
 
     fn simd(self) -> Option<Simd> {
@@ -142,43 +124,27 @@ impl RowExpansion for SetBitWalk {
     }
 }
 
-/// The `pshufb` row expansions, [`expand_quadrant_f16c`] and
-/// [`expand_quadrant_s8`], and the AVX2 MACs.
+/// The `pshufb` row expansion, `expand_quadrant_simd`, and the AVX2
+/// MAC. Its callers run it inside [`Simd::vectorize`].
 impl RowExpansion for Simd {
     #[inline(always)]
-    fn expand_f16(
+    fn expand<P: Datapath>(
         self,
         bitmap: u64,
-        vals: &[Half],
-        rows: &mut [[f32; 16]; 16],
+        vals: &[P],
+        rows: &mut TcRows<P>,
         origin: (usize, usize),
     ) {
-        // SAFETY: `self` is a `Simd`.
+        // SAFETY: `self` proves the features the intrinsics need; the
+        // block and the standalone decode call this inside `vectorize`,
+        // where they inline.
         #[cfg(target_arch = "x86_64")]
         unsafe {
-            expand_quadrant_f16c(bitmap, vals, rows, origin);
+            expand_quadrant_simd(bitmap, vals, rows, origin);
         }
         // Unreachable: no `Simd` exists off x86_64.
         #[cfg(not(target_arch = "x86_64"))]
-        walk_quadrant::<Half>(bitmap, vals, rows, origin);
-    }
-
-    #[inline(always)]
-    fn expand_s8(
-        self,
-        bitmap: u64,
-        vals: &[i8],
-        rows: &mut [[i32; 16]; 16],
-        origin: (usize, usize),
-    ) {
-        // SAFETY: `self` is a `Simd`.
-        #[cfg(target_arch = "x86_64")]
-        unsafe {
-            expand_quadrant_s8(bitmap, vals, rows, origin);
-        }
-        // Unreachable: no `Simd` exists off x86_64.
-        #[cfg(not(target_arch = "x86_64"))]
-        walk_quadrant::<i8>(bitmap, vals, rows, origin);
+        walk_quadrant(bitmap, vals, rows, origin);
     }
 
     fn simd(self) -> Option<Simd> {
@@ -191,7 +157,8 @@ impl RowExpansion for Simd {
 /// set bit at column `c` takes packed value `r` (bytes `B r .. B r + B`)
 /// into bytes `B c .. B c + B`; clear columns read `0x80`, which zeroes
 /// their bytes, so they widen to the operand's zero.
-const fn row_shuffle<const B: usize, const N: usize>() -> [[u8; N]; 256] {
+#[cfg(target_arch = "x86_64")]
+pub(crate) const fn row_shuffle<const B: usize, const N: usize>() -> [[u8; N]; 256] {
     let mut table = [[0x80u8; N]; 256];
     let mut byte = 0;
     while byte < 256 {
@@ -213,96 +180,43 @@ const fn row_shuffle<const B: usize, const N: usize>() -> [[u8; N]; 256] {
     table
 }
 
-/// [`row_shuffle`] for FP16 halves.
-static ROW_SHUFFLE: [[u8; 16]; 256] = row_shuffle::<2, 16>();
-/// [`row_shuffle`] for INT8 codes.
-static CODE_SHUFFLE: [[u8; 8]; 256] = row_shuffle::<1, 8>();
-
-/// Expands one FP16 quadrant into its eight `f32` operand rows, one
-/// quadrant row per step: load 16 bytes of packed halves at the running
-/// offset, [`ROW_SHUFFLE`] them to their set-bit columns, `vcvtph2ps`
-/// the eight halves and store them over the row's eight columns. The
-/// clear columns are written `+0.0`, so nothing needs clearing first.
-/// `vals` starts at the quadrant's first value and must hold its
-/// population; the 16-byte load never reads past `vals`, whose last
-/// rows may be shorter than eight halves: those load from a zeroed copy.
-///
-/// It enables no features of its own: stable Rust does not allow
-/// `#[inline(always)]` on a `#[target_feature]` function, and with
-/// plain `#[inline]` `run_block_simd` kept one of its three decode
-/// sites calling it out of line. Always inlined, it runs with the
-/// features of the copy it lands in (`run_block_simd`,
-/// `decode_tctile_simd`).
+/// Expands one quadrant into its eight operand rows, one quadrant row
+/// per step: the eight packed values at the running offset go through
+/// [`Datapath::expand_row`], which moves them to the row's set-bit
+/// columns and widens all eight over the row's eight columns. The clear
+/// columns are written as the operand's zero, so nothing needs clearing
+/// first. `vals` starts at the quadrant's first value and must hold its
+/// population; the row load never reads past `vals`, whose last rows
+/// may hold fewer than eight values: those load from a zeroed copy.
 ///
 /// # Safety
 ///
-/// The caller holds a `Simd`.
+/// Runs inside [`Simd::vectorize`].
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn expand_quadrant_f16c(
+unsafe fn expand_quadrant_simd<P: Datapath>(
     bitmap: u64,
-    vals: &[Half],
-    rows: &mut [[f32; 16]; 16],
+    vals: &[P],
+    rows: &mut TcRows<P>,
     (dr, dc): (usize, usize),
 ) {
-    use std::arch::x86_64::{_mm256_cvtph_ps, _mm256_storeu_ps, _mm_loadu_si128, _mm_shuffle_epi8};
     let mut off = 0;
     for (r, row) in rows[dr..dr + 8].iter_mut().enumerate() {
         let byte = (bitmap >> (8 * r)) as u8;
-        let packed = match vals.get(off..off + 8) {
-            Some(win) => _mm_loadu_si128(win.as_ptr().cast()),
+        let mut tail: [P; 8];
+        let packed = match vals[off..].first_chunk() {
+            Some(win) => win,
             None => {
-                let mut tail = [Half::ZERO; 8];
                 let left = &vals[off..];
+                tail = [P::ZERO; 8];
                 tail[..left.len()].copy_from_slice(left);
-                _mm_loadu_si128(tail.as_ptr().cast())
+                &tail
             }
         };
-        let ctl = _mm_loadu_si128(ROW_SHUFFLE[usize::from(byte)].as_ptr().cast());
-        let wide = _mm256_cvtph_ps(_mm_shuffle_epi8(packed, ctl));
-        _mm256_storeu_ps(row[dc..dc + 8].as_mut_ptr(), wide);
-        off += byte.count_ones() as usize;
-    }
-}
-
-/// The INT8 twin of [`expand_quadrant_f16c`]: per quadrant row, load 8
-/// bytes of packed codes at the running offset, [`CODE_SHUFFLE`] them to
-/// their set-bit columns, `vpmovsxbd` the eight codes to `i32` and store
-/// them over the row's eight columns (clear columns as `0`). The last
-/// rows, with fewer than eight codes left in `vals`, load from a zeroed
-/// copy. Like the FP16 expansion it is always inlined and enables no
-/// features of its own, taking those of `run_block_simd` or
-/// `decode_tctile_simd`.
-///
-/// # Safety
-///
-/// The caller holds a `Simd`.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn expand_quadrant_s8(
-    bitmap: u64,
-    vals: &[i8],
-    rows: &mut [[i32; 16]; 16],
-    (dr, dc): (usize, usize),
-) {
-    use std::arch::x86_64::{
-        _mm256_cvtepi8_epi32, _mm256_storeu_si256, _mm_loadl_epi64, _mm_shuffle_epi8,
-    };
-    let mut off = 0;
-    for (r, row) in rows[dr..dr + 8].iter_mut().enumerate() {
-        let byte = (bitmap >> (8 * r)) as u8;
-        let packed = match vals.get(off..off + 8) {
-            Some(win) => _mm_loadl_epi64(win.as_ptr().cast()),
-            None => {
-                let mut tail = [0i8; 8];
-                let left = &vals[off..];
-                tail[..left.len()].copy_from_slice(left);
-                _mm_loadl_epi64(tail.as_ptr().cast())
-            }
-        };
-        let ctl = _mm_loadl_epi64(CODE_SHUFFLE[usize::from(byte)].as_ptr().cast());
-        let wide = _mm256_cvtepi8_epi32(_mm_shuffle_epi8(packed, ctl));
-        _mm256_storeu_si256(row[dc..dc + 8].as_mut_ptr().cast(), wide);
+        let dst = row[dc..]
+            .first_chunk_mut()
+            .expect("quadrant inside the tile");
+        P::expand_row(packed, byte, dst);
         off += byte.count_ones() as usize;
     }
 }
@@ -339,7 +253,7 @@ pub(crate) fn walk_quadrant<P: Datapath>(
 /// The single SMBD decode body: expands one BitmapTile into the
 /// quadrant of `rows` at `origin` and records its hardware events. Every
 /// decode — golden, checked and injected, FP16 and INT8 — runs through
-/// here. The values land through [`Datapath::expand_quadrant`], as
+/// here. The values land through [`RowExpansion::expand`], as
 /// `expansion`'s rows, which write the whole quadrant.
 ///
 /// Generic over the value payload: the bitmap walk, rank arithmetic and
@@ -387,7 +301,7 @@ fn expand_bitmap_tile<P: Datapath, E: RowExpansion>(
     // Bitmap broadcast load: every lane reads the same 8-byte word.
     warp_smem_broadcast_load(counters, 8);
 
-    P::expand_quadrant(expansion, bitmap, &values[base..], rows, (dr, dc));
+    expansion.expand(bitmap, &values[base..], rows, (dr, dc));
 
     // Word span of a phase's `P::BYTES`-wide gather: first word of the
     // lowest address to last word of the highest — the same bounds
@@ -428,8 +342,9 @@ fn expand_bitmap_tile<P: Datapath, E: RowExpansion>(
 /// [`mma_m16n8k16_bslice_ntiles`](gpu_sim::tensor_core::mma_m16n8k16_bslice_ntiles)
 /// consumes, returning the rows and the number of values consumed. The
 /// golden (fault-free, panicking) decode the SpMM block runs, as a
-/// standalone call for benchmarks: it picks the expansion and the
-/// compiled copy the block picks ([`Simd::detect`]).
+/// standalone call for benchmarks: it picks the expansion the block
+/// picks ([`Simd::detect`]) and, with a token, runs inside
+/// [`Simd::vectorize`] as the block does.
 pub fn decode_tctile_f32(
     counters: &mut Counters,
     bitmaps: &[u64; 4],
@@ -454,7 +369,8 @@ pub fn decode_tctile_s8(
     decode_tctile_detected(counters, bitmaps, values, base, values_smem_base)
 }
 
-/// [`decode_tctile_rows`] through the expansion [`Simd::detect`] picks.
+/// [`decode_tctile_rows`] through the expansion [`Simd::detect`] picks,
+/// inside [`Simd::vectorize`] with a token.
 fn decode_tctile_detected<P: Datapath>(
     counters: &mut Counters,
     bitmaps: &[u64; 4],
@@ -463,19 +379,13 @@ fn decode_tctile_detected<P: Datapath>(
     values_smem_base: u64,
 ) -> (TcRows<P>, usize) {
     let mut rows = [[P::Operand::default(); 16]; 16];
+    // A `move` closure would copy the rows array: hand it a reference.
+    let out = &mut rows;
     let used = match Simd::detect() {
-        // SAFETY: `Simd::detect` made `simd`.
-        Some(simd) => unsafe {
-            decode_tctile_simd(
-                simd,
-                counters,
-                bitmaps,
-                values,
-                base,
-                values_smem_base,
-                &mut rows,
-            )
-        },
+        Some(s) => s.vectorize(
+            #[inline(always)]
+            move || decode_tctile_rows(s, counters, bitmaps, values, base, values_smem_base, out),
+        ),
         None => decode_tctile_rows(
             SetBitWalk,
             counters,
@@ -483,40 +393,10 @@ fn decode_tctile_detected<P: Datapath>(
             values,
             base,
             values_smem_base,
-            &mut rows,
+            out,
         ),
     };
     (rows, used)
-}
-
-/// [`decode_tctile_rows`] with the `pshufb` expansions, compiled with the
-/// SpMM block's SIMD features so the expansions inline as they do there.
-///
-/// # Safety
-///
-/// The caller holds a `Simd`.
-#[cfg_attr(
-    target_arch = "x86_64",
-    target_feature(enable = "avx2,bmi1,bmi2,f16c,lzcnt,popcnt")
-)]
-unsafe fn decode_tctile_simd<P: Datapath>(
-    simd: Simd,
-    counters: &mut Counters,
-    bitmaps: &[u64; 4],
-    values: &[P],
-    base: usize,
-    values_smem_base: u64,
-    rows: &mut TcRows<P>,
-) -> usize {
-    decode_tctile_rows(
-        simd,
-        counters,
-        bitmaps,
-        values,
-        base,
-        values_smem_base,
-        rows,
-    )
 }
 
 /// Golden (fault-free, panicking) [`decode_tctile_rows_f`].

@@ -21,6 +21,8 @@ use std::ops::{AddAssign, Mul};
 
 use crate::error::{IntegrityError, KernelError};
 use crate::payload::Payload;
+#[cfg(target_arch = "x86_64")]
+use crate::smbd::row_shuffle;
 use crate::smbd::{
     decode_tctile_rows, decode_tctile_rows_f, DecodeFault, RowExpansion, SetBitWalk,
 };
@@ -83,18 +85,17 @@ pub(crate) trait Datapath: Payload {
     fn fill_x_row(src: &[Half], dst: &mut [Self::Operand], x_scale: f32);
     /// Widens one stored element to an `mma` operand.
     fn widen(self) -> Self::Operand;
-    /// Writes one decoded quadrant, origin `origin`, of `rows` from its
-    /// bitmap and its packed values (`vals` starts at the quadrant's
-    /// first value and holds at least its population): every element,
-    /// absent ones as the operand's zero, through `expansion`'s rows;
-    /// `expansion` changes no bit.
-    fn expand_quadrant<E: RowExpansion>(
-        expansion: E,
-        bitmap: u64,
-        vals: &[Self],
-        rows: &mut TcRows<Self>,
-        origin: (usize, usize),
-    );
+    /// One quadrant row of the SIMD SMBD expansion: `packed` holds the
+    /// row's eight packed values from its running offset on; through
+    /// this payload's `pshufb` table, the `r`-th set bit of `byte` at
+    /// column `c` takes `packed[r]`, and all eight columns are widened
+    /// into `dst`, the clear ones as the operand's zero.
+    ///
+    /// # Safety
+    ///
+    /// Runs inside [`Simd::vectorize`].
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn expand_row(packed: &[Self; 8], byte: u8, dst: &mut [Self::Operand; 8]);
     /// Post-decode scan of a checked TCTile decode (D3).
     fn scan(rows: &TcRows<Self>) -> Result<(), DecodeFault>;
     /// Batched `mma.m16n8k16` of one decoded TCTile against adjacent
@@ -171,15 +172,19 @@ impl Datapath for Half {
         self.to_f32()
     }
 
+    /// A 16-byte load of eight halves, `pshufb` through a
+    /// [`row_shuffle`](crate::smbd::row_shuffle) table of 2-byte lanes,
+    /// `vcvtph2ps`.
+    #[cfg(target_arch = "x86_64")]
     #[inline(always)]
-    fn expand_quadrant<E: RowExpansion>(
-        expansion: E,
-        bitmap: u64,
-        vals: &[Half],
-        rows: &mut [[f32; MMA_K]; MMA_M],
-        origin: (usize, usize),
-    ) {
-        expansion.expand_f16(bitmap, vals, rows, origin);
+    unsafe fn expand_row(packed: &[Half; 8], byte: u8, dst: &mut [f32; 8]) {
+        use std::arch::x86_64::{
+            _mm256_cvtph_ps, _mm256_storeu_ps, _mm_loadu_si128, _mm_shuffle_epi8,
+        };
+        static ROW_SHUFFLE: [[u8; 16]; 256] = row_shuffle::<2, 16>();
+        let ctl = _mm_loadu_si128(ROW_SHUFFLE[usize::from(byte)].as_ptr().cast());
+        let row = _mm_shuffle_epi8(_mm_loadu_si128(packed.as_ptr().cast()), ctl);
+        _mm256_storeu_ps(dst.as_mut_ptr(), _mm256_cvtph_ps(row));
     }
 
     fn scan(rows: &[[f32; MMA_K]; MMA_M]) -> Result<(), DecodeFault> {
@@ -314,9 +319,9 @@ impl SpmmConfig {
     ///
     /// `xb` is the launch's X operand buffer ([`x_operands`]).
     ///
-    /// The body is compiled twice: portable, and with the [`Simd`]
-    /// features enabled. The second runs when the launch holds a `simd`
-    /// token; the SMBD decode and the per-GroupTile prefix scan then use
+    /// The body is compiled twice: portable, and inside
+    /// [`Simd::vectorize`] when the launch holds a `simd` token; the SMBD
+    /// decode and the per-GroupTile prefix scan then use
     /// hardware popcounts and set-bit sweeps, quadrant rows expand
     /// through `pshufb` (F16C for FP16, `vpmovsxbd` for INT8), and the
     /// `mma` runs its AVX2 body. Both compute the same bits, pinned equal
@@ -340,13 +345,15 @@ impl SpmmConfig {
         tracer: Option<&mut BlockTracer>,
     ) -> Result<(), KernelError> {
         match simd {
-            // SAFETY: the caller holds a `Simd`.
-            Some(simd) => unsafe {
-                self.run_block_simd(
-                    simd, w, xb, x_scale, counters, x_counters, workspace, scratch, geo, at, bases,
-                    checked, fault, tracer,
-                )
-            },
+            Some(s) => s.vectorize(
+                #[inline(always)]
+                move || {
+                    self.run_block_body(
+                        s, w, xb, x_scale, counters, x_counters, workspace, scratch, geo, at,
+                        bases, checked, fault, tracer,
+                    )
+                },
+            ),
             None => self.run_block_body(
                 SetBitWalk, w, xb, x_scale, counters, x_counters, workspace, scratch, geo, at,
                 bases, checked, fault, tracer,
@@ -354,44 +361,9 @@ impl SpmmConfig {
         }
     }
 
-    /// [`Self::run_block_body`] on the `simd` token, compiled with its
-    /// features enabled: the body and every `#[inline(always)]` helper it
-    /// calls inline here with those instructions available.
-    ///
-    /// # Safety
-    ///
-    /// The caller holds a `Simd`.
-    #[cfg_attr(
-        target_arch = "x86_64",
-        target_feature(enable = "avx2,bmi1,bmi2,f16c,lzcnt,popcnt")
-    )]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn run_block_simd<P: Datapath>(
-        &self,
-        simd: Simd,
-        w: &P::Container,
-        xb: &[P::Operand],
-        x_scale: f32,
-        counters: &mut Counters,
-        x_counters: &mut Counters,
-        workspace: &mut [f32],
-        scratch: &mut BlockScratch<P>,
-        geo: &Geometry,
-        at: &BlockGrid,
-        bases: &BlockBases,
-        checked: Option<&CheckedState<'_>>,
-        fault: Option<&FaultInjector>,
-        tracer: Option<&mut BlockTracer>,
-    ) -> Result<(), KernelError> {
-        self.run_block_body(
-            simd, w, xb, x_scale, counters, x_counters, workspace, scratch, geo, at, bases,
-            checked, fault, tracer,
-        )
-    }
-
-    /// The body of [`Self::run_block`], inlined into both of its copies;
-    /// `expansion` is the decode's row expansion and carries the `mma`'s
-    /// token.
+    /// The body of [`Self::run_block`], inlined into both of its copies
+    /// with every `#[inline(always)]` helper it calls; `expansion` is the
+    /// decode's row expansion and carries the `mma`'s token.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn run_block_body<P: Datapath, E: RowExpansion>(

@@ -32,7 +32,9 @@
 //! detector-coverage gap documented in DESIGN.md §14).
 
 use crate::error::{IntegrityError, SpinferError};
-use crate::smbd::{DecodeFault, RowExpansion};
+#[cfg(target_arch = "x86_64")]
+use crate::smbd::row_shuffle;
+use crate::smbd::DecodeFault;
 use crate::tca_bme::{TcaBme, TcaBmeInt8, TcaBmeOf};
 use gpu_sim::counters::Counters;
 use gpu_sim::cpu::Simd;
@@ -48,8 +50,8 @@ use super::{Ablation, Datapath, FormatStats, LaunchCtx, SpmmConfig, SpmmKernel, 
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SpinferSpmmInt8 {
     /// Kernel configuration, shared in shape and meaning with the FP16
-    /// kernel: split-K, tile width, and the ablation switches all apply
-    /// (both precisions run the same launch body).
+    /// kernel: split-K and the ablation switches both apply (both
+    /// precisions run the same launch body).
     pub config: SpmmConfig,
 }
 
@@ -177,17 +179,19 @@ impl Datapath for i8 {
         i32::from(self)
     }
 
-    /// The `pshufb` + `vpmovsxbd` rows on a `Simd`, the set-bit walk
-    /// elsewhere.
+    /// An 8-byte load of eight codes, `pshufb` through a
+    /// [`row_shuffle`](crate::smbd::row_shuffle) table of 1-byte lanes,
+    /// `vpmovsxbd`.
+    #[cfg(target_arch = "x86_64")]
     #[inline(always)]
-    fn expand_quadrant<E: RowExpansion>(
-        expansion: E,
-        bitmap: u64,
-        vals: &[i8],
-        rows: &mut [[i32; MMA_K]; MMA_M],
-        origin: (usize, usize),
-    ) {
-        expansion.expand_s8(bitmap, vals, rows, origin);
+    unsafe fn expand_row(packed: &[i8; 8], byte: u8, dst: &mut [i32; 8]) {
+        use std::arch::x86_64::{
+            _mm256_cvtepi8_epi32, _mm256_storeu_si256, _mm_loadl_epi64, _mm_shuffle_epi8,
+        };
+        static CODE_SHUFFLE: [[u8; 8]; 256] = row_shuffle::<1, 8>();
+        let ctl = _mm_loadl_epi64(CODE_SHUFFLE[usize::from(byte)].as_ptr().cast());
+        let row = _mm_shuffle_epi8(_mm_loadl_epi64(packed.as_ptr().cast()), ctl);
+        _mm256_storeu_si256(dst.as_mut_ptr().cast(), _mm256_cvtepi8_epi32(row));
     }
 
     /// Every `i8` bit pattern is a plausible code: nothing to scan (the

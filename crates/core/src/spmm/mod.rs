@@ -58,7 +58,7 @@ pub use traced::emit_chain_trace;
 
 use crate::payload::Payload;
 use crate::smbd::bt_decode_cost;
-use crate::tca_bme::{TcaBmeOf, TT_DIM};
+use crate::tca_bme::{TcaBmeConfig, TcaBmeOf, TT_DIM};
 use gpu_sim::counters::Counters;
 use gpu_sim::fp16::Half;
 use gpu_sim::kernel::{auto_split_k, pad8, sector_span, LaunchChain, LaunchResult};
@@ -97,24 +97,12 @@ pub(crate) const REG_DECODE_EXTRA_INT: u64 = 20;
 pub(crate) const REG_DECODE_SHFL: u64 = 10;
 
 /// Kernel configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpmmConfig {
     /// Split-K factor; `0` selects automatically from the launch shape.
     pub split_k: usize,
-    /// Maximum N tile per block (multiple of 8).
-    pub max_tile_n: usize,
     /// Ablation switches.
     pub ablation: Ablation,
-}
-
-impl Default for SpmmConfig {
-    fn default() -> Self {
-        SpmmConfig {
-            split_k: 0,
-            max_tile_n: 32,
-            ablation: Ablation::default(),
-        }
-    }
 }
 
 /// Result of a simulated SpMM: output (functional path only) plus the
@@ -146,7 +134,7 @@ pub struct FormatStats {
     /// Padded columns.
     pub k_pad: usize,
     /// GroupTile config.
-    pub config: crate::tca_bme::TcaBmeConfig,
+    pub config: TcaBmeConfig,
     /// Non-zero count.
     pub nnz: usize,
     /// Length of the values array including padding.
@@ -179,17 +167,22 @@ impl FormatStats {
     /// Expected statistics for an `m×k` matrix with i.i.d. element
     /// sparsity `s` — lets paper-scale sweeps skip materialising weights.
     pub fn synthetic(m: usize, k: usize, sparsity: f64) -> Self {
-        let config = crate::tca_bme::TcaBmeConfig::default();
+        Self::synthetic_with_config(m, k, sparsity, TcaBmeConfig::default())
+    }
+
+    /// [`Self::synthetic`] for the GroupTile geometry `config`.
+    pub fn synthetic_with_config(m: usize, k: usize, sparsity: f64, config: TcaBmeConfig) -> Self {
         let m_pad = m.div_ceil(config.gt_rows) * config.gt_rows;
         let k_pad = k.div_ceil(config.gt_cols) * config.gt_cols;
         let nnz = ((m * k) as f64 * (1.0 - sparsity)).round() as usize;
         let ngt = (m_pad / config.gt_rows) * (k_pad / config.gt_cols);
-        let vals_per_gt = nnz as f64 / ngt as f64;
+        let vals_per_gt = nnz as f64 / ngt.max(1) as f64;
         // Per-GroupTile padding to 4 elements: 1.5 expected extra.
         let values_len = nnz + ngt * 2;
         // Binomial tail: P(BT non-empty) = 1 - s^64.
         let nonempty = 1.0 - sparsity.powi(64);
-        // Expected max over GroupTiles ~ mean + 3 std of Binomial(4096, 1-s).
+        // Expected max over GroupTiles ~ mean + 3 std of
+        // Binomial(gt_rows × gt_cols, 1-s).
         let gt_elems = (config.gt_rows * config.gt_cols) as f64;
         let std = (gt_elems * sparsity * (1.0 - sparsity)).sqrt();
         let max_vals = (vals_per_gt + 3.0 * std + 4.0).min(gt_elems) as usize;
@@ -282,6 +275,13 @@ impl SpinferSpmm {
 }
 
 impl SpmmConfig {
+    /// Widest N tile per block. Decode-phase batches take one tile of
+    /// their padded width; prefill-scale N is cut into 128-column tiles,
+    /// so each decoded WTile amortises over many output columns
+    /// (otherwise SMBD work scales with N/tile_n and the decode chain
+    /// dominates the Tensor Cores).
+    pub(crate) const MAX_TILE_N: usize = 128;
+
     /// Launch geometry at payload precision `P` (the value width sizes
     /// the shared-memory value buffer).
     pub(crate) fn geometry<P: Datapath>(
@@ -291,15 +291,7 @@ impl SpmmConfig {
         n: usize,
     ) -> Geometry {
         let n_pad = pad8(n);
-        // Decode-phase batches use up to `max_tile_n`; prefill-scale N
-        // widens the block tile to 128 so each decoded WTile amortises
-        // over more output columns (otherwise SMBD work scales with
-        // N/tile_n and the decode chain dominates the Tensor Cores).
-        let tile_n = if n_pad <= self.max_tile_n {
-            n_pad
-        } else {
-            n_pad.min(self.max_tile_n.max(128))
-        };
+        let tile_n = n_pad.min(Self::MAX_TILE_N);
         let grid_x = n_pad.div_ceil(tile_n);
         let gtiles_y = stats.m_pad / stats.config.gt_rows;
         let gtiles_x = stats.k_pad / stats.config.gt_cols;

@@ -362,10 +362,11 @@ impl TcaBmeOf<Half> {
         let counts: Vec<usize> = gpu_sim::exec::par_map_untraced(gt_slices, |(gt, bms)| {
             let (gty, gtx) = (gt / gts_x, gt % gts_x);
             match simd {
-                // SAFETY: the encode holds a `Simd`.
-                #[cfg(target_arch = "x86_64")]
-                Some(_) => unsafe { build_gtile_bitmaps_simd(data, m, k, config, gty, gtx, bms) },
-                _ => build_gtile_bitmaps(data, m, k, config, gty, gtx, bms),
+                Some(s) => s.vectorize(
+                    #[inline(always)]
+                    move || build_gtile_bitmaps(data, m, k, config, gty, gtx, bms),
+                ),
+                None => build_gtile_bitmaps(data, m, k, config, gty, gtx, bms),
             }
         });
 
@@ -387,12 +388,11 @@ impl TcaBmeOf<Half> {
             let (gty, gtx, bms) = (gt / gts_x, gt % gts_x, &bitmaps[gt * bts..(gt + 1) * bts]);
             let count = counts[gt];
             match simd {
-                // SAFETY: the encode holds a `Simd`.
-                #[cfg(target_arch = "x86_64")]
-                Some(_) => unsafe {
-                    fill_gtile_values_simd(data, k, config, gty, gtx, bms, count, vals)
-                },
-                _ => fill_gtile_values(data, k, config, gty, gtx, bms, count, vals),
+                Some(s) => s.vectorize(
+                    #[inline(always)]
+                    move || fill_gtile_values(data, k, config, gty, gtx, bms, count, vals),
+                ),
+                None => fill_gtile_values(data, k, config, gty, gtx, bms, count, vals),
             }
         });
 
@@ -588,36 +588,15 @@ impl TcaBmeInt8 {
     }
 }
 
-/// [`build_gtile_bitmaps`] compiled with the [`Simd`] features
-/// so the row-slice `!is_zero` reduction vectorizes (the baseline SSE2
-/// build cannot encode the 16-lane compare + movemask pattern).
-/// Identical integer arithmetic — invisible to the layout and
-/// serialization pins.
-///
-/// # Safety
-///
-/// The caller holds a `Simd`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,bmi1,bmi2,f16c,lzcnt,popcnt")]
-unsafe fn build_gtile_bitmaps_simd(
-    data: &[Half],
-    m: usize,
-    k: usize,
-    config: TcaBmeConfig,
-    gty: usize,
-    gtx: usize,
-    bms: &mut [u64],
-) -> usize {
-    build_gtile_bitmaps(data, m, k, config, gty, gtx, bms)
-}
-
 /// Pass 1 worker: builds one GroupTile's bitmaps (nested TT-column-major
 /// → BT-quadrant order) into `bms` and returns the tile's non-zero count
 /// as the sum of popcounts. Interior GroupTiles (fully inside the
 /// logical `m × k` extent) take a per-row-slice fast path with no
 /// per-element bounds logic; edge tiles clamp row/column spans so
 /// out-of-extent bits stay zero, exactly like the serial `at(r, c)`
-/// closure's zero padding.
+/// closure's zero padding. Inside [`Simd::vectorize`] the row-slice
+/// `!is_zero` reduction vectorizes (the baseline SSE2 build cannot
+/// encode the 16-lane compare + movemask pattern).
 #[inline]
 fn build_gtile_bitmaps(
     data: &[Half],
@@ -691,36 +670,15 @@ fn bt_bitmap_edge(data: &[Half], m: usize, k: usize, bt_r: usize, bt_c: usize) -
     bm
 }
 
-/// [`fill_gtile_values`] compiled with the [`Simd`] features,
-/// turning the per-bit `trailing_zeros` / clear-lowest-set-bit sweep
-/// into single `tzcnt` / `blsr` instructions. Identical arithmetic.
-///
-/// # Safety
-///
-/// The caller holds a `Simd`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,bmi1,bmi2,f16c,lzcnt,popcnt")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn fill_gtile_values_simd(
-    data: &[Half],
-    k: usize,
-    config: TcaBmeConfig,
-    gty: usize,
-    gtx: usize,
-    bms: &[u64],
-    count: usize,
-    vals: &mut [Half],
-) {
-    fill_gtile_values(data, k, config, gty, gtx, bms, count, vals)
-}
-
 /// Pass 2 worker: fills one GroupTile's pre-zeroed value span by
 /// sweeping the set bits of its pass-1 bitmaps in ascending order —
 /// `trailing_zeros` yields bits in exactly the order the serial
 /// per-bit loop pushes values, and set bits are in-extent by
 /// construction, so each value is a direct row-major load. The span's
 /// tail beyond `count` stays zero: that is the GroupTile's
-/// [`VALUE_PAD`] alignment padding.
+/// [`VALUE_PAD`] alignment padding. Inside [`Simd::vectorize`] the
+/// per-bit `trailing_zeros` / clear-lowest-set-bit sweep compiles to
+/// single `tzcnt` / `blsr` instructions.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn fill_gtile_values(

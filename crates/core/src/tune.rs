@@ -50,11 +50,10 @@ pub fn tune(spec: &GpuSpec, m: usize, k: usize, n: usize, sparsity: f64) -> Tune
     let mut candidates = Vec::new();
     for (gt_rows, gt_cols) in GT_SHAPES {
         let gt = TcaBmeConfig { gt_rows, gt_cols };
-        let stats = synthetic_with_config(m, k, sparsity, gt);
+        let stats = FormatStats::synthetic_with_config(m, k, sparsity, gt);
         for split_k in SPLIT_KS {
             let config = SpmmConfig {
                 split_k,
-                max_tile_n: 32,
                 ablation: Ablation::default(),
             };
             let kernel = SpinferSpmm { config };
@@ -71,28 +70,6 @@ pub fn tune(spec: &GpuSpec, m: usize, k: usize, n: usize, sparsity: f64) -> Tune
         best: candidates[0].clone(),
         candidates,
     }
-}
-
-/// `FormatStats::synthetic` generalised to a non-default GroupTile.
-pub fn synthetic_with_config(
-    m: usize,
-    k: usize,
-    sparsity: f64,
-    config: TcaBmeConfig,
-) -> FormatStats {
-    let mut s = FormatStats::synthetic(m, k, sparsity);
-    let m_pad = m.div_ceil(config.gt_rows) * config.gt_rows;
-    let k_pad = k.div_ceil(config.gt_cols) * config.gt_cols;
-    let ngt = (m_pad / config.gt_rows) * (k_pad / config.gt_cols);
-    s.m_pad = m_pad;
-    s.k_pad = k_pad;
-    s.config = config;
-    s.values_len = s.nnz + ngt * 2;
-    let gt_elems = (config.gt_rows * config.gt_cols) as f64;
-    let per_gt = s.nnz as f64 / ngt.max(1) as f64;
-    let std = (gt_elems * sparsity * (1.0 - sparsity)).sqrt();
-    s.max_values_per_gtile = ((per_gt + 3.0 * std + 4.0).min(gt_elems)) as usize;
-    s
 }
 
 #[cfg(test)]
@@ -146,7 +123,7 @@ mod tests {
             gt_rows: 128,
             gt_cols: 64,
         };
-        let s = synthetic_with_config(1000, 1000, 0.5, gt);
+        let s = FormatStats::synthetic_with_config(1000, 1000, 0.5, gt);
         assert_eq!(s.m_pad, 1024);
         assert_eq!(s.k_pad, 1024);
         assert_eq!(s.config, gt);

@@ -329,39 +329,27 @@ fn f16_bits_from_f32_bits_rne(bits: u32) -> u16 {
 /// even, same NaN quieting), without per-element call dispatch or
 /// data-dependent branching (`f16_bits_from_f32_bits_rne`). The batch
 /// form the chunked matrix generators use, which detect the token once
-/// per matrix: with `Some`, the loop is compiled with the [`Simd`]
-/// features. `dst.len()` must equal `src.len()`.
+/// per matrix. With `Some`, the loop runs inside [`Simd::vectorize`],
+/// where the compiler vectorizes the branch-free conversion eight lanes
+/// wide (variable shifts and unsigned mins have no SSE2 encoding, which
+/// blocks that in the baseline build); the arithmetic per element is the
+/// same either way. `dst.len()` must equal `src.len()`.
 pub fn f32_to_f16_slice(simd: Option<Simd>, src: &[f32], dst: &mut [Half]) {
     assert_eq!(src.len(), dst.len(), "length mismatch");
     match simd {
-        // SAFETY: the caller holds a `Simd`.
-        #[cfg(target_arch = "x86_64")]
-        Some(_) => unsafe { f32_to_f16_slice_simd(src, dst) },
-        _ => f32_to_f16_slice_scalar(src, dst),
+        Some(s) => s.vectorize(
+            #[inline(always)]
+            move || convert_slice(src, dst),
+        ),
+        None => convert_slice(src, dst),
     }
 }
 
-#[inline]
-fn f32_to_f16_slice_scalar(src: &[f32], dst: &mut [Half]) {
+#[inline(always)]
+fn convert_slice(src: &[f32], dst: &mut [Half]) {
     for (d, &x) in dst.iter_mut().zip(src) {
         *d = Half(f16_bits_from_f32_bits_rne(x.to_bits()));
     }
-}
-
-/// The same scalar loop compiled with the [`Simd`] features so the
-/// compiler can auto-vectorize the branch-free conversion eight lanes
-/// wide (variable shifts and unsigned mins have no SSE2 encoding, which
-/// blocks vectorization in the baseline build). Semantics are untouched
-/// — this is the identical integer arithmetic per element, so the
-/// dispatch is invisible to every bit-identity pin.
-///
-/// # Safety
-///
-/// The caller holds a `Simd`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,bmi1,bmi2,f16c,lzcnt,popcnt")]
-unsafe fn f32_to_f16_slice_simd(src: &[f32], dst: &mut [Half]) {
-    f32_to_f16_slice_scalar(src, dst);
 }
 
 #[cfg(test)]

@@ -401,7 +401,10 @@ fn fill_sparse(
 /// One optimistic chunk of the sparse walk over the buffered words,
 /// with `W` value words per kept element: fills `tmp` from the front
 /// and returns `(words walked, elements produced, kept elements)`
-/// without consuming anything. Dispatch wrapper: see
+/// without consuming anything. With `Some`, the walk runs inside
+/// [`Simd::vectorize`] (see [`crate::fp16::f32_to_f16_slice`] for why
+/// the baseline SSE2 build can't vectorize these patterns): identical
+/// arithmetic, invisible to the stream-fidelity pins. See
 /// [`scan_sparse_generic`] for the logic.
 #[inline]
 fn scan_sparse<const W: usize>(
@@ -413,34 +416,16 @@ fn scan_sparse<const W: usize>(
 ) -> (usize, usize, usize) {
     let words = rng.buffered(1 + W);
     match simd {
-        // SAFETY: the caller holds a `Simd`.
-        #[cfg(target_arch = "x86_64")]
-        Some(_) => unsafe { scan_sparse_simd(words, thresh, tmp, value) },
-        _ => scan_sparse_generic(words, thresh, tmp, value),
+        Some(s) => s.vectorize(
+            #[inline(always)]
+            move || scan_sparse_generic(words, thresh, tmp, value),
+        ),
+        None => scan_sparse_generic(words, thresh, tmp, value),
     }
 }
 
-/// The same walk compiled with the [`Simd`] features (see
-/// [`crate::fp16::f32_to_f16_slice`] for why the baseline SSE2 build
-/// can't vectorize these patterns). Identical arithmetic — invisible to
-/// the stream-fidelity pins.
-///
-/// # Safety
-///
-/// The caller holds a `Simd`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,bmi1,bmi2,f16c,lzcnt,popcnt")]
-unsafe fn scan_sparse_simd<const W: usize>(
-    words: &[u64],
-    thresh: u64,
-    tmp: &mut [f32],
-    value: impl Fn(&[u64; W]) -> f32,
-) -> (usize, usize, usize) {
-    scan_sparse_generic(words, thresh, tmp, value)
-}
-
-// Always inlined, so the SIMD wrapper compiles the whole walk with its
-// features rather than calling the baseline build.
+// Always inlined, so the `vectorize` copy compiles the whole walk with
+// the features rather than calling the baseline build.
 #[inline(always)]
 fn scan_sparse_generic<const W: usize>(
     words: &[u64],

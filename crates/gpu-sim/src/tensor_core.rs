@@ -6,7 +6,10 @@
 //! Operands are row-major tiles, not per-lane registers: the SpMM block
 //! decodes each TCTile straight into a 16×16 A tile, and one batched
 //! call multiplies it against every adjacent 8-column B tile of the
-//! activation window. The register layout still shapes the format. In
+//! activation window. Both precisions share one MAC: a portable body,
+//! and an AVX2 body generic over its lane type (`vmulps` + `vaddps` on
+//! `f32`, never fused; `vpmulld` + `vpaddd` on `i32`) that runs inside
+//! [`Simd::vectorize`]. The register layout still shapes the format. In
 //! the A fragment, with `group = lane / 4` and `tid = lane % 4`:
 //!
 //! * `Ra0` = `A[group][2*tid..]` (top-left 8×8 quadrant)
@@ -20,8 +23,6 @@
 //! quadrant elements `2l` and `2l+1`" is why `MaskedPopCount` uses
 //! offset `2l` (paper Algorithm 2). SMBD's unit tests pin its row
 //! decode to that per-lane form.
-
-use core::ops::{AddAssign, Mul};
 
 use crate::counters::Counters;
 use crate::cpu::Simd;
@@ -79,6 +80,7 @@ pub fn mma_m16n8k16_bslice_ntiles(
 /// [`mma_m16n8k16_bslice_ntiles`] for a caller that already holds the
 /// launch's token: the AVX2 body with `Some`, the portable body with
 /// `None`. Both compute the same bits.
+#[inline]
 pub fn mma_m16n8k16_bslice_ntiles_on(
     simd: Option<Simd>,
     counters: &mut Counters,
@@ -87,56 +89,82 @@ pub fn mma_m16n8k16_bslice_ntiles_on(
     ld: usize,
     accs: &mut [AccF32],
 ) {
-    assert_batch(b.len(), ld, accs.len());
-    if !accs.is_empty() {
-        match simd {
-            // SAFETY: the caller holds a `Simd`, and `assert_batch`
-            // bounds every B read.
-            #[cfg(target_arch = "x86_64")]
-            Some(_) => unsafe { mac_tiles_avx2(a, b, ld, accs) },
-            _ => mac_tiles_flat(a, b, ld, accs),
-        }
-    }
+    mac_tiles(simd, a, b, ld, accs);
     counters.mma_insts += accs.len() as u64;
     counters.insts_issued += accs.len() as u64;
 }
 
-/// The bounds both batched entry points check before their `unsafe`
-/// bodies: at most [`MAX_NTILES`] tiles, and a B slice of `b_len`
-/// elements with leading dimension `ld` covering every row of them.
-fn assert_batch(b_len: usize, ld: usize, ntiles: usize) {
+/// The MAC of both batched entry points: checks the bounds, then runs
+/// the AVX2 body inside [`Simd::vectorize`] with `Some`, the portable
+/// body with `None`. The `_on` entries are `#[inline]`, so the SpMM
+/// block's copies call the AVX2 body's `vectorize` copy directly.
+#[inline(always)]
+fn mac_tiles<L: Lane>(
+    simd: Option<Simd>,
+    a: &[[L; MMA_K]; MMA_M],
+    b: &[L],
+    ld: usize,
+    accs: &mut [[[L; MMA_N]; MMA_M]],
+) {
+    let ntiles = accs.len();
     assert!(
         ntiles <= MAX_NTILES,
         "N-tile batch of {ntiles} exceeds MAX_NTILES = {MAX_NTILES}"
     );
-    if ntiles > 0 {
-        let need = (MMA_K - 1) * ld + ntiles * MMA_N;
-        assert!(
-            b_len >= need,
-            "B slice of {b_len} elements with ld {ld} cannot feed {ntiles} tiles"
-        );
+    if ntiles == 0 {
+        return;
+    }
+    let need = (MMA_K - 1) * ld + ntiles * MMA_N;
+    assert!(
+        b.len() >= need,
+        "B slice of {} elements with ld {ld} cannot feed {ntiles} tiles",
+        b.len()
+    );
+    match simd {
+        // SAFETY: the closure runs inside `vectorize`, and the assert
+        // above bounds every B read.
+        #[cfg(target_arch = "x86_64")]
+        Some(s) => s.vectorize(
+            #[inline(always)]
+            move || unsafe { avx2::mac_tiles(a, b, ld, accs) },
+        ),
+        _ => mac_tiles_flat(a, b, ld, accs),
     }
 }
 
-/// Rows of A one register block of [`mma_m16n8k16_bslice_ntiles`]
-/// carries: four A rows × two 8-column B vectors keep eight running
-/// sums in `ymm` registers across all 16 `k` steps.
+/// Rows of A one register block of the MAC carries: four A rows × two
+/// 8-column B vectors keep eight running sums in `ymm` registers across
+/// all 16 `k` steps.
 const BLOCK_ROWS: usize = 4;
 
-/// Portable body of both batched entry points: per tile, a block of
-/// [`BLOCK_ROWS`] A rows accumulates its 8-wide sums in locals across
-/// the `k` loop, the same blocking the AVX2 bodies use with one B vector
-/// per block. The only body on hosts without the [`Simd`] features.
-fn mac_tiles_flat<T>(a: &[[T; MMA_K]; MMA_M], b: &[T], ld: usize, accs: &mut [[[T; MMA_N]; MMA_M]])
-where
-    T: Copy + Default + AddAssign + Mul<Output = T>,
-{
+#[cfg(target_arch = "x86_64")]
+use avx2::Lane;
+
+/// An `mma` operand lane: `f32` for FP16, `i32` for INT8. On x86_64 it
+/// is [`avx2::Lane`], which adds the vector ops of the AVX2 MAC.
+#[cfg(not(target_arch = "x86_64"))]
+trait Lane: Copy + Default + core::ops::AddAssign + core::ops::Mul<Output = Self> {}
+#[cfg(not(target_arch = "x86_64"))]
+impl Lane for f32 {}
+#[cfg(not(target_arch = "x86_64"))]
+impl Lane for i32 {}
+
+/// Portable body of the MAC: per tile, a block of [`BLOCK_ROWS`] A rows
+/// accumulates its 8-wide sums in locals across the `k` loop, the same
+/// blocking the AVX2 body uses with one B vector per block. The only
+/// body on hosts without the [`Simd`] features.
+fn mac_tiles_flat<L: Lane>(
+    a: &[[L; MMA_K]; MMA_M],
+    b: &[L],
+    ld: usize,
+    accs: &mut [[[L; MMA_N]; MMA_M]],
+) {
     for (j, acc) in accs.iter_mut().enumerate() {
         for (a_blk, acc_blk) in a
             .chunks_exact(BLOCK_ROWS)
             .zip(acc.chunks_exact_mut(BLOCK_ROWS))
         {
-            let mut sums = [[T::default(); MMA_N]; BLOCK_ROWS];
+            let mut sums = [[L::default(); MMA_N]; BLOCK_ROWS];
             for k in 0..MMA_K {
                 let brow = &b[k * ld + j * MMA_N..][..MMA_N];
                 for (s, a_row) in sums.iter_mut().zip(a_blk) {
@@ -155,74 +183,159 @@ where
     }
 }
 
-/// AVX2 body of [`mma_m16n8k16_bslice_ntiles`]: tiles in pairs (a last
-/// odd tile alone), A rows in blocks of [`BLOCK_ROWS`].
-///
-/// # Safety
-///
-/// The caller holds a `Simd`, and `b` must cover `(MMA_K - 1) * ld +
-/// accs.len() * MMA_N` elements.
+/// The AVX2 MAC, one body for both lane types. Every function here is an
+/// intrinsic leaf: `#[inline(always)]`, with no features of its own, to
+/// run inside [`Simd::vectorize`].
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,bmi1,bmi2,f16c,lzcnt,popcnt")]
-unsafe fn mac_tiles_avx2(a: &[[f32; MMA_K]; MMA_M], b: &[f32], ld: usize, accs: &mut [AccF32]) {
-    for (p, pair) in accs.chunks_mut(2).enumerate() {
-        // SAFETY: the pair's first tile starts at column `2 p * MMA_N`,
-        // inside the caller's bound.
-        let bj = unsafe { b.as_ptr().add(2 * p * MMA_N) };
-        for m0 in (0..MMA_M).step_by(BLOCK_ROWS) {
-            // SAFETY: the caller holds a `Simd`; `bj` covers
-            // `pair.len()` tiles for every `k` row.
-            unsafe {
-                match pair {
-                    [t0, t1] => mac_block_avx2([t0, t1], a, m0, bj, ld),
-                    [t0] => mac_block_avx2([t0], a, m0, bj, ld),
-                    _ => unreachable!("chunks_mut(2) yields one or two tiles"),
+mod avx2 {
+    use core::arch::x86_64::{
+        __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_loadu_ps, _mm256_loadu_si256,
+        _mm256_mul_ps, _mm256_mullo_epi32, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_setzero_si256, _mm256_storeu_ps, _mm256_storeu_si256,
+    };
+    use core::ops::{AddAssign, Mul};
+
+    use super::{BLOCK_ROWS, MMA_K, MMA_M, MMA_N};
+
+    /// An `mma` operand lane, `f32` for FP16 or `i32` for INT8, with the
+    /// eight-lane vector ops the MAC needs.
+    pub(super) trait Lane: Copy + Default + AddAssign + Mul<Output = Self> {
+        /// Eight lanes in one `ymm` register.
+        type V: Copy;
+        /// Eight zeros.
+        unsafe fn zero() -> Self::V;
+        /// `x` in all eight lanes.
+        unsafe fn splat(x: Self) -> Self::V;
+        /// Eight lanes from `p`.
+        unsafe fn load(p: *const Self) -> Self::V;
+        /// Eight lanes to `p`.
+        unsafe fn store(p: *mut Self, v: Self::V);
+        /// Lane-wise product.
+        unsafe fn vmul(a: Self::V, b: Self::V) -> Self::V;
+        /// Lane-wise sum.
+        unsafe fn vadd(a: Self::V, b: Self::V) -> Self::V;
+    }
+
+    /// `vmulps` then `vaddps`: the sum rounds after every product.
+    impl Lane for f32 {
+        type V = __m256;
+        #[inline(always)]
+        unsafe fn zero() -> __m256 {
+            _mm256_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat(x: f32) -> __m256 {
+            _mm256_set1_ps(x)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> __m256 {
+            _mm256_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: __m256) {
+            _mm256_storeu_ps(p, v)
+        }
+        #[inline(always)]
+        unsafe fn vmul(a: __m256, b: __m256) -> __m256 {
+            _mm256_mul_ps(a, b)
+        }
+        #[inline(always)]
+        unsafe fn vadd(a: __m256, b: __m256) -> __m256 {
+            _mm256_add_ps(a, b)
+        }
+    }
+
+    /// `vpmulld` then `vpaddd`: exact, since `i8`-range products summed
+    /// over 16 `k` steps stay far inside `i32`.
+    impl Lane for i32 {
+        type V = __m256i;
+        #[inline(always)]
+        unsafe fn zero() -> __m256i {
+            _mm256_setzero_si256()
+        }
+        #[inline(always)]
+        unsafe fn splat(x: i32) -> __m256i {
+            _mm256_set1_epi32(x)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const i32) -> __m256i {
+            _mm256_loadu_si256(p.cast())
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut i32, v: __m256i) {
+            _mm256_storeu_si256(p.cast(), v)
+        }
+        #[inline(always)]
+        unsafe fn vmul(a: __m256i, b: __m256i) -> __m256i {
+            _mm256_mullo_epi32(a, b)
+        }
+        #[inline(always)]
+        unsafe fn vadd(a: __m256i, b: __m256i) -> __m256i {
+            _mm256_add_epi32(a, b)
+        }
+    }
+
+    /// The AVX2 MAC body: tiles in pairs (a last odd tile alone), A rows
+    /// in blocks of [`BLOCK_ROWS`].
+    ///
+    /// # Safety
+    ///
+    /// Runs inside [`Simd::vectorize`](crate::cpu::Simd::vectorize), and
+    /// `b` must cover `(MMA_K - 1) * ld + accs.len() * MMA_N` elements.
+    #[inline(always)]
+    pub(super) unsafe fn mac_tiles<L: Lane>(
+        a: &[[L; MMA_K]; MMA_M],
+        b: &[L],
+        ld: usize,
+        accs: &mut [[[L; MMA_N]; MMA_M]],
+    ) {
+        for (p, pair) in accs.chunks_mut(2).enumerate() {
+            // SAFETY: the pair's first tile starts at column
+            // `2 p * MMA_N`, inside the caller's bound.
+            let bj = unsafe { b.as_ptr().add(2 * p * MMA_N) };
+            for m0 in (0..MMA_M).step_by(BLOCK_ROWS) {
+                // SAFETY: the caller runs inside `vectorize`; `bj` covers
+                // `pair.len()` tiles for every `k` row.
+                unsafe {
+                    match pair {
+                        [t0, t1] => mac_block([t0, t1], a, m0, bj, ld),
+                        [t0] => mac_block([t0], a, m0, bj, ld),
+                        _ => unreachable!("chunks_mut(2) yields one or two tiles"),
+                    }
                 }
             }
         }
     }
-}
 
-/// One register block: A rows `m0 .. m0 + BLOCK_ROWS` against `W`
-/// adjacent tiles. The `BLOCK_ROWS × W` sums start at `+0.0`, take
-/// `sum + a * b` (multiply, then add — never fused) for `k` ascending,
-/// and are added once into the accumulator rows.
-///
-/// # Safety
-///
-/// The caller holds a `Simd`, and `b` must cover `(MMA_K - 1) * ld +
-/// W * MMA_N` elements.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,bmi1,bmi2,f16c,lzcnt,popcnt")]
-#[inline]
-unsafe fn mac_block_avx2<const W: usize>(
-    tiles: [&mut AccF32; W],
-    a: &[[f32; MMA_K]; MMA_M],
-    m0: usize,
-    b: *const f32,
-    ld: usize,
-) {
-    use core::arch::x86_64::{
-        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
-    };
-    let mut sums = [[_mm256_setzero_ps(); W]; BLOCK_ROWS];
-    for k in 0..MMA_K {
-        // SAFETY: row `k` spans `W * MMA_N` floats inside the bound.
-        let vb: [_; W] =
-            core::array::from_fn(|w| unsafe { _mm256_loadu_ps(b.add(k * ld + w * MMA_N)) });
-        for (r, row) in sums.iter_mut().enumerate() {
-            let va = _mm256_set1_ps(a[m0 + r][k]);
-            for (s, &v) in row.iter_mut().zip(&vb) {
-                *s = _mm256_add_ps(*s, _mm256_mul_ps(va, v));
+    /// One register block: A rows `m0 .. m0 + BLOCK_ROWS` against `W`
+    /// adjacent tiles. The `BLOCK_ROWS × W` sums start at zero, take
+    /// `sum + a * b` (multiply, then add — never fused) for `k`
+    /// ascending, with no zero-skip, and are added once into the
+    /// accumulator rows. The caller runs inside `vectorize`, and `b`
+    /// covers `(MMA_K - 1) * ld + W * MMA_N` elements.
+    #[inline(always)]
+    unsafe fn mac_block<L: Lane, const W: usize>(
+        tiles: [&mut [[L; MMA_N]; MMA_M]; W],
+        a: &[[L; MMA_K]; MMA_M],
+        m0: usize,
+        b: *const L,
+        ld: usize,
+    ) {
+        let mut sums = [[L::zero(); W]; BLOCK_ROWS];
+        for k in 0..MMA_K {
+            let vb: [_; W] = core::array::from_fn(|w| L::load(b.add(k * ld + w * MMA_N)));
+            for (r, row) in sums.iter_mut().enumerate() {
+                let va = L::splat(a[m0 + r][k]);
+                for (s, &v) in row.iter_mut().zip(&vb) {
+                    *s = L::vadd(*s, L::vmul(va, v));
+                }
             }
         }
-    }
-    for (w, tile) in tiles.into_iter().enumerate() {
-        for (r, row) in sums.iter().enumerate() {
-            let dst = tile[m0 + r].as_mut_ptr();
-            // SAFETY: `dst` is one 8-float accumulator row.
-            unsafe { _mm256_storeu_ps(dst, _mm256_add_ps(_mm256_loadu_ps(dst), row[w])) };
+        for (w, tile) in tiles.into_iter().enumerate() {
+            for (r, row) in sums.iter().enumerate() {
+                let dst = tile[m0 + r].as_mut_ptr();
+                L::store(dst, L::vadd(L::load(dst), row[w]));
+            }
         }
     }
 }
@@ -263,6 +376,7 @@ pub fn mma_m16n8k16_s8_ntiles(
 /// [`mma_m16n8k16_s8_ntiles`] for a caller that already holds the
 /// launch's token: the AVX2 body with `Some`, the portable body with
 /// `None`. Both compute the same bits.
+#[inline]
 pub fn mma_m16n8k16_s8_ntiles_on(
     simd: Option<Simd>,
     counters: &mut Counters,
@@ -271,90 +385,9 @@ pub fn mma_m16n8k16_s8_ntiles_on(
     ld: usize,
     accs: &mut [AccS8],
 ) {
-    assert_batch(b.len(), ld, accs.len());
-    if !accs.is_empty() {
-        match simd {
-            // SAFETY: the caller holds a `Simd`, and `assert_batch`
-            // bounds every B read.
-            #[cfg(target_arch = "x86_64")]
-            Some(_) => unsafe { mac_tiles_s8_avx2(a, b, ld, accs) },
-            _ => mac_tiles_flat(a, b, ld, accs),
-        }
-    }
+    mac_tiles(simd, a, b, ld, accs);
     counters.mma_s8_insts += accs.len() as u64;
     counters.insts_issued += accs.len() as u64;
-}
-
-/// AVX2 body of [`mma_m16n8k16_s8_ntiles`]: the blocking of
-/// [`mac_tiles_avx2`] on `i32` lanes.
-///
-/// # Safety
-///
-/// The caller holds a `Simd`, and `b` must cover `(MMA_K - 1) * ld +
-/// accs.len() * MMA_N` elements.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,bmi1,bmi2,f16c,lzcnt,popcnt")]
-unsafe fn mac_tiles_s8_avx2(a: &[[i32; MMA_K]; MMA_M], b: &[i32], ld: usize, accs: &mut [AccS8]) {
-    for (p, pair) in accs.chunks_mut(2).enumerate() {
-        // SAFETY: the pair's first tile starts at column `2 p * MMA_N`,
-        // inside the caller's bound.
-        let bj = unsafe { b.as_ptr().add(2 * p * MMA_N) };
-        for m0 in (0..MMA_M).step_by(BLOCK_ROWS) {
-            // SAFETY: the caller holds a `Simd`; `bj` covers
-            // `pair.len()` tiles for every `k` row.
-            unsafe {
-                match pair {
-                    [t0, t1] => mac_block_s8_avx2([t0, t1], a, m0, bj, ld),
-                    [t0] => mac_block_s8_avx2([t0], a, m0, bj, ld),
-                    _ => unreachable!("chunks_mut(2) yields one or two tiles"),
-                }
-            }
-        }
-    }
-}
-
-/// One `i32` register block: A rows `m0 .. m0 + BLOCK_ROWS` against `W`
-/// adjacent tiles, `vpmulld` then `vpaddd` for every `k`, with no
-/// zero-skip; the sums are added once into the accumulator rows.
-///
-/// # Safety
-///
-/// The caller holds a `Simd`, and `b` must cover `(MMA_K - 1) * ld +
-/// W * MMA_N` elements.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,bmi1,bmi2,f16c,lzcnt,popcnt")]
-#[inline]
-unsafe fn mac_block_s8_avx2<const W: usize>(
-    tiles: [&mut AccS8; W],
-    a: &[[i32; MMA_K]; MMA_M],
-    m0: usize,
-    b: *const i32,
-    ld: usize,
-) {
-    use core::arch::x86_64::{
-        _mm256_add_epi32, _mm256_loadu_si256, _mm256_mullo_epi32, _mm256_set1_epi32,
-        _mm256_setzero_si256, _mm256_storeu_si256,
-    };
-    let mut sums = [[_mm256_setzero_si256(); W]; BLOCK_ROWS];
-    for k in 0..MMA_K {
-        // SAFETY: row `k` spans `W * MMA_N` codes inside the bound.
-        let vb: [_; W] = core::array::from_fn(|w| unsafe {
-            _mm256_loadu_si256(b.add(k * ld + w * MMA_N).cast())
-        });
-        for (r, row) in sums.iter_mut().enumerate() {
-            let va = _mm256_set1_epi32(a[m0 + r][k]);
-            for (s, &v) in row.iter_mut().zip(&vb) {
-                *s = _mm256_add_epi32(*s, _mm256_mullo_epi32(va, v));
-            }
-        }
-    }
-    for (w, tile) in tiles.into_iter().enumerate() {
-        for (r, row) in sums.iter().enumerate() {
-            let dst = tile[m0 + r].as_mut_ptr().cast();
-            // SAFETY: `dst` is one 8-code accumulator row.
-            unsafe { _mm256_storeu_si256(dst, _mm256_add_epi32(_mm256_loadu_si256(dst), row[w])) };
-        }
-    }
 }
 
 #[cfg(test)]

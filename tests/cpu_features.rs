@@ -1,11 +1,12 @@
-//! Every feature-compiled body runs only where its caller holds a
-//! `gpu_sim::cpu::Simd`, so no body may enable a feature that
-//! `Simd::detect` does not check: this suite reads the sources and pins
-//! every `target_feature(enable = "…")` string in `crates/` to the
-//! feature list `detect` checks, in its order. `vendor/rand` sits below
-//! `gpu-sim` and keeps its own detector; its bodies may enable only what
-//! that detector checks. Feature detection itself lives in those two
-//! places only.
+//! Every feature-compiled body in `crates/` runs inside
+//! `gpu_sim::cpu::Simd::vectorize`, which only a `Simd` can call, so no
+//! body can run where a feature was not checked: this suite reads the
+//! sources and requires the one `target_feature(enable = "…")` in
+//! `crates/` to sit in `gpu-sim/src/cpu.rs` and to enable exactly the
+//! feature list `Simd::detect` checks, in its order. `vendor/rand` sits
+//! below `gpu-sim` and keeps its own detector; its bodies may enable only
+//! what that detector checks. Feature detection itself lives in those
+//! two places only.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -84,13 +85,14 @@ fn detected(file: &Path) -> Vec<String> {
 
 #[test]
 fn every_crate_body_enables_exactly_the_token_set() {
-    let token = detected(&root().join("crates/gpu-sim/src/cpu.rs")).join(",");
+    let cpu = root().join("crates/gpu-sim/src/cpu.rs");
+    let token = detected(&cpu).join(",");
     assert_eq!(token, "avx2,bmi1,bmi2,f16c,lzcnt,popcnt");
-    let bodies = enabled(&root().join("crates"));
-    assert!(!bodies.is_empty(), "no feature body found under crates/");
-    for (file, lit) in bodies {
-        assert_eq!(lit, token, "{}", file.display());
-    }
+    assert_eq!(
+        enabled(&root().join("crates")),
+        [(cpu, token)],
+        "crates/ may enable features only in `Simd::vectorize`'s body"
+    );
 }
 
 #[test]
