@@ -576,6 +576,24 @@ mod tests {
     }
 
     #[test]
+    fn int8_storage_bytes_pins_the_v3_layout() {
+        // The byte accounting must agree with what lands on disk: the v3
+        // container is storage_bytes() plus fixed framing (8 B magic +
+        // 56 B header + five 8 B section lengths) plus the 4 B/GroupTile
+        // integrity checksums.
+        for (sparsity, seed) in [(0.3, 91), (0.6, 92), (0.9, 93)] {
+            let dist = ValueDist::Normal { std: 0.05 };
+            let q = TcaBme::encode(&random_sparse(256, 256, sparsity, dist, seed)).quantize_int8();
+            let framing = 8 + 56 + 5 * 8 + 4 * q.tiles.num_gtiles();
+            assert_eq!(
+                to_bytes_int8(&q).len(),
+                q.storage_bytes() + framing,
+                "v3 bytes vs storage accounting at sparsity {sparsity}"
+            );
+        }
+    }
+
+    #[test]
     fn cross_payload_reads_fail_typed() {
         let m = random_sparse(64, 64, 0.5, ValueDist::Uniform, 72);
         let enc = TcaBme::encode(&m);

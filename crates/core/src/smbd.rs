@@ -14,14 +14,17 @@
 //! by one — so no second popcount is needed.
 //!
 //! The simulator decodes each TCTile straight into row-major operand
-//! rows (the "decode into the operand tile" shape). On hosts where
-//! [`Simd::detect`] finds its features, a quadrant row expands in one
-//! step, inside [`Simd::vectorize`]: one body for both payloads loads
-//! the row's packed values, and the payload's
-//! `Datapath::expand_row` hook `pshufb`s them to their set-bit columns
-//! and widens all eight into the operand row, with `vcvtph2ps` (FP16
-//! halves) or `vpmovsxbd` (INT8 codes). Elsewhere one sweep over the set
-//! bits per BitmapTile writes each value. Both record the per-lane
+//! rows (the "decode into the operand tile" shape). The decode is
+//! generic over the capability ([`Isa`]) and always inlined: it never
+//! enters [`Simd::vectorize`] itself, but compiles into the region of
+//! its entry point, the SpMM block or the standalone
+//! [`decode_tctile_f32`]/[`decode_tctile_s8`]. On [`Simd`] a quadrant
+//! row expands in one step: one body for both payloads loads the row's
+//! packed values, and the payload's `Datapath::expand_row` hook
+//! `pshufb`s them to their set-bit columns and widens all eight into the
+//! operand row, with `vcvtph2ps` (FP16 halves) or `vpmovsxbd` (INT8
+//! codes). On [`Portable`] one sweep over the set bits per BitmapTile
+//! writes each value. Both record the per-lane
 //! algorithm's exact counter and fault-site stream: the unit tests pin
 //! each expansion to the sweep, and the dispatched one to Algorithm 2
 //! as written, lane by lane, and to the `Ra0..Ra3` register layout.
@@ -33,7 +36,7 @@
 use crate::spmm::{Datapath, TcRows};
 use gpu_sim::bitops::{masked_popc64, popc64};
 use gpu_sim::counters::Counters;
-use gpu_sim::cpu::Simd;
+use gpu_sim::cpu::{Isa, Portable, Simd};
 use gpu_sim::fault::FaultInjector;
 use gpu_sim::fp16::Half;
 use gpu_sim::shared_memory::{warp_smem_broadcast_load, warp_smem_gather_load_f, BANK_WORD};
@@ -84,71 +87,24 @@ fn nth_set_bit(mut mask: u64, n: usize) -> usize {
     mask.trailing_zeros() as usize
 }
 
-/// How the SpMM block computes: [`SetBitWalk`] on any host, a
-/// [`Simd`] token where the host has the SIMD features. The block picks
-/// one per launch and passes it down by value; both write the same bits.
-pub(crate) trait RowExpansion: Copy {
-    /// Writes one quadrant, origin `origin`, of `rows` from its bitmap
-    /// and packed values (`vals` starts at the quadrant's first value and
-    /// holds at least its population): every element, absent ones as the
-    /// operand's zero.
-    fn expand<P: Datapath>(
-        self,
-        bitmap: u64,
-        vals: &[P],
-        rows: &mut TcRows<P>,
-        origin: (usize, usize),
-    );
-    /// The token the block's `mma` runs its MAC body with.
-    fn simd(self) -> Option<Simd>;
-}
-
-/// The portable expansion, [`walk_quadrant`], and the portable MAC.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct SetBitWalk;
-
-impl RowExpansion for SetBitWalk {
-    #[inline(always)]
-    fn expand<P: Datapath>(
-        self,
-        bitmap: u64,
-        vals: &[P],
-        rows: &mut TcRows<P>,
-        origin: (usize, usize),
-    ) {
-        walk_quadrant(bitmap, vals, rows, origin);
-    }
-
-    fn simd(self) -> Option<Simd> {
-        None
-    }
-}
-
-/// The `pshufb` row expansion, `expand_quadrant_simd`, and the AVX2
-/// MAC. Its callers run it inside [`Simd::vectorize`].
-impl RowExpansion for Simd {
-    #[inline(always)]
-    fn expand<P: Datapath>(
-        self,
-        bitmap: u64,
-        vals: &[P],
-        rows: &mut TcRows<P>,
-        origin: (usize, usize),
-    ) {
-        // SAFETY: `self` proves the features the intrinsics need; the
-        // block and the standalone decode call this inside `vectorize`,
-        // where they inline.
+/// Writes one quadrant, origin `origin`, of `rows` from its bitmap and
+/// packed values (`vals` starts at the quadrant's first value and holds
+/// at least its population): every element, absent ones as the
+/// operand's zero. The `pshufb` row expansion on [`Simd`], the set-bit
+/// walk on [`Portable`]; both write the same bits.
+#[inline(always)]
+fn expand_quadrant<P: Datapath, C: Isa>(
+    cap: C,
+    bitmap: u64,
+    vals: &[P],
+    rows: &mut TcRows<P>,
+    origin: (usize, usize),
+) {
+    match cap.leaf() {
+        // SAFETY: the token proves the features the intrinsics need.
         #[cfg(target_arch = "x86_64")]
-        unsafe {
-            expand_quadrant_simd(bitmap, vals, rows, origin);
-        }
-        // Unreachable: no `Simd` exists off x86_64.
-        #[cfg(not(target_arch = "x86_64"))]
-        walk_quadrant(bitmap, vals, rows, origin);
-    }
-
-    fn simd(self) -> Option<Simd> {
-        Some(self)
+        gpu_sim::cpu::Leaf::Simd(_) => unsafe { expand_quadrant_simd(bitmap, vals, rows, origin) },
+        _ => walk_quadrant(bitmap, vals, rows, origin),
     }
 }
 
@@ -191,7 +147,7 @@ pub(crate) const fn row_shuffle<const B: usize, const N: usize>() -> [[u8; N]; 2
 ///
 /// # Safety
 ///
-/// Runs inside [`Simd::vectorize`].
+/// The host has the [`Simd`] features.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 unsafe fn expand_quadrant_simd<P: Datapath>(
@@ -253,8 +209,8 @@ pub(crate) fn walk_quadrant<P: Datapath>(
 /// The single SMBD decode body: expands one BitmapTile into the
 /// quadrant of `rows` at `origin` and records its hardware events. Every
 /// decode — golden, checked and injected, FP16 and INT8 — runs through
-/// here. The values land through [`RowExpansion::expand`], as
-/// `expansion`'s rows, which write the whole quadrant.
+/// here. The values land through `expand_quadrant` on `cap`, which
+/// writes the whole quadrant.
 ///
 /// Generic over the value payload: the bitmap walk, rank arithmetic and
 /// counter writes never depend on the element type — only the gather
@@ -278,8 +234,8 @@ pub(crate) fn walk_quadrant<P: Datapath>(
 /// are built.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn expand_bitmap_tile<P: Datapath, E: RowExpansion>(
-    expansion: E,
+fn expand_bitmap_tile<P: Datapath, C: Isa>(
+    cap: C,
     counters: &mut Counters,
     bitmap: u64,
     values: &[P],
@@ -301,7 +257,7 @@ fn expand_bitmap_tile<P: Datapath, E: RowExpansion>(
     // Bitmap broadcast load: every lane reads the same 8-byte word.
     warp_smem_broadcast_load(counters, 8);
 
-    expansion.expand(bitmap, &values[base..], rows, (dr, dc));
+    expand_quadrant(cap, bitmap, &values[base..], rows, (dr, dc));
 
     // Word span of a phase's `P::BYTES`-wide gather: first word of the
     // lowest address to last word of the highest — the same bounds
@@ -344,7 +300,7 @@ fn expand_bitmap_tile<P: Datapath, E: RowExpansion>(
 /// golden (fault-free, panicking) decode the SpMM block runs, as a
 /// standalone call for benchmarks: it picks the expansion the block
 /// picks ([`Simd::detect`]) and, with a token, runs inside
-/// [`Simd::vectorize`] as the block does.
+/// [`Simd::vectorize`] as the block does. An entry point.
 pub fn decode_tctile_f32(
     counters: &mut Counters,
     bitmaps: &[u64; 4],
@@ -369,7 +325,8 @@ pub fn decode_tctile_s8(
     decode_tctile_detected(counters, bitmaps, values, base, values_smem_base)
 }
 
-/// [`decode_tctile_rows`] through the expansion [`Simd::detect`] picks,
+/// The entry of [`decode_tctile_f32`] and [`decode_tctile_s8`]:
+/// [`decode_tctile_rows`] on the capability [`Simd::detect`] picks,
 /// inside [`Simd::vectorize`] with a token.
 fn decode_tctile_detected<P: Datapath>(
     counters: &mut Counters,
@@ -387,7 +344,7 @@ fn decode_tctile_detected<P: Datapath>(
             move || decode_tctile_rows(s, counters, bitmaps, values, base, values_smem_base, out),
         ),
         None => decode_tctile_rows(
-            SetBitWalk,
+            Portable,
             counters,
             bitmaps,
             values,
@@ -401,8 +358,8 @@ fn decode_tctile_detected<P: Datapath>(
 
 /// Golden (fault-free, panicking) [`decode_tctile_rows_f`].
 #[inline(always)]
-pub(crate) fn decode_tctile_rows<P: Datapath, E: RowExpansion>(
-    expansion: E,
+pub(crate) fn decode_tctile_rows<P: Datapath, C: Isa>(
+    cap: C,
     counters: &mut Counters,
     bitmaps: &[u64; 4],
     values: &[P],
@@ -411,7 +368,7 @@ pub(crate) fn decode_tctile_rows<P: Datapath, E: RowExpansion>(
     rows: &mut TcRows<P>,
 ) -> usize {
     decode_tctile_rows_f(
-        expansion,
+        cap,
         counters,
         bitmaps,
         values,
@@ -432,8 +389,8 @@ pub(crate) fn decode_tctile_rows<P: Datapath, E: RowExpansion>(
 /// `rows` is overwritten whole: [`expand_bitmap_tile`] writes every
 /// element of each quadrant, each decoded value widened
 /// ([`Datapath::widen`]) at its row and column and each absent element
-/// as the operand's zero (`+0.0` for FP16). `expansion` picks how FP16
-/// rows are written and changes no bit. The INT8 instantiation
+/// as the operand's zero (`+0.0` for FP16). `cap` picks how rows are
+/// written and changes no bit. The INT8 instantiation
 /// shares the bitmap walk and counter writes, with gather spans at the
 /// 1-byte width. The caller owns `rows`, so the SpMM block decodes every
 /// TCTile into one buffer instead of moving a fresh tile out per decode.
@@ -449,8 +406,8 @@ pub(crate) fn decode_tctile_rows<P: Datapath, E: RowExpansion>(
 /// (which no per-value scan can catch; the D3 gap in DESIGN.md §14).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub(crate) fn decode_tctile_rows_f<P: Datapath, E: RowExpansion>(
-    expansion: E,
+pub(crate) fn decode_tctile_rows_f<P: Datapath, C: Isa>(
+    cap: C,
     counters: &mut Counters,
     bitmaps: &[u64; 4],
     values: &[P],
@@ -467,7 +424,7 @@ pub(crate) fn decode_tctile_rows_f<P: Datapath, E: RowExpansion>(
         let origin = ((reg & 1) * 8, (reg >> 1) * 8);
         debug_assert_eq!(origin, QUAD_ORIGINS[reg]);
         expand_bitmap_tile(
-            expansion,
+            cap,
             counters,
             bm,
             values,
@@ -520,11 +477,11 @@ mod tests {
     use gpu_sim::shared_memory::{warp_smem_load, warp_smem_load_f};
     use proptest::prelude::*;
 
-    /// [`decode_tctile_rows_f`] through `expansion`, returning the rows
-    /// with the count.
+    /// [`decode_tctile_rows_f`] on `cap`, returning the rows with the
+    /// count.
     #[allow(clippy::too_many_arguments)]
-    fn rows_with<P: Datapath, E: RowExpansion>(
-        expansion: E,
+    fn rows_with<P: Datapath, C: Isa>(
+        cap: C,
         counters: &mut Counters,
         bitmaps: &[u64; 4],
         values: &[P],
@@ -537,7 +494,7 @@ mod tests {
         // does not write.
         let mut rows = [[P::from_poison(Half::from_bits(0x3C01)).widen(); 16]; 16];
         decode_tctile_rows_f(
-            expansion,
+            cap,
             counters,
             bitmaps,
             values,
@@ -550,8 +507,7 @@ mod tests {
         .map(|used| (rows, used))
     }
 
-    /// [`rows_with`] through the expansion the SpMM block picks on this
-    /// host.
+    /// [`rows_with`] on the capability the SpMM block picks on this host.
     #[allow(clippy::too_many_arguments)]
     fn rows_f<P: Datapath>(
         counters: &mut Counters,
@@ -565,9 +521,7 @@ mod tests {
         let (smem, key) = (values_smem_base, site_key);
         match Simd::detect() {
             Some(simd) => rows_with(simd, counters, bitmaps, values, base, smem, fault, key),
-            None => rows_with(
-                SetBitWalk, counters, bitmaps, values, base, smem, fault, key,
-            ),
+            None => rows_with(Portable, counters, bitmaps, values, base, smem, fault, key),
         }
     }
 
@@ -810,7 +764,7 @@ mod tests {
         let (bitmaps, values) = encode_tctile_with(&tile, |v| v);
         let mut cg = Counters::new();
         let mut golden = [[0.0f32; 16]; 16];
-        let used = decode_tctile_rows(SetBitWalk, &mut cg, &bitmaps, &values, 0, 128, &mut golden);
+        let used = decode_tctile_rows(Portable, &mut cg, &bitmaps, &values, 0, 128, &mut golden);
         let mut cc = Counters::new();
         let checked =
             rows_f::<Half>(&mut cc, &bitmaps, &values, 0, 128, None, 9).expect("in bounds");
@@ -1057,11 +1011,11 @@ mod tests {
     /// A decode's rows as bits with the consumed count, or its fault.
     type RowBits = Result<([[u32; 16]; 16], usize), DecodeFault>;
 
-    /// One decode through `expansion` at shared-memory base 64, rows
+    /// One decode on `cap` at shared-memory base 64, rows
     /// compared through `bits`, and its counters.
     #[allow(clippy::too_many_arguments)]
-    fn row_bits<P: Datapath, E: RowExpansion>(
-        expansion: E,
+    fn row_bits<P: Datapath, C: Isa>(
+        cap: C,
         bitmaps: &[u64; 4],
         values: &[P],
         base: usize,
@@ -1070,10 +1024,8 @@ mod tests {
         bits: impl Fn(P::Operand) -> u32,
     ) -> (RowBits, Counters) {
         let mut c = Counters::new();
-        let r = rows_with(
-            expansion, &mut c, bitmaps, values, base, 64, fault, site_key,
-        )
-        .map(|(rows, used)| (rows.map(|row| row.map(&bits)), used));
+        let r = rows_with(cap, &mut c, bitmaps, values, base, 64, fault, site_key)
+            .map(|(rows, used)| (rows.map(|row| row.map(&bits)), used));
         (r, c)
     }
 
@@ -1114,7 +1066,7 @@ mod tests {
                     let values: Vec<P> = (0..len).map(|_| draw(next(&mut s))).collect();
                     for fault in [None, Some(&inj)] {
                         let key = next(&mut s);
-                        let walk = row_bits(SetBitWalk, &bitmaps, &values, base, fault, key, bits);
+                        let walk = row_bits(Portable, &bitmaps, &values, base, fault, key, bits);
                         let rows = row_bits(simd, &bitmaps, &values, base, fault, key, bits);
                         assert_eq!(walk, rows, "bitmaps {bitmaps:x?} base {base} len {len}");
                     }

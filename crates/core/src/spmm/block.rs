@@ -23,20 +23,18 @@ use crate::error::{IntegrityError, KernelError};
 use crate::payload::Payload;
 #[cfg(target_arch = "x86_64")]
 use crate::smbd::row_shuffle;
-use crate::smbd::{
-    decode_tctile_rows, decode_tctile_rows_f, DecodeFault, RowExpansion, SetBitWalk,
-};
+use crate::smbd::{decode_tctile_rows, decode_tctile_rows_f, DecodeFault};
 use crate::tca_bme::{checksum_gtile, TcaBme, TcaBmeConfig, TcaBmeOf, TT_DIM};
 use gpu_sim::bitops::popc64;
 use gpu_sim::counters::Counters;
-use gpu_sim::cpu::Simd;
+use gpu_sim::cpu::{Isa, Portable, Simd};
 use gpu_sim::fault::{flip_bit_u16, flip_bit_u64, CommitFault, FaultInjector};
 use gpu_sim::fp16::{f16_to_f32_slice, Half};
 use gpu_sim::global::{warp_global_store, warp_ldgsts_runs, VAddr};
 use gpu_sim::matrix::DenseMatrix;
 use gpu_sim::shared_memory::warp_ldsm_x4_rows;
 use gpu_sim::tensor_core::{
-    mma_m16n8k16_bslice_ntiles_on, AccF32, MAX_NTILES, MMA_K, MMA_M, MMA_N, QUAD_ORIGINS,
+    mma_m16n8k16_bslice_body, AccF32, MAX_NTILES, MMA_K, MMA_M, MMA_N, QUAD_ORIGINS,
 };
 use gpu_sim::trace::attribution_weight;
 
@@ -93,16 +91,17 @@ pub(crate) trait Datapath: Payload {
     ///
     /// # Safety
     ///
-    /// Runs inside [`Simd::vectorize`].
+    /// The host has the [`Simd`] features.
     #[cfg(target_arch = "x86_64")]
     unsafe fn expand_row(packed: &[Self; 8], byte: u8, dst: &mut [Self::Operand; 8]);
     /// Post-decode scan of a checked TCTile decode (D3).
     fn scan(rows: &TcRows<Self>) -> Result<(), DecodeFault>;
     /// Batched `mma.m16n8k16` of one decoded TCTile against adjacent
     /// 8-column B tiles (`b` row-major with leading dimension `ld`), on
-    /// the launch's token.
-    fn mma(
-        simd: Option<Simd>,
+    /// the block's capability. Implementations are `#[inline(always)]`,
+    /// so the MAC compiles into the block's copy.
+    fn mma<C: Isa>(
+        cap: C,
         counters: &mut Counters,
         a: &TcRows<Self>,
         b: &[Self::Operand],
@@ -194,15 +193,16 @@ impl Datapath for Half {
         Ok(())
     }
 
-    fn mma(
-        simd: Option<Simd>,
+    #[inline(always)]
+    fn mma<C: Isa>(
+        cap: C,
         counters: &mut Counters,
         a: &[[f32; MMA_K]; MMA_M],
         b: &[f32],
         ld: usize,
         accs: &mut [AccF32],
     ) {
-        mma_m16n8k16_bslice_ntiles_on(simd, counters, a, b, ld, accs);
+        mma_m16n8k16_bslice_body(cap, counters, a, b, ld, accs);
     }
 
     fn accumulate(acc: &mut AccF32, tile: impl Fn(usize, usize) -> f32) {
@@ -318,14 +318,17 @@ impl SpmmConfig {
     /// shared-memory image is materialised.
     ///
     /// `xb` is the launch's X operand buffer ([`x_operands`]).
+    /// `workspace` is the block row's band of its split's workspace
+    /// slice: `gt_rows × n_pad` values, indexed relative to the band.
     ///
-    /// The body is compiled twice: portable, and inside
-    /// [`Simd::vectorize`] when the launch holds a `simd` token; the SMBD
-    /// decode and the per-GroupTile prefix scan then use
-    /// hardware popcounts and set-bit sweeps, quadrant rows expand
-    /// through `pshufb` (F16C for FP16, `vpmovsxbd` for INT8), and the
-    /// `mma` runs its AVX2 body. Both compute the same bits, pinned equal
-    /// by this module's, `smbd`'s and `tensor_core`'s tests.
+    /// An entry point: the body is compiled twice, on [`Portable`], and
+    /// on [`Simd`] inside one [`Simd::vectorize`] when the launch holds a
+    /// `simd` token. On `Simd` the SMBD decode and the per-GroupTile
+    /// prefix scan use hardware popcounts and set-bit sweeps, quadrant
+    /// rows expand through `pshufb` (F16C for FP16, `vpmovsxbd` for
+    /// INT8), and the `mma` runs its AVX2 body, all inlined into that
+    /// one region. Both compute the same bits, pinned equal by this
+    /// module's, `smbd`'s and `tensor_core`'s tests.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_block<P: Datapath>(
         &self,
@@ -334,7 +337,6 @@ impl SpmmConfig {
         xb: &[P::Operand],
         x_scale: f32,
         counters: &mut Counters,
-        x_counters: &mut Counters,
         workspace: &mut [f32],
         scratch: &mut BlockScratch<P>,
         geo: &Geometry,
@@ -349,31 +351,30 @@ impl SpmmConfig {
                 #[inline(always)]
                 move || {
                     self.run_block_body(
-                        s, w, xb, x_scale, counters, x_counters, workspace, scratch, geo, at,
-                        bases, checked, fault, tracer,
+                        s, w, xb, x_scale, counters, workspace, scratch, geo, at, bases, checked,
+                        fault, tracer,
                     )
                 },
             ),
             None => self.run_block_body(
-                SetBitWalk, w, xb, x_scale, counters, x_counters, workspace, scratch, geo, at,
-                bases, checked, fault, tracer,
+                Portable, w, xb, x_scale, counters, workspace, scratch, geo, at, bases, checked,
+                fault, tracer,
             ),
         }
     }
 
     /// The body of [`Self::run_block`], inlined into both of its copies
-    /// with every `#[inline(always)]` helper it calls; `expansion` is the
-    /// decode's row expansion and carries the `mma`'s token.
+    /// with every `#[inline(always)]` helper it calls; `cap` picks the
+    /// decode's row expansion and the `mma`'s MAC.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn run_block_body<P: Datapath, E: RowExpansion>(
+    fn run_block_body<P: Datapath, C: Isa>(
         &self,
-        expansion: E,
+        cap: C,
         w: &P::Container,
         xb: &[P::Operand],
         x_scale: f32,
         counters: &mut Counters,
-        x_counters: &mut Counters,
         workspace: &mut [f32],
         scratch: &mut BlockScratch<P>,
         geo: &Geometry,
@@ -398,7 +399,7 @@ impl SpmmConfig {
         // extra work runs and the code path is the pre-existing one.
         let trace_on = tracer.is_some();
         if let Some(tr) = tracer.as_deref_mut() {
-            tr.sync(counters, x_counters);
+            tr.sync(counters);
         }
 
         // Per-warp accumulators (warp = TCTile row strip) and their f32
@@ -458,11 +459,11 @@ impl SpmmConfig {
                 inject.is_some(),
             );
             if let Some(tr) = tracer.as_deref_mut() {
-                tr.phase(TracePhase::StreamW, counters, x_counters);
+                tr.phase(TracePhase::StreamW, counters);
             }
 
             // --- 3. XTile loading (no integrity metadata; golden path) ---
-            stream_x_tile(counters, x_counters, bases.x, gtx, cfg.gt_cols, geo, n0);
+            stream_x_tile(counters, bases.x, gtx, cfg.gt_cols, geo, n0);
             cp_async.issue();
             cp_async.commit_group(); // Dense XTile group.
                                      // SMBD may start once the sparse group lands (dense still in
@@ -470,7 +471,7 @@ impl SpmmConfig {
             let retired = cp_async.wait_group(1);
             debug_assert_eq!(retired, 1, "sparse group retires first");
             if let Some(tr) = tracer.as_deref_mut() {
-                tr.phase(TracePhase::StreamX, counters, x_counters);
+                tr.phase(TracePhase::StreamX, counters);
             }
 
             // --- D1: checksum the landed image; retry from DRAM ---
@@ -536,7 +537,7 @@ impl SpmmConfig {
                     // host-side fallback has no decode/mma events, so the
                     // residual (retry streams, barrier, fold) folds into
                     // mma.
-                    let now = attribution_weight(counters) + attribution_weight(x_counters);
+                    let now = attribution_weight(counters);
                     let residual = now - tr.mark;
                     tr.spans.push((TracePhase::Decode, 0));
                     tr.spans.push((TracePhase::Mma, residual));
@@ -585,7 +586,7 @@ impl SpmmConfig {
                     match checked {
                         None => {
                             decode_tctile_rows(
-                                expansion,
+                                cap,
                                 counters,
                                 &tc_bms,
                                 vals,
@@ -595,7 +596,7 @@ impl SpmmConfig {
                             );
                         }
                         Some(chk) => decode_tctile_checked(
-                            expansion,
+                            cap,
                             counters,
                             DecodeSite {
                                 gt,
@@ -629,8 +630,8 @@ impl SpmmConfig {
                     }
                     // The TCTile's 16 K rows of X, from column `n0`.
                     let k0 = gtx * cfg.gt_cols + ttx * TT_DIM;
-                    mma_row::<P>(
-                        expansion.simd(),
+                    mma_row::<P, C>(
+                        cap,
                         counters,
                         &xb[k0 * geo.x_ld() + n0..],
                         geo,
@@ -653,7 +654,7 @@ impl SpmmConfig {
             if let Some(tr) = tracer.as_deref_mut() {
                 // The iteration-end barrier and fold weight join the mma
                 // span (pipeline bookkeeping that gates the next wave).
-                let now = attribution_weight(counters) + attribution_weight(x_counters);
+                let now = attribution_weight(counters);
                 let residual = now - tr.mark - dec_w - mma_w;
                 tr.spans.push((TracePhase::Decode, dec_w));
                 tr.spans.push((TracePhase::Mma, mma_w + residual));
@@ -669,11 +670,13 @@ impl SpmmConfig {
             let tty = warp % tt_rows;
             for (j, tile) in out_row.iter().enumerate() {
                 for (r, row) in tile.iter().enumerate() {
-                    let gr = gty * cfg.gt_rows + tty * TT_DIM + r;
+                    // Row within the band; the store addresses below
+                    // stay global.
+                    let br = tty * TT_DIM + r;
                     for (c, &v) in row.iter().enumerate() {
                         let gc = n0 + j * 8 + c;
                         if gc < geo.n_pad {
-                            workspace[gr * geo.n_pad + gc] += v;
+                            workspace[br * geo.n_pad + gc] += v;
                         }
                     }
                 }
@@ -692,7 +695,7 @@ impl SpmmConfig {
             }
         }
         if let Some(tr) = tracer {
-            tr.phase(TracePhase::Epilogue, counters, x_counters);
+            tr.phase(TracePhase::Epilogue, counters);
         }
         Ok(())
     }
@@ -705,8 +708,8 @@ impl SpmmConfig {
 /// lands in `rows`.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn decode_tctile_checked<P: Datapath, E: RowExpansion>(
-    expansion: E,
+fn decode_tctile_checked<P: Datapath, C: Isa>(
+    cap: C,
     counters: &mut Counters,
     site: DecodeSite,
     tc_bms: &[u64; 4],
@@ -733,7 +736,7 @@ fn decode_tctile_checked<P: Datapath, E: RowExpansion>(
             }
         });
         let attempt = decode_tctile_rows_f(
-            expansion,
+            cap,
             counters,
             tc_bms,
             vals,
@@ -783,7 +786,7 @@ fn decode_tctile_checked<P: Datapath, E: RowExpansion>(
         .try_into()
         .expect("pristine bitmaps carry 4 BitmapTiles per TCTile");
     decode_tctile_rows(
-        expansion,
+        cap,
         counters,
         &pbms,
         pristine_vals,
@@ -802,8 +805,8 @@ fn decode_tctile_checked<P: Datapath, E: RowExpansion>(
 /// sweep ([`Datapath::mma`]) carries each A row across all adjacent
 /// accumulator tiles at once.
 #[inline(always)]
-fn mma_row<P: Datapath>(
-    simd: Option<Simd>,
+fn mma_row<P: Datapath, C: Isa>(
+    cap: C,
     counters: &mut Counters,
     x_tile: &[P::Operand],
     geo: &Geometry,
@@ -818,7 +821,7 @@ fn mma_row<P: Datapath>(
     }
     for (jc, chunk) in accs.chunks_mut(MAX_NTILES).enumerate() {
         let b = &x_tile[jc * MAX_NTILES * 8..];
-        P::mma(simd, counters, a_rows, b, geo.x_ld(), chunk);
+        P::mma(cap, counters, a_rows, b, geo.x_ld(), chunk);
     }
 }
 
@@ -868,7 +871,6 @@ fn record_ldgsts_stream_f(
 /// from global memory; [`Datapath::fill_x_row`] converts after the load.
 fn stream_x_tile(
     counters: &mut Counters,
-    x_counters: &mut Counters,
     x_base: VAddr,
     gtx: usize,
     gt_cols: usize,
@@ -896,17 +898,38 @@ fn stream_x_tile(
                 left -= lanes;
                 free -= lanes;
                 if free == 0 {
-                    warp_ldgsts_runs(x_counters, &runs[..used], 16, None);
+                    warp_ldgsts_runs(counters, &runs[..used], 16, None);
                     (used, free) = (0, 32);
                 }
             }
         }
         if used > 0 {
-            warp_ldgsts_runs(x_counters, &runs[..used], 16, None);
+            warp_ldgsts_runs(counters, &runs[..used], 16, None);
         }
         // LDGSTS writes shared memory directly; conflict-free rows.
         counters.smem_store_transactions += (4 * row_bytes).div_ceil(128);
     }
+}
+
+/// DRAM bytes the X streams of a launch request, for
+/// `L2Reuse::requested_bytes`: every block row streams every GroupTile
+/// column of every N tile once, whatever its split, fault outcome or
+/// fallback, so this is `gtiles_y` times the X-tile bytes
+/// [`stream_x_tile`] records, summed over `(nt, gtx)`.
+pub(crate) fn x_requested_bytes(
+    x_base: VAddr,
+    gtiles_y: usize,
+    gtiles_x: usize,
+    gt_cols: usize,
+    geo: &Geometry,
+) -> u64 {
+    let mut c = Counters::new();
+    for nt in 0..geo.grid_x {
+        for gtx in 0..gtiles_x {
+            stream_x_tile(&mut c, x_base, gtx, gt_cols, geo, nt * geo.tile_n);
+        }
+    }
+    gtiles_y as u64 * c.dram_read_bytes
 }
 
 /// Loads one GroupTile's bitmaps and values as LDGSTS streams into the
@@ -1096,11 +1119,13 @@ mod tests {
         c
     }
 
-    /// Streams one GroupTile column's X tile and returns the X counters.
+    /// Streams one GroupTile column's X tile and returns its counters,
+    /// less the shared-memory stores (the oracle models the loads).
     fn x_stream(x_base: VAddr, gtx: usize, gt_cols: usize, geo: &Geometry, n0: usize) -> Counters {
-        let (mut c, mut xc) = (Counters::new(), Counters::new());
-        stream_x_tile(&mut c, &mut xc, x_base, gtx, gt_cols, geo, n0);
-        xc
+        let mut c = Counters::new();
+        stream_x_tile(&mut c, x_base, gtx, gt_cols, geo, n0);
+        c.smem_store_transactions = 0;
+        c
     }
 
     proptest! {
@@ -1126,6 +1151,45 @@ mod tests {
             prop_assert_eq!(
                 x_stream(x_base, gtx, gt_cols, &geo, n0),
                 x_stream_by_lanes(x_base, gtx, gt_cols, &geo, n0)
+            );
+        }
+
+        /// The launch's X request formula equals the DRAM bytes every
+        /// block's X stream records, summed over the whole grid: block
+        /// rows, N tiles, and each split's GroupTile columns, over tile
+        /// widths 8..=128, ragged row pitches and split-K 1..=4.
+        #[test]
+        fn x_request_formula_matches_the_summed_block_streams(
+            tile_n8 in 1usize..=16,
+            pad8 in 0usize..=40,
+            split_k in 1usize..=4,
+            gtiles_x in 1usize..=9,
+            gtiles_y in 1usize..=3,
+            gt_cols in prop::sample::select(vec![16usize, 32, 64]),
+        ) {
+            let tile_n = 8 * tile_n8;
+            let n_pad = tile_n + 8 * pad8;
+            let geo = Geometry {
+                split_k,
+                gtx_per_split: gtiles_x.div_ceil(split_k),
+                ..x_geometry(tile_n, n_pad)
+            };
+            let x_base = 0x3000_0000;
+            let mut summed = 0;
+            for _gty in 0..gtiles_y {
+                for nt in 0..geo.grid_x {
+                    for split in 0..geo.split_k {
+                        let gx0 = split * geo.gtx_per_split;
+                        for gtx in gx0..(gx0 + geo.gtx_per_split).min(gtiles_x) {
+                            let n0 = nt * geo.tile_n;
+                            summed += x_stream(x_base, gtx, gt_cols, &geo, n0).dram_read_bytes;
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(
+                x_requested_bytes(x_base, gtiles_y, gtiles_x, gt_cols, &geo),
+                summed
             );
         }
     }
@@ -1168,9 +1232,9 @@ mod tests {
     }
 
     /// Every block of one launch through [`run_block`] on `simd` (the
-    /// portable body with `None`): workspace bits, the W and X counter
-    /// shards, and each block's outcome. `fault` runs a checked launch
-    /// under that injector.
+    /// portable body with `None`): workspace bits, the counters, and each
+    /// block's outcome. `fault` runs a checked launch under that
+    /// injector.
     ///
     /// [`run_block`]: SpmmConfig::run_block
     fn all_blocks<P: Datapath>(
@@ -1178,7 +1242,7 @@ mod tests {
         x: &DenseMatrix,
         fault: Option<&FaultInjector>,
         simd: Option<Simd>,
-    ) -> (Vec<u32>, Counters, Counters, Vec<Result<(), KernelError>>) {
+    ) -> (Vec<u32>, Counters, Vec<Result<(), KernelError>>) {
         let cfg = SpmmConfig::default();
         let t = P::tiles(w);
         let geo = cfg.geometry::<P>(&GpuSpec::rtx4090(), &FormatStats::from_encoded(t), x.cols());
@@ -1195,10 +1259,11 @@ mod tests {
             smem_values: (t.config.bts_per_gt() * 8) as u64,
         };
         let slice_len = t.m_pad * geo.n_pad;
+        let band_len = t.config.gt_rows * geo.n_pad;
         let mut ws = vec![0.0f32; geo.split_k * slice_len];
         let x_scale = P::x_scale(x);
         let xb = x_operands::<P>(x, t.k_pad, &geo, x_scale);
-        let (mut c, mut xc) = (Counters::new(), Counters::new());
+        let mut c = Counters::new();
         let mut scratch = BlockScratch::<P>::new();
         let mut outcomes = Vec::new();
         for gty in 0..t.gtiles_y() {
@@ -1211,15 +1276,14 @@ mod tests {
                         gx0,
                         gx1: (gx0 + geo.gtx_per_split).min(t.gtiles_x()),
                     };
-                    let ws = &mut ws[split * slice_len..][..slice_len];
+                    let band = &mut ws[split * slice_len + gty * band_len..][..band_len];
                     outcomes.push(cfg.run_block(
                         simd,
                         w,
                         &xb,
                         x_scale,
                         &mut c,
-                        &mut xc,
-                        ws,
+                        band,
                         &mut scratch,
                         &geo,
                         &at,
@@ -1231,7 +1295,7 @@ mod tests {
                 }
             }
         }
-        (ws.iter().map(|v| v.to_bits()).collect(), c, xc, outcomes)
+        (ws.iter().map(|v| v.to_bits()).collect(), c, outcomes)
     }
 
     /// The portable body (set-bit walk and portable MAC) is the only one

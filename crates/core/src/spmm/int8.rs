@@ -14,10 +14,11 @@
 //!    global scale per launch (`max|x| / 127`, order-independent and
 //!    therefore job-count invariant).
 //! 3. **The mma work runs on the integer pipe**
-//!    ([`mma_m16n8k16_s8_ntiles_on`], `mma.m16n8k16.s8.s8.s32`): exact
+//!    ([`mma_m16n8k16_s8_body`], `mma.m16n8k16.s8.s8.s32`): exact
 //!    `i32` accumulation, priced at twice the FP16 Tensor Core
 //!    throughput by the timing model. Like FP16, the MAC and the SMBD
-//!    row expansion run their AVX2 bodies on the launch's `Simd` token.
+//!    row expansion run their AVX2 bodies on the block's `Simd`
+//!    capability.
 //! 4. **A scale fold** at each GroupTile-column boundary moves the `i32`
 //!    accumulators into the `f32` output bank with
 //!    `scale_w[gt] × scale_x` (per-GroupTile symmetric weight scales from
@@ -37,11 +38,11 @@ use crate::smbd::row_shuffle;
 use crate::smbd::DecodeFault;
 use crate::tca_bme::{TcaBme, TcaBmeInt8, TcaBmeOf};
 use gpu_sim::counters::Counters;
-use gpu_sim::cpu::Simd;
+use gpu_sim::cpu::Isa;
 use gpu_sim::fp16::Half;
 use gpu_sim::matrix::DenseMatrix;
 use gpu_sim::spec::GpuSpec;
-use gpu_sim::tensor_core::{mma_m16n8k16_s8_ntiles_on, AccS8, MMA_K, MMA_M, MMA_N};
+use gpu_sim::tensor_core::{mma_m16n8k16_s8_body, AccS8, MMA_K, MMA_M, MMA_N};
 
 use super::block::OutTile;
 use super::{Ablation, Datapath, FormatStats, LaunchCtx, SpmmConfig, SpmmKernel, SpmmRun};
@@ -200,15 +201,16 @@ impl Datapath for i8 {
         Ok(())
     }
 
-    fn mma(
-        simd: Option<Simd>,
+    #[inline(always)]
+    fn mma<C: Isa>(
+        cap: C,
         counters: &mut Counters,
         a: &[[i32; MMA_K]; MMA_M],
         b: &[i32],
         ld: usize,
         accs: &mut [AccS8],
     ) {
-        mma_m16n8k16_s8_ntiles_on(simd, counters, a, b, ld, accs);
+        mma_m16n8k16_s8_body(cap, counters, a, b, ld, accs);
     }
 
     fn accumulate(acc: &mut AccS8, tile: impl Fn(usize, usize) -> i32) {

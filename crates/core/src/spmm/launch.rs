@@ -28,7 +28,9 @@ use gpu_sim::spec::GpuSpec;
 use gpu_sim::timing::L2Reuse;
 use gpu_sim::trace::TraceSink;
 
-use super::block::{x_operands, BlockBases, BlockGrid, BlockScratch, CheckedState, Datapath};
+use super::block::{
+    x_operands, x_requested_bytes, BlockBases, BlockGrid, BlockScratch, CheckedState, Datapath,
+};
 use super::traced::{emit_kernel_trace, BlockTracer, TracePhase};
 use super::{FormatStats, SpinferSpmm, SpmmConfig, SpmmRun};
 
@@ -608,19 +610,18 @@ impl SpmmConfig {
         let slice_len = t.m_pad * geo.n_pad;
         let band_len = t.config.gt_rows * geo.n_pad;
 
-        let (workspace, mut counters, x_counters, task_spans) = fan_out_block_rows(
+        let (workspace, counters, task_spans) = fan_out_block_rows(
             gtiles_y,
             geo.split_k,
             slice_len,
             band_len,
             BlockScratch::<P>::new,
-            |block_scratch, scratch, gty| {
+            |block_scratch, bands, gty| {
                 let mut shard = Counters::new();
-                let mut x_shard = Counters::new();
                 let mut tracer = sink.map(|_| BlockTracer::default());
                 for nt in 0..geo.grid_x {
                     let n0 = nt * geo.tile_n;
-                    for split in 0..geo.split_k {
+                    for (split, band) in bands.iter_mut().enumerate() {
                         let gx0 = split * geo.gtx_per_split;
                         let gx1 = (gx0 + geo.gtx_per_split).min(gtiles_x);
                         self.run_block(
@@ -629,8 +630,7 @@ impl SpmmConfig {
                             &xb,
                             x_scale,
                             &mut shard,
-                            &mut x_shard,
-                            &mut scratch[split * slice_len..][..slice_len],
+                            band,
                             block_scratch,
                             &geo,
                             &BlockGrid { gty, n0, gx0, gx1 },
@@ -641,15 +641,13 @@ impl SpmmConfig {
                         )?;
                     }
                 }
-                Ok((shard, x_shard, tracer.map(|t| t.spans)))
+                Ok((shard, tracer.map(|t| t.spans)))
             },
         )?;
 
-        let x_requested = x_counters.dram_read_bytes;
-        counters.merge(&x_counters);
         let l2 = [L2Reuse {
             buffer_bytes: (2 * t.k * geo.n_pad) as u64,
-            requested_bytes: x_requested,
+            requested_bytes: x_requested_bytes(x_base, gtiles_y, gtiles_x, t.config.gt_cols, &geo),
         }];
 
         let name = P::kernel_name(self.ablation);
@@ -663,22 +661,24 @@ impl SpmmConfig {
         ));
 
         // Reduce the split-K workspace through the functional reduction
-        // kernel (its counters come from real addresses too).
-        let mut out_pad = vec![0.0f32; t.m_pad * geo.n_pad];
-        if geo.split_k > 1 {
-            let out_base = gm.alloc(4 * t.m_pad * geo.n_pad);
+        // kernel (its counters come from real addresses too). With one
+        // split the workspace already is the padded output.
+        let out_pad = if geo.split_k > 1 {
+            let mut out_pad = vec![0.0f32; slice_len];
+            let out_base = gm.alloc(4 * slice_len);
             chain.push(crate::reduction::run_reduction(
                 spec,
                 &workspace,
                 &mut out_pad,
-                t.m_pad * geo.n_pad,
+                slice_len,
                 geo.split_k,
                 ws_base,
                 out_base,
             ));
+            out_pad
         } else {
-            out_pad.copy_from_slice(&workspace);
-        }
+            workspace
+        };
 
         // Slice to logical M×N.
         let mut output = vec![0.0f32; t.m * n];
@@ -695,40 +695,36 @@ impl SpmmConfig {
     }
 }
 
-/// Per-block-row outcome from a [`fan_out_block_rows`] body: the W-side
-/// and X-side counter shards plus optional per-phase trace spans.
-type RowOutcome = (Counters, Counters, Option<Vec<(TracePhase, u64)>>);
+/// Per-block-row outcome from a [`fan_out_block_rows`] body: the
+/// counter shard plus optional per-phase trace spans.
+type RowOutcome = (Counters, Option<Vec<(TracePhase, u64)>>);
 
 /// Aggregated [`fan_out_block_rows`] result: the filled split-K
-/// workspace, merged W-side and X-side counters, and per-block-row
-/// trace spans in block-row order.
-type FanOutResult = (Vec<f32>, Counters, Counters, Vec<Vec<(TracePhase, u64)>>);
+/// workspace, merged counters, and per-block-row trace spans in
+/// block-row order.
+type FanOutResult = (Vec<f32>, Counters, Vec<Vec<(TracePhase, u64)>>);
 
 /// Block-level fan-out of the launch body (see `gpu_sim::exec`): block
 /// rows `gty` write disjoint workspace row bands, so they distribute
 /// across host cores. The split-K workspace
 /// (`split_k × slice_len` FP32) is pre-cut into per-(split, gty) bands
-/// and each task gets the bands it owns — safe disjoint `&mut` access
-/// with no runtime aliasing checks.
-///
-/// Block routines address the workspace by *global* row, so each worker
-/// runs its block rows against a reusable full-size scratch image
-/// (`body`'s second argument), then the finished bands are copied out
-/// and re-zeroed. Event counts shard per task and merge field-wise
-/// (`u64` addition commutes), so both the numerics (disjoint copies)
-/// and the counters are bit-identical to the serial loop at any job
-/// count. A block row that aborts on an unrecoverable fault has its
-/// reusable scratch zeroed (the next task on that worker expects it
-/// clean) and carries the typed error out through the shard results.
-/// Per-task span records come back in task (block-row) order, so traces
-/// built from them are independent of scheduling.
+/// and each task gets the bands it owns, one per split (`body`'s second
+/// argument) — safe disjoint `&mut` access with no runtime aliasing
+/// checks. Block routines write their bands directly, indexing rows
+/// relative to the band. Event counts shard per task and merge
+/// field-wise (`u64` addition commutes), so both the numerics (disjoint
+/// bands) and the counters are bit-identical to the serial loop at any
+/// job count. A block row that aborts on an unrecoverable fault carries
+/// the typed error out through the shard results, and the launch
+/// returns it. Per-task span records come back in task (block-row)
+/// order, so traces built from them are independent of scheduling.
 fn fan_out_block_rows<S: Send>(
     gtiles_y: usize,
     split_k: usize,
     slice_len: usize,
     band_len: usize,
     init: impl Fn() -> S + Send + Sync,
-    body: impl Fn(&mut S, &mut [f32], usize) -> Result<RowOutcome, crate::error::KernelError>
+    body: impl Fn(&mut S, &mut [&mut [f32]], usize) -> Result<RowOutcome, crate::error::KernelError>
         + Send
         + Sync,
 ) -> Result<FanOutResult, SpinferError> {
@@ -753,38 +749,83 @@ fn fan_out_block_rows<S: Send>(
         })
         .collect();
 
-    let shards = exec::par_map_with(
-        tasks,
-        // Worker-scoped state: the full-size workspace image plus the
-        // block-level scratch (accumulators, decode buffers),
-        // allocated once per worker and reused across every block
-        // invocation instead of per launch-grid cell.
-        || (vec![0.0f32; split_k * slice_len], init()),
-        |(scratch, state), (gty, bands)| match body(state, scratch, gty) {
-            Ok(out) => {
-                for (split, band) in bands.into_iter().enumerate() {
-                    let src = &mut scratch[split * slice_len + gty * band_len..][..band_len];
-                    band.copy_from_slice(src);
-                    src.fill(0.0);
-                }
-                Ok(out)
-            }
-            Err(e) => {
-                scratch.fill(0.0);
-                Err(e)
-            }
-        },
-    );
+    // Worker-scoped state: the block-level scratch (accumulators,
+    // decode buffers), allocated once per worker and reused across every
+    // block invocation instead of per launch-grid cell.
+    let shards = exec::par_map_with(tasks, init, |state, (gty, mut bands)| {
+        body(state, &mut bands, gty)
+    });
     let mut counters = Counters::new();
-    let mut x_counters = Counters::new();
     let mut task_spans: Vec<Vec<(TracePhase, u64)>> = Vec::new();
     for res in shards {
-        let (shard, x_shard, spans) = res.map_err(SpinferError::Kernel)?;
+        let (shard, spans) = res.map_err(SpinferError::Kernel)?;
         counters.merge(&shard);
-        x_counters.merge(&x_shard);
         if let Some(spans) = spans {
             task_spans.push(spans);
         }
     }
-    Ok((workspace, counters, x_counters, task_spans))
+    Ok((workspace, counters, task_spans))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::error::KernelError;
+
+    /// Each block row gets its own band of every split slice, in split
+    /// order and zeroed, and what it writes there is the workspace;
+    /// shards merge and spans come back in block-row order.
+    #[test]
+    fn fan_out_hands_each_block_row_its_bands() {
+        let (gtiles_y, split_k, band_len) = (5, 3, 4);
+        let slice_len = gtiles_y * band_len;
+        let (ws, counters, spans) = fan_out_block_rows(
+            gtiles_y,
+            split_k,
+            slice_len,
+            band_len,
+            || (),
+            |_, bands, gty| {
+                assert_eq!(bands.len(), split_k);
+                for (split, band) in bands.iter_mut().enumerate() {
+                    assert_eq!(band.len(), band_len);
+                    assert!(band.iter().all(|&v| v == 0.0), "bands start zeroed");
+                    band.fill((100 * split + gty) as f32);
+                }
+                let mut shard = Counters::new();
+                shard.barriers = gty as u64 + 1;
+                Ok((shard, Some(vec![(TracePhase::Mma, gty as u64)])))
+            },
+        )
+        .expect("no block row fails");
+        for (i, &v) in ws.iter().enumerate() {
+            let (split, gty) = (i / slice_len, i % slice_len / band_len);
+            assert_eq!(v, (100 * split + gty) as f32, "workspace element {i}");
+        }
+        assert_eq!(counters.barriers, 15);
+        let order: Vec<_> = (0..5).map(|g| vec![(TracePhase::Mma, g)]).collect();
+        assert_eq!(spans, order);
+    }
+
+    /// A block row that aborts fails the whole fan-out with its typed
+    /// error.
+    #[test]
+    fn fan_out_carries_a_block_rows_error_out() {
+        let err = fan_out_block_rows(
+            4,
+            2,
+            8,
+            2,
+            || (),
+            |_, _, gty| match gty {
+                2 => Err(KernelError::RetryBudgetExhausted { gt: 7, attempts: 3 }),
+                _ => Ok((Counters::new(), None)),
+            },
+        )
+        .expect_err("block row 2 fails");
+        assert!(matches!(
+            err,
+            SpinferError::Kernel(KernelError::RetryBudgetExhausted { gt: 7, attempts: 3 })
+        ));
+    }
 }

@@ -49,14 +49,14 @@ pub(crate) struct BlockTracer {
 
 impl BlockTracer {
     /// Re-baselines the weight cursor at a phase boundary.
-    pub(crate) fn sync(&mut self, counters: &Counters, x_counters: &Counters) {
-        self.mark = attribution_weight(counters) + attribution_weight(x_counters);
+    pub(crate) fn sync(&mut self, counters: &Counters) {
+        self.mark = attribution_weight(counters);
     }
 
     /// Closes a phase: records the weight accumulated since the last
     /// boundary and re-baselines.
-    pub(crate) fn phase(&mut self, phase: TracePhase, counters: &Counters, x_counters: &Counters) {
-        let now = attribution_weight(counters) + attribution_weight(x_counters);
+    pub(crate) fn phase(&mut self, phase: TracePhase, counters: &Counters) {
+        let now = attribution_weight(counters);
         self.spans.push((phase, now - self.mark));
         self.mark = now;
     }

@@ -594,10 +594,11 @@ impl TcaBmeInt8 {
 /// logical `m × k` extent) take a per-row-slice fast path with no
 /// per-element bounds logic; edge tiles clamp row/column spans so
 /// out-of-extent bits stay zero, exactly like the serial `at(r, c)`
-/// closure's zero padding. Inside [`Simd::vectorize`] the row-slice
+/// closure's zero padding. Always inlined, with its BitmapTile helpers,
+/// into pass 1's [`Simd::vectorize`] region, where the row-slice
 /// `!is_zero` reduction vectorizes (the baseline SSE2 build cannot
 /// encode the 16-lane compare + movemask pattern).
-#[inline]
+#[inline(always)]
 fn build_gtile_bitmaps(
     data: &[Half],
     m: usize,
@@ -634,7 +635,7 @@ fn build_gtile_bitmaps(
 /// Branchless bitmap of one fully-interior 8×8 BitmapTile: each row is
 /// an 8-element slice of the row-major backing store, OR-ing
 /// `!is_zero` straight into bit `row·8 + col`.
-#[inline]
+#[inline(always)]
 fn bt_bitmap_interior(data: &[Half], k: usize, bt_r: usize, bt_c: usize) -> u64 {
     let mut bm = 0u64;
     for rb in 0..BT_DIM {
@@ -651,6 +652,7 @@ fn bt_bitmap_interior(data: &[Half], k: usize, bt_r: usize, bt_c: usize) -> u64 
 /// Bitmap of a BitmapTile that may overhang the logical extent: only
 /// in-extent row/column spans are scanned, so overhanging bits are zero
 /// (the serial encoder's zero padding).
+#[inline(always)]
 fn bt_bitmap_edge(data: &[Half], m: usize, k: usize, bt_r: usize, bt_c: usize) -> u64 {
     let cols = BT_DIM.min(k.saturating_sub(bt_c));
     let rows = BT_DIM.min(m.saturating_sub(bt_r));
@@ -676,10 +678,11 @@ fn bt_bitmap_edge(data: &[Half], m: usize, k: usize, bt_r: usize, bt_c: usize) -
 /// per-bit loop pushes values, and set bits are in-extent by
 /// construction, so each value is a direct row-major load. The span's
 /// tail beyond `count` stays zero: that is the GroupTile's
-/// [`VALUE_PAD`] alignment padding. Inside [`Simd::vectorize`] the
-/// per-bit `trailing_zeros` / clear-lowest-set-bit sweep compiles to
-/// single `tzcnt` / `blsr` instructions.
-#[inline]
+/// [`VALUE_PAD`] alignment padding. Always inlined into pass 2's
+/// [`Simd::vectorize`] region, where the per-bit `trailing_zeros` /
+/// clear-lowest-set-bit sweep compiles to single `tzcnt` / `blsr`
+/// instructions.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn fill_gtile_values(
     data: &[Half],
@@ -738,6 +741,28 @@ fn prefix_offsets(counts: &[usize]) -> Result<(Vec<u32>, usize), crate::error::S
 mod tests {
     use super::*;
     use gpu_sim::matrix::{random_sparse, ValueDist};
+
+    /// The pass bodies called outside any `vectorize` region — the
+    /// baseline copies a host without the [`Simd`] features runs — write
+    /// the entry's bitmaps, counts and values, padding included, on
+    /// interior and edge GroupTiles.
+    #[test]
+    fn encode_bodies_outside_the_region_match_the_entry() {
+        for (m, k, s) in [(128, 192, 0.6), (100, 70, 0.3)] {
+            let w = random_sparse(m, k, s, ValueDist::Uniform, 17);
+            let enc = TcaBme::encode(&w);
+            let (config, data) = (enc.config, w.as_slice());
+            for gt in 0..enc.num_gtiles() {
+                let (gty, gtx) = (gt / enc.gtiles_x(), gt % enc.gtiles_x());
+                let mut bms = vec![0u64; config.bts_per_gt()];
+                let count = build_gtile_bitmaps(data, m, k, config, gty, gtx, &mut bms);
+                assert_eq!(bms, enc.gtile_bitmaps(gt), "{m}x{k} gt {gt}");
+                let mut vals = vec![Half::ZERO; enc.gtile_values(gt).len()];
+                fill_gtile_values(data, k, config, gty, gtx, &bms, count, &mut vals);
+                assert_eq!(vals, enc.gtile_values(gt), "{m}x{k} gt {gt}");
+            }
+        }
+    }
 
     #[test]
     fn roundtrip_exact() {

@@ -1,16 +1,23 @@
 //! The host CPU's SIMD features, detected once per process, and the one
 //! place in the workspace that compiles code with them.
 //!
-//! Every feature-compiled body — the SpMM block copy with its `pshufb`
-//! SMBD rows (F16C-widened halves, sign-extended codes) and the AVX2
-//! `mma` MAC it calls, the standalone TCTile decode, the MAC batches,
-//! the sparse generator walk, the f32 → f16 batch converter and the
-//! TCA-BME encode passes — runs through [`Simd::vectorize`], which
-//! compiles its closure with the feature set [`Simd::detect`] checks.
-//! Only a [`Simd`] can call it, so no body can run where a feature was
-//! not checked. The intrinsic leaves enable no features of their own:
-//! they are `#[inline(always)]` and inline into the `vectorize` copy.
-//! Each body has a portable twin that computes the same bits; hosts
+//! The capability is chosen once, at an entry point, and is a type
+//! everywhere below it. Each entry point — the SpMM block, the matrix
+//! generators, the two TCA-BME encode passes and the standalone MAC and
+//! TCTile-decode benchmarks — matches [`Simd::detect`] once. With a
+//! token it enters [`Simd::vectorize`] once, which compiles its closure
+//! with the feature set `detect` checks; without one it calls the same
+//! body on [`Portable`]. Every body below is generic over [`Isa`] and
+//! picks each leaf by matching [`Isa::leaf`], which the compiler
+//! resolves per type, so a body never takes a runtime choice and
+//! `vectorize` never nests. The intrinsic leaves enable no features of
+//! their own: they are `#[inline(always)]` and inline into the
+//! `vectorize` copy. Bodies with no intrinsic leaf (the generator walk,
+//! the f32 → f16 converter, the encode workers) take no capability: they
+//! are `#[inline(always)]`, so they compile with the features of the
+//! region they inline into.
+//!
+//! Each leaf has a portable twin that computes the same bits; hosts
 //! without the features run those, as does every non-x86_64 host and
 //! any build with `RUSTFLAGS="--cfg spinfer_portable"`, which lets an
 //! x86_64 host run the portable bodies end to end.
@@ -48,8 +55,10 @@ impl Simd {
         }
     }
 
-    /// Runs `f` compiled with the features of the set. Pass an
-    /// `#[inline(always)] move` closure. The attribute makes it inline
+    /// Runs `f` compiled with the features of the set. Only entry points
+    /// call it, once each; the bodies below them are generic over
+    /// [`Isa`] and never call it again. Pass an `#[inline(always)] move`
+    /// closure. The attribute makes it inline
     /// into this copy, and with it every `#[inline(always)]` function it
     /// calls, intrinsics included; without it the closure may stay out
     /// of line, compiled without the features, and its intrinsics become
@@ -68,9 +77,65 @@ impl Simd {
     }
 }
 
-/// `f()`, compiled with the [`Simd`] feature set.
+/// The portable capability: nothing beyond the target's baseline. Every
+/// host can run it; hosts without the [`Simd`] features run every body
+/// on it.
+#[derive(Clone, Copy, Debug)]
+pub struct Portable;
+
+/// A SIMD capability as a static type: [`Simd`] or [`Portable`]. A body
+/// generic over it picks its leaf with `match cap.leaf()`; each type
+/// answers one constant variant, so the compiler keeps one arm.
+pub trait Isa: Copy {
+    /// The leaf this capability runs.
+    fn leaf(self) -> Leaf;
+}
+
+/// What [`Isa::leaf`] answers.
+#[derive(Clone, Copy, Debug)]
+pub enum Leaf {
+    /// The intrinsic leaf; the token proves its features.
+    Simd(Simd),
+    /// The portable leaf.
+    Portable,
+}
+
+impl Isa for Simd {
+    #[inline(always)]
+    fn leaf(self) -> Leaf {
+        Leaf::Simd(self)
+    }
+}
+
+impl Isa for Portable {
+    #[inline(always)]
+    fn leaf(self) -> Leaf {
+        Leaf::Portable
+    }
+}
+
+/// `f()`, compiled with the [`Simd`] feature set. Never inlined, so each
+/// region is a function of its own: callers without the features could
+/// not inline it anyway, and a nested region, which a caller with the
+/// features could absorb, stays visible to `scripts/check_simd_inlined.sh`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,bmi1,bmi2,f16c,lzcnt,popcnt")]
+#[inline(never)]
 fn with_features<R>(f: impl FnOnce() -> R) -> R {
     f()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Each capability answers its own leaf: the match a body resolves
+    /// per type.
+    #[test]
+    fn each_capability_answers_its_own_leaf() {
+        assert!(matches!(Portable.leaf(), Leaf::Portable));
+        if let Some(s) = Simd::detect() {
+            assert!(matches!(s.leaf(), Leaf::Simd(_)));
+        }
+    }
 }

@@ -5,7 +5,6 @@
 //! crate is used; conversions implement round-to-nearest-even, matching the
 //! behaviour of the `cvt.rn.f16.f32` PTX instruction.
 
-use crate::cpu::Simd;
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
@@ -282,7 +281,7 @@ pub fn f16_to_f32_vec(src: &[Half]) -> Vec<f32> {
 /// a short fixed dependency chain with no data-dependent branches; this
 /// is what lets [`f32_to_f16_slice`] convert generator-scale buffers at
 /// memory speed.
-#[inline]
+#[inline(always)]
 fn f16_bits_from_f32_bits_rne(bits: u32) -> u16 {
     let sign = ((bits >> 16) & 0x8000) as u16;
     let abs = bits & 0x7FFF_FFFF;
@@ -328,25 +327,15 @@ fn f16_bits_from_f32_bits_rne(bits: u32) -> u16 {
 /// `dst[i] = Half::from_f32(src[i])` bit-for-bit (same round-to-nearest-
 /// even, same NaN quieting), without per-element call dispatch or
 /// data-dependent branching (`f16_bits_from_f32_bits_rne`). The batch
-/// form the chunked matrix generators use, which detect the token once
-/// per matrix. With `Some`, the loop runs inside [`Simd::vectorize`],
-/// where the compiler vectorizes the branch-free conversion eight lanes
-/// wide (variable shifts and unsigned mins have no SSE2 encoding, which
-/// blocks that in the baseline build); the arithmetic per element is the
-/// same either way. `dst.len()` must equal `src.len()`.
-pub fn f32_to_f16_slice(simd: Option<Simd>, src: &[f32], dst: &mut [Half]) {
-    assert_eq!(src.len(), dst.len(), "length mismatch");
-    match simd {
-        Some(s) => s.vectorize(
-            #[inline(always)]
-            move || convert_slice(src, dst),
-        ),
-        None => convert_slice(src, dst),
-    }
-}
-
+/// form the chunked matrix generators use. Always inlined: inside their
+/// [`Simd::vectorize`](crate::cpu::Simd::vectorize) region the compiler
+/// vectorizes the branch-free conversion eight lanes wide (variable
+/// shifts and unsigned mins have no SSE2 encoding, which blocks that in
+/// the baseline build); the arithmetic per element is the same either
+/// way. `dst.len()` must equal `src.len()`.
 #[inline(always)]
-fn convert_slice(src: &[f32], dst: &mut [Half]) {
+pub(crate) fn f32_to_f16_slice(src: &[f32], dst: &mut [Half]) {
+    assert_eq!(src.len(), dst.len(), "length mismatch");
     for (d, &x) in dst.iter_mut().zip(src) {
         *d = Half(f16_bits_from_f32_bits_rne(x.to_bits()));
     }
@@ -468,12 +457,10 @@ mod tests {
         fn f32_to_f16_slice_matches_per_element(raw in prop::collection::vec(any::<u32>(), 0..64)) {
             // Arbitrary bit patterns, NaNs and infinities included.
             let src: Vec<f32> = raw.iter().map(|&b| f32::from_bits(b)).collect();
-            for simd in [None, Simd::detect()] {
-                let mut dst = vec![Half::ZERO; src.len()];
-                f32_to_f16_slice(simd, &src, &mut dst);
-                for (&x, &h) in src.iter().zip(&dst) {
-                    prop_assert_eq!(h.to_bits(), Half::from_f32(x).to_bits());
-                }
+            let mut dst = vec![Half::ZERO; src.len()];
+            f32_to_f16_slice(&src, &mut dst);
+            for (&x, &h) in src.iter().zip(&dst) {
+                prop_assert_eq!(h.to_bits(), Half::from_f32(x).to_bits());
             }
         }
 
@@ -611,13 +598,13 @@ mod tests {
     /// `vcvtph2ps` against the LUT over every f16 pattern, eight at a
     /// time, compared as bits: signed zeros, subnormals, infinities and
     /// NaNs (both quiet a NaN to `sign | 0x7FC0_0000 | mant << 13`).
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn f16c_matches_lut_for_every_pattern() {
-        if Simd::detect().is_none() {
+        if crate::cpu::Simd::detect().is_none() {
             eprintln!("skipped: the host lacks the SIMD features");
             return;
         }
-        #[cfg(target_arch = "x86_64")]
         for lo in (0..=u16::MAX).step_by(8) {
             use std::arch::x86_64::{_mm256_cvtph_ps, _mm256_storeu_ps, _mm_loadu_si128};
             let halves: [u16; 8] = std::array::from_fn(|i| lo + i as u16);

@@ -265,11 +265,29 @@ fn assert_nonzero_dist(dist: ValueDist) {
 /// number of words — one for `Uniform`, twelve for `Normal` — so whole
 /// chunks of raw words are mapped through the same per-word formulas
 /// the serial draw path applies, then batch-converted to FP16.
+///
+/// An entry point: the whole matrix fills inside one
+/// [`Simd::vectorize`] region where [`Simd::detect`] finds the features.
 pub fn random_dense(rows: usize, cols: usize, dist: ValueDist, seed: u64) -> DenseMatrix {
-    let n = rows * cols;
-    let simd = Simd::detect();
     let mut rng = BufferedRng::new(StdRng::seed_from_u64(seed));
-    let mut data = vec![Half::ZERO; n];
+    let mut data = vec![Half::ZERO; rows * cols];
+    // A `move` closure would copy the generator: hand it references.
+    let (rng, out) = (&mut rng, data.as_mut_slice());
+    match Simd::detect() {
+        Some(s) => s.vectorize(
+            #[inline(always)]
+            move || fill_dense(rng, dist, out),
+        ),
+        None => fill_dense(rng, dist, out),
+    }
+    DenseMatrix::from_vec(rows, cols, data)
+}
+
+/// The body of [`random_dense`]: `data` in chunks of mapped raw words,
+/// each batch-converted to FP16.
+#[inline(always)]
+fn fill_dense(rng: &mut BufferedRng<StdRng>, dist: ValueDist, data: &mut [Half]) {
+    let n = data.len();
     let mut tmp = [0.0f32; GEN_CHUNK];
     let mut i = 0;
     while i < n {
@@ -291,10 +309,9 @@ pub fn random_dense(rows: usize, cols: usize, dist: ValueDist, seed: u64) -> Den
             }
         }
         rng.advance(cnt * words_per_elem);
-        f32_to_f16_slice(simd, &tmp[..cnt], &mut data[i..i + cnt]);
+        f32_to_f16_slice(&tmp[..cnt], &mut data[i..i + cnt]);
         i += cnt;
     }
-    DenseMatrix::from_vec(rows, cols, data)
 }
 
 /// Generates a sparse matrix where each element is zero with probability
@@ -354,7 +371,28 @@ fn sparse_element<R: RngCore>(rng: &mut R, sparsity: f64, dist: ValueDist) -> Ha
 /// `force_replay` pretends every chunk hit the hazard, driving the
 /// replay path deterministically for tests (the rare path must also be
 /// byte-faithful, including its word accounting across chunks).
+///
+/// An entry point: the whole matrix fills inside one
+/// [`Simd::vectorize`] region where [`Simd::detect`] finds the features.
 fn fill_sparse(
+    rng: &mut BufferedRng<StdRng>,
+    sparsity: f64,
+    dist: ValueDist,
+    data: &mut [Half],
+    force_replay: bool,
+) {
+    match Simd::detect() {
+        Some(s) => s.vectorize(
+            #[inline(always)]
+            move || fill_sparse_chunks(rng, sparsity, dist, data, force_replay),
+        ),
+        None => fill_sparse_chunks(rng, sparsity, dist, data, force_replay),
+    }
+}
+
+/// The body of [`fill_sparse`].
+#[inline(always)]
+fn fill_sparse_chunks(
     rng: &mut BufferedRng<StdRng>,
     sparsity: f64,
     dist: ValueDist,
@@ -371,22 +409,17 @@ fn fill_sparse(
     let thresh = (sparsity * 9007199254740992.0).ceil() as u64; // 2⁵³
     debug_assert!((0.0..=1.0).contains(&sparsity));
     let n = data.len();
-    let simd = Simd::detect();
     let mut tmp = [0.0f32; GEN_CHUNK];
     let mut i = 0;
     while i < n {
         let chunk = &mut tmp[..(n - i).min(GEN_CHUNK)];
         let (wp, cnt, kept) = match dist {
-            ValueDist::Uniform => {
-                scan_sparse(simd, rng, thresh, chunk, |w: &[u64; 1]| uniform_pm1(w[0]))
-            }
-            ValueDist::Normal { std } => {
-                scan_sparse(simd, rng, thresh, chunk, |w| irwin_hall(w, std))
-            }
+            ValueDist::Uniform => scan_sparse(rng, thresh, chunk, |w: &[u64; 1]| uniform_pm1(w[0])),
+            ValueDist::Normal { std } => scan_sparse(rng, thresh, chunk, |w| irwin_hall(w, std)),
         };
         debug_assert!(cnt > 0, "the sparse walk made no progress");
         let out = &mut data[i..i + cnt];
-        f32_to_f16_slice(simd, &tmp[..cnt], out);
+        f32_to_f16_slice(&tmp[..cnt], out);
         if force_replay || out.iter().filter(|h| !h.is_zero()).count() != kept {
             for slot in out.iter_mut() {
                 *slot = sparse_element(rng, sparsity, dist);
@@ -401,38 +434,19 @@ fn fill_sparse(
 /// One optimistic chunk of the sparse walk over the buffered words,
 /// with `W` value words per kept element: fills `tmp` from the front
 /// and returns `(words walked, elements produced, kept elements)`
-/// without consuming anything. With `Some`, the walk runs inside
-/// [`Simd::vectorize`] (see [`crate::fp16::f32_to_f16_slice`] for why
-/// the baseline SSE2 build can't vectorize these patterns): identical
-/// arithmetic, invisible to the stream-fidelity pins. See
-/// [`scan_sparse_generic`] for the logic.
-#[inline]
+/// without consuming anything. Always inlined, so inside
+/// [`fill_sparse`]'s [`Simd::vectorize`] region the whole walk compiles
+/// with the features (see [`crate::fp16::f32_to_f16_slice`] for why the
+/// baseline SSE2 build can't vectorize these patterns): identical
+/// arithmetic, invisible to the stream-fidelity pins.
+#[inline(always)]
 fn scan_sparse<const W: usize>(
-    simd: Option<Simd>,
     rng: &mut BufferedRng<StdRng>,
     thresh: u64,
     tmp: &mut [f32],
     value: impl Fn(&[u64; W]) -> f32,
 ) -> (usize, usize, usize) {
     let words = rng.buffered(1 + W);
-    match simd {
-        Some(s) => s.vectorize(
-            #[inline(always)]
-            move || scan_sparse_generic(words, thresh, tmp, value),
-        ),
-        None => scan_sparse_generic(words, thresh, tmp, value),
-    }
-}
-
-// Always inlined, so the `vectorize` copy compiles the whole walk with
-// the features rather than calling the baseline build.
-#[inline(always)]
-fn scan_sparse_generic<const W: usize>(
-    words: &[u64],
-    thresh: u64,
-    tmp: &mut [f32],
-    value: impl Fn(&[u64; W]) -> f32,
-) -> (usize, usize, usize) {
     // A gate below `end` has all `W` of its value words peeked, so its
     // element is decidable whether it is kept or dropped.
     let end = words.len() - W;
@@ -727,6 +741,51 @@ mod tests {
         }
     }
 
+    /// Where the host has the [`Simd`] features the entry fills inside
+    /// `vectorize`; the body called directly is the baseline copy a host
+    /// without them runs. Both must write the same bytes.
+    #[test]
+    fn dense_body_outside_the_region_matches_the_entry() {
+        for (r, c) in [(3, 5), (7, 111), (64, 64)] {
+            for dist in [ValueDist::Uniform, ValueDist::Normal { std: 0.02 }] {
+                let mut rng = BufferedRng::new(StdRng::seed_from_u64(9));
+                let mut data = vec![Half::ZERO; r * c];
+                fill_dense(&mut rng, dist, &mut data);
+                let body = DenseMatrix::from_vec(r, c, data);
+                assert_eq!(body, random_dense(r, c, dist, 9), "dense {r}x{c} {dist:?}");
+            }
+        }
+    }
+
+    /// [`dense_body_outside_the_region_matches_the_entry`] for the sparse
+    /// walk, on both the optimistic and the replay path.
+    #[test]
+    fn sparse_body_outside_the_region_matches_the_entry() {
+        for (r, c) in [(16, 32), (129, 65)] {
+            for sparsity in [0.0, 0.6, 0.95] {
+                for dist in SPARSE_DISTS {
+                    for replay in [false, true] {
+                        let fill = |entry: bool| {
+                            let mut rng = BufferedRng::new(StdRng::seed_from_u64(11));
+                            let mut data = vec![Half::ZERO; r * c];
+                            if entry {
+                                fill_sparse(&mut rng, sparsity, dist, &mut data, replay);
+                            } else {
+                                fill_sparse_chunks(&mut rng, sparsity, dist, &mut data, replay);
+                            }
+                            data
+                        };
+                        assert_eq!(
+                            fill(false),
+                            fill(true),
+                            "sparse {r}x{c} s={sparsity} {dist:?} replay {replay}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// The optimistic filler's rare path — decline to consume the
     /// peeked words and replay the run serially — must also be
     /// byte-faithful, including word accounting across chunk
@@ -759,12 +818,11 @@ mod tests {
     fn sparse_walk_ends_chunk_only_when_full_or_out_of_words() {
         fn check<const W: usize>(sparsity: f64, lim: usize) {
             let thresh = (sparsity * 9007199254740992.0).ceil() as u64;
-            let simd = Simd::detect();
             let mut rng = BufferedRng::new(StdRng::seed_from_u64(3));
             let mut tmp = [0.0f32; GEN_CHUNK];
             for chunk in 0..64 {
                 let (wp, cnt, _) =
-                    scan_sparse(simd, &mut rng, thresh, &mut tmp[..lim], |_: &[u64; W]| 1.0);
+                    scan_sparse(&mut rng, thresh, &mut tmp[..lim], |_: &[u64; W]| 1.0);
                 let peeked = rng.buffered(0).len();
                 assert!(
                     cnt == lim || wp + 1 + W > peeked,

@@ -8,8 +8,11 @@
 //! call multiplies it against every adjacent 8-column B tile of the
 //! activation window. Both precisions share one MAC: a portable body,
 //! and an AVX2 body generic over its lane type (`vmulps` + `vaddps` on
-//! `f32`, never fused; `vpmulld` + `vpaddd` on `i32`) that runs inside
-//! [`Simd::vectorize`]. The register layout still shapes the format. In
+//! `f32`, never fused; `vpmulld` + `vpaddd` on `i32`). The MAC is
+//! generic over the capability ([`Isa`]) and always inlined, so it
+//! compiles into its caller's [`Simd::vectorize`] region: the SpMM
+//! block's, or the standalone entry points' own. It never enters
+//! `vectorize` itself. The register layout still shapes the format. In
 //! the A fragment, with `group = lane / 4` and `tid = lane % 4`:
 //!
 //! * `Ra0` = `A[group][2*tid..]` (top-left 8×8 quadrant)
@@ -25,7 +28,7 @@
 //! decode to that per-lane form.
 
 use crate::counters::Counters;
-use crate::cpu::Simd;
+use crate::cpu::{Isa, Portable, Simd};
 
 /// Rows of the `mma` A operand / D result.
 pub const MMA_M: usize = 16;
@@ -65,8 +68,9 @@ pub type AccF32 = [[f32; MMA_N]; MMA_M];
 /// `tests/simd_equiv.rs`; the portable body is pinned to the AVX2 body
 /// by this module's unit tests).
 ///
-/// Records one `mma` instruction per tile. Runs the AVX2 body where
-/// [`Simd::detect`] finds the features, else the portable one.
+/// Records one `mma` instruction per tile. An entry point: runs the AVX2
+/// body inside [`Simd::vectorize`] where [`Simd::detect`] finds the
+/// features, else the portable one.
 pub fn mma_m16n8k16_bslice_ntiles(
     counters: &mut Counters,
     a: &[[f32; MMA_K]; MMA_M],
@@ -74,33 +78,38 @@ pub fn mma_m16n8k16_bslice_ntiles(
     ld: usize,
     accs: &mut [AccF32],
 ) {
-    mma_m16n8k16_bslice_ntiles_on(Simd::detect(), counters, a, b, ld, accs);
+    match Simd::detect() {
+        Some(s) => s.vectorize(
+            #[inline(always)]
+            move || mma_m16n8k16_bslice_body(s, counters, a, b, ld, accs),
+        ),
+        None => mma_m16n8k16_bslice_body(Portable, counters, a, b, ld, accs),
+    }
 }
 
-/// [`mma_m16n8k16_bslice_ntiles`] for a caller that already holds the
-/// launch's token: the AVX2 body with `Some`, the portable body with
-/// `None`. Both compute the same bits.
-#[inline]
-pub fn mma_m16n8k16_bslice_ntiles_on(
-    simd: Option<Simd>,
+/// The body of [`mma_m16n8k16_bslice_ntiles`] on the capability `cap`,
+/// for a caller that already runs inside its own entry's
+/// [`Simd::vectorize`] region (or on [`Portable`]). Always inlined, so it
+/// compiles with its caller's features.
+#[inline(always)]
+pub fn mma_m16n8k16_bslice_body<C: Isa>(
+    cap: C,
     counters: &mut Counters,
     a: &[[f32; MMA_K]; MMA_M],
     b: &[f32],
     ld: usize,
     accs: &mut [AccF32],
 ) {
-    mac_tiles(simd, a, b, ld, accs);
+    mac_tiles(cap, a, b, ld, accs);
     counters.mma_insts += accs.len() as u64;
     counters.insts_issued += accs.len() as u64;
 }
 
-/// The MAC of both batched entry points: checks the bounds, then runs
-/// the AVX2 body inside [`Simd::vectorize`] with `Some`, the portable
-/// body with `None`. The `_on` entries are `#[inline]`, so the SpMM
-/// block's copies call the AVX2 body's `vectorize` copy directly.
+/// The MAC of both batched bodies: checks the bounds, then runs the AVX2
+/// body on [`Simd`] and the portable body on [`Portable`].
 #[inline(always)]
-fn mac_tiles<L: Lane>(
-    simd: Option<Simd>,
+fn mac_tiles<C: Isa, L: Lane>(
+    cap: C,
     a: &[[L; MMA_K]; MMA_M],
     b: &[L],
     ld: usize,
@@ -120,14 +129,11 @@ fn mac_tiles<L: Lane>(
         "B slice of {} elements with ld {ld} cannot feed {ntiles} tiles",
         b.len()
     );
-    match simd {
-        // SAFETY: the closure runs inside `vectorize`, and the assert
-        // above bounds every B read.
+    match cap.leaf() {
+        // SAFETY: the token proves the features, and the assert above
+        // bounds every B read.
         #[cfg(target_arch = "x86_64")]
-        Some(s) => s.vectorize(
-            #[inline(always)]
-            move || unsafe { avx2::mac_tiles(a, b, ld, accs) },
-        ),
+        crate::cpu::Leaf::Simd(_) => unsafe { avx2::mac_tiles(a, b, ld, accs) },
         _ => mac_tiles_flat(a, b, ld, accs),
     }
 }
@@ -185,7 +191,7 @@ fn mac_tiles_flat<L: Lane>(
 
 /// The AVX2 MAC, one body for both lane types. Every function here is an
 /// intrinsic leaf: `#[inline(always)]`, with no features of its own, to
-/// run inside [`Simd::vectorize`].
+/// inline into a [`Simd::vectorize`] region.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use core::arch::x86_64::{
@@ -280,8 +286,8 @@ mod avx2 {
     ///
     /// # Safety
     ///
-    /// Runs inside [`Simd::vectorize`](crate::cpu::Simd::vectorize), and
-    /// `b` must cover `(MMA_K - 1) * ld + accs.len() * MMA_N` elements.
+    /// The host has the [`Simd`](crate::cpu::Simd) features, and `b`
+    /// must cover `(MMA_K - 1) * ld + accs.len() * MMA_N` elements.
     #[inline(always)]
     pub(super) unsafe fn mac_tiles<L: Lane>(
         a: &[[L; MMA_K]; MMA_M],
@@ -294,7 +300,7 @@ mod avx2 {
             // `2 p * MMA_N`, inside the caller's bound.
             let bj = unsafe { b.as_ptr().add(2 * p * MMA_N) };
             for m0 in (0..MMA_M).step_by(BLOCK_ROWS) {
-                // SAFETY: the caller runs inside `vectorize`; `bj` covers
+                // SAFETY: the caller holds the features; `bj` covers
                 // `pair.len()` tiles for every `k` row.
                 unsafe {
                     match pair {
@@ -311,8 +317,7 @@ mod avx2 {
     /// adjacent tiles. The `BLOCK_ROWS × W` sums start at zero, take
     /// `sum + a * b` (multiply, then add — never fused) for `k`
     /// ascending, with no zero-skip, and are added once into the
-    /// accumulator rows. The caller runs inside `vectorize`, and `b`
-    /// covers `(MMA_K - 1) * ld + W * MMA_N` elements.
+    /// accumulator rows. The host has the features, and `b` covers `(MMA_K - 1) * ld + W * MMA_N` elements.
     #[inline(always)]
     unsafe fn mac_block<L: Lane, const W: usize>(
         tiles: [&mut [[L; MMA_N]; MMA_M]; W],
@@ -361,8 +366,9 @@ pub type AccS8 = [[i32; MMA_N]; MMA_M];
 /// summed over 16 `k` steps stay far inside `i32`.
 /// Records one `mma.s8` instruction per tile (`mma_s8_insts`, priced at
 /// twice the FP16 per-instruction Tensor Core throughput by the timing
-/// model) plus the matching issue slots. Runs the AVX2 body where
-/// [`Simd::detect`] finds the features, else the portable one.
+/// model) plus the matching issue slots. An entry point: runs the AVX2
+/// body inside [`Simd::vectorize`] where [`Simd::detect`] finds the
+/// features, else the portable one.
 pub fn mma_m16n8k16_s8_ntiles(
     counters: &mut Counters,
     a: &[[i32; MMA_K]; MMA_M],
@@ -370,22 +376,29 @@ pub fn mma_m16n8k16_s8_ntiles(
     ld: usize,
     accs: &mut [AccS8],
 ) {
-    mma_m16n8k16_s8_ntiles_on(Simd::detect(), counters, a, b, ld, accs);
+    match Simd::detect() {
+        Some(s) => s.vectorize(
+            #[inline(always)]
+            move || mma_m16n8k16_s8_body(s, counters, a, b, ld, accs),
+        ),
+        None => mma_m16n8k16_s8_body(Portable, counters, a, b, ld, accs),
+    }
 }
 
-/// [`mma_m16n8k16_s8_ntiles`] for a caller that already holds the
-/// launch's token: the AVX2 body with `Some`, the portable body with
-/// `None`. Both compute the same bits.
-#[inline]
-pub fn mma_m16n8k16_s8_ntiles_on(
-    simd: Option<Simd>,
+/// The body of [`mma_m16n8k16_s8_ntiles`] on the capability `cap`, for a
+/// caller already inside its own entry's [`Simd::vectorize`] region (or
+/// on [`Portable`]). Always inlined, so it compiles with its caller's
+/// features.
+#[inline(always)]
+pub fn mma_m16n8k16_s8_body<C: Isa>(
+    cap: C,
     counters: &mut Counters,
     a: &[[i32; MMA_K]; MMA_M],
     b: &[i32],
     ld: usize,
     accs: &mut [AccS8],
 ) {
-    mac_tiles(simd, a, b, ld, accs);
+    mac_tiles(cap, a, b, ld, accs);
     counters.mma_s8_insts += accs.len() as u64;
     counters.insts_issued += accs.len() as u64;
 }
@@ -457,14 +470,14 @@ mod tests {
 
     /// The portable body is the only one hosts without the [`Simd`]
     /// features run, so on a host with them it is pinned to the AVX2
-    /// body bit for bit (any NaN matches any NaN), for every batch width
+    /// body, which the entry point runs there, bit for bit (any NaN matches any NaN), for every batch width
     /// and a leading dimension wider than the batch.
     #[test]
     fn flat_body_matches_avx2_body_bit_for_bit() {
-        let Some(simd) = Simd::detect() else {
+        if Simd::detect().is_none() {
             eprintln!("skipped: the host lacks the SIMD features");
             return;
-        };
+        }
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         for ntiles in 1..=MAX_NTILES {
             let ld = ntiles * MMA_N + 5;
@@ -477,9 +490,9 @@ mod tests {
                 .map(|_| core::array::from_fn(|_| core::array::from_fn(|_| draw(&mut state, 4))))
                 .collect();
             let mut flat = init.clone();
-            mma_m16n8k16_bslice_ntiles_on(None, &mut Counters::new(), &a, &b, ld, &mut flat);
+            mma_m16n8k16_bslice_body(Portable, &mut Counters::new(), &a, &b, ld, &mut flat);
             let mut avx2 = init;
-            mma_m16n8k16_bslice_ntiles_on(Some(simd), &mut Counters::new(), &a, &b, ld, &mut avx2);
+            mma_m16n8k16_bslice_ntiles(&mut Counters::new(), &a, &b, ld, &mut avx2);
             for (j, (f, v)) in flat.iter().zip(&avx2).enumerate() {
                 for (m, (fr, vr)) in f.iter().zip(v).enumerate() {
                     for (n, (&x, &y)) in fr.iter().zip(vr).enumerate() {
@@ -661,14 +674,14 @@ mod tests {
 
     /// The portable `s8` body is the only one hosts without the [`Simd`]
     /// features run, so on a host with them it is pinned to the AVX2
-    /// body bit for bit, for every batch width, a leading dimension wider
+    /// body, which the entry point runs there, bit for bit, for every batch width, a leading dimension wider
     /// than the batch, extreme codes and nonzero starting accumulators.
     #[test]
     fn s8_flat_body_matches_avx2_body_bit_for_bit() {
-        let Some(simd) = Simd::detect() else {
+        if Simd::detect().is_none() {
             eprintln!("skipped: the host lacks the SIMD features");
             return;
-        };
+        }
         let mut state = 0x5eed_0008_c0de_u64;
         for ntiles in 1..=MAX_NTILES {
             let ld = ntiles * MMA_N + 3;
@@ -684,9 +697,9 @@ mod tests {
                 .collect();
             let (mut cf, mut cv) = (Counters::new(), Counters::new());
             let mut flat = init.clone();
-            mma_m16n8k16_s8_ntiles_on(None, &mut cf, &a, &b, ld, &mut flat);
+            mma_m16n8k16_s8_body(Portable, &mut cf, &a, &b, ld, &mut flat);
             let mut avx2 = init.clone();
-            mma_m16n8k16_s8_ntiles_on(Some(simd), &mut cv, &a, &b, ld, &mut avx2);
+            mma_m16n8k16_s8_ntiles(&mut cv, &a, &b, ld, &mut avx2);
             assert_eq!(flat, avx2, "ntiles {ntiles}");
             assert_ne!(flat, init, "ntiles {ntiles}: the batch must accumulate");
             assert_eq!(cf, cv, "ntiles {ntiles}");

@@ -15,11 +15,9 @@
 pub mod accuracy;
 pub mod calibration;
 pub mod pruners;
-pub mod quant;
 pub mod stats;
 
 pub use accuracy::{pseudo_perplexity, reconstruction_error};
 pub use calibration::Calibration;
 pub use pruners::{magnitude_prune, nm_prune, sparsegpt_prune, wanda_prune};
-pub use quant::QuantizedTcaBme;
 pub use stats::{analyze, SparsityStats};

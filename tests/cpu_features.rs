@@ -6,7 +6,9 @@
 //! feature list `Simd::detect` checks, in its order. `vendor/rand` sits
 //! below `gpu-sim` and keeps its own detector; its bodies may enable only
 //! what that detector checks. Feature detection itself lives in those
-//! two places only.
+//! two places only. Only the entry points call `vectorize`, once per
+//! region: the bodies below them are generic over the capability type
+//! and never enter a second region.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -92,6 +94,53 @@ fn every_crate_body_enables_exactly_the_token_set() {
         enabled(&root().join("crates")),
         [(cpu, token)],
         "crates/ may enable features only in `Simd::vectorize`'s body"
+    );
+}
+
+/// The name of the function whose body holds byte `at` of `src`: the
+/// identifier after the last `fn ` keyword before it.
+fn enclosing_fn(src: &str, at: usize) -> &str {
+    let mut end = at;
+    loop {
+        let start = src[..end]
+            .rfind("fn ")
+            .expect("`vectorize` outside any function");
+        let keyword = start == 0 || src[..start].ends_with(char::is_whitespace);
+        if keyword {
+            let rest = &src[start + 3..];
+            let len = rest
+                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap_or(rest.len());
+            return &rest[..len];
+        }
+        end = start;
+    }
+}
+
+#[test]
+fn only_entry_points_call_vectorize() {
+    let crates = root().join("crates");
+    let mut sites = Vec::new();
+    for file in rust_files(&crates) {
+        let src = fs::read_to_string(&file).expect("read source");
+        let rel = file.strip_prefix(&crates).expect("under crates/");
+        for (at, _) in src.match_indices(".vectorize(") {
+            sites.push(format!("{}::{}", rel.display(), enclosing_fn(&src, at)));
+        }
+    }
+    assert_eq!(
+        sites,
+        [
+            "core/src/smbd.rs::decode_tctile_detected",
+            "core/src/spmm/block.rs::run_block",
+            "core/src/tca_bme.rs::encode_impl",
+            "core/src/tca_bme.rs::encode_impl",
+            "gpu-sim/src/matrix.rs::random_dense",
+            "gpu-sim/src/matrix.rs::fill_sparse",
+            "gpu-sim/src/tensor_core.rs::mma_m16n8k16_bslice_ntiles",
+            "gpu-sim/src/tensor_core.rs::mma_m16n8k16_s8_ntiles",
+        ],
+        "only the entry points enter `Simd::vectorize`, once per region"
     );
 }
 

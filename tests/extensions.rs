@@ -2,14 +2,14 @@
 //! selection, INT8×TCA-BME quantisation, autotuning, serving, and the
 //! storage-formula / real-encoder cross-checks the memory model relies on.
 
+use gpu_sim::fp16::Half;
 use gpu_sim::matrix::{random_dense, random_sparse, ValueDist};
 use gpu_sim::GpuSpec;
 use spinfer_suite::baselines::{select, TiledCsl};
 use spinfer_suite::core::spmm::LaunchCtx;
-use spinfer_suite::core::{tune, FormatStats, SpMMHandle, TcaBme};
+use spinfer_suite::core::{tune, FormatStats, SpMMHandle, TcaBme, TcaBmeInt8};
 use spinfer_suite::llm::serving::{serve_ctx, LengthMix, ServingConfig};
 use spinfer_suite::llm::{Framework, ModelConfig};
-use spinfer_suite::pruning::QuantizedTcaBme;
 
 /// The memory model uses closed-form storage formulas; they must track
 /// real encoders across the sparsity range the paper evaluates.
@@ -31,6 +31,34 @@ fn framework_storage_formulas_track_real_encoders() {
     }
 }
 
+/// Dequantises back to an FP16-valued encoding: identical geometry
+/// (bitmaps, offsets, padding), each code mapped through its GroupTile
+/// scale.
+fn dequantize(q: &TcaBmeInt8) -> TcaBme {
+    let t = &q.tiles;
+    let mut values = Vec::with_capacity(t.values.len());
+    for gt in 0..t.num_gtiles() {
+        let span = t.gtile_offsets[gt] as usize..t.gtile_offsets[gt + 1] as usize;
+        let scale = q.scales[gt];
+        values.extend(
+            t.values[span]
+                .iter()
+                .map(|&c| Half::from_f32(f32::from(c) * scale)),
+        );
+    }
+    TcaBme {
+        m: t.m,
+        k: t.k,
+        m_pad: t.m_pad,
+        k_pad: t.k_pad,
+        config: t.config,
+        gtile_offsets: t.gtile_offsets.clone(),
+        values,
+        bitmaps: t.bitmaps.clone(),
+        nnz: t.nnz,
+    }
+}
+
 /// Quantisation composes with the full stack: prune → encode → quantise
 /// → dequantise → SpMM stays accurate, 4x smaller than dense.
 #[test]
@@ -39,11 +67,11 @@ fn quantised_sparse_weights_through_the_kernel() {
     let w = random_sparse(512, 256, 0.6, ValueDist::Normal { std: 0.05 }, 402);
     let x = random_dense(256, 16, ValueDist::Normal { std: 0.5 }, 403);
     let enc = TcaBme::encode(&w);
-    let q = QuantizedTcaBme::quantize(&enc);
+    let q = enc.quantize_int8();
     assert!(q.storage_bytes() * 4 < w.dense_bytes() * 3 / 2);
 
     let handle = SpMMHandle {
-        weights: q.dequantize(),
+        weights: dequantize(&q),
         kernel: Default::default(),
     };
     let out = handle.matmul(&spec, &x);

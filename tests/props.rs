@@ -8,7 +8,6 @@ use gpu_sim::GpuSpec;
 use proptest::prelude::*;
 use spinfer_baselines::formats::{Bcsr, Csr, SpartaFormat, TiledCsl};
 use spinfer_core::{serialize, SpMMHandle, TcaBme};
-use spinfer_pruning::QuantizedTcaBme;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -158,13 +157,13 @@ proptest! {
     fn quantisation_error_bound_any_matrix(sparsity in 0.0f64..0.98, seed: u64) {
         let m = random_sparse(64, 64, sparsity, ValueDist::Normal { std: 0.05 }, seed);
         let enc = TcaBme::encode(&m);
-        let q = QuantizedTcaBme::quantize(&enc);
-        let back = q.dequantize().decode();
+        let q = enc.quantize_int8();
+        let back = q.dequantize_dense();
         for r in 0..64 {
             for c in 0..64 {
                 let gt = enc.gt_index(r / 64, c / 64);
                 let bound = q.scale(gt) * 0.51 + 1e-4;
-                let d = (m.get(r, c).to_f32() - back.get(r, c).to_f32()).abs();
+                let d = (m.get(r, c).to_f32() - back[r * 64 + c]).abs();
                 prop_assert!(d <= bound, "({r},{c}): err {d} > bound {bound}");
             }
         }
