@@ -100,10 +100,10 @@ fn expand_quadrant<P: Datapath, C: Isa>(
     rows: &mut TcRows<P>,
     origin: (usize, usize),
 ) {
-    match cap.leaf() {
+    match cap.simd() {
         // SAFETY: the token proves the features the intrinsics need.
         #[cfg(target_arch = "x86_64")]
-        gpu_sim::cpu::Leaf::Simd(_) => unsafe { expand_quadrant_simd(bitmap, vals, rows, origin) },
+        Some(_) => unsafe { expand_quadrant_simd(bitmap, vals, rows, origin) },
         _ => walk_quadrant(bitmap, vals, rows, origin),
     }
 }

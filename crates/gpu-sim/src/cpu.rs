@@ -8,7 +8,7 @@
 //! token it enters [`Simd::vectorize`] once, which compiles its closure
 //! with the feature set `detect` checks; without one it calls the same
 //! body on [`Portable`]. Every body below is generic over [`Isa`] and
-//! picks each leaf by matching [`Isa::leaf`], which the compiler
+//! picks each leaf by matching [`Isa::simd`], which the compiler
 //! resolves per type, so a body never takes a runtime choice and
 //! `vectorize` never nests. The intrinsic leaves enable no features of
 //! their own: they are `#[inline(always)]` and inline into the
@@ -84,33 +84,25 @@ impl Simd {
 pub struct Portable;
 
 /// A SIMD capability as a static type: [`Simd`] or [`Portable`]. A body
-/// generic over it picks its leaf with `match cap.leaf()`; each type
-/// answers one constant variant, so the compiler keeps one arm.
+/// generic over it picks its leaf with `match cap.simd()`; each type
+/// answers a constant, so the compiler keeps one arm.
 pub trait Isa: Copy {
-    /// The leaf this capability runs.
-    fn leaf(self) -> Leaf;
-}
-
-/// What [`Isa::leaf`] answers.
-#[derive(Clone, Copy, Debug)]
-pub enum Leaf {
-    /// The intrinsic leaf; the token proves its features.
-    Simd(Simd),
-    /// The portable leaf.
-    Portable,
+    /// The token when this capability runs the intrinsic leaves: `Some`
+    /// on [`Simd`], `None` on [`Portable`].
+    fn simd(self) -> Option<Simd>;
 }
 
 impl Isa for Simd {
     #[inline(always)]
-    fn leaf(self) -> Leaf {
-        Leaf::Simd(self)
+    fn simd(self) -> Option<Simd> {
+        Some(self)
     }
 }
 
 impl Isa for Portable {
     #[inline(always)]
-    fn leaf(self) -> Leaf {
-        Leaf::Portable
+    fn simd(self) -> Option<Simd> {
+        None
     }
 }
 
@@ -123,19 +115,4 @@ impl Isa for Portable {
 #[inline(never)]
 fn with_features<R>(f: impl FnOnce() -> R) -> R {
     f()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Each capability answers its own leaf: the match a body resolves
-    /// per type.
-    #[test]
-    fn each_capability_answers_its_own_leaf() {
-        assert!(matches!(Portable.leaf(), Leaf::Portable));
-        if let Some(s) = Simd::detect() {
-            assert!(matches!(s.leaf(), Leaf::Simd(_)));
-        }
-    }
 }

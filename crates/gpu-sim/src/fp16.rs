@@ -274,7 +274,7 @@ pub fn f16_to_f32_vec(src: &[Half]) -> Vec<f32> {
 
 /// Branch-free `f32 → f16` bit conversion, exactly equal to
 /// [`Half::from_f32`] for every input pattern (pinned against the
-/// reference in `branchless_matches_from_f32_at_lane_boundaries` and
+/// reference in `f32_to_f16_slice_matches_at_lane_boundaries` and
 /// `f32_to_f16_slice_matches_per_element`). All three result
 /// lanes — normal/overflow, subnormal/underflow, NaN/Inf — are computed
 /// unconditionally and selected by magnitude, so the per-element work is
@@ -344,6 +344,7 @@ pub(crate) fn f32_to_f16_slice(src: &[f32], dst: &mut [Half]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cpu::Simd;
     use proptest::prelude::*;
 
     /// Next f16 toward +∞ / −∞ in value order (sign-magnitude bits mapped
@@ -389,6 +390,58 @@ mod tests {
                 d < dn || (d == dn && h.to_bits() & 1 == 0),
                 "{v} -> {h:?} but neighbour {n:?} is closer (or wins the even tie)"
             );
+        }
+    }
+
+    /// f32 mantissas that straddle the RNE rounding, carry, overflow and
+    /// quiet-NaN decisions of the f32 → f16 conversion.
+    const BOUNDARY_MANTISSAS: [u32; 16] = [
+        0, 1, 2, 0x0FFF, 0x1000, 0x1001, 0x1FFF, 0x2000, 0x2FFF, 0x3000, 0x3001, 0x7F_E000,
+        0x7F_EFFF, 0x7F_F000, 0x7F_F001, 0x7F_FFFF,
+    ];
+
+    /// `src` through both copies of [`f32_to_f16_slice`]: the baseline
+    /// one, and the one a generator's [`Simd::vectorize`] region
+    /// compiles, which the compiler vectorizes eight lanes wide (the
+    /// baseline copy again on a host without the features).
+    fn convert_in_both_copies(src: &[f32]) -> [Vec<Half>; 2] {
+        [None, Simd::detect()].map(|simd| {
+            let mut dst = vec![Half::ZERO; src.len()];
+            let to = &mut dst[..];
+            match simd {
+                Some(s) => s.vectorize(
+                    #[inline(always)]
+                    move || f32_to_f16_slice(src, to),
+                ),
+                None => f32_to_f16_slice(src, to),
+            }
+            dst
+        })
+    }
+
+    /// Every exponent × sign × boundary mantissa through both converter
+    /// copies: the ties, subnormals, overflows and NaNs random bit
+    /// patterns rarely hit, in one buffer so the vectorized loop sees
+    /// them in every lane position.
+    #[test]
+    fn f32_to_f16_slice_matches_at_lane_boundaries() {
+        let src: Vec<f32> = (0..=255u32)
+            .flat_map(|exp| {
+                BOUNDARY_MANTISSAS
+                    .iter()
+                    .flat_map(move |&mant| [0, 1u32].map(|neg| (neg << 31) | (exp << 23) | mant))
+            })
+            .map(f32::from_bits)
+            .collect();
+        for dst in convert_in_both_copies(&src) {
+            for (&x, &h) in src.iter().zip(&dst) {
+                let bits = x.to_bits();
+                assert_eq!(
+                    h.to_bits(),
+                    Half::from_f32(x).to_bits(),
+                    "bits {bits:#010x}"
+                );
+            }
         }
     }
 
@@ -457,30 +510,11 @@ mod tests {
         fn f32_to_f16_slice_matches_per_element(raw in prop::collection::vec(any::<u32>(), 0..64)) {
             // Arbitrary bit patterns, NaNs and infinities included.
             let src: Vec<f32> = raw.iter().map(|&b| f32::from_bits(b)).collect();
-            let mut dst = vec![Half::ZERO; src.len()];
-            f32_to_f16_slice(&src, &mut dst);
-            for (&x, &h) in src.iter().zip(&dst) {
-                prop_assert_eq!(h.to_bits(), Half::from_f32(x).to_bits());
+            for dst in convert_in_both_copies(&src) {
+                for (&x, &h) in src.iter().zip(&dst) {
+                    prop_assert_eq!(h.to_bits(), Half::from_f32(x).to_bits());
+                }
             }
-        }
-
-        #[test]
-        fn branchless_matches_from_f32_at_lane_boundaries(
-            exp in 0u32..=255,
-            mant in prop::sample::select(vec![
-                0u32, 1, 2, 0x0FFF, 0x1000, 0x1001, 0x1FFF, 0x2000, 0x2FFF, 0x3000,
-                0x3001, 0x7F_E000, 0x7F_EFFF, 0x7F_F000, 0x7F_F001, 0x7F_FFFF,
-            ]),
-            neg in prop::sample::select(vec![0u32, 1]),
-        ) {
-            // Every exponent × the mantissa patterns that straddle the
-            // RNE rounding, carry, overflow, and quiet-NaN decisions.
-            let bits = (neg << 31) | (exp << 23) | mant;
-            prop_assert_eq!(
-                f16_bits_from_f32_bits_rne(bits),
-                Half::from_f32(f32::from_bits(bits)).to_bits(),
-                "bits {bits:#010x}"
-            );
         }
     }
 
@@ -601,7 +635,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn f16c_matches_lut_for_every_pattern() {
-        if crate::cpu::Simd::detect().is_none() {
+        if Simd::detect().is_none() {
             eprintln!("skipped: the host lacks the SIMD features");
             return;
         }

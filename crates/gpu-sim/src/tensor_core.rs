@@ -129,11 +129,11 @@ fn mac_tiles<C: Isa, L: Lane>(
         "B slice of {} elements with ld {ld} cannot feed {ntiles} tiles",
         b.len()
     );
-    match cap.leaf() {
+    match cap.simd() {
         // SAFETY: the token proves the features, and the assert above
         // bounds every B read.
         #[cfg(target_arch = "x86_64")]
-        crate::cpu::Leaf::Simd(_) => unsafe { avx2::mac_tiles(a, b, ld, accs) },
+        Some(_) => unsafe { avx2::mac_tiles(a, b, ld, accs) },
         _ => mac_tiles_flat(a, b, ld, accs),
     }
 }

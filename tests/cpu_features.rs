@@ -117,12 +117,34 @@ fn enclosing_fn(src: &str, at: usize) -> &str {
     }
 }
 
+/// `src` without its `#[cfg(test)]` modules: each inline one, from the
+/// attribute to the module's closing `}` in column 0 (rustfmt's layout),
+/// and each out-of-line declaration's line.
+fn without_test_modules(src: &str) -> String {
+    let mut out = String::new();
+    let mut lines = src.lines().peekable();
+    while let Some(line) = lines.next() {
+        if line == "#[cfg(test)]" && lines.peek().is_some_and(|l| l.starts_with("mod ")) {
+            let decl = lines.next().expect("peeked");
+            if decl.ends_with('{') {
+                lines.by_ref().find(|l| *l == "}");
+            }
+            continue;
+        }
+        out.push_str(line);
+        out.push('\n');
+    }
+    out
+}
+
+/// Tests may enter a region of their own (to run a body's feature copy);
+/// the program may not nest one.
 #[test]
 fn only_entry_points_call_vectorize() {
     let crates = root().join("crates");
     let mut sites = Vec::new();
     for file in rust_files(&crates) {
-        let src = fs::read_to_string(&file).expect("read source");
+        let src = without_test_modules(&fs::read_to_string(&file).expect("read source"));
         let rel = file.strip_prefix(&crates).expect("under crates/");
         for (at, _) in src.match_indices(".vectorize(") {
             sites.push(format!("{}::{}", rel.display(), enclosing_fn(&src, at)));
@@ -141,6 +163,16 @@ fn only_entry_points_call_vectorize() {
             "gpu-sim/src/tensor_core.rs::mma_m16n8k16_s8_ntiles",
         ],
         "only the entry points enter `Simd::vectorize`, once per region"
+    );
+}
+
+#[test]
+fn test_modules_are_cut_and_the_code_after_them_kept() {
+    let src = "fn a() {}\n#[cfg(test)]\nmod l2;\nfn b() { x.vectorize(f) }\n\
+               #[cfg(test)]\nmod tests {\n    fn c() { s.vectorize(f) }\n}\nfn d() {}\n";
+    assert_eq!(
+        without_test_modules(src),
+        "fn a() {}\nfn b() { x.vectorize(f) }\nfn d() {}\n"
     );
 }
 
