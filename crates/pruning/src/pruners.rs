@@ -540,6 +540,64 @@ mod tests {
         }
     }
 
+    /// Metrics at the edges of the selection's 12-bit key buckets: with
+    /// `|w| = 1`, `1.0` (bits `0x3F80_0000`) is the top key of its
+    /// bucket and `0x3F8F_FFFF` the bottom one; the others sit one ULP
+    /// across an edge.
+    const BUCKET_EDGES: [u32; 6] = [
+        0x3F7F_FFFF,
+        0x3F80_0000,
+        0x3F80_0001,
+        0x3F8F_FFFE,
+        0x3F8F_FFFF,
+        0x3F90_0000,
+    ];
+
+    /// Group widths 4, 777 (a ragged last group at k = 4096) and 4096,
+    /// against the sort oracle at every `keep` that matters: rows of
+    /// Normal weights, of three tied magnitudes, of ±0/±Inf/NaN with
+    /// zero norms (NaN and ±0 metrics), and of metrics on key-bucket
+    /// edges, so the threshold lands on an edge from either side.
+    #[test]
+    fn selection_matches_the_oracle_at_wide_groups() {
+        let k = 4096;
+        let mut next = stream(77);
+        let mut data = random_dense(2, k, ValueDist::Normal { std: 0.05 }, 78)
+            .as_slice()
+            .to_vec();
+        data.extend_from_slice(tie_heavy(2, k, 79).as_slice());
+        data.extend_from_slice(with_specials(2, k, 80).as_slice());
+        data.extend((0..2 * k).map(|_| {
+            let v = next();
+            Half::from_f32([1.0f32, -1.0, 0.5][(v % 3) as usize])
+        }));
+        let w = DenseMatrix::from_vec(8, k, data);
+        let edges: Vec<f32> = (0..k)
+            .map(|_| f32::from_bits(BUCKET_EDGES[(next() % 6) as usize]))
+            .collect();
+        let mut norms = random_dense(1, k, ValueDist::Uniform, 81)
+            .as_slice()
+            .iter()
+            .map(|h| h.to_f32().abs())
+            .collect::<Vec<_>>();
+        for c in (0..k).step_by(5) {
+            norms[c] = 0.0;
+        }
+        for group in [4, 777, 4096] {
+            let mid = [group / 3, group * 2 / 5, group / 2, group - 1, group];
+            for keep in (0..=4).chain(mid).filter(|&n| n <= group) {
+                for norms in [None, Some(&norms[..]), Some(&edges[..])] {
+                    assert_eq!(
+                        prune_top_per_group(&w, norms, group, keep),
+                        oracle(&w, norms, group, keep),
+                        "group {group} keep {keep} norms {}",
+                        norms.is_some()
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn pruning_is_byte_identical_at_any_job_count() {
         let w = with_specials(203, 130, 9);

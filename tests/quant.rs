@@ -194,3 +194,59 @@ fn v2_golden_bytes_are_stable_post_refactor() {
     // And the whole stream still decodes to the same encoding.
     assert_eq!(serialize::from_bytes(&bytes).unwrap(), enc);
 }
+
+/// Order-sensitive FNV-1a (64-bit) over a byte stream.
+fn fnv64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Byte pins for the weight write path: Wanda at sparsity 0.6, encode,
+/// INT8 quantize, and both containers' bytes and per-GroupTile
+/// checksums, at a ragged shape and at 1024². Digests are of the
+/// serialized streams and of the checksum vectors' LE bytes.
+#[test]
+fn write_path_bytes_and_checksums_are_pinned() {
+    use gpu_sim::matrix::random_dense;
+    use spinfer_pruning::{wanda_prune, Calibration};
+
+    let cases = [
+        (
+            300,
+            777,
+            41,
+            [
+                0xca54_4148_f60f_14e0u64,
+                0x49de_c3b9_bd55_0152,
+                0x0c7f_b96a_4ff9_0440,
+                0x9b53_8726_a37f_bd3c,
+            ],
+        ),
+        (
+            1024,
+            1024,
+            43,
+            [
+                0x623f_0f30_8034_ed09,
+                0xc2c9_45c6_8b73_e888,
+                0x01b4_1e72_9087_f725,
+                0x2743_e754_efb2_8356,
+            ],
+        ),
+    ];
+    for (m, k, seed, want) in cases {
+        let w = random_dense(m, k, ValueDist::Normal { std: 0.05 }, seed);
+        let calib = Calibration::synthetic(k, 32, seed + 1);
+        let fp16 = TcaBme::encode(&wanda_prune(&w, &calib, 0.6));
+        let q = fp16.quantize_int8();
+        let sums = |s: Vec<u32>| fnv64(s.into_iter().flat_map(u32::to_le_bytes));
+        let got = [
+            fnv64(serialize::to_bytes(&fp16)),
+            fnv64(serialize::to_bytes_int8(&q)),
+            sums(fp16.gtile_checksums()),
+            sums(q.tiles.gtile_checksums()),
+        ];
+        assert_eq!(got, want, "{m}x{k}: {got:#018x?}");
+    }
+}
