@@ -45,7 +45,15 @@ pub trait Payload:
     /// Feeds this element's little-endian storage bytes to a checksum.
     /// For [`Half`] this is the 2-byte `to_bits` image — byte-identical
     /// to the pre-refactor FP16 checksum stream.
-    fn feed_checksum(self, eat: &mut dyn FnMut(u8));
+    fn feed_checksum(self, eat: impl FnMut(u8));
+
+    /// Writes this element's little-endian storage bytes into `dst`,
+    /// which is [`Self::BYTES`] long (the wire format's value image).
+    fn put_le(self, dst: &mut [u8]);
+
+    /// Reads an element back from its [`Self::BYTES`] little-endian
+    /// storage bytes.
+    fn get_le(src: &[u8]) -> Self;
 
     /// Widens to `f32` (the accumulator domain both datapaths share).
     fn to_f32(self) -> f32;
@@ -61,10 +69,18 @@ impl Payload for Half {
     const ZERO: Self = Half::ZERO;
     const NAME: &'static str = "fp16";
 
-    fn feed_checksum(self, eat: &mut dyn FnMut(u8)) {
+    fn feed_checksum(self, mut eat: impl FnMut(u8)) {
         for b in self.to_bits().to_le_bytes() {
             eat(b);
         }
+    }
+
+    fn put_le(self, dst: &mut [u8]) {
+        dst.copy_from_slice(&self.to_bits().to_le_bytes());
+    }
+
+    fn get_le(src: &[u8]) -> Self {
+        Half::from_bits(u16::from_le_bytes([src[0], src[1]]))
     }
 
     fn to_f32(self) -> f32 {
@@ -81,8 +97,16 @@ impl Payload for i8 {
     const ZERO: Self = 0;
     const NAME: &'static str = "int8";
 
-    fn feed_checksum(self, eat: &mut dyn FnMut(u8)) {
+    fn feed_checksum(self, mut eat: impl FnMut(u8)) {
         eat(self as u8);
+    }
+
+    fn put_le(self, dst: &mut [u8]) {
+        dst[0] = self as u8;
+    }
+
+    fn get_le(src: &[u8]) -> Self {
+        src[0] as i8
     }
 
     fn to_f32(self) -> f32 {

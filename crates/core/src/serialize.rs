@@ -39,7 +39,7 @@
 
 use crate::error::IntegrityError;
 use crate::payload::Payload;
-use crate::tca_bme::{checksum_gtile, TcaBme, TcaBmeConfig, TcaBmeInt8, TcaBmeOf};
+use crate::tca_bme::{TcaBme, TcaBmeConfig, TcaBmeInt8, TcaBmeOf};
 use gpu_sim::fp16::Half;
 
 /// Container magic: format name + version 2 (per-GroupTile checksums).
@@ -98,14 +98,21 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// Appends a length-prefixed section: `items.len()` as a `u64`, then
+/// each item's `width` little-endian bytes, written by `put` into one
+/// pre-sized tail of `out`.
+fn put_section<T: Copy>(out: &mut Vec<u8>, items: &[T], width: usize, put: impl Fn(T, &mut [u8])) {
+    out.extend_from_slice(&(items.len() as u64).to_le_bytes());
+    let start = out.len();
+    out.resize(start + width * items.len(), 0);
+    for (dst, &item) in out[start..].chunks_exact_mut(width).zip(items) {
+        put(item, dst);
+    }
+}
+
 /// Writes the shared post-magic sections: header, optional checksums,
-/// offsets, payload values (via `write_value`), bitmaps.
-fn write_container<P: Payload>(
-    out: &mut Vec<u8>,
-    w: &TcaBmeOf<P>,
-    checksums: Option<&[u32]>,
-    write_value: impl Fn(&mut Vec<u8>, &P),
-) {
+/// offsets, payload values, bitmaps.
+fn write_container<P: Payload>(out: &mut Vec<u8>, w: &TcaBmeOf<P>, checksums: Option<&[u32]>) {
     for v in [
         w.m as u64,
         w.k as u64,
@@ -117,44 +124,23 @@ fn write_container<P: Payload>(
     ] {
         out.extend_from_slice(&v.to_le_bytes());
     }
+    let put_u32 = |v: u32, dst: &mut [u8]| dst.copy_from_slice(&v.to_le_bytes());
     if let Some(sums) = checksums {
-        out.extend_from_slice(&(sums.len() as u64).to_le_bytes());
-        for s in sums {
-            out.extend_from_slice(&s.to_le_bytes());
-        }
+        put_section(out, sums, 4, put_u32);
     }
-    out.extend_from_slice(&(w.gtile_offsets.len() as u64).to_le_bytes());
-    for o in &w.gtile_offsets {
-        out.extend_from_slice(&o.to_le_bytes());
-    }
-    out.extend_from_slice(&(w.values.len() as u64).to_le_bytes());
-    for v in &w.values {
-        write_value(out, v);
-    }
-    out.extend_from_slice(&(w.bitmaps.len() as u64).to_le_bytes());
-    for b in &w.bitmaps {
-        out.extend_from_slice(&b.to_le_bytes());
-    }
+    put_section(out, &w.gtile_offsets, 4, put_u32);
+    put_section(out, &w.values, P::BYTES, P::put_le);
+    put_section(out, &w.bitmaps, 8, |v, dst| {
+        dst.copy_from_slice(&v.to_le_bytes())
+    });
 }
 
 /// Serialises an encoded matrix to bytes (version 2, checksummed).
 pub fn to_bytes(w: &TcaBme) -> Vec<u8> {
     let sums = w.gtile_checksums();
-    let mut out = Vec::with_capacity(
-        8 + 7 * 8
-            + 8
-            + 4 * sums.len()
-            + 8
-            + 4 * w.gtile_offsets.len()
-            + 8
-            + 2 * w.values.len()
-            + 8
-            + 8 * w.bitmaps.len(),
-    );
+    let mut out = Vec::with_capacity(8 + 7 * 8 + 4 * 8 + 4 * sums.len() + w.storage_bytes());
     out.extend_from_slice(MAGIC_V2);
-    write_container(&mut out, w, Some(&sums), |out, v| {
-        out.extend_from_slice(&v.to_bits().to_le_bytes())
-    });
+    write_container(&mut out, w, Some(&sums));
     out
 }
 
@@ -162,25 +148,12 @@ pub fn to_bytes(w: &TcaBme) -> Vec<u8> {
 /// checksums over the code bytes, trailing per-GroupTile scales).
 pub fn to_bytes_int8(w: &TcaBmeInt8) -> Vec<u8> {
     let sums = w.tiles.gtile_checksums();
-    let mut out = Vec::with_capacity(
-        8 + 7 * 8
-            + 8
-            + 4 * sums.len()
-            + 8
-            + 4 * w.tiles.gtile_offsets.len()
-            + 8
-            + w.tiles.values.len()
-            + 8
-            + 8 * w.tiles.bitmaps.len()
-            + 8
-            + 4 * w.scales.len(),
-    );
+    let mut out = Vec::with_capacity(8 + 7 * 8 + 5 * 8 + 4 * sums.len() + w.storage_bytes());
     out.extend_from_slice(MAGIC_V3);
-    write_container(&mut out, &w.tiles, Some(&sums), |out, v| out.push(*v as u8));
-    out.extend_from_slice(&(w.scales.len() as u64).to_le_bytes());
-    for s in &w.scales {
-        out.extend_from_slice(&s.to_bits().to_le_bytes());
-    }
+    write_container(&mut out, &w.tiles, Some(&sums));
+    put_section(&mut out, &w.scales, 4, |v, dst| {
+        dst.copy_from_slice(&v.to_bits().to_le_bytes())
+    });
     out
 }
 
@@ -210,18 +183,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn i8(&mut self) -> Result<i8, DecodeError> {
-        Ok(self.take(1)?[0] as i8)
-    }
-
     /// Reads a declared element count and bounds it: `count * elem_size`
     /// must fit in the remaining input.
     fn bounded_len(&mut self, elem_size: usize) -> Result<usize, DecodeError> {
@@ -230,6 +191,21 @@ impl<'a> Reader<'a> {
             Some(bytes) if bytes <= self.remaining() => Ok(n),
             _ => Err(DecodeError::Truncated),
         }
+    }
+
+    /// Reads `n` items of `width` bytes each, decoding each with `get`;
+    /// `n` comes from [`Self::bounded_len`] with the same `width`.
+    fn items<T>(
+        &mut self,
+        n: usize,
+        width: usize,
+        get: impl Fn(&[u8]) -> T,
+    ) -> Result<Vec<T>, DecodeError> {
+        Ok(self.take(n * width)?.chunks_exact(width).map(get).collect())
+    }
+
+    fn u32s(&mut self, n: usize) -> Result<Vec<u32>, DecodeError> {
+        self.items(n, 4, |b| u32::from_le_bytes(b.try_into().unwrap()))
     }
 }
 
@@ -265,11 +241,10 @@ fn valid_padding(dim: usize, pad: usize, tile: usize) -> bool {
 /// section, offsets, payload values, bitmaps — verifies per-tile
 /// checksums when present, and runs structural validation. One parser
 /// serves every version/payload pair: the payload only determines the
-/// element width for the length bound and the `read_value` decoder.
+/// element width and decoder ([`Payload::get_le`]).
 fn read_container<P: Payload>(
     r: &mut Reader,
     with_checksums: bool,
-    read_value: impl Fn(&mut Reader) -> Result<P, DecodeError>,
 ) -> Result<TcaBmeOf<P>, DecodeError> {
     let m = r.u64()? as usize;
     let k = r.u64()? as usize;
@@ -297,11 +272,7 @@ fn read_container<P: Payload>(
         if n_sums != ngt {
             return Err(DecodeError::Inconsistent("checksum count"));
         }
-        let mut sums = Vec::with_capacity(n_sums);
-        for _ in 0..n_sums {
-            sums.push(r.u32()?);
-        }
-        Some(sums)
+        Some(r.u32s(n_sums)?)
     } else {
         None
     };
@@ -310,28 +281,19 @@ fn read_container<P: Payload>(
     if n_off != ngt.checked_add(1).ok_or(DecodeError::Truncated)? {
         return Err(DecodeError::Inconsistent("GTileOffset length"));
     }
-    let mut gtile_offsets = Vec::with_capacity(n_off);
-    for _ in 0..n_off {
-        gtile_offsets.push(r.u32()?);
-    }
+    let gtile_offsets = r.u32s(n_off)?;
 
     let n_vals = r.bounded_len(P::BYTES)?;
     if n_vals < nnz || *gtile_offsets.last().expect("n_off >= 1") as usize != n_vals {
         return Err(DecodeError::Inconsistent("Values length"));
     }
-    let mut values = Vec::with_capacity(n_vals);
-    for _ in 0..n_vals {
-        values.push(read_value(r)?);
-    }
+    let values = r.items(n_vals, P::BYTES, P::get_le)?;
 
     let n_bm = r.bounded_len(8)?;
     if n_bm != nbt {
         return Err(DecodeError::Inconsistent("Bitmap length"));
     }
-    let mut bitmaps = Vec::with_capacity(n_bm);
-    for _ in 0..n_bm {
-        bitmaps.push(r.u64()?);
-    }
+    let bitmaps = r.items(n_bm, 8, |b| u64::from_le_bytes(b.try_into().unwrap()))?;
 
     let out = TcaBmeOf {
         m,
@@ -347,20 +309,21 @@ fn read_container<P: Payload>(
 
     // v2/v3: per-tile checksums localise the damage before the (coarser)
     // structural pass. The slice accessors need consistent offsets, so
-    // guard them with a bounds pre-check rather than trusting the data.
+    // only the tiles before the first one with inconsistent bounds are
+    // summed; that tile fails after any checksum mismatch before it, as
+    // a tile-by-tile check would report them.
     if let Some(sums) = checksums {
-        for gt in 0..ngt {
-            let (s, e) = (
-                out.gtile_offsets[gt] as usize,
-                out.gtile_offsets[gt + 1] as usize,
-            );
-            if s > e || e > out.values.len() {
-                return Err(DecodeError::Inconsistent("GTileOffset bounds"));
-            }
-            let got = checksum_gtile(out.gtile_bitmaps(gt), &out.values[s..e]);
-            if got != sums[gt] {
-                return Err(DecodeError::Checksum { gt });
-            }
+        let bounded = out
+            .gtile_offsets
+            .windows(2)
+            .position(|span| span[0] > span[1] || span[1] as usize > out.values.len())
+            .unwrap_or(ngt);
+        let got = out.leading_gtile_checksums(bounded);
+        if let Some(gt) = got.iter().zip(&sums).position(|(got, want)| got != want) {
+            return Err(DecodeError::Checksum { gt });
+        }
+        if bounded < ngt {
+            return Err(DecodeError::Inconsistent("GTileOffset bounds"));
         }
     }
     out.validate().map_err(DecodeError::Integrity)?;
@@ -383,7 +346,7 @@ pub fn from_bytes(buf: &[u8]) -> Result<TcaBme, DecodeError> {
             })
         }
     };
-    read_container(&mut r, with_checksums, |r| Ok(Half::from_bits(r.u16()?)))
+    read_container(&mut r, with_checksums)
 }
 
 /// Deserialises a version-3 quantized container, verifying checksums
@@ -402,17 +365,17 @@ pub fn from_bytes_int8(buf: &[u8]) -> Result<TcaBmeInt8, DecodeError> {
             })
         }
     }
-    let tiles = read_container(&mut r, true, |r| r.i8())?;
+    let tiles = read_container(&mut r, true)?;
     let n_scales = r.bounded_len(4)?;
     if n_scales != tiles.num_gtiles() {
         return Err(DecodeError::Inconsistent("scale count"));
     }
-    let mut scales = Vec::with_capacity(n_scales);
-    for _ in 0..n_scales {
-        scales.push(f32::from_bits(r.u32()?));
-    }
+    let scales = r.items(n_scales, 4, |b| {
+        f32::from_bits(u32::from_le_bytes(b.try_into().unwrap()))
+    })?;
     let out = TcaBmeInt8 { tiles, scales };
-    out.validate().map_err(DecodeError::Integrity)?;
+    // `read_container` validated the tiles; only the scales are new.
+    out.validate_scales().map_err(DecodeError::Integrity)?;
     Ok(out)
 }
 

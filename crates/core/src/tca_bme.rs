@@ -31,6 +31,7 @@ use crate::payload::Payload;
 use gpu_sim::cpu::Simd;
 use gpu_sim::fp16::Half;
 use gpu_sim::matrix::DenseMatrix;
+use std::ops::Range;
 
 /// FNV-1a (32-bit) over one GroupTile's image: bitmaps (LE bytes) then
 /// values (LE payload bytes, *including* alignment padding — padding is
@@ -40,17 +41,65 @@ use gpu_sim::matrix::DenseMatrix;
 /// the byte stream — and therefore every stored v2 checksum — is
 /// exactly the pre-generic implementation's.
 pub fn checksum_gtile<P: Payload>(bitmaps: &[u64], values: &[P]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    let mut eat = |b: u8| h = (h ^ u32::from(b)).wrapping_mul(0x0100_0193);
+    let mut h = FNV_OFFSET;
     for bm in bitmaps {
         for b in bm.to_le_bytes() {
-            eat(b);
+            h = fnv_step(h, b);
         }
     }
     for v in values {
-        v.feed_checksum(&mut eat);
+        v.feed_checksum(|b| h = fnv_step(h, b));
     }
     h
+}
+
+/// FNV-1a's 32-bit offset basis.
+const FNV_OFFSET: u32 = 0x811c_9dc5;
+
+/// One FNV-1a byte step.
+#[inline(always)]
+fn fnv_step(h: u32, b: u8) -> u32 {
+    (h ^ u32::from(b)).wrapping_mul(0x0100_0193)
+}
+
+/// [`checksum_gtile`] of GroupTiles `first..first + out.len()` into
+/// `out`, four tiles' chains stepped in lockstep: each step's multiply
+/// waits on the one before it, so one chain leaves the multiplier idle
+/// most of the time, and four independent ones fill it. The bitmap
+/// streams have one length; the value streams run together to the
+/// shortest one, then each finishes alone. Every chain sees its own
+/// bytes in its own order, so each sum is [`checksum_gtile`]'s.
+fn checksum_band<P: Payload>(w: &TcaBmeOf<P>, first: usize, out: &mut [u32]) {
+    let tail = first + out.len() / 4 * 4;
+    let mut quads = out.chunks_exact_mut(4);
+    for (gt, sums) in (first..).step_by(4).zip(quads.by_ref()) {
+        let bms: [&[u64]; 4] = std::array::from_fn(|i| w.gtile_bitmaps(gt + i));
+        let vals: [&[P]; 4] = std::array::from_fn(|i| w.gtile_values(gt + i));
+        let mut h = [FNV_OFFSET; 4];
+        for j in 0..bms[0].len() {
+            let words = bms.map(|bm| bm[j].to_le_bytes());
+            for byte in 0..8 {
+                for t in 0..4 {
+                    h[t] = fnv_step(h[t], words[t][byte]);
+                }
+            }
+        }
+        let common = vals.iter().map(|v| v.len()).min().unwrap_or(0);
+        for i in 0..common {
+            for t in 0..4 {
+                vals[t][i].feed_checksum(|b| h[t] = fnv_step(h[t], b));
+            }
+        }
+        for t in 0..4 {
+            for v in &vals[t][common..] {
+                v.feed_checksum(|b| h[t] = fnv_step(h[t], b));
+            }
+        }
+        sums.copy_from_slice(&h);
+    }
+    for (gt, sum) in (tail..).zip(quads.into_remainder()) {
+        *sum = w.gtile_checksum(gt);
+    }
 }
 
 /// Height and width of a BitmapTile in elements.
@@ -216,13 +265,26 @@ impl<P: Payload> TcaBmeOf<P> {
 
     /// Checksums for every GroupTile, in GroupTile order — the reference
     /// the checked kernel path and the v2/v3 wire formats verify against.
-    /// Fanned over GroupTiles via [`gpu_sim::exec`] (untraced — setup
-    /// work, not kernel work); per-GroupTile checksums are independent,
-    /// so the vector is identical at every job count.
     pub fn gtile_checksums(&self) -> Vec<u32> {
-        gpu_sim::exec::par_map_untraced((0..self.num_gtiles()).collect(), |g| {
-            self.gtile_checksum(g)
-        })
+        self.leading_gtile_checksums(self.num_gtiles())
+    }
+
+    /// Checksums of the first `n` GroupTiles, whose value spans must lie
+    /// in `values`. Bands of GroupTiles go to the [`gpu_sim::exec`] pool
+    /// (untraced — setup work, not kernel work), each stepping four
+    /// tiles at a time; per-GroupTile checksums are independent, so the
+    /// vector is identical at every job count.
+    pub(crate) fn leading_gtile_checksums(&self, n: usize) -> Vec<u32> {
+        let mut sums = vec![0u32; n];
+        let mut jobs = Vec::new();
+        let mut rest = &mut sums[..];
+        for band in gpu_sim::exec::chunk_ranges(n, gpu_sim::exec::num_jobs()) {
+            let (head, tail) = rest.split_at_mut(band.len());
+            rest = tail;
+            jobs.push((band.start, head));
+        }
+        gpu_sim::exec::par_map_untraced(jobs, |(first, out)| checksum_band(self, first, out));
+        sums
     }
 
     /// Structural validation of the three-array format: offset count,
@@ -330,9 +392,12 @@ impl TcaBmeOf<Half> {
 
     /// The two-pass parallel encode behind [`Self::encode_with`].
     ///
+    /// Both passes hand each [`gpu_sim::exec`] worker a band of
+    /// GroupTiles (one [`gpu_sim::exec::chunk_ranges`] banding for both),
+    /// and each band enters one [`Simd::vectorize`] region per pass.
     /// Pass 1 builds every GroupTile's bitmaps into disjoint slices of
-    /// the pre-allocated bitmap array (in parallel over GroupTiles) and
-    /// returns per-GroupTile non-zero counts as popcounts; a serial
+    /// the pre-allocated bitmap array and per-GroupTile non-zero counts
+    /// as popcounts; a serial
     /// prefix sum over the pad-rounded counts produces `gtile_offsets`
     /// (with an explicit `u32` overflow check — the serial encoder used
     /// to truncate silently). Pass 2 fills each GroupTile's disjoint
@@ -353,21 +418,30 @@ impl TcaBmeOf<Half> {
         let gts_x = k_pad / config.gt_cols;
         let ngt = gts_y * gts_x;
         let bts = config.bts_per_gt();
-        let data = matrix.as_slice();
         let simd = Simd::detect();
+
+        // Each worker takes a band of GroupTiles and enters one region
+        // per band and pass.
+        let bands = gpu_sim::exec::chunk_ranges(ngt, gpu_sim::exec::num_jobs());
 
         // Pass 1: bitmaps + per-GroupTile counts.
         let mut bitmaps = vec![0u64; ngt * bts];
-        let gt_slices: Vec<(usize, &mut [u64])> = bitmaps.chunks_mut(bts).enumerate().collect();
-        let counts: Vec<usize> = gpu_sim::exec::par_map_untraced(gt_slices, |(gt, bms)| {
-            let (gty, gtx) = (gt / gts_x, gt % gts_x);
-            match simd {
-                Some(s) => s.vectorize(
-                    #[inline(always)]
-                    move || build_gtile_bitmaps(data, m, k, config, gty, gtx, bms),
-                ),
-                None => build_gtile_bitmaps(data, m, k, config, gty, gtx, bms),
-            }
+        let mut counts = vec![0usize; ngt];
+        let mut jobs = Vec::with_capacity(bands.len());
+        let (mut bms_rest, mut counts_rest) = (&mut bitmaps[..], &mut counts[..]);
+        for band in bands.iter().cloned() {
+            let (bms, tail) = bms_rest.split_at_mut(band.len() * bts);
+            bms_rest = tail;
+            let (band_counts, tail) = counts_rest.split_at_mut(band.len());
+            counts_rest = tail;
+            jobs.push((band, bms, band_counts));
+        }
+        gpu_sim::exec::par_map_untraced(jobs, |(band, bms, counts)| match simd {
+            Some(s) => s.vectorize(
+                #[inline(always)]
+                move || build_band_bitmaps(matrix, config, band, bms, counts),
+            ),
+            None => build_band_bitmaps(matrix, config, band, bms, counts),
         });
 
         let (gtile_offsets, total) = prefix_offsets(&counts)?;
@@ -376,24 +450,21 @@ impl TcaBmeOf<Half> {
         // Pass 2: fill disjoint pre-zeroed value spans (zero-init makes
         // the per-GroupTile alignment padding free).
         let mut values = vec![Half::ZERO; total];
-        let mut spans: Vec<(usize, &mut [Half])> = Vec::with_capacity(ngt);
-        let mut rest: &mut [Half] = &mut values;
-        for gt in 0..ngt {
-            let span = (gtile_offsets[gt + 1] - gtile_offsets[gt]) as usize;
-            let (head, tail) = rest.split_at_mut(span);
-            spans.push((gt, head));
+        let mut jobs = Vec::with_capacity(bands.len());
+        let mut rest = &mut values[..];
+        for band in bands {
+            let span = gtile_offsets[band.end] - gtile_offsets[band.start];
+            let (head, tail) = rest.split_at_mut(span as usize);
             rest = tail;
+            jobs.push((band, head));
         }
-        gpu_sim::exec::par_map_untraced(spans, |(gt, vals)| {
-            let (gty, gtx, bms) = (gt / gts_x, gt % gts_x, &bitmaps[gt * bts..(gt + 1) * bts]);
-            let count = counts[gt];
-            match simd {
-                Some(s) => s.vectorize(
-                    #[inline(always)]
-                    move || fill_gtile_values(data, k, config, gty, gtx, bms, count, vals),
-                ),
-                None => fill_gtile_values(data, k, config, gty, gtx, bms, count, vals),
-            }
+        let (bms, counts, offsets) = (&bitmaps[..], &counts[..], &gtile_offsets[..]);
+        gpu_sim::exec::par_map_untraced(jobs, |(band, vals)| match simd {
+            Some(s) => s.vectorize(
+                #[inline(always)]
+                move || fill_band_values(matrix, config, band, bms, counts, offsets, vals),
+            ),
+            None => fill_band_values(matrix, config, band, bms, counts, offsets, vals),
         });
 
         Ok(TcaBme {
@@ -498,23 +569,22 @@ impl TcaBmeInt8 {
     /// Quantizes an FP16 encoding. The bitmap/offset/geometry arrays are
     /// copied verbatim; each GroupTile's value span (padding included —
     /// zeros map to code 0) is quantized against that tile's own
-    /// symmetric scale. Deterministic: scale maxima reduce in encoded
-    /// value order and every rounding is order-independent.
+    /// symmetric scale. Deterministic: every step is a pure function of
+    /// the span's values. An entry point: it enters
+    /// [`Simd::vectorize`] once, where the per-value divide, `round` and
+    /// clamp compile to vector instructions (the baseline build calls
+    /// `roundf` per value).
     pub fn quantize(w: &TcaBme) -> Self {
-        let ngt = w.num_gtiles();
-        let mut scales = Vec::with_capacity(ngt);
         let mut codes = vec![0i8; w.values.len()];
-        for gt in 0..ngt {
-            let s = w.gtile_offsets[gt] as usize;
-            let e = w.gtile_offsets[gt + 1] as usize;
-            let vals = &w.values[s..e];
-            let max_abs = vals.iter().map(|v| v.to_f32().abs()).fold(0.0f32, f32::max);
-            let scale = if max_abs > 0.0 { max_abs / 127.0 } else { 1.0 };
-            for (dst, v) in codes[s..e].iter_mut().zip(vals) {
-                let q = (v.to_f32() / scale).round().clamp(-127.0, 127.0);
-                *dst = q as i8;
-            }
-            scales.push(scale);
+        let mut scales = vec![0.0f32; w.num_gtiles()];
+        let (offsets, values) = (&w.gtile_offsets[..], &w.values[..]);
+        let (to, scale_to) = (&mut codes[..], &mut scales[..]);
+        match Simd::detect() {
+            Some(s) => s.vectorize(
+                #[inline(always)]
+                move || quantize_spans(offsets, values, to, scale_to),
+            ),
+            None => quantize_spans(offsets, values, to, scale_to),
         }
         TcaBmeInt8 {
             tiles: TcaBmeOf {
@@ -553,6 +623,12 @@ impl TcaBmeInt8 {
     /// scale-per-GroupTile pairing and scale finiteness/positivity.
     pub fn validate(&self) -> Result<(), IntegrityError> {
         self.tiles.validate()?;
+        self.validate_scales()
+    }
+
+    /// The scale checks of [`Self::validate`] alone, for a reader that
+    /// has already validated `tiles`.
+    pub(crate) fn validate_scales(&self) -> Result<(), IntegrityError> {
         if self.scales.len() != self.tiles.num_gtiles() {
             return Err(IntegrityError::ScaleCount {
                 expected: self.tiles.num_gtiles(),
@@ -585,6 +661,129 @@ impl TcaBmeInt8 {
             out[r * k + c] = f32::from(code) * self.scales[gt];
         });
         out
+    }
+}
+
+/// The body of [`TcaBmeInt8::quantize`]: quantizes each GroupTile's
+/// value span of `values` (cut by `offsets`) into the same span of
+/// `codes`, and writes its scale to `scales`. Always inlined into the
+/// entry's [`Simd::vectorize`] region, like both helpers.
+#[inline(always)]
+fn quantize_spans(offsets: &[u32], values: &[Half], codes: &mut [i8], scales: &mut [f32]) {
+    for (span, scale) in offsets.windows(2).zip(scales) {
+        let (s, e) = (span[0] as usize, span[1] as usize);
+        *scale = span_scale(&values[s..e]);
+        quantize_codes(&values[s..e], *scale, &mut codes[s..e]);
+    }
+}
+
+/// A span's symmetric scale, `max|v| / 127`, or `1.0` when every value
+/// is zero or NaN. The maximum is taken over the FP16 magnitude bits,
+/// which order like the values for every non-NaN pattern; NaN patterns
+/// (above `0x7C00`) count as zero, just as `f32::max` skips them. So
+/// this equals folding `|v|` with `f32::max` from `0.0`, and the
+/// reduction is an integer one the compiler vectorizes.
+#[inline(always)]
+fn span_scale(vals: &[Half]) -> f32 {
+    let mut max_bits = 0u16;
+    for v in vals {
+        let a = v.to_bits() & 0x7FFF;
+        max_bits = max_bits.max(if a > 0x7C00 { 0 } else { a });
+    }
+    let max_abs = Half::from_bits(max_bits).to_f32();
+    if max_abs > 0.0 {
+        max_abs / 127.0
+    } else {
+        1.0
+    }
+}
+
+/// `codes[i] = round(vals[i] / scale)`, clamped to ±127 (NaN gives 0).
+#[inline(always)]
+fn quantize_codes(vals: &[Half], scale: f32, codes: &mut [i8]) {
+    for (dst, &v) in codes.iter_mut().zip(vals) {
+        let q = (widen(v) / scale).round().clamp(-127.0, 127.0);
+        let q = if q.is_nan() { 0.0 } else { q };
+        // `q` is an integer in ±127: adding 1.5·2²³ is exact and leaves
+        // it, two's complement, in the sum's low mantissa byte. That is
+        // `q as i8`, without the saturating cast the compiler does not
+        // vectorize.
+        *dst = (q + 12_582_912.0).to_bits() as u8 as i8;
+    }
+}
+
+/// [`Half::to_f32`] by arithmetic instead of its table, so a loop over
+/// it vectorizes: the same `f32` for every non-NaN pattern, and a NaN
+/// (not always the table's quiet one) for every NaN pattern. Normal
+/// values rebias the exponent; zeros and subnormals are the exact
+/// difference `2⁻¹⁴·(1 + m/1024) − 2⁻¹⁴`; exponent 31 keeps the
+/// mantissa under an all-ones exponent.
+#[inline(always)]
+fn widen(h: Half) -> f32 {
+    let bits = u32::from(h.to_bits());
+    let em = (bits & 0x7FFF) << 13;
+    let normal = em + (112 << 23);
+    let low = (f32::from_bits(em + (113 << 23)) - f32::from_bits(113 << 23)).to_bits();
+    let mag = if em >= 0x0F80_0000 {
+        em | 0x7F80_0000
+    } else if em < 0x0080_0000 {
+        low
+    } else {
+        normal
+    };
+    f32::from_bits(mag | (bits & 0x8000) << 16)
+}
+
+/// Pass 1 over a band of GroupTiles: builds each one's bitmaps into
+/// `bms` and its non-zero count into `counts`, both cut at the band's
+/// start. Always inlined into the pass's [`Simd::vectorize`] region,
+/// with the per-tile worker below it.
+#[inline(always)]
+fn build_band_bitmaps(
+    matrix: &DenseMatrix,
+    config: TcaBmeConfig,
+    band: Range<usize>,
+    bms: &mut [u64],
+    counts: &mut [usize],
+) {
+    let (m, k, data) = (matrix.rows(), matrix.cols(), matrix.as_slice());
+    let gts_x = k.div_ceil(config.gt_cols);
+    for ((gt, bms), count) in band.zip(bms.chunks_mut(config.bts_per_gt())).zip(counts) {
+        *count = build_gtile_bitmaps(data, m, k, config, gt / gts_x, gt % gts_x, bms);
+    }
+}
+
+/// Pass 2 over a band of GroupTiles: fills `vals`, the band's run of
+/// pre-zeroed value spans, one GroupTile at a time from the pass-1
+/// `bitmaps`, `counts` and `offsets` of the whole matrix. Always
+/// inlined into the pass's [`Simd::vectorize`] region, with the
+/// per-tile worker below it.
+#[inline(always)]
+fn fill_band_values(
+    matrix: &DenseMatrix,
+    config: TcaBmeConfig,
+    band: Range<usize>,
+    bitmaps: &[u64],
+    counts: &[usize],
+    offsets: &[u32],
+    mut vals: &mut [Half],
+) {
+    let (k, data) = (matrix.cols(), matrix.as_slice());
+    let (gts_x, bts) = (k.div_ceil(config.gt_cols), config.bts_per_gt());
+    for gt in band {
+        let (head, tail) = vals.split_at_mut((offsets[gt + 1] - offsets[gt]) as usize);
+        vals = tail;
+        let bms = &bitmaps[gt * bts..(gt + 1) * bts];
+        fill_gtile_values(
+            data,
+            k,
+            config,
+            gt / gts_x,
+            gt % gts_x,
+            bms,
+            counts[gt],
+            head,
+        );
     }
 }
 
@@ -760,6 +959,80 @@ mod tests {
                 let mut vals = vec![Half::ZERO; enc.gtile_values(gt).len()];
                 fill_gtile_values(data, k, config, gty, gtx, &bms, count, &mut vals);
                 assert_eq!(vals, enc.gtile_values(gt), "{m}x{k} gt {gt}");
+            }
+        }
+    }
+
+    /// The quantize formula before it was vectorized, the oracle for
+    /// [`span_scale`] and [`quantize_codes`].
+    fn scale_oracle(vals: &[Half]) -> f32 {
+        let max_abs = vals.iter().map(|v| v.to_f32().abs()).fold(0.0f32, f32::max);
+        if max_abs > 0.0 {
+            max_abs / 127.0
+        } else {
+            1.0
+        }
+    }
+
+    fn codes_oracle(vals: &[Half], scale: f32) -> Vec<i8> {
+        let code = |v: &Half| (v.to_f32() / scale).round().clamp(-127.0, 127.0) as i8;
+        vals.iter().map(code).collect()
+    }
+
+    /// Every FP16 pattern through both copies of the quantize body: the
+    /// baseline one (what a host without the [`Simd`] features runs) and
+    /// the vectorized one, in a test-local region. The codes are checked
+    /// at six scales: that of a tile whose largest value is the smallest
+    /// FP16 subnormal, an `f32` subnormal, 1/127, 1, 65504/127 (the
+    /// largest finite FP16) and infinity (a tile holding one). The span
+    /// scale is checked over runs of every pattern, mixing NaN, ±0 and
+    /// infinities in every lane position.
+    #[test]
+    fn quantize_matches_the_formula_for_every_pattern() {
+        let vals: Vec<Half> = (0..=u16::MAX).map(Half::from_bits).collect();
+        let scales = [
+            Half::from_bits(1).to_f32() / 127.0,
+            f32::from_bits(0x0000_1234),
+            1.0 / 127.0,
+            1.0,
+            65504.0 / 127.0,
+            f32::INFINITY,
+        ];
+        for simd in [None, Simd::detect()] {
+            let copy = if simd.is_some() {
+                "vectorized"
+            } else {
+                "baseline"
+            };
+            for scale in scales {
+                let mut codes = vec![0i8; vals.len()];
+                let (src, to) = (&vals[..], &mut codes[..]);
+                match simd {
+                    Some(s) => s.vectorize(
+                        #[inline(always)]
+                        move || quantize_codes(src, scale, to),
+                    ),
+                    None => quantize_codes(src, scale, to),
+                }
+                assert_eq!(codes, codes_oracle(&vals, scale), "{copy}, scale {scale:e}");
+            }
+            for len in [1, 7, 97, 4096] {
+                for span in vals.chunks(len) {
+                    let got = match simd {
+                        Some(s) => s.vectorize(
+                            #[inline(always)]
+                            move || span_scale(span),
+                        ),
+                        None => span_scale(span),
+                    };
+                    let want = scale_oracle(span);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{copy}, span at {:?}",
+                        span[0]
+                    );
+                }
             }
         }
     }

@@ -15,14 +15,16 @@
 //!   decomposition comparison.
 //!
 //! Magnitude, Wanda and N:M share one selection kernel. Each row's
-//! metrics are computed once into a scratch row; per group (the whole
-//! row, or each run of `m_group` columns) `select_nth_unstable` finds
-//! the `keep`-th largest metric in O(k), and one pass keeps every
-//! column above it. Columns that tie at that threshold keep the lowest
-//! column first, exactly like a stable descending sort of `0..k`. A row
-//! reads nothing but itself, so rows fan out over the
-//! [`gpu_sim::exec`] pool in bands and the output bytes are the same at
-//! every job count.
+//! metrics are mapped once to integer keys in a scratch row; per group
+//! (the whole row, or each run of `m_group` columns) the kernel finds
+//! the `keep`-th largest metric, the threshold. A histogram over the
+//! keys' top 12 bits finds the threshold's bucket, and
+//! `select_nth_unstable` runs over that bucket's keys only; one masked
+//! pass then keeps every column above the threshold. Columns that tie
+//! at it keep the lowest column first, exactly like a stable descending
+//! sort of `0..k`. A row reads nothing but itself, so rows fan out over
+//! the [`gpu_sim::exec`] pool in bands and the output bytes are the
+//! same at every job count.
 
 use crate::calibration::Calibration;
 use gpu_sim::fp16::Half;
@@ -198,7 +200,7 @@ fn prune_top_per_group(
     }
     gpu_sim::exec::par_map_untraced(jobs, |(rows, band)| {
         let mut keys = vec![0u32; k];
-        let mut scratch = vec![0u32; k];
+        let mut scratch = Selection::new(group.min(k));
         for (r, dst) in rows.zip(band.chunks_exact_mut(k)) {
             let row = &src[r * k..(r + 1) * k];
             match norms {
@@ -213,13 +215,12 @@ fn prune_top_per_group(
                     }
                 }
             }
-            for (((row, dst), keys), scratch) in row
+            for ((row, dst), keys) in row
                 .chunks(group)
                 .zip(dst.chunks_mut(group))
                 .zip(keys.chunks(group))
-                .zip(scratch.chunks_mut(group))
             {
-                keep_top(row, keys, scratch, keep.min(row.len()), dst);
+                scratch.keep_top(row, keys, keep.min(row.len()), dst);
             }
         }
     });
@@ -236,24 +237,95 @@ fn descending_key(metric: f32) -> u32 {
     !(bits ^ flip)
 }
 
-/// Copies the `keep` entries of `row` with the smallest `keys` into
-/// `dst` (which holds zeros). The `keep`-th key is found by O(len)
-/// selection in `scratch`; every entry strictly below it is kept, and
-/// entries equal to it are kept lowest column first until `keep` is
-/// reached.
-fn keep_top(row: &[Half], keys: &[u32], scratch: &mut [u32], keep: usize, dst: &mut [Half]) {
-    if keep == 0 {
-        return;
+/// Groups at least this wide narrow the selection with a key histogram
+/// first; narrower ones (N:M groups) select over all their keys, where
+/// clearing and scanning the histogram would cost more than it saves.
+const HISTOGRAM_MIN_GROUP: usize = 256;
+/// A key's histogram bucket is its top 12 bits.
+const BUCKET_SHIFT: u32 = 20;
+
+/// One worker's scratch for the selection kernel, sized for its widest
+/// group.
+struct Selection {
+    /// Keys per bucket, cleared before each histogram pass; empty when
+    /// every group is narrower than [`HISTOGRAM_MIN_GROUP`].
+    counts: Vec<u32>,
+    /// The candidates' columns, ascending.
+    cols: Vec<u32>,
+    /// The candidates' keys, permuted by `select_nth_unstable`.
+    keys: Vec<u32>,
+}
+
+impl Selection {
+    fn new(group: usize) -> Self {
+        let buckets = if group >= HISTOGRAM_MIN_GROUP {
+            1 << (32 - BUCKET_SHIFT)
+        } else {
+            0
+        };
+        Selection {
+            counts: vec![0; buckets],
+            cols: vec![0; group],
+            keys: vec![0; group],
+        }
     }
-    scratch.copy_from_slice(keys);
-    let (below, &mut threshold, _) = scratch.select_nth_unstable(keep - 1);
-    let mut ties = keep - below.iter().filter(|&&key| key < threshold).count();
-    for ((d, &w), &key) in dst.iter_mut().zip(row).zip(keys) {
-        if key < threshold {
-            *d = w;
-        } else if key == threshold && ties > 0 {
-            *d = w;
-            ties -= 1;
+
+    /// Copies the `keep` entries of `row` with the smallest `keys` into
+    /// `dst` (which holds zeros). The `keep`-th key, the threshold, is
+    /// found in two steps: a histogram over the keys' top 12 bits finds
+    /// its bucket and counts the keys below that bucket, then
+    /// `select_nth_unstable` runs over the bucket's keys only (over all
+    /// keys in a group narrower than [`HISTOGRAM_MIN_GROUP`]). Every
+    /// entry whose key is strictly below the threshold is kept by one
+    /// branchless masked copy; entries equal to it are kept lowest
+    /// column first until `keep` is reached.
+    fn keep_top(&mut self, row: &[Half], keys: &[u32], keep: usize, dst: &mut [Half]) {
+        if keep == 0 {
+            return;
+        }
+        // Candidates are the keys in `lo..=lo + span`; `below` keys lie
+        // under `lo`.
+        let (lo, span, below) = if row.len() >= HISTOGRAM_MIN_GROUP {
+            self.counts.fill(0);
+            for &key in keys {
+                self.counts[(key >> BUCKET_SHIFT) as usize] += 1;
+            }
+            let (mut bucket, mut below) = (0, 0);
+            while below + self.counts[bucket] < keep as u32 {
+                below += self.counts[bucket];
+                bucket += 1;
+            }
+            (
+                (bucket as u32) << BUCKET_SHIFT,
+                (1 << BUCKET_SHIFT) - 1,
+                below as usize,
+            )
+        } else {
+            (0, u32::MAX, 0)
+        };
+        let mut n = 0;
+        for (c, &key) in keys.iter().enumerate() {
+            self.cols[n] = c as u32;
+            n += usize::from(key.wrapping_sub(lo) <= span);
+        }
+        for (dk, &c) in self.keys.iter_mut().zip(&self.cols[..n]) {
+            *dk = keys[c as usize];
+        }
+        let (less, &mut threshold, _) = self.keys[..n].select_nth_unstable(keep - 1 - below);
+        let kept = below + less.iter().filter(|&&key| key < threshold).count();
+        for ((d, &w), &key) in dst.iter_mut().zip(row).zip(keys) {
+            *d = Half::from_bits(w.to_bits() & u16::from(key < threshold).wrapping_neg());
+        }
+        let mut ties = keep - kept;
+        for &c in &self.cols[..n] {
+            if ties == 0 {
+                break;
+            }
+            let c = c as usize;
+            if keys[c] == threshold {
+                dst[c] = row[c];
+                ties -= 1;
+            }
         }
     }
 }

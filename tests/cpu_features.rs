@@ -157,6 +157,7 @@ fn only_entry_points_call_vectorize() {
             "core/src/spmm/block.rs::run_block",
             "core/src/tca_bme.rs::encode_impl",
             "core/src/tca_bme.rs::encode_impl",
+            "core/src/tca_bme.rs::quantize",
             "gpu-sim/src/matrix.rs::random_dense",
             "gpu-sim/src/matrix.rs::fill_sparse",
             "gpu-sim/src/tensor_core.rs::mma_m16n8k16_bslice_ntiles",
