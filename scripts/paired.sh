@@ -9,8 +9,10 @@
 # sides once (T seconds of timed ops each, default 20); odd pairs run the
 # base first, even pairs the change. For each end-to-end metric it prints
 # both sides' medians and quartiles, how many pairs the change won (in
-# the metric's direction, from BENCHMARK.json), and whether the medians
-# differ by more than the base's interquartile range.
+# the metric's direction, from BENCHMARK.json), whether the medians
+# differ by more than the base's interquartile range, and the claim that
+# makes: `better` (or `worse`) when the medians differ by more than that
+# and the change won (or lost) at least 90 % of the pairs, else `none`.
 #
 # It fails when a simulated metric (`sim_*`, `weight_bytes_ratio`)
 # differs between any two runs, or when either side reports
@@ -133,7 +135,7 @@ verdict=$(awk -v dirs="$directions" -v base="$base_sha" -v change="$change_sha" 
     val[$1, $3, $2] = $4
   }
   END {
-    printf "%-20s %-34s %-34s %8s %6s %s\n", "metric", "base median [q1, q3]", "change median [q1, q3]", "change", "wins", "beyond base IQR" > "/dev/stderr"
+    printf "%-20s %-34s %-34s %8s %6s %-7s %s\n", "metric", "base median [q1, q3]", "change median [q1, q3]", "change", "wins", "> IQR", "claim" > "/dev/stderr"
     json = ""
     sim_ok = 1
     for (k = 1; k <= count; k++) {
@@ -144,25 +146,29 @@ verdict=$(awk -v dirs="$directions" -v base="$base_sha" -v change="$change_sha" 
             printf "%s differs between runs: base %s, change %s (pair %d)\n", name, val["base", name, i], val["change", name, i], i > "/dev/stderr"
             sim_ok = 0
           }
-        printf "%-20s %-34s %-34s %8s %6s %s\n", name, val["base", name, 1], val["change", name, 1], "", "", "(simulated)" > "/dev/stderr"
+        printf "%-20s %-34s %-34s %8s %6s %-7s %s\n", name, val["base", name, 1], val["change", name, 1], "", "", "", "(simulated)" > "/dev/stderr"
         continue
       }
       dir = (name in better) ? better[name] : "lower"
       stats("base", name, b); stats("change", name, c)
-      wins = 0
+      wins = losses = 0
       for (i = 1; i <= pairs; i++) {
-        x = val["base", name, i] + 0; y = val["change", name, i] + 0
-        if ((dir == "lower" && y < x) || (dir == "higher" && y > x)) wins++
+        step = val["change", name, i] - val["base", name, i]
+        if (dir == "higher") step = -step
+        if (step < 0) wins++
+        if (step > 0) losses++
       }
       gap = c["med"] - b["med"]
       beyond = (gap < 0 ? -gap : gap) > b["q3"] - b["q1"] ? "yes" : "no"
+      claim = beyond == "no" || name == "probe_s" ? "none" : wins >= 0.9 * pairs ? "better" : losses >= 0.9 * pairs ? "worse" : "none"
       rel = b["med"] != 0 ? sprintf("%+.1f%%", 100 * gap / b["med"]) : "n/a"
-      printf "%-20s %-34s %-34s %8s %3d/%-2d %s\n", name,
+      printf "%-20s %-34s %-34s %8s %3d/%-2d %-7s %s\n", name,
         sprintf("%.4g [%.4g, %.4g]", b["med"], b["q1"], b["q3"]),
-        sprintf("%.4g [%.4g, %.4g]", c["med"], c["q1"], c["q3"]), rel, wins, pairs,
-        name == "probe_s" ? "(host speed)" : beyond > "/dev/stderr"
-      json = json sprintf("%s\"%s\": {\"better\": \"%s\", \"base\": [%.6g, %.6g, %.6g], \"change\": [%.6g, %.6g, %.6g], \"wins\": %d, \"beyond_base_iqr\": %s}",
-        json == "" ? "" : ", ", name, dir, b["q1"], b["med"], b["q3"], c["q1"], c["med"], c["q3"], wins, beyond == "yes" ? "true" : "false")
+        sprintf("%.4g [%.4g, %.4g]", c["med"], c["q1"], c["q3"]), rel, wins, pairs, beyond,
+        name == "probe_s" ? "(host speed)" : claim > "/dev/stderr"
+      json = json sprintf("%s\"%s\": {\"better\": \"%s\", \"base\": [%.6g, %.6g, %.6g], \"change\": [%.6g, %.6g, %.6g], \"wins\": %d, \"beyond_base_iqr\": %s, \"claim\": \"%s\"}",
+        json == "" ? "" : ", ", name, dir, b["q1"], b["med"], b["q3"], c["q1"], c["med"], c["q3"], wins,
+        beyond == "yes" ? "true" : "false", claim)
     }
     if (!sim_ok) exit 1
     printf "{\"base\": \"%s\", \"change\": \"%s\", \"workload\": \"%s\", \"seed\": %d, \"pairs\": %d, \"seconds\": %s, \"quartiles\": \"q1, median, q3\", \"metrics\": {%s}}\n",
