@@ -504,6 +504,35 @@ mod tests {
         assert!(from_bytes(&v1).is_ok());
     }
 
+    /// Checksums are verified tile by tile up to the first GroupTile
+    /// whose offsets leave the value section: damage before that tile
+    /// reports its checksum, and the bad bounds report only when every
+    /// tile before them sums right.
+    #[test]
+    fn checksum_and_bounds_errors_keep_the_tile_order() {
+        let m = random_sparse(192, 128, 0.5, ValueDist::Uniform, 68);
+        let enc = TcaBme::encode(&m);
+        let ngt = enc.num_gtiles();
+        assert!(ngt >= 3);
+        let bytes = to_bytes(&enc);
+        let offsets_at = 8 + 7 * 8 + 8 + 4 * ngt + 8;
+        let values_at = offsets_at + 4 * (ngt + 1) + 8;
+        // Tile ngt - 2 ends far past the value section.
+        let mut bounds = bytes.clone();
+        let at = offsets_at + 4 * (ngt - 1);
+        bounds[at..at + 4].copy_from_slice(&(u32::MAX & !3).to_le_bytes());
+        assert_eq!(
+            from_bytes(&bounds).unwrap_err(),
+            DecodeError::Inconsistent("GTileOffset bounds")
+        );
+        let mut both = bounds.clone();
+        both[values_at] ^= 0x10;
+        assert_eq!(
+            from_bytes(&both).unwrap_err(),
+            DecodeError::Checksum { gt: 0 }
+        );
+    }
+
     #[test]
     fn mutated_length_fields_fail_without_allocating() {
         // Set every plausible length-field position to u64::MAX: decode

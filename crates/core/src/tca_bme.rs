@@ -982,16 +982,18 @@ mod tests {
     /// Every FP16 pattern through both copies of the quantize body: the
     /// baseline one (what a host without the [`Simd`] features runs) and
     /// the vectorized one, in a test-local region. The codes are checked
-    /// at six scales: that of a tile whose largest value is the smallest
-    /// FP16 subnormal, an `f32` subnormal, 1/127, 1, 65504/127 (the
-    /// largest finite FP16) and infinity (a tile holding one). The span
+    /// at seven scales: those of tiles whose largest value is the
+    /// smallest or the largest FP16 subnormal, an `f32` subnormal, 1/127,
+    /// 1, 65504/127 (the largest finite FP16) and infinity (a tile
+    /// holding one). The span
     /// scale is checked over runs of every pattern, mixing NaN, ±0 and
     /// infinities in every lane position.
     #[test]
     fn quantize_matches_the_formula_for_every_pattern() {
         let vals: Vec<Half> = (0..=u16::MAX).map(Half::from_bits).collect();
         let scales = [
-            Half::from_bits(1).to_f32() / 127.0,
+            Half::from_bits(0x0001).to_f32() / 127.0,
+            Half::from_bits(0x03FF).to_f32() / 127.0,
             f32::from_bits(0x0000_1234),
             1.0 / 127.0,
             1.0,
