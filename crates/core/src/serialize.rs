@@ -520,7 +520,7 @@ mod tests {
         // Tile ngt - 2 ends far past the value section.
         let mut bounds = bytes.clone();
         let at = offsets_at + 4 * (ngt - 1);
-        bounds[at..at + 4].copy_from_slice(&(u32::MAX & !3).to_le_bytes());
+        bounds[at..at + 4].copy_from_slice(&(!3u32).to_le_bytes());
         assert_eq!(
             from_bytes(&bounds).unwrap_err(),
             DecodeError::Inconsistent("GTileOffset bounds")

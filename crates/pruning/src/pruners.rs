@@ -237,18 +237,21 @@ fn descending_key(metric: f32) -> u32 {
     !(bits ^ flip)
 }
 
-/// Groups at least this wide narrow the selection with a key histogram
-/// first; narrower ones (N:M groups) select over all their keys, where
-/// clearing and scanning the histogram would cost more than it saves.
+/// Groups at least this wide narrow the selection with a histogram of
+/// 4 096 buckets; narrower ones (N:M groups) use one bucket, so they
+/// select over all their keys, where clearing and scanning 4 096
+/// counters would cost more than it saves.
 const HISTOGRAM_MIN_GROUP: usize = 256;
-/// A key's histogram bucket is its top 12 bits.
+/// The bits below a key's top 12.
 const BUCKET_SHIFT: u32 = 20;
 
 /// One worker's scratch for the selection kernel, sized for its widest
 /// group.
 struct Selection {
-    /// Keys per bucket, cleared before each histogram pass; empty when
-    /// every group is narrower than [`HISTOGRAM_MIN_GROUP`].
+    /// A key's bucket is its top 12 bits masked by this: all of them,
+    /// or none (one bucket) for narrow groups.
+    mask: u32,
+    /// Keys per bucket, cleared before each group.
     counts: Vec<u32>,
     /// The candidates' columns, ascending.
     cols: Vec<u32>,
@@ -258,13 +261,14 @@ struct Selection {
 
 impl Selection {
     fn new(group: usize) -> Self {
-        let buckets = if group >= HISTOGRAM_MIN_GROUP {
-            1 << (32 - BUCKET_SHIFT)
+        let mask = if group >= HISTOGRAM_MIN_GROUP {
+            0xFFF
         } else {
             0
         };
         Selection {
-            counts: vec![0; buckets],
+            mask,
+            counts: vec![0; mask as usize + 1],
             cols: vec![0; group],
             keys: vec![0; group],
         }
@@ -272,10 +276,9 @@ impl Selection {
 
     /// Copies the `keep` entries of `row` with the smallest `keys` into
     /// `dst` (which holds zeros). The `keep`-th key, the threshold, is
-    /// found in two steps: a histogram over the keys' top 12 bits finds
-    /// its bucket and counts the keys below that bucket, then
-    /// `select_nth_unstable` runs over the bucket's keys only (over all
-    /// keys in a group narrower than [`HISTOGRAM_MIN_GROUP`]). Every
+    /// found in two steps: a histogram over the keys' top bits finds its
+    /// bucket and counts the keys below that bucket, then
+    /// `select_nth_unstable` runs over the bucket's keys only. Every
     /// entry whose key is strictly below the threshold is kept by one
     /// branchless masked copy; entries equal to it are kept lowest
     /// column first until `keep` is reached.
@@ -283,26 +286,19 @@ impl Selection {
         if keep == 0 {
             return;
         }
-        // Candidates are the keys in `lo..=lo + span`; `below` keys lie
-        // under `lo`.
-        let (lo, span, below) = if row.len() >= HISTOGRAM_MIN_GROUP {
-            self.counts.fill(0);
-            for &key in keys {
-                self.counts[(key >> BUCKET_SHIFT) as usize] += 1;
-            }
-            let (mut bucket, mut below) = (0, 0);
-            while below + self.counts[bucket] < keep as u32 {
-                below += self.counts[bucket];
-                bucket += 1;
-            }
-            (
-                (bucket as u32) << BUCKET_SHIFT,
-                (1 << BUCKET_SHIFT) - 1,
-                below as usize,
-            )
-        } else {
-            (0, u32::MAX, 0)
-        };
+        let mask = self.mask;
+        self.counts.fill(0);
+        for &key in keys {
+            self.counts[((key >> BUCKET_SHIFT) & mask) as usize] += 1;
+        }
+        let (mut bucket, mut below) = (0, 0);
+        while below + (self.counts[bucket] as usize) < keep {
+            below += self.counts[bucket] as usize;
+            bucket += 1;
+        }
+        // The bucket's keys are `lo..=lo + span`.
+        let lo = (bucket as u32) << BUCKET_SHIFT;
+        let span = !(mask << BUCKET_SHIFT);
         let mut n = 0;
         for (c, &key) in keys.iter().enumerate() {
             self.cols[n] = c as u32;
