@@ -7,15 +7,15 @@
 //! standalone MAC and TCTile-decode benchmarks — matches
 //! [`Simd::detect`] once. With a token it enters [`Simd::vectorize`]
 //! once, which compiles its closure with the feature set `detect`
-//! checks; without one it calls the same body on [`Portable`]. Every body below is generic over [`Isa`] and
-//! picks each leaf by matching [`Isa::simd`], which the compiler
-//! resolves per type, so a body never takes a runtime choice and
-//! `vectorize` never nests. The intrinsic leaves enable no features of
-//! their own: they are `#[inline(always)]` and inline into the
-//! `vectorize` copy. Bodies with no intrinsic leaf (the generator walk,
-//! the f32 → f16 converter, the encode and quantize workers) take no
-//! capability: they are `#[inline(always)]`, so they compile with the
-//! features of the region they inline into.
+//! checks; without one it calls the same body on [`Portable`]. Every
+//! body below is generic over [`Isa`] and picks each leaf by matching
+//! [`Isa::simd`], which the compiler resolves per type, so a body never
+//! takes a runtime choice and `vectorize` never nests. The intrinsic
+//! leaves enable no features of their own: they are `#[inline(always)]`
+//! and inline into the `vectorize` copy. Bodies with no intrinsic leaf
+//! (the generator walk, the f32 → f16 converter, the encode and
+//! quantize workers) take no capability: they are `#[inline(always)]`,
+//! so they compile with the features of the region they inline into.
 //!
 //! Each leaf has a portable twin that computes the same bits; hosts
 //! without the features run those, as does every non-x86_64 host and
