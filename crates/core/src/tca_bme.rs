@@ -29,7 +29,7 @@
 use crate::error::IntegrityError;
 use crate::payload::Payload;
 use gpu_sim::cpu::Simd;
-use gpu_sim::fp16::Half;
+use gpu_sim::fp16::{self, Half};
 use gpu_sim::matrix::DenseMatrix;
 use std::ops::Range;
 
@@ -702,7 +702,7 @@ fn span_scale(vals: &[Half]) -> f32 {
 #[inline(always)]
 fn quantize_codes(vals: &[Half], scale: f32, codes: &mut [i8]) {
     for (dst, &v) in codes.iter_mut().zip(vals) {
-        let q = (widen(v) / scale).round().clamp(-127.0, 127.0);
+        let q = (fp16::widen(v) / scale).round().clamp(-127.0, 127.0);
         let q = if q.is_nan() { 0.0 } else { q };
         // `q` is an integer in ±127: adding 1.5·2²³ is exact and leaves
         // it, two's complement, in the sum's low mantissa byte. That is
@@ -710,28 +710,6 @@ fn quantize_codes(vals: &[Half], scale: f32, codes: &mut [i8]) {
         // vectorize.
         *dst = (q + 12_582_912.0).to_bits() as u8 as i8;
     }
-}
-
-/// [`Half::to_f32`] by arithmetic instead of its table, so a loop over
-/// it vectorizes: the same `f32` for every non-NaN pattern, and a NaN
-/// (not always the table's quiet one) for every NaN pattern. Normal
-/// values rebias the exponent; zeros and subnormals are the exact
-/// difference `2⁻¹⁴·(1 + m/1024) − 2⁻¹⁴`; exponent 31 keeps the
-/// mantissa under an all-ones exponent.
-#[inline(always)]
-fn widen(h: Half) -> f32 {
-    let bits = u32::from(h.to_bits());
-    let em = (bits & 0x7FFF) << 13;
-    let normal = em + (112 << 23);
-    let low = (f32::from_bits(em + (113 << 23)) - f32::from_bits(113 << 23)).to_bits();
-    let mag = if em >= 0x0F80_0000 {
-        em | 0x7F80_0000
-    } else if em < 0x0080_0000 {
-        low
-    } else {
-        normal
-    };
-    f32::from_bits(mag | (bits & 0x8000) << 16)
 }
 
 /// Pass 1 over a band of GroupTiles: builds each one's bitmaps into

@@ -183,6 +183,30 @@ const fn f16_to_f32_bits(h: u16) -> u32 {
     sign | (e << 23) | (mant << 13)
 }
 
+/// [`Half::to_f32`] by arithmetic instead of its table, so a loop over
+/// it vectorizes inside a [`Simd::vectorize`](crate::cpu::Simd::vectorize)
+/// region: the same `f32` for every non-NaN pattern, and a NaN (not
+/// always the table's quiet one) for every NaN pattern
+/// (`widen_matches_the_table_for_every_pattern`). Normal values rebias
+/// the exponent; zeros and subnormals are the exact difference
+/// `2⁻¹⁴·(1 + m/1024) − 2⁻¹⁴`; exponent 31 keeps the mantissa under an
+/// all-ones exponent. Always inlined, like every body a region holds.
+#[inline(always)]
+pub fn widen(h: Half) -> f32 {
+    let bits = u32::from(h.0);
+    let em = (bits & 0x7FFF) << 13;
+    let normal = em + (112 << 23);
+    let low = (f32::from_bits(em + (113 << 23)) - f32::from_bits(113 << 23)).to_bits();
+    let mag = if em >= 0x0F80_0000 {
+        em | 0x7F80_0000
+    } else if em < 0x0080_0000 {
+        low
+    } else {
+        normal
+    };
+    f32::from_bits(mag | (bits & 0x8000) << 16)
+}
+
 /// Compile-time `f16 → f32` table, indexed by the raw f16 bit pattern.
 /// 256 KiB of read-only data; every entry equals the bit-level
 /// conversion (`all_patterns_match_bitwise_conversion` proves it).
@@ -626,6 +650,18 @@ mod tests {
                 f16_to_f32_bits(bits),
                 "bits={bits:#06x}"
             );
+        }
+    }
+
+    #[test]
+    fn widen_matches_the_table_for_every_pattern() {
+        for bits in 0u16..=u16::MAX {
+            let h = Half::from_bits(bits);
+            if h.is_nan() {
+                assert!(widen(h).is_nan(), "bits={bits:#06x}");
+            } else {
+                assert_eq!(widen(h).to_bits(), h.to_f32().to_bits(), "bits={bits:#06x}");
+            }
         }
     }
 

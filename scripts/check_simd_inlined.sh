@@ -76,7 +76,7 @@ if [ -n "$nested" ]; then
   fail=1
 fi
 
-bodies='gpu_sim::matrix::(fill_dense|fill_sparse_chunks|scan_sparse)|gpu_sim::fp16::(f32_to_f16_slice|f16_bits_from_f32_bits_rne)|spinfer_core::tca_bme::(build_band_bitmaps|fill_band_values|build_gtile_bitmaps|fill_gtile_values|bt_bitmap_interior|bt_bitmap_edge|quantize_spans|span_scale|quantize_codes|widen)'
+bodies='gpu_sim::matrix::(fill_dense|fill_sparse_chunks|scan_sparse)|gpu_sim::fp16::(f32_to_f16_slice|f16_bits_from_f32_bits_rne|widen)|spinfer_core::tca_bme::(build_band_bitmaps|fill_band_values|build_gtile_bitmaps|fill_gtile_values|bt_bitmap_interior|bt_bitmap_edge|quantize_spans|span_scale|quantize_codes)'
 copies=$({ grep -E "^[0-9a-f]+ <($bodies)(::<.*>)?>:$" "$dis" || true; })
 if [ -n "$copies" ]; then
   echo "$BIN holds out-of-line copies of always-inlined SIMD bodies:" >&2
