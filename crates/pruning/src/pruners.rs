@@ -18,13 +18,13 @@
 //! metrics are mapped once to integer keys in a scratch row; per group
 //! (the whole row, or each run of `m_group` columns) the kernel finds
 //! the `keep`-th largest metric, the threshold. A histogram over the
-//! keys' top 12 bits finds the threshold's bucket, and
-//! `select_nth_unstable` runs over that bucket's keys only; one masked
-//! pass then keeps every column above the threshold. Columns that tie
-//! at it keep the lowest column first, exactly like a stable descending
-//! sort of `0..k`. A row reads nothing but itself, so rows fan out over
-//! the [`gpu_sim::exec`] pool in bands and the output bytes are the
-//! same at every job count.
+//! keys' top bits (`log2` of the group width, at most 12) finds the
+//! threshold's bucket, and `select_nth_unstable` runs over that
+//! bucket's keys only; one masked pass then keeps every column above
+//! the threshold. Columns that tie at it keep the lowest column first,
+//! exactly like a stable descending sort of `0..k`. A row reads nothing
+//! but itself, so rows fan out over the [`gpu_sim::exec`] pool in bands
+//! and the output bytes are the same at every job count.
 
 use crate::calibration::Calibration;
 use gpu_sim::fp16::Half;
@@ -237,20 +237,14 @@ fn descending_key(metric: f32) -> u32 {
     !(bits ^ flip)
 }
 
-/// Groups at least this wide narrow the selection with a histogram of
-/// 4 096 buckets; narrower ones (N:M groups) use one bucket, so they
-/// select over all their keys, where clearing and scanning 4 096
-/// counters would cost more than it saves.
-const HISTOGRAM_MIN_GROUP: usize = 256;
-/// The bits below a key's top 12.
-const BUCKET_SHIFT: u32 = 20;
+/// The most key bits a histogram bucket is picked by: 4 096 buckets.
+const MAX_BUCKET_BITS: u32 = 12;
 
 /// One worker's scratch for the selection kernel, sized for its widest
 /// group.
 struct Selection {
-    /// A key's bucket is its top 12 bits masked by this: all of them,
-    /// or none (one bucket) for narrow groups.
-    mask: u32,
+    /// A key's bucket is its top `32 - shift` bits.
+    shift: u32,
     /// Keys per bucket, cleared before each group.
     counts: Vec<u32>,
     /// The candidates' columns, ascending.
@@ -260,15 +254,14 @@ struct Selection {
 }
 
 impl Selection {
+    /// Buckets by the top `log2(group)` key bits, two to
+    /// [`MAX_BUCKET_BITS`]: never more buckets than keys, so clearing
+    /// and walking the histogram costs at most one pass over the group.
     fn new(group: usize) -> Self {
-        let mask = if group >= HISTOGRAM_MIN_GROUP {
-            0xFFF
-        } else {
-            0
-        };
+        let bits = group.max(2).ilog2().min(MAX_BUCKET_BITS);
         Selection {
-            mask,
-            counts: vec![0; mask as usize + 1],
+            shift: 32 - bits,
+            counts: vec![0; 1 << bits],
             cols: vec![0; group],
             keys: vec![0; group],
         }
@@ -286,10 +279,10 @@ impl Selection {
         if keep == 0 {
             return;
         }
-        let mask = self.mask;
+        let shift = self.shift;
         self.counts.fill(0);
         for &key in keys {
-            self.counts[((key >> BUCKET_SHIFT) & mask) as usize] += 1;
+            self.counts[(key >> shift) as usize] += 1;
         }
         let (mut bucket, mut below) = (0, 0);
         while below + (self.counts[bucket] as usize) < keep {
@@ -297,8 +290,8 @@ impl Selection {
             bucket += 1;
         }
         // The bucket's keys are `lo..=lo + span`.
-        let lo = (bucket as u32) << BUCKET_SHIFT;
-        let span = !(mask << BUCKET_SHIFT);
+        let lo = (bucket as u32) << shift;
+        let span = u32::MAX >> (32 - shift);
         let mut n = 0;
         for (c, &key) in keys.iter().enumerate() {
             self.cols[n] = c as u32;
@@ -608,10 +601,11 @@ mod tests {
         }
     }
 
-    /// Metrics at the edges of the selection's 12-bit key buckets: with
+    /// Metrics at the edges of the selection's key buckets: with
     /// `|w| = 1`, `1.0` (bits `0x3F80_0000`) is the top key of its
-    /// bucket and `0x3F8F_FFFF` the bottom one; the others sit one ULP
-    /// across an edge.
+    /// bucket at every width up to 9 bits (groups up to 1 023 columns)
+    /// and of its 12-bit bucket, `0x3F8F_FFFF` the bottom of that 12-bit
+    /// bucket; the others sit one ULP across an edge.
     const BUCKET_EDGES: [u32; 6] = [
         0x3F7F_FFFF,
         0x3F80_0000,
