@@ -1,42 +1,45 @@
 #!/usr/bin/env bash
-# Paired host-clock perfbench runs: a base revision against the working
-# tree.
+# Paired host-clock perfbench runs: a base revision against HEAD.
 #
-#   scripts/paired.sh BASE_REV --workload W --seed S --pairs N [--seconds T]
+#   scripts/paired.sh BASE_REV --workload W --seed S --pairs N
 #
+# The change is HEAD, and the tree must be clean: no modified, staged or
+# untracked file, so every verdict names two commits that reproduce it.
 # Extracts BASE_REV with `git archive` into target/paired/<sha>/ and
 # builds perfbench there and in the working tree. Each pair runs both
-# sides once (T seconds of timed ops each, default 20); odd pairs run the
-# base first, even pairs the change. For each end-to-end metric it prints
-# both sides' medians and quartiles, how many pairs the change won (in
-# the metric's direction, from BENCHMARK.json), whether the medians
-# differ by more than the base's interquartile range, and the claim that
-# makes: `better` (or `worse`) when the medians differ by more than that
-# and the change won (or lost) at least 90 % of the pairs, else `none`.
+# sides once, each for BENCHMARK.json's `run_seconds` of timed ops; odd
+# pairs run the base first, even pairs the change. For each end-to-end
+# metric it prints both sides' medians and quartiles, how many pairs
+# the change won (in the metric's direction, from BENCHMARK.json),
+# whether the medians differ by more than the base's interquartile
+# range, and the claim that makes: `better` (or `worse`) when the
+# medians differ by more than that and the change won (or lost) at
+# least 90 % of the pairs, else `none`.
 #
 # It fails when a simulated metric (`sim_*`, `weight_bytes_ratio`)
 # differs between any two runs, or when either side reports
 # `correct: false`. It refuses a seed that BENCH_host.json
 # already lists, so every verdict is on a seed not used before; on
-# success it appends the verdict there. Shared hosts are noisy: run it on
-# a quiet machine, never in CI.
+# success it appends the verdict there. A verdict whose base is HEAD
+# itself is a self-check of the host's noise and is marked
+# `"self_check": true`. Shared hosts are noisy: run it on a quiet
+# machine, never in CI.
 set -euo pipefail
 
 usage() {
-  echo "usage: $0 BASE_REV --workload W --seed S --pairs N [--seconds T]" >&2
+  echo "usage: $0 BASE_REV --workload W --seed S --pairs N" >&2
   exit 2
 }
 [ $# -ge 1 ] || usage
 base_rev=$1
 shift
-workload='' seed='' pairs='' seconds=20
+workload='' seed='' pairs=''
 while [ $# -gt 0 ]; do
   [ $# -ge 2 ] || usage
   case $1 in
     --workload) workload=$2 ;;
     --seed) seed=$2 ;;
     --pairs) pairs=$2 ;;
-    --seconds) seconds=$2 ;;
     *) usage ;;
   esac
   shift 2
@@ -55,9 +58,13 @@ if grep -qx "$seed" <<<"$used"; then
   exit 1
 fi
 
+if [ -n "$(git status --porcelain)" ]; then
+  echo "the working tree has changes or untracked files: commit or remove them first" >&2
+  exit 1
+fi
+seconds=$(grep -oE '"run_seconds": [0-9]+' BENCHMARK.json | grep -oE '[0-9]+$')
 base_sha=$(git rev-parse --verify "$base_rev^{commit}")
 change_sha=$(git rev-parse HEAD)
-git diff --quiet HEAD || change_sha="$change_sha+dirty"
 base_dir=target/paired/$base_sha
 if [ ! -d "$base_dir" ]; then
   rm -rf "$base_dir.tmp"
@@ -171,8 +178,8 @@ verdict=$(awk -v dirs="$directions" -v base="$base_sha" -v change="$change_sha" 
         beyond == "yes" ? "true" : "false", claim)
     }
     if (!sim_ok) exit 1
-    printf "{\"base\": \"%s\", \"change\": \"%s\", \"workload\": \"%s\", \"seed\": %d, \"pairs\": %d, \"seconds\": %s, \"quartiles\": \"q1, median, q3\", \"metrics\": {%s}}\n",
-      base, change, workload, seed, pairs, seconds, json
+    printf "{\"base\": \"%s\", \"change\": \"%s\", \"self_check\": %s, \"workload\": \"%s\", \"seed\": %d, \"pairs\": %d, \"seconds\": %s, \"quartiles\": \"q1, median, q3\", \"metrics\": {%s}}\n",
+      base, change, base == change ? "true" : "false", workload, seed, pairs, seconds, json
   }' "$tmp/metrics") || {
   echo "a simulated metric moved: the sides do not compute the same thing" >&2
   exit 1
