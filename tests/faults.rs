@@ -22,10 +22,15 @@ const INT8_FAULT_CHECKSUM: u64 = 0x68221a9d3fc8b330;
 const INT8_FAULT_DIGEST: u64 = 0xcd1fdaf977cd10b8;
 const INT8_FAULT_TALLIES: [u64; 4] = [26, 3, 3, 0];
 
+/// The same pins for the FP16 kernel's run under the same plan.
+const FP16_FAULT_CHECKSUM: u64 = 0x9e72f485b7f3825b;
+const FP16_FAULT_DIGEST: u64 = 0x2a8fe4d869f12292;
+const FP16_FAULT_TALLIES: [u64; 4] = [37, 33, 28, 0];
+
 /// One test owns the process-global job count (same pattern as
 /// `determinism.rs`): serial and parallel checked runs under the same
 /// seeded plan must agree bit-for-bit, faults included — for the FP16
-/// kernel and for SpInfer-INT8, whose seeded run is also pinned.
+/// kernel and for SpInfer-INT8; both seeded runs are also pinned.
 #[test]
 fn seeded_fault_run_is_bit_identical_at_any_job_count() {
     let spec = GpuSpec::rtx4090();
@@ -73,28 +78,33 @@ fn seeded_fault_run_is_bit_identical_at_any_job_count() {
         );
     }
 
-    let int8 = &serial[1].1;
-    let c = &int8.chain.launches[0].counters;
-    assert_eq!(
-        checksum_f32(int8.output.as_ref().expect("functional output")),
-        INT8_FAULT_CHECKSUM,
-        "SpInfer-INT8: seeded fault-run output drifted"
-    );
-    assert_eq!(
-        int8.chain.merged_counters().digest(),
-        INT8_FAULT_DIGEST,
-        "SpInfer-INT8: seeded fault-run counter digest drifted"
-    );
-    assert_eq!(
-        [
-            c.faults_injected,
-            c.faults_detected,
-            c.faults_recovered,
-            c.fault_fallbacks
-        ],
-        INT8_FAULT_TALLIES,
-        "SpInfer-INT8: seeded fault tallies drifted"
-    );
+    let pins = [
+        (FP16_FAULT_CHECKSUM, FP16_FAULT_DIGEST, FP16_FAULT_TALLIES),
+        (INT8_FAULT_CHECKSUM, INT8_FAULT_DIGEST, INT8_FAULT_TALLIES),
+    ];
+    for ((name, run), (checksum, digest, tallies)) in serial.iter().zip(pins) {
+        let c = &run.chain.launches[0].counters;
+        assert_eq!(
+            checksum_f32(run.output.as_ref().expect("functional output")),
+            checksum,
+            "{name}: seeded fault-run output drifted"
+        );
+        assert_eq!(
+            run.chain.merged_counters().digest(),
+            digest,
+            "{name}: seeded fault-run counter digest drifted"
+        );
+        assert_eq!(
+            [
+                c.faults_injected,
+                c.faults_detected,
+                c.faults_recovered,
+                c.fault_fallbacks
+            ],
+            tallies,
+            "{name}: seeded fault tallies drifted"
+        );
+    }
 }
 
 #[test]

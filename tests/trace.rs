@@ -16,12 +16,15 @@
 //! and `cat:"phase"` spans account for the kernel's simulated time to
 //! within 1%.
 
+mod common;
+
 use gpu_sim::exec;
+use gpu_sim::fault::{FaultInjector, FaultPlan};
 use gpu_sim::matrix::{random_dense, random_sparse, ValueDist};
 use gpu_sim::trace::TraceSink;
 use gpu_sim::GpuSpec;
-use spinfer_core::spmm::LaunchCtx;
-use spinfer_core::{SpinferSpmm, SpmmConfig, TcaBme};
+use spinfer_core::spmm::{FaultPolicy, LaunchCtx, SpmmKernel, SpmmRun};
+use spinfer_core::{SpinferSpmm, SpinferSpmmInt8, SpmmConfig, TcaBme};
 use std::sync::Arc;
 
 /// One `#[test]` on purpose: `exec::set_jobs` is process-global (see the
@@ -131,4 +134,59 @@ fn every_registered_kernel_emits_a_valid_trace() {
             stats.phase_total_us
         );
     }
+}
+
+/// Pinned FNV-1a digests of the exported Chrome trace of three traced
+/// SpInfer launches: FP16 and INT8 golden, and FP16 checked under an
+/// armed injector with one attempt per site, so faulted GroupTiles take
+/// the fallback. Each has three block rows, split-K 2 and N = 136 (a
+/// full 128-column N tile and a ragged one), so the pins cover every
+/// phase weight the block records, the fan-out and the reduction span.
+#[test]
+fn spinfer_trace_bytes_are_pinned() {
+    let spec = GpuSpec::rtx4090();
+    let w = random_sparse(192, 512, 0.6, ValueDist::Uniform, 27);
+    let x = random_dense(512, 136, ValueDist::Uniform, 28);
+    let enc = TcaBme::encode(&w);
+    let enc8 = enc.quantize_int8();
+    let config = SpmmConfig {
+        split_k: 2,
+        ..SpmmConfig::default()
+    };
+    let inj = FaultInjector::new(FaultPlan::uniform(31, 0.05));
+    let one_try = FaultPolicy {
+        max_attempts: 1,
+        fallback: true,
+    };
+    let export = |launch: &dyn Fn(&LaunchCtx<'_>) -> SpmmRun| {
+        let sink = TraceSink::new();
+        let run = launch(&LaunchCtx::new(&spec).with_sink(&sink));
+        (run, spinfer_obs::export(&sink.finish()))
+    };
+    let (_, fp16) = export(&|ctx| {
+        SpinferSpmm { config }
+            .launch(ctx, &enc, &x)
+            .expect("golden")
+    });
+    let (_, int8) = export(&|ctx| {
+        SpinferSpmmInt8 { config }
+            .launch(ctx, &enc8, &x)
+            .expect("golden")
+    });
+    let (checked, faulted) = export(&|ctx| {
+        let ctx = ctx.with_fault(&inj).with_policy(&one_try);
+        SpinferSpmm { config }
+            .launch(&ctx, &enc, &x)
+            .expect("falls back")
+    });
+    let c = &checked.chain.launches[0].counters;
+    assert!(
+        c.fault_fallbacks > 0,
+        "the checked launch must take the fallback for its pin to cover it"
+    );
+    common::assert_pinned(&[
+        ("FP16 trace", &fp16, 0x8d7b9f5bcdedf8da),
+        ("INT8 trace", &int8, 0xfdfa2140fc87a3e8),
+        ("checked FP16 trace", &faulted, 0xfada3cc46cdbc88a),
+    ]);
 }
