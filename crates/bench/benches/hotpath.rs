@@ -127,15 +127,7 @@ fn bench_smbd(c: &mut Criterion) {
     let mut g = c.benchmark_group("smbd");
     g.bench_function("decode_tctile_f32_sweep", |bench| {
         let mut counters = Counters::new();
-        bench.iter(|| {
-            black_box(decode_tctile_f32(
-                &mut counters,
-                &bitmaps,
-                &enc.values,
-                0,
-                0,
-            ))
-        });
+        bench.iter(|| black_box(decode_tctile_f32(&mut counters, &bitmaps, &enc.values, 0)));
     });
     let enc8 = enc.quantize_int8();
     g.bench_function("decode_tctile_s8_sweep", |bench| {
@@ -145,7 +137,6 @@ fn bench_smbd(c: &mut Criterion) {
                 &mut counters,
                 &bitmaps,
                 &enc8.tiles.values,
-                0,
                 0,
             ))
         });

@@ -72,13 +72,7 @@ fn bench_smbd(c: &mut Criterion) {
     c.bench_function("smbd/decode_tctile", |b| {
         b.iter(|| {
             let mut counters = Counters::new();
-            black_box(decode_tctile_f32(
-                &mut counters,
-                &bitmaps,
-                &enc.values,
-                0,
-                0,
-            ))
+            black_box(decode_tctile_f32(&mut counters, &bitmaps, &enc.values, 0))
         })
     });
 }

@@ -202,15 +202,8 @@ impl Datapath for i8 {
     }
 
     #[inline(always)]
-    fn mma<C: Isa>(
-        cap: C,
-        counters: &mut Counters,
-        a: &[[i32; MMA_K]; MMA_M],
-        b: &[i32],
-        ld: usize,
-        accs: &mut [AccS8],
-    ) {
-        mma_m16n8k16_s8_body(cap, counters, a, b, ld, accs);
+    fn mma<C: Isa>(cap: C, a: &[[i32; MMA_K]; MMA_M], b: &[i32], ld: usize, accs: &mut [AccS8]) {
+        mma_m16n8k16_s8_body(cap, a, b, ld, accs);
     }
 
     fn accumulate(acc: &mut AccS8, tile: impl Fn(usize, usize) -> i32) {

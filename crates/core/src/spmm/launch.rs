@@ -29,7 +29,7 @@ use gpu_sim::timing::L2Reuse;
 use gpu_sim::trace::TraceSink;
 
 use super::block::{
-    x_operands, x_requested_bytes, BlockBases, BlockGrid, BlockScratch, CheckedState, Datapath,
+    x_operands, BlockBases, BlockGrid, BlockScratch, CheckedState, Datapath, XStreams,
 };
 use super::traced::{emit_kernel_trace, BlockTracer, TracePhase};
 use super::{FormatStats, SpinferSpmm, SpmmConfig, SpmmRun};
@@ -595,18 +595,14 @@ impl SpmmConfig {
         let x_base = gm.alloc(2 * t.k * geo.n_pad);
         let ws_base = gm.alloc(4 * t.m_pad * geo.n_pad * geo.split_k);
 
-        // Shared-memory virtual layout within a block (one buffer; the
-        // second buffer has identical bank behaviour).
+        let gtiles_y = t.gtiles_y();
+        let gtiles_x = t.gtiles_x();
         let bases = BlockBases {
             values: values_base,
             bitmaps: bitmaps_base,
-            x: x_base,
             ws: ws_base,
-            smem_values: (t.config.bts_per_gt() * 8) as u64,
+            x_stream: XStreams::new(x_base, gtiles_x, t.config.gt_cols, &geo),
         };
-
-        let gtiles_y = t.gtiles_y();
-        let gtiles_x = t.gtiles_x();
         let slice_len = t.m_pad * geo.n_pad;
         let band_len = t.config.gt_rows * geo.n_pad;
 
@@ -647,7 +643,7 @@ impl SpmmConfig {
 
         let l2 = [L2Reuse {
             buffer_bytes: (2 * t.k * geo.n_pad) as u64,
-            requested_bytes: x_requested_bytes(x_base, gtiles_y, gtiles_x, t.config.gt_cols, &geo),
+            requested_bytes: bases.x_stream.requested_bytes(gtiles_y),
         }];
 
         let name = P::kernel_name(self.ablation);

@@ -306,6 +306,9 @@ impl SpmmConfig {
         // Shared memory: double-buffered bitmaps + values + X tile.
         let bufs = 2usize;
         let bitmap_bytes = stats.config.bts_per_gt() * 8;
+        // The value window starts right after the bitmaps; SMBD's value
+        // gathers are conflict-free only from a 4-byte-aligned window.
+        debug_assert_eq!(bitmap_bytes % 4, 0, "SMBD value window misaligned");
         let value_bytes = stats.max_values_per_gtile * P::BYTES;
         let x_bytes = stats.config.gt_cols * tile_n * 2;
         let smem = bufs * (bitmap_bytes + value_bytes + x_bytes);
@@ -403,8 +406,9 @@ impl SpmmConfig {
 
         // --- Decode ---
         let nbt_visits = (ngt * cfg.bts_per_gt() * geo.grid_x) as u64;
-        let full = bt_decode_cost(true);
-        let empty = bt_decode_cost(false);
+        // A non-empty BitmapTile is charged both phase gathers.
+        let full = bt_decode_cost(2);
+        let empty = bt_decode_cost(0);
         let p = stats.nonempty_bt_fraction;
         c.cuda_int_insts += (nbt_visits as f64
             * (p * full.int_insts as f64 + (1.0 - p) * empty.int_insts as f64))

@@ -56,7 +56,7 @@ pub fn analyze_warp_access(addrs: &[Option<u64>; 32], bytes_per_lane: u32) -> Sm
         // 32-word bank cycle, each bank holds at most one distinct word,
         // so the degree is 1 by construction — one transaction, zero
         // conflicts — without running the per-bank analysis. This is the
-        // shape of the decode hot path: bitmap broadcasts (one 8 B
+        // shape of SpInfer's accesses: bitmap broadcasts (one 8 B
         // word), SMBD value gathers (≤64 packed FP16 values span
         // ≤128 B), and row-major ldsm phases (8 lanes × 16 B = 128 B).
         let mut wmin = u64::MAX;
@@ -115,57 +115,6 @@ pub fn warp_smem_load(counters: &mut Counters, addrs: &[Option<u64>; 32], bytes_
     counters.insts_issued += 1;
 }
 
-/// Records a warp *broadcast* load — every lane reads the same
-/// shared-memory address — without materialising the 32 identical
-/// addresses. Each phase's single ≤16 B access spans consecutive words
-/// in distinct banks, so it costs one transaction per phase and no
-/// conflicts regardless of the address; equality with
-/// [`warp_smem_load`] on uniform addresses is pinned by this module's
-/// tests. This is the SMBD bitmap broadcast, issued once per
-/// BitmapTile decode.
-pub fn warp_smem_broadcast_load(counters: &mut Counters, bytes_per_lane: u32) {
-    let phases: u64 = match bytes_per_lane {
-        2 | 4 => 1,
-        8 => 2,
-        16 => 4,
-        _ => panic!("unsupported access width {bytes_per_lane}"),
-    };
-    counters.smem_load_transactions += phases;
-    counters.insts_issued += 1;
-}
-
-/// Records a warp *gather* load — one `≤ 4` B element per active lane,
-/// all touched words inside a span of at most one full bank cycle —
-/// from the span alone, without materialising per-lane addresses.
-///
-/// `word_span` is `max_word − min_word` over the words active lanes
-/// touch (the end words are touched by construction); it must be
-/// `≤ NUM_BANKS`. Within such a span the only same-bank word pair is
-/// the two ends at exactly `NUM_BANKS` apart, so the access degree is
-/// 2 there and 1 otherwise — bit-identical counter writes and poison
-/// draws to [`warp_smem_load_f`] on the same addresses, pinned by this
-/// module's tests. This is the SMBD value-gather shape: packed 2 B
-/// values inside a ≤128 B window.
-pub fn warp_smem_gather_load_f(
-    counters: &mut Counters,
-    word_span: u64,
-    active: u32,
-    fault: Option<&FaultInjector>,
-    key: u64,
-) -> Option<(usize, Half)> {
-    debug_assert!(
-        word_span <= NUM_BANKS,
-        "gather word span {word_span} exceeds one bank cycle"
-    );
-    let degree = if word_span >= NUM_BANKS { 2 } else { 1 };
-    counters.smem_load_transactions += degree;
-    counters.smem_bank_conflicts += degree - 1;
-    counters.insts_issued += 1;
-    let inj = fault?;
-    let (site, poison) = inj.poison_site(counters, key, active)?;
-    Some((site as usize, poison))
-}
-
 /// Records a warp shared-memory *store* into the counters.
 pub fn warp_smem_store(counters: &mut Counters, addrs: &[Option<u64>; 32], bytes_per_lane: u32) {
     let a = analyze_warp_access(addrs, bytes_per_lane);
@@ -195,18 +144,18 @@ pub fn warp_smem_load_f(
     Some((site as usize, poison))
 }
 
-/// Records an `ldmatrix.x4` of 32 contiguous 16 B rows (lane `i` at
-/// `base + 16 i`, `base` word-aligned) without materialising the row
-/// addresses: each 8-lane phase reads 128 consecutive bytes — exactly
-/// one bank cycle — so the access costs four transactions and no
-/// conflicts regardless of `base`. The analytic form of
-/// [`analyze_warp_access`] on those row addresses at 16 B, pinned equal
-/// to it by this module's tests; the SpMM kernel loads its row-major X
-/// tile fragments this way once per TCTile.
-pub fn warp_ldsm_x4_rows(counters: &mut Counters) {
-    counters.smem_load_transactions += 4;
-    counters.ldsm_insts += 1;
-    counters.insts_issued += 1;
+/// Records `n` `ldmatrix.x4` loads, each of 32 contiguous 16 B rows
+/// (lane `i` at `base + 16 i`, `base` word-aligned), without
+/// materialising the row addresses: each 8-lane phase reads 128
+/// consecutive bytes — exactly one bank cycle — so a load costs four
+/// transactions and no conflicts regardless of `base`. The analytic
+/// form of [`analyze_warp_access`] on those row addresses at 16 B,
+/// pinned equal to it by this module's tests; the SpMM kernel loads its
+/// row-major X tile fragments this way, recorded once per GroupTile.
+pub fn warp_ldsm_x4_rows(counters: &mut Counters, n: u64) {
+    counters.smem_load_transactions += 4 * n;
+    counters.ldsm_insts += n;
+    counters.insts_issued += n;
 }
 
 #[cfg(test)]
@@ -330,77 +279,11 @@ mod tests {
         }
 
         #[test]
-        fn broadcast_load_matches_address_array_form(
-            addr in 0u64..16384,
-            width in prop::sample::select(vec![2u32, 4, 8, 16]),
-        ) {
-            let mut via_addrs = Counters::new();
-            warp_smem_load(&mut via_addrs, &[Some(addr); 32], width);
-            let mut via_helper = Counters::new();
-            warp_smem_broadcast_load(&mut via_helper, width);
-            prop_assert_eq!(via_addrs, via_helper);
-        }
-
-        #[test]
-        fn gather_load_matches_address_array_form(
-            base in 0u64..8192,
-            mask: u64,
-            seed: u64,
-        ) {
-            // The SMBD gather shape: ascending 2 B elements at
-            // `base + idx*2` for a subset (`mask` bits) of 64 consecutive
-            // value slots — any parity of `base`, so word-crossing lanes
-            // and the exactly-one-bank-cycle span are both reachable.
-            let mask = if mask == 0 { 1u64 << (seed % 64) } else { mask };
-            let mut addrs = [None; 32];
-            let mut lo = None;
-            let mut hi = 0u64;
-            let mut active = 0u32;
-            for idx in 0..64u64 {
-                if mask & (1 << idx) == 0 {
-                    continue;
-                }
-                let a = base + idx * 2;
-                // Lane assignment is irrelevant to a single-phase 2 B
-                // analysis; pack actives into ascending lanes, dropping
-                // the overflow when more than 32 slots are picked.
-                if active < 32 {
-                    addrs[active as usize] = Some(a);
-                    lo.get_or_insert(a);
-                    hi = a;
-                    active += 1;
-                }
-            }
-            let span = (hi + 1) / BANK_WORD - lo.expect("active") / BANK_WORD;
-
-            let mut via_addrs = Counters::new();
-            let mut via_span = Counters::new();
-            let r_addrs = warp_smem_load_f(&mut via_addrs, &addrs, 2, None, seed);
-            let r_span = warp_smem_gather_load_f(&mut via_span, span, active, None, seed);
-            prop_assert_eq!(r_addrs, r_span);
-            prop_assert_eq!(via_addrs, via_span);
-
-            // Same parity under an always-firing injector: identical
-            // poison site, value, and fault accounting.
-            let plan = crate::fault::FaultPlan {
-                fp16_poison_rate: 1.0,
-                ..crate::fault::FaultPlan::default()
-            };
-            let inj = crate::fault::FaultInjector::new(plan);
-            let mut fa = Counters::new();
-            let mut fs = Counters::new();
-            let r_addrs = warp_smem_load_f(&mut fa, &addrs, 2, Some(&inj), seed);
-            let r_span = warp_smem_gather_load_f(&mut fs, span, active, Some(&inj), seed);
-            prop_assert_eq!(r_addrs, r_span);
-            prop_assert_eq!(fa, fs);
-        }
-
-        #[test]
         fn ldsm_rows_matches_address_array_form(word in 0u64..4096) {
             let mut via_addrs = Counters::new();
             warp_ldsm_x4(&mut via_addrs, &strided_addrs(word * BANK_WORD, 16));
             let mut via_helper = Counters::new();
-            warp_ldsm_x4_rows(&mut via_helper);
+            warp_ldsm_x4_rows(&mut via_helper, 1);
             prop_assert_eq!(via_addrs, via_helper);
         }
 

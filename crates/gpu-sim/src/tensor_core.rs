@@ -78,31 +78,31 @@ pub fn mma_m16n8k16_bslice_ntiles(
     ld: usize,
     accs: &mut [AccF32],
 ) {
+    counters.mma_insts += accs.len() as u64;
+    counters.insts_issued += accs.len() as u64;
     match Simd::detect() {
         Some(s) => s.vectorize(
             #[inline(always)]
-            move || mma_m16n8k16_bslice_body(s, counters, a, b, ld, accs),
+            move || mma_m16n8k16_bslice_body(s, a, b, ld, accs),
         ),
-        None => mma_m16n8k16_bslice_body(Portable, counters, a, b, ld, accs),
+        None => mma_m16n8k16_bslice_body(Portable, a, b, ld, accs),
     }
 }
 
-/// The body of [`mma_m16n8k16_bslice_ntiles`] on the capability `cap`,
+/// The MAC of [`mma_m16n8k16_bslice_ntiles`] on the capability `cap`,
 /// for a caller that already runs inside its own entry's
-/// [`Simd::vectorize`] region (or on [`Portable`]). Always inlined, so it
-/// compiles with its caller's features.
+/// [`Simd::vectorize`] region (or on [`Portable`]) and records its own
+/// `mma` instructions. Always inlined, so it compiles with its caller's
+/// features.
 #[inline(always)]
 pub fn mma_m16n8k16_bslice_body<C: Isa>(
     cap: C,
-    counters: &mut Counters,
     a: &[[f32; MMA_K]; MMA_M],
     b: &[f32],
     ld: usize,
     accs: &mut [AccF32],
 ) {
     mac_tiles(cap, a, b, ld, accs);
-    counters.mma_insts += accs.len() as u64;
-    counters.insts_issued += accs.len() as u64;
 }
 
 /// The MAC of both batched bodies: checks the bounds, then runs the AVX2
@@ -376,31 +376,30 @@ pub fn mma_m16n8k16_s8_ntiles(
     ld: usize,
     accs: &mut [AccS8],
 ) {
+    counters.mma_s8_insts += accs.len() as u64;
+    counters.insts_issued += accs.len() as u64;
     match Simd::detect() {
         Some(s) => s.vectorize(
             #[inline(always)]
-            move || mma_m16n8k16_s8_body(s, counters, a, b, ld, accs),
+            move || mma_m16n8k16_s8_body(s, a, b, ld, accs),
         ),
-        None => mma_m16n8k16_s8_body(Portable, counters, a, b, ld, accs),
+        None => mma_m16n8k16_s8_body(Portable, a, b, ld, accs),
     }
 }
 
-/// The body of [`mma_m16n8k16_s8_ntiles`] on the capability `cap`, for a
+/// The MAC of [`mma_m16n8k16_s8_ntiles`] on the capability `cap`, for a
 /// caller already inside its own entry's [`Simd::vectorize`] region (or
-/// on [`Portable`]). Always inlined, so it compiles with its caller's
-/// features.
+/// on [`Portable`]) that records its own `mma.s8` instructions. Always
+/// inlined, so it compiles with its caller's features.
 #[inline(always)]
 pub fn mma_m16n8k16_s8_body<C: Isa>(
     cap: C,
-    counters: &mut Counters,
     a: &[[i32; MMA_K]; MMA_M],
     b: &[i32],
     ld: usize,
     accs: &mut [AccS8],
 ) {
     mac_tiles(cap, a, b, ld, accs);
-    counters.mma_s8_insts += accs.len() as u64;
-    counters.insts_issued += accs.len() as u64;
 }
 
 #[cfg(test)]
@@ -490,7 +489,7 @@ mod tests {
                 .map(|_| core::array::from_fn(|_| core::array::from_fn(|_| draw(&mut state, 4))))
                 .collect();
             let mut flat = init.clone();
-            mma_m16n8k16_bslice_body(Portable, &mut Counters::new(), &a, &b, ld, &mut flat);
+            mma_m16n8k16_bslice_body(Portable, &a, &b, ld, &mut flat);
             let mut avx2 = init;
             mma_m16n8k16_bslice_ntiles(&mut Counters::new(), &a, &b, ld, &mut avx2);
             for (j, (f, v)) in flat.iter().zip(&avx2).enumerate() {
@@ -695,14 +694,14 @@ mod tests {
                     core::array::from_fn(|_| core::array::from_fn(|_| draw_code(&mut state) * 4099))
                 })
                 .collect();
-            let (mut cf, mut cv) = (Counters::new(), Counters::new());
+            let mut cv = Counters::new();
             let mut flat = init.clone();
-            mma_m16n8k16_s8_body(Portable, &mut cf, &a, &b, ld, &mut flat);
+            mma_m16n8k16_s8_body(Portable, &a, &b, ld, &mut flat);
             let mut avx2 = init.clone();
             mma_m16n8k16_s8_ntiles(&mut cv, &a, &b, ld, &mut avx2);
             assert_eq!(flat, avx2, "ntiles {ntiles}");
             assert_ne!(flat, init, "ntiles {ntiles}: the batch must accumulate");
-            assert_eq!(cf, cv, "ntiles {ntiles}");
+            assert_eq!(cv.mma_s8_insts, ntiles as u64, "ntiles {ntiles}");
         }
     }
 
