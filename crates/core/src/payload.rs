@@ -3,7 +3,7 @@
 //! TCA-BME's bitmap metadata is payload-agnostic: offsets, bitmaps, and
 //! tile geometry never look inside a value. Only three things about the
 //! element type matter to the shared machinery — its width (storage and
-//! shared-memory word spans), its zero (decode scatter fill), and its
+//! streamed bytes), its zero (decode scatter fill), and its
 //! little-endian byte image (the per-GroupTile FNV-1a checksum). This
 //! trait captures exactly those, so the container, serializer, SMBD
 //! decode, and checked-kernel checksum loop are written once and shared
