@@ -625,6 +625,13 @@ mod tests {
     }
 
     #[test]
+    fn from_f32_roundtrip() {
+        let m = DenseMatrix::from_f32(2, 2, &[0.5, -1.25, 2.0, 0.0]);
+        assert_eq!(m.get(0, 1).to_f32(), -1.25);
+        assert_eq!(m.get(1, 1).to_f32(), 0.0);
+    }
+
+    #[test]
     fn transpose_involution() {
         let m = random_dense(7, 13, ValueDist::Uniform, 1);
         assert_eq!(m.transpose().transpose(), m);

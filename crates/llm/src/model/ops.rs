@@ -4,9 +4,6 @@
 //! matmul kernels, matching how the real framework keeps FP32 accumulator
 //! output before re-quantising to FP16 for the next GEMM.
 
-use gpu_sim::fp16::Half;
-use gpu_sim::matrix::DenseMatrix;
-
 /// Numerically stable softmax over a slice, in place.
 pub fn softmax_inplace(xs: &mut [f32]) {
     if xs.is_empty() {
@@ -59,19 +56,6 @@ pub fn argmax(xs: &[f32]) -> usize {
         }
     }
     best
-}
-
-/// Quantises an FP32 activation matrix (`rows × cols`, row-major) to the
-/// FP16 `DenseMatrix` the matmul kernels consume.
-pub fn to_half_matrix(rows: usize, cols: usize, data: &[f32]) -> DenseMatrix {
-    assert_eq!(data.len(), rows * cols);
-    let mut m = DenseMatrix::zeros(rows, cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            m.set(r, c, Half::from_f32(data[r * cols + c]));
-        }
-    }
-    m
 }
 
 #[cfg(test)]
@@ -151,13 +135,5 @@ mod tests {
     fn argmax_basics() {
         assert_eq!(argmax(&[0.1, 0.9, 0.5]), 1);
         assert_eq!(argmax(&[1.0, 1.0]), 0);
-    }
-
-    #[test]
-    fn to_half_matrix_roundtrip() {
-        let data = vec![0.5f32, -1.25, 2.0, 0.0];
-        let m = to_half_matrix(2, 2, &data);
-        assert_eq!(m.get(0, 1).to_f32(), -1.25);
-        assert_eq!(m.get(1, 1).to_f32(), 0.0);
     }
 }
