@@ -32,7 +32,7 @@ use gpu_sim::tensor_core::{
 use gpu_sim::{Counters, GpuSpec};
 use spinfer_core::smbd::{decode_tctile_f32, decode_tctile_s8};
 use spinfer_core::{SpinferSpmm, TcaBme};
-use spinfer_pruning::{magnitude_prune, wanda_prune, Calibration};
+use spinfer_pruning::{magnitude_prune, nm_prune, wanda_prune, Calibration};
 use std::hint::black_box;
 
 /// Deterministic pseudo-random f32 in [-1, 1) from SplitMix64.
@@ -214,6 +214,9 @@ fn bench_setup(c: &mut Criterion) {
     let calib = Calibration::synthetic(K, 32, 44);
     g.bench_function("wanda_1kx1k", |bench| {
         bench.iter(|| black_box(wanda_prune(black_box(&dense), &calib, S)));
+    });
+    g.bench_function("nm_2of4_1kx1k", |bench| {
+        bench.iter(|| black_box(nm_prune(black_box(&dense), Some(&calib), 2, 4)));
     });
     g.bench_function("magnitude_1kx1k", |bench| {
         bench.iter(|| black_box(magnitude_prune(black_box(&dense), S)));

@@ -161,7 +161,7 @@ unsafe fn expand_quadrant_simd<P: Datapath, const PADDED: bool>(
     let mut off = 0;
     for (r, row) in rows[dr..dr + 8].iter_mut().enumerate() {
         let byte = (bitmap >> (8 * r)) as u8;
-        let mut tail: [P; 8];
+        let tail: [P; 8];
         let packed = if PADDED {
             debug_assert!(off + 8 <= vals.len(), "row load past the values");
             // SAFETY: `off` is at most the quadrant's population, and
@@ -171,9 +171,8 @@ unsafe fn expand_quadrant_simd<P: Datapath, const PADDED: bool>(
             match vals[off..].first_chunk() {
                 Some(win) => win,
                 None => {
-                    let left = &vals[off..];
-                    tail = [P::ZERO; 8];
-                    tail[..left.len()].copy_from_slice(left);
+                    // Eight fixed steps: `copy_from_slice` calls `memcpy`.
+                    tail = std::array::from_fn(|i| vals.get(off + i).copied().unwrap_or(P::ZERO));
                     &tail
                 }
             }

@@ -162,6 +162,7 @@ fn only_entry_points_call_vectorize() {
             "gpu-sim/src/matrix.rs::fill_sparse",
             "gpu-sim/src/tensor_core.rs::mma_m16n8k16_bslice_ntiles",
             "gpu-sim/src/tensor_core.rs::mma_m16n8k16_s8_ntiles",
+            "pruning/src/pruners.rs::prune_top_per_group",
         ],
         "only the entry points enter `Simd::vectorize`, once per region"
     );
