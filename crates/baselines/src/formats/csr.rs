@@ -166,7 +166,7 @@ impl Csr {
         assert_eq!(x.rows(), self.k);
         let n = x.cols();
         let x_f32 = x.to_f32_vec();
-        let v_f32 = gpu_sim::fp16::f16_to_f32_vec(&self.values);
+        let v_f32 = self.values.iter().map(|h| h.to_f32()).collect::<Vec<_>>();
         let bands = gpu_sim::exec::par_chunks(self.m, |rows| {
             let mut band = vec![0.0f32; rows.len() * n];
             self.spmm_ref_rows(&v_f32, &x_f32, n, rows, &mut band);
@@ -186,7 +186,7 @@ mod tests {
     fn spmm_ref(enc: &Csr, x: &DenseMatrix) -> Vec<f32> {
         let n = x.cols();
         let x_f32 = x.to_f32_vec();
-        let v_f32 = gpu_sim::fp16::f16_to_f32_vec(&enc.values);
+        let v_f32 = enc.values.iter().map(|h| h.to_f32()).collect::<Vec<_>>();
         let mut out = vec![0.0f32; enc.m * n];
         enc.spmm_ref_rows(&v_f32, &x_f32, n, 0..enc.m, &mut out);
         out

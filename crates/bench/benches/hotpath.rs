@@ -1,7 +1,7 @@
 //! Microbenchmarks for the SpMM wall-clock hot path: the register-blocked
 //! `mma` kernels and the SMBD TCTile expansions, each at FP16 and INT8,
 //! one whole SpInfer launch at a decode shape, the batched FP16 → f32
-//! LUT conversion (next to its per-element form), and the setup
+//! conversion (next to its per-element form), and the setup
 //! pipeline (weight generation, pruning, encode), so a regression shows
 //! up here before it shows up in `spinfer snapshot` or `perfbench/`. The
 //! test oracles these paths are pinned to live with the tests, not here.

@@ -129,7 +129,7 @@ pub(crate) trait Datapath: Payload {
     fn finish(accs: &[Self::Acc], out: &mut [OutTile]);
 }
 
-/// FP16: `Half` values widened through the LUT or, eight per quadrant
+/// FP16: `Half` values widened by `Half::to_f32` or, eight per quadrant
 /// row, through F16C; FP32-accumulating `mma.f16`, D3 finiteness scan,
 /// no fold — the accumulators already are the `f32` output.
 impl Datapath for Half {

@@ -29,7 +29,7 @@
 use crate::error::IntegrityError;
 use crate::payload::Payload;
 use gpu_sim::cpu::Simd;
-use gpu_sim::fp16::{self, Half};
+use gpu_sim::fp16::Half;
 use gpu_sim::matrix::DenseMatrix;
 use std::ops::Range;
 
@@ -702,7 +702,7 @@ fn span_scale(vals: &[Half]) -> f32 {
 #[inline(always)]
 fn quantize_codes(vals: &[Half], scale: f32, codes: &mut [i8]) {
     for (dst, &v) in codes.iter_mut().zip(vals) {
-        let q = (fp16::widen(v) / scale).round().clamp(-127.0, 127.0);
+        let q = (v.to_f32() / scale).round().clamp(-127.0, 127.0);
         let q = if q.is_nan() { 0.0 } else { q };
         // `q` is an integer in ±127: adding 1.5·2²³ is exact and leaves
         // it, two's complement, in the sum's low mantissa byte. That is

@@ -138,10 +138,9 @@ impl DenseMatrix {
         out
     }
 
-    /// Row-major `f32` conversion of every element, in one batch LUT
-    /// sweep ([`crate::fp16::f16_to_f32_vec`]).
+    /// Row-major `f32` conversion of every element.
     pub fn to_f32_vec(&self) -> Vec<f32> {
-        crate::fp16::f16_to_f32_vec(&self.data)
+        self.data.iter().map(|h| h.to_f32()).collect()
     }
 
     /// Serial inner loop of the reference product for output rows
@@ -160,7 +159,7 @@ impl DenseMatrix {
     ) {
         let r0 = rows.start;
         // One reusable lhs-row conversion buffer per band: each row is
-        // batch-converted through the FP16 LUT before the MAC loop. The
+        // batch-converted before the MAC loop. The
         // zero-skip test sees the identical f32 values (±0.0 included),
         // so the accumulation stream is unchanged.
         let mut lhs_f32 = vec![0.0f32; self.cols];
@@ -553,14 +552,7 @@ fn nonzero_sample<R: RngCore>(rng: &mut R, dist: ValueDist) -> Half {
 /// buffer. Golden-output regression tests pin this value: any change to
 /// a single output bit (or to the element order) changes the digest.
 pub fn checksum_f32(xs: &[f32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for x in xs {
-        for byte in x.to_bits().to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    crate::counters::fnv1a64(xs.iter().flat_map(|x| x.to_bits().to_le_bytes()))
 }
 
 /// Maximum absolute difference between a kernel output and the reference.

@@ -204,15 +204,6 @@ pub(crate) fn concurrency_cap(
     lo
 }
 
-impl ServingReport {
-    /// p95 over an ascending latency set — nearest-rank, shared with the
-    /// observability histogram code so CLI tables and serving reports
-    /// agree on percentile semantics.
-    pub fn p95_from_sorted(latencies: &[f64]) -> f64 {
-        percentile_sorted(latencies, 0.95)
-    }
-}
-
 /// One decode iteration, priced: its launch plan and its two phases.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct StepCost {
@@ -545,7 +536,7 @@ pub fn serve_spec_ctx(
     } else {
         latencies.iter().sum::<f64>() / completed as f64
     };
-    let p95 = ServingReport::p95_from_sorted(&latencies);
+    let p95 = percentile_sorted(&latencies, 0.95);
     SpecServingReport {
         serving: ServingReport {
             completed,
@@ -908,19 +899,6 @@ mod tests {
         assert_ne!(sp.1, ft.1, "verify must differ by framework");
         assert_ne!(sp.2, ft.2, "draft must differ by framework");
         assert_eq!(costs[0], costs[2]);
-    }
-
-    #[test]
-    fn p95_index_rounding_edge_cases() {
-        // Nearest-rank (`ceil(0.95 n)` clamped to [1, n], 1-based):
-        // N=1 → the only sample; N=2 → the larger; N=19 → ceil(18.05) =
-        // rank 19 (the max); N=20 → rank 19 of 20 (second-largest).
-        let lat = |n: usize| (1..=n).map(|i| i as f64).collect::<Vec<_>>();
-        assert_eq!(ServingReport::p95_from_sorted(&lat(1)), 1.0);
-        assert_eq!(ServingReport::p95_from_sorted(&lat(2)), 2.0);
-        assert_eq!(ServingReport::p95_from_sorted(&lat(19)), 19.0);
-        assert_eq!(ServingReport::p95_from_sorted(&lat(20)), 19.0);
-        assert_eq!(ServingReport::p95_from_sorted(&[]), 0.0);
     }
 
     #[test]

@@ -311,10 +311,18 @@ mod tests {
 
     #[test]
     fn percentile_sorted_matches_index() {
-        let v: Vec<f64> = (1..=20).map(f64::from).collect();
-        assert_eq!(percentile_sorted(&v, 0.95), 19.0);
-        assert_eq!(percentile_sorted(&v, 0.50), 10.0);
+        let v = |n: u32| (1..=n).map(f64::from).collect::<Vec<_>>();
+        assert_eq!(percentile_sorted(&v(20), 0.95), 19.0);
+        assert_eq!(percentile_sorted(&v(20), 0.50), 10.0);
         assert_eq!(percentile_sorted(&[], 0.5), 0.0);
+        // p95 at nearest rank (`ceil(0.95 n)` clamped to [1, n],
+        // 1-based): N=1 → the only sample; N=2 → the larger; N=19 →
+        // ceil(18.05) = rank 19 (the max); N=20 → rank 19 of 20
+        // (second-largest); N=0 → 0.0.
+        assert_eq!(percentile_sorted(&v(1), 0.95), 1.0);
+        assert_eq!(percentile_sorted(&v(2), 0.95), 2.0);
+        assert_eq!(percentile_sorted(&v(19), 0.95), 19.0);
+        assert_eq!(percentile_sorted(&[], 0.95), 0.0);
     }
 
     #[test]

@@ -534,14 +534,7 @@ mod tests {
 
     /// Order-sensitive FNV-1a over the little-endian FP16 bit patterns.
     fn digest(m: &DenseMatrix) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for v in m.as_slice() {
-            for byte in v.to_bits().to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        gpu_sim::counters::fnv1a64(m.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes()))
     }
 
     /// Output-byte pins for the Wanda and N:M pruners. Odd `k` exercises

@@ -16,10 +16,11 @@
 #    directly or through functions compiled without the features: a body
 #    that enters `vectorize` again, so the regions nest;
 # 3. an out-of-line copy of a body that has no capability parameter (the
-#    generator walks, the f32 -> f16 converter, the TCA-BME encode and
-#    INT8 quantize workers): it calls no intrinsic, so (1) cannot see it,
-#    but a copy of its own is compiled without the features. The list
-#    also names the pruning band body and its selection leaves.
+#    generator walks, the scalar FP16 conversions both ways, the TCA-BME
+#    encode and INT8 quantize workers): it calls no intrinsic, so (1)
+#    cannot see it, but a copy of its own is compiled without the
+#    features. The list also names the pruning band body and its
+#    selection leaves.
 #
 # Needs `objdump` (binutils).
 set -euo pipefail
@@ -77,7 +78,7 @@ if [ -n "$nested" ]; then
   fail=1
 fi
 
-bodies='gpu_sim::matrix::(fill_dense|fill_sparse_chunks|scan_sparse)|gpu_sim::fp16::(f32_to_f16_slice|f16_bits_from_f32_bits_rne|widen)|spinfer_core::tca_bme::(build_band_bitmaps|fill_band_values|build_gtile_bitmaps|fill_gtile_values|bt_bitmap_interior|bt_bitmap_edge|quantize_spans|span_scale|quantize_codes)|spinfer_pruning::pruners::(metric_keys|Selection::prune_band|Selection::keep_top)'
+bodies='gpu_sim::matrix::(fill_dense|fill_sparse_chunks|scan_sparse)|gpu_sim::fp16::(f32_to_f16_slice|Half::(to_f32|from_f32))|spinfer_core::tca_bme::(build_band_bitmaps|fill_band_values|build_gtile_bitmaps|fill_gtile_values|bt_bitmap_interior|bt_bitmap_edge|quantize_spans|span_scale|quantize_codes)|spinfer_pruning::pruners::(metric_keys|Selection::prune_band|Selection::keep_top)'
 copies=$({ grep -E "^[0-9a-f]+ <($bodies)(::<.*>)?>:$" "$dis" || true; })
 if [ -n "$copies" ]; then
   echo "$BIN holds out-of-line copies of always-inlined SIMD bodies:" >&2

@@ -2,9 +2,7 @@
 
 /// 64-bit FNV-1a over a byte string.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
+    gpu_sim::counters::fnv1a64(bytes.iter().copied())
 }
 
 /// Absolute pins: each `(what, text, pinned)` must hash to `pinned`.

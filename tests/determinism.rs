@@ -226,8 +226,8 @@ fn check_functional(
 
 /// Golden-counter regression gate: a fixed-seed run of every kernel must
 /// reproduce the pinned counter digests, simulated-time bit patterns, and
-/// FP32 output checksums exactly. Host-side optimisations (LUT decode,
-/// decode-once fragments, allocation-free analyzers) are only admissible
+/// FP32 output checksums exactly. Host-side optimisations (branch-free
+/// FP16 conversion, decode-once fragments, allocation-free analyzers) are only admissible
 /// when this stays green — they may change wall-clock, never results.
 /// Re-capture with `cargo run --release -p spinfer-bench --bin golden` when a *modelling*
 /// change legitimately moves the constants.

@@ -8,6 +8,7 @@
 //! [`DecodeError::PayloadMismatch`] on cross-precision reads, and
 //! detection of truncation and bit damage anywhere in the stream.
 
+use gpu_sim::counters::fnv1a64;
 use gpu_sim::matrix::{random_sparse, ValueDist};
 use proptest::prelude::*;
 use spinfer_core::serialize::{self, DecodeError};
@@ -195,13 +196,6 @@ fn v2_golden_bytes_are_stable_post_refactor() {
     assert_eq!(serialize::from_bytes(&bytes).unwrap(), enc);
 }
 
-/// Order-sensitive FNV-1a (64-bit) over a byte stream.
-fn fnv64(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// Byte pins for the weight write path: Wanda at sparsity 0.6, encode,
 /// INT8 quantize, and both containers' bytes and per-GroupTile
 /// checksums, at a ragged shape and at 1024². Digests are of the
@@ -240,10 +234,10 @@ fn write_path_bytes_and_checksums_are_pinned() {
         let calib = Calibration::synthetic(k, 32, seed + 1);
         let fp16 = TcaBme::encode(&wanda_prune(&w, &calib, 0.6));
         let q = fp16.quantize_int8();
-        let sums = |s: Vec<u32>| fnv64(s.into_iter().flat_map(u32::to_le_bytes));
+        let sums = |s: Vec<u32>| fnv1a64(s.into_iter().flat_map(u32::to_le_bytes));
         let got = [
-            fnv64(serialize::to_bytes(&fp16)),
-            fnv64(serialize::to_bytes_int8(&q)),
+            fnv1a64(serialize::to_bytes(&fp16)),
+            fnv1a64(serialize::to_bytes_int8(&q)),
             sums(fp16.gtile_checksums()),
             sums(q.tiles.gtile_checksums()),
         ];

@@ -3,7 +3,7 @@
 //!
 //! * the register-blocked `mma` kernel (`mma_m16n8k16_bslice_ntiles`)
 //!   against the per-element loop in `common/mma_oracle.rs`;
-//! * the batched FP16 → `f32` LUT conversion against per-element
+//! * the batched FP16 → `f32` conversion against per-element
 //!   `Half::to_f32`.
 //!
 //! Equality is exact `f32` bit equality *and* counter-stream equality —
